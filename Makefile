@@ -2,10 +2,14 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race chaos trace slo sim spot logs check bench benchcheck repro csv examples clean
+.PHONY: build fmt test vet lint race chaos trace slo sim spot logs benchgate check bench benchcheck repro csv examples clean
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails, listing the files, if gofmt would change any.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -109,13 +113,19 @@ logs:
 	cmp out/logs_rec_off.txt out/logs_rec_on.txt
 	@echo "logs: armed-but-quiet recorder bit-identical to recorder-off"
 
-# Default verification path: compile, static checks (go vet plus the
-# repo's own mlsyslint pass), unit tests, the race-enabled suite (the
-# concurrent batcher/telemetry tests need it), the seeded chaos suite,
-# the tracing suite, the monitoring/SLO suite, the sharded-core
-# determinism gate, the spot-survival suite, then the logging/flight-
-# recorder suite.
-check: build vet lint test race chaos trace slo sim spot logs
+# Benchmark-module gate: cmd/bench is a Go module of its own, so the
+# root build and tests never compile it. Vet it and run its tests, which
+# check the full-size goldens of all four workloads (about 5 s).
+benchgate:
+	cd cmd/bench && $(GO) vet ./... && $(GO) test ./...
+
+# Default verification path: formatting, compile, static checks (go vet
+# plus the repo's own mlsyslint pass), unit tests, the race-enabled suite
+# (the concurrent batcher/telemetry tests need it), the seeded chaos
+# suite, the tracing suite, the monitoring/SLO suite, the sharded-core
+# determinism gate, the spot-survival suite, the logging/flight-recorder
+# suite, then the benchmark module.
+check: fmt build vet lint test race chaos trace slo sim spot logs benchgate
 
 # Benchmarks: the full `go test -bench` sweep, the monitoring-stack
 # suite via cmd/tsdbbench (BENCH_tsdb.json), the sharded-core

@@ -38,11 +38,11 @@ import (
 	"math"
 
 	"repro/internal/alert"
-	"repro/internal/flightrec"
 	"repro/internal/chaos"
 	"repro/internal/cloud"
 	"repro/internal/collective"
 	"repro/internal/cost"
+	"repro/internal/flightrec"
 	"repro/internal/logging"
 	"repro/internal/objectstore"
 	"repro/internal/orchestrator"

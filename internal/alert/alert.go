@@ -78,12 +78,12 @@ type Instance struct {
 
 // Transition is one state change in the deterministic alert timeline.
 type Transition struct {
-	At    float64
-	Rule  string
+	At     float64
+	Rule   string
 	Labels tsdb.Labels
-	From  State
-	To    State
-	Value float64
+	From   State
+	To     State
+	Value  float64
 }
 
 func (t Transition) String() string {
@@ -96,8 +96,8 @@ func (t Transition) String() string {
 // not be called concurrently.
 type Engine struct {
 	db    *tsdb.DB
-	rules []Rule
-	recs  []RecordingRule
+	rules []rule
+	recs  []recording
 	slos  []*SLO
 
 	active   map[string]*Instance // key: rule name + label signature
@@ -105,6 +105,39 @@ type Engine struct {
 	steps    int64
 	errs     []string // rule-evaluation errors, deterministic order
 	onTrans  []func(Transition)
+}
+
+// rule and recording are registered rules with their expressions parsed
+// once, at registration.
+type rule struct {
+	Rule
+	query
+}
+
+type recording struct {
+	RecordingRule
+	query
+}
+
+// query is a parsed expression, or the error that parsing it gave. Step
+// reports a parse error where it reports an evaluation error, on every
+// step, so an unparseable rule reads exactly like one that fails to
+// evaluate.
+type query struct {
+	expr tsdb.Expr
+	err  error
+}
+
+func parseQuery(expr string) query {
+	e, err := tsdb.ParseExpr(expr)
+	return query{expr: e, err: err}
+}
+
+func (q query) eval(db *tsdb.DB, now float64) (tsdb.Value, error) {
+	if q.err != nil {
+		return nil, q.err
+	}
+	return db.Eval(q.expr, now)
 }
 
 // NewEngine returns an engine bound to db with no rules.
@@ -115,25 +148,40 @@ func NewEngine(db *tsdb.DB) *Engine {
 // DB returns the engine's store.
 func (e *Engine) DB() *tsdb.DB { return e.db }
 
-// AddRule registers an alert rule.
-func (e *Engine) AddRule(r Rule) { e.rules = append(e.rules, r) }
+// AddRule registers an alert rule and parses its expression.
+func (e *Engine) AddRule(r Rule) { e.rules = append(e.rules, rule{r, parseQuery(r.Expr)}) }
 
-// AddRecordingRule registers a recording rule.
-func (e *Engine) AddRecordingRule(r RecordingRule) { e.recs = append(e.recs, r) }
+// AddRecordingRule registers a recording rule and parses its expression.
+func (e *Engine) AddRecordingRule(r RecordingRule) {
+	e.recs = append(e.recs, recording{r, parseQuery(r.Expr)})
+}
 
 // AddSLO registers an SLO; its multi-window burn-rate rules are
 // evaluated on every step and its scorecard becomes available from
-// Statuses.
-func (e *Engine) AddSLO(s SLO) { e.slos = append(e.slos, &s) }
+// Statuses. Good and Total are parsed here, into the engine's own copy.
+// If either is not an instant selector, every step reports the error in
+// Errors and skips the SLO's burn rules, so it never pages.
+func (e *Engine) AddSLO(s SLO) {
+	s.sel = parseCounters(&s)
+	e.slos = append(e.slos, &s)
+}
 
 // Rules returns the registered alert rules (SLO burn rules excluded).
-func (e *Engine) Rules() []Rule { return append([]Rule(nil), e.rules...) }
+func (e *Engine) Rules() []Rule {
+	var out []Rule
+	for _, r := range e.rules {
+		out = append(out, r.Rule)
+	}
+	return out
+}
 
-// SLOs returns the registered SLOs.
+// SLOs returns copies of the registered SLOs. The copies are not
+// registered: their Status and BurnRate parse Good and Total on use.
 func (e *Engine) SLOs() []SLO {
 	out := make([]SLO, len(e.slos))
 	for i, s := range e.slos {
 		out[i] = *s
+		out[i].sel = nil
 	}
 	return out
 }
@@ -150,7 +198,8 @@ func (e *Engine) OnTransition(fn func(Transition)) { e.onTrans = append(e.onTran
 func (e *Engine) Steps() int64 { return e.steps }
 
 // Errors returns rule-evaluation errors collected so far (bad
-// expressions, type mismatches). Healthy rulesets keep this empty.
+// expressions, type mismatches, SLO selectors that are not instant
+// selectors). Healthy rulesets keep this empty.
 func (e *Engine) Errors() []string { return append([]string(nil), e.errs...) }
 
 // Step evaluates everything at time now: recording rules first (so alert
@@ -159,7 +208,7 @@ func (e *Engine) Errors() []string { return append([]string(nil), e.errs...) }
 func (e *Engine) Step(now float64) {
 	e.steps++
 	for _, r := range e.recs {
-		v, err := e.db.Query(r.Expr, now)
+		v, err := r.eval(e.db, now)
 		if err != nil {
 			e.recordErr(r.Name, err)
 			continue
@@ -176,7 +225,7 @@ func (e *Engine) Step(now float64) {
 		}
 	}
 	for _, r := range e.rules {
-		v, err := e.db.Query(r.Expr, now)
+		v, err := r.eval(e.db, now)
 		if err != nil {
 			e.recordErr(r.Name, err)
 			continue
@@ -189,6 +238,10 @@ func (e *Engine) Step(now float64) {
 		e.applyRule(r.Name, r.Severity, r.For, vec, now)
 	}
 	for _, s := range e.slos {
+		if s.sel.err != nil {
+			e.recordErr(s.Name, s.sel.err)
+			continue
+		}
 		for _, w := range s.burnWindows() {
 			vec := s.burnVector(e.db, now, w)
 			e.applyRule(s.Name+":burn:"+w.Severity, w.Severity, w.For, vec, now)

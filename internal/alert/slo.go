@@ -1,6 +1,7 @@
 package alert
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/tsdb"
@@ -27,6 +28,60 @@ type SLO struct {
 	// Windows overrides the multi-window burn-rate alert policy
 	// (DefaultBurnWindows when empty).
 	Windows []BurnWindow
+
+	// sel is Good and Total parsed by Engine.AddSLO into the engine's
+	// own copy. An SLO used on its own leaves it nil and parses on use.
+	sel *counters
+}
+
+// counters is an SLO's Good and Total parsed, or the error that parsing
+// them gave.
+type counters struct {
+	good, total tsdb.SelectorExpr
+	err         error
+}
+
+func parseCounters(s *SLO) *counters {
+	c := &counters{}
+	var err error
+	if c.good, err = parseCounter(s.Good); err != nil {
+		c.err = fmt.Errorf("good selector: %w", err)
+	} else if c.total, err = parseCounter(s.Total); err != nil {
+		c.err = fmt.Errorf("total selector: %w", err)
+	}
+	return c
+}
+
+// parseCounter parses a counter selector. Only an instant selector names
+// counters: a range selector or any other expression is an error.
+func parseCounter(expr string) (tsdb.SelectorExpr, error) {
+	e, err := tsdb.ParseExpr(expr)
+	if err != nil {
+		return tsdb.SelectorExpr{}, fmt.Errorf("%s: %w", expr, err)
+	}
+	sel, ok := e.(tsdb.SelectorExpr)
+	if !ok || sel.Range != 0 {
+		return tsdb.SelectorExpr{}, fmt.Errorf("%s is not an instant selector", expr)
+	}
+	return sel, nil
+}
+
+// counters returns Good and Total parsed: once at registration for an
+// engine's SLO, on every call for an SLO used on its own.
+func (s *SLO) counters() *counters {
+	if s.sel != nil {
+		return s.sel
+	}
+	return parseCounters(s)
+}
+
+// increase returns the good and total events over the trailing window;
+// both are zero when the selectors did not parse.
+func (c *counters) increase(db *tsdb.DB, now, window float64) (good, total float64) {
+	if c.err != nil {
+		return 0, 0
+	}
+	return db.CounterIncrease(c.good, now, window), db.CounterIncrease(c.total, now, window)
 }
 
 // BurnWindow is one multi-window burn-rate alert: the alert condition is
@@ -64,16 +119,12 @@ func (s *SLO) Budget() float64 { return 1 - s.Objective }
 // burnVector evaluates one burn window at time now. A non-empty result
 // (single sample labeled with the SLO name) means the condition holds.
 func (s *SLO) burnVector(db *tsdb.DB, now float64, w BurnWindow) tsdb.Vector {
-	budget := s.Budget()
-	if budget <= 0 {
-		return nil
-	}
-	long, okL := s.errorRatio(db, now, w.Long)
-	short, okS := s.errorRatio(db, now, w.Short)
+	c := s.counters()
+	burnLong, okL := s.burnRate(c, db, now, w.Long)
+	burnShort, okS := s.burnRate(c, db, now, w.Short)
 	if !okL || !okS {
 		return nil
 	}
-	burnLong, burnShort := long/budget, short/budget
 	if burnLong >= w.Factor && burnShort >= w.Factor {
 		return tsdb.Vector{{Labels: tsdb.NewLabels(tsdb.L("slo", s.Name)), V: burnLong}}
 	}
@@ -83,22 +134,25 @@ func (s *SLO) burnVector(db *tsdb.DB, now float64, w BurnWindow) tsdb.Vector {
 // BurnRate returns the error-budget burn rate over the trailing window
 // (1.0 = burning exactly the budget; ok=false when there was no traffic).
 func (s *SLO) BurnRate(db *tsdb.DB, now, window float64) (float64, bool) {
+	return s.burnRate(s.counters(), db, now, window)
+}
+
+func (s *SLO) burnRate(c *counters, db *tsdb.DB, now, window float64) (float64, bool) {
 	budget := s.Budget()
 	if budget <= 0 {
 		return 0, false
 	}
-	ratio, ok := s.errorRatio(db, now, window)
+	good, total := c.increase(db, now, window)
+	ratio, ok := errorRatio(good, total)
 	if !ok {
 		return 0, false
 	}
 	return ratio / budget, true
 }
 
-// errorRatio computes 1 - good/total over the trailing window.
-// ok=false when the window saw no total events.
-func (s *SLO) errorRatio(db *tsdb.DB, now, window float64) (float64, bool) {
-	good := counterIncrease(db, s.Good, now, window)
-	total := counterIncrease(db, s.Total, now, window)
+// errorRatio computes 1 - good/total, floored at zero. ok=false when
+// there were no total events.
+func errorRatio(good, total float64) (float64, bool) {
 	if total <= 0 {
 		return 0, false
 	}
@@ -109,47 +163,15 @@ func (s *SLO) errorRatio(db *tsdb.DB, now, window float64) (float64, bool) {
 	return ratio, true
 }
 
-// counterIncrease sums the reset-adjusted increase of every series
-// matching the selector over [now-window, now], anchoring each series at
-// the last sample before the window — or at zero if the series was born
-// inside it (counters start at zero by definition).
+// counterIncrease parses selector and folds its increase over the
+// trailing window with tsdb.DB.CounterIncrease; a selector that is not
+// an instant selector reads as zero.
 func counterIncrease(db *tsdb.DB, selector string, now, window float64) float64 {
-	e, err := tsdb.ParseExpr(selector)
+	sel, err := parseCounter(selector)
 	if err != nil {
 		return 0
 	}
-	sel, ok := e.(tsdb.SelectorExpr)
-	if !ok || sel.Range != 0 {
-		return 0
-	}
-	lo := now - window
-	var sum float64
-	for _, series := range db.Select(sel.Name, sel.Matchers) {
-		prev, havePrev := 0.0, false
-		for _, p := range series.Points {
-			if p.T > now {
-				break
-			}
-			if p.T < lo {
-				prev, havePrev = p.V, true
-				continue
-			}
-			if !havePrev {
-				// Series born inside the window: its first value is all
-				// growth from zero.
-				sum += p.V
-				prev, havePrev = p.V, true
-				continue
-			}
-			d := p.V - prev
-			if d < 0 { // counter reset
-				d = p.V
-			}
-			sum += d
-			prev = p.V
-		}
-	}
-	return sum
+	return db.CounterIncrease(sel, now, window)
 }
 
 // Status is the SLO scorecard at one instant.
@@ -172,23 +194,18 @@ func (st Status) Met() bool { return st.ErrorRatio <= st.Budget }
 // Status computes the scorecard at time now.
 func (s *SLO) Status(db *tsdb.DB, now float64) Status {
 	st := Status{Name: s.Name, Objective: s.Objective, Window: s.Window, Budget: s.Budget()}
-	st.Good = counterIncrease(db, s.Good, now, s.Window)
-	st.Total = counterIncrease(db, s.Total, now, s.Window)
-	if st.Total > 0 {
-		st.ErrorRatio = 1 - st.Good/st.Total
-		if st.ErrorRatio < 0 {
-			st.ErrorRatio = 0
-		}
-	}
+	c := s.counters()
+	st.Good, st.Total = c.increase(db, now, s.Window)
+	st.ErrorRatio, _ = errorRatio(st.Good, st.Total)
 	if st.Budget > 0 {
 		st.BudgetConsumed = st.ErrorRatio / st.Budget
 	}
 	ws := s.burnWindows()
 	if len(ws) > 0 {
-		if b, ok := s.BurnRate(db, now, ws[0].Long); ok {
+		if b, ok := s.burnRate(c, db, now, ws[0].Long); ok {
 			st.FastBurn = b
 		}
-		if b, ok := s.BurnRate(db, now, ws[len(ws)-1].Long); ok {
+		if b, ok := s.burnRate(c, db, now, ws[len(ws)-1].Long); ok {
 			st.SlowBurn = b
 		}
 	}

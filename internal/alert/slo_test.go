@@ -2,6 +2,9 @@ package alert
 
 import (
 	"math"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/simclock"
@@ -29,8 +32,8 @@ func TestSLOStatusReconcilesWithCounters(t *testing.T) {
 	db := tsdb.New(tsdb.Options{})
 	appendCounters(db, 4, 2, 10, 2) // 16 steps of +10 ok; 9 steps of +2 err
 	s := SLO{Name: "avail", Objective: 0.95,
-		Good:  `req{outcome="ok"}`,
-		Total: "req",
+		Good:   `req{outcome="ok"}`,
+		Total:  "req",
 		Window: 6, // covers the whole run
 	}
 	st := s.Status(db, 4)
@@ -174,5 +177,87 @@ func TestCounterResetInsideSLOWindow(t *testing.T) {
 	}
 	if got := counterIncrease(db, "t", 1.5, 10); got != 50 {
 		t.Errorf("increase with reset = %v, want 50", got)
+	}
+}
+
+// A Good selector that does not parse, or parses to anything but an
+// instant selector, used to read as zero good events, so an SLO whose
+// every request succeeded paged at a burn rate of 100. It is an error
+// instead, and the SLO's burn rules are skipped.
+func TestMalformedSLOSelectorIsAnErrorNotAPage(t *testing.T) {
+	for _, good := range []string{`req{code="200"`, `req{code="200"}[1h]`, `rate(req[1h])`} {
+		t.Run(good, func(t *testing.T) {
+			db := tsdb.New(tsdb.Options{})
+			e := NewEngine(db)
+			e.AddSLO(SLO{Name: "s", Objective: 0.99, Good: good, Total: "req", Window: 6})
+			okL := tsdb.NewLabels(tsdb.L("code", "200"))
+			for i := 1; i <= 32; i++ {
+				at := float64(i) * 0.25
+				db.Append("req", okL, at, float64(10*i))
+				e.Step(at)
+			}
+			errs := e.Errors()
+			if len(errs) != 1 || !strings.HasPrefix(errs[0], "s: good selector: ") {
+				t.Errorf("errors = %q, want one `s: good selector: ...`", errs)
+			}
+			if tl := e.Timeline(); len(tl) != 0 {
+				t.Errorf("malformed SLO changed state:\n%s", RenderTimeline(tl))
+			}
+		})
+	}
+}
+
+// stepCost returns the fewest mallocs and bytes one Engine.Step
+// allocates with the rule set of examples/distributed-training, over a
+// store holding hours of quarter-hourly history of the series those
+// rules read. The minimum over many steps leaves out sync.Pool misses,
+// which the race detector makes random.
+func stepCost(t *testing.T, hours float64) (mallocs, bytes uint64) {
+	db := tsdb.New(tsdb.Options{Retention: 168})
+	okL := tsdb.NewLabels(tsdb.L("outcome", "ok"))
+	missL := tsdb.NewLabels(tsdb.L("outcome", "missed"))
+	bounds := append(telemetry.ExpBuckets(0.25, 2, 10), math.Inf(1))
+	for i := 0; float64(i)*0.25 <= hours; i++ {
+		at := float64(i) * 0.25
+		db.Append("train.steps", okL, at, float64(6*i))
+		db.Append("train.steps", missL, at, 0)
+		for _, le := range bounds {
+			db.Append("orchestrator.reschedule_latency_hours_bucket",
+				tsdb.NewLabels(tsdb.L("le", strconv.FormatFloat(le, 'g', -1, 64))), at, 3)
+		}
+	}
+	e := NewEngine(db)
+	e.AddRule(Rule{Name: "PodRescheduleSlow",
+		Expr: "histogram_quantile(0.95, increase(orchestrator.reschedule_latency_hours_bucket[2h])) > 0.25",
+		For:  0.5, Severity: "page"})
+	e.AddSLO(SLO{Name: "train-steps", Objective: 0.99,
+		Good: `train.steps{outcome="ok"}`, Total: "train.steps", Window: 6})
+	// One P, set before the warm-up step: sync.Pool sizes its per-P
+	// caches on first use after a change.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e.Step(hours)
+	mallocs, bytes = math.MaxUint64, math.MaxUint64
+	var before, after runtime.MemStats
+	for i := 0; i < 30; i++ {
+		runtime.ReadMemStats(&before)
+		e.Step(hours)
+		runtime.ReadMemStats(&after)
+		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	if errs := e.Errors(); len(errs) > 0 || len(e.Timeline()) > 0 {
+		t.Fatalf("the quiet rule set must evaluate cleanly: errors %q, timeline %v", errs, e.Timeline())
+	}
+	return mallocs, bytes
+}
+
+// A step reads windows of at most 6 h, so what it allocates must not
+// grow with the retained history.
+func TestStepCostIndependentOfRetainedHistory(t *testing.T) {
+	m24, b24 := stepCost(t, 24)
+	m168, b168 := stepCost(t, 168)
+	if m168 != m24 || b168 != b24 {
+		t.Errorf("Step allocates %d mallocs / %d B at 24 h of history but %d / %d B at 168 h",
+			m24, b24, m168, b168)
 	}
 }

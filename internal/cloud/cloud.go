@@ -318,19 +318,23 @@ func (c *Cloud) Launch(spec LaunchSpec) (*Instance, error) {
 			telemetry.String("flavor", spec.Flavor.Name),
 			telemetry.String("host", host.Name))
 	}
-	c.tel.Counter("cloud.launches").Inc()
-	c.tel.Counter(telemetry.Labeled("cloud.launches",
-		telemetry.String("flavor", spec.Flavor.Name),
-		telemetry.String("project", spec.Project))).Inc()
-	c.tel.Counter("cloud.meter.opened").Inc()
-	c.tel.Gauge("cloud.instances_active").Add(1)
-	c.tel.Gauge(telemetry.Labeled("cloud.instances_active",
-		telemetry.String("flavor", spec.Flavor.Name))).Add(1)
-	c.tel.Emit("cloud.instance.launch",
-		telemetry.String("id", inst.ID),
-		telemetry.String("project", spec.Project),
-		telemetry.String("flavor", spec.Flavor.Name),
-		telemetry.Float("t", c.clock.Now()))
+	// The bus handles are nil-safe, but building their names and
+	// attributes is not free: skip it all when no bus is attached.
+	if c.tel != nil {
+		c.tel.Counter("cloud.launches").Inc()
+		c.tel.Counter(telemetry.Labeled("cloud.launches",
+			telemetry.String("flavor", spec.Flavor.Name),
+			telemetry.String("project", spec.Project))).Inc()
+		c.tel.Counter("cloud.meter.opened").Inc()
+		c.tel.Gauge("cloud.instances_active").Add(1)
+		c.tel.Gauge(telemetry.Labeled("cloud.instances_active",
+			telemetry.String("flavor", spec.Flavor.Name))).Add(1)
+		c.tel.Emit("cloud.instance.launch",
+			telemetry.String("id", inst.ID),
+			telemetry.String("project", spec.Project),
+			telemetry.String("flavor", spec.Flavor.Name),
+			telemetry.Float("t", c.clock.Now()))
+	}
 	c.log.InfoT(span, "instance active",
 		logging.Str("id", inst.ID),
 		logging.Str("flavor", spec.Flavor.Name),
@@ -400,22 +404,24 @@ func (c *Cloud) deleteLocked(instanceID string) error {
 		sp.FinishAt(c.clock.Now())
 		delete(c.instSpans, inst.ID)
 	}
-	c.tel.Counter("cloud.deletes").Inc()
-	c.tel.Counter("cloud.meter.closed").Inc()
-	c.tel.Gauge("cloud.instances_active").Add(-1)
-	c.tel.Gauge(telemetry.Labeled("cloud.instances_active",
-		telemetry.String("flavor", inst.Flavor.Name))).Add(-1)
-	c.tel.Histogram("cloud.instance_hours", telemetry.ExpBuckets(0.25, 2, 12)).
-		Observe(inst.DeletedAt - inst.LaunchedAt)
-	c.tel.Histogram(telemetry.Labeled("cloud.instance_hours",
-		telemetry.String("flavor", inst.Flavor.Name)), telemetry.ExpBuckets(0.25, 2, 12)).
-		Observe(inst.DeletedAt - inst.LaunchedAt)
-	c.tel.Emit("cloud.instance.delete",
-		telemetry.String("id", inst.ID),
-		telemetry.String("project", inst.Project),
-		telemetry.String("flavor", inst.Flavor.Name),
-		telemetry.Float("hours", inst.DeletedAt-inst.LaunchedAt),
-		telemetry.Float("t", c.clock.Now()))
+	if c.tel != nil {
+		c.tel.Counter("cloud.deletes").Inc()
+		c.tel.Counter("cloud.meter.closed").Inc()
+		c.tel.Gauge("cloud.instances_active").Add(-1)
+		c.tel.Gauge(telemetry.Labeled("cloud.instances_active",
+			telemetry.String("flavor", inst.Flavor.Name))).Add(-1)
+		c.tel.Histogram("cloud.instance_hours", telemetry.ExpBuckets(0.25, 2, 12)).
+			Observe(inst.DeletedAt - inst.LaunchedAt)
+		c.tel.Histogram(telemetry.Labeled("cloud.instance_hours",
+			telemetry.String("flavor", inst.Flavor.Name)), telemetry.ExpBuckets(0.25, 2, 12)).
+			Observe(inst.DeletedAt - inst.LaunchedAt)
+		c.tel.Emit("cloud.instance.delete",
+			telemetry.String("id", inst.ID),
+			telemetry.String("project", inst.Project),
+			telemetry.String("flavor", inst.Flavor.Name),
+			telemetry.Float("hours", inst.DeletedAt-inst.LaunchedAt),
+			telemetry.Float("t", c.clock.Now()))
+	}
 	c.log.Info("instance deleted",
 		logging.Str("id", inst.ID),
 		logging.Str("flavor", inst.Flavor.Name),

@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -118,5 +119,31 @@ func TestCloudTelemetryLifecycle(t *testing.T) {
 	evs := bus.Events(0)
 	if evs[0].Attr("id") != inst.ID || evs[1].Attr("hours") != "3" {
 		t.Errorf("launch/delete attrs wrong: %v / %v", evs[0], evs[1])
+	}
+}
+
+// With no bus attached, Launch and Delete build no metric names,
+// attributes or bucket slices: what is left is the instance, its ID,
+// its tags, and its meter record with a copy of them.
+func TestLaunchDeleteWithoutBusAllocs(t *testing.T) {
+	c, _ := newTestCloud()
+	launchDelete := func() {
+		inst, err := c.Launch(LaunchSpec{Project: "class", Name: "lab", Flavor: M1Medium})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Delete(inst.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The fewest over many single runs leaves out the amortized growth of
+	// the cloud's maps and the sync.Pool misses inside fmt, which the race
+	// detector makes random.
+	fewest := math.Inf(1)
+	for i := 0; i < 50; i++ {
+		fewest = min(fewest, testing.AllocsPerRun(1, launchDelete))
+	}
+	if fewest > 6 {
+		t.Errorf("Launch+Delete without a bus: %v allocs, want <= 6", fewest)
 	}
 }

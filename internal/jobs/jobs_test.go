@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -209,6 +211,58 @@ func TestMedianStoppingPrunesBadTrials(t *testing.T) {
 	for _, r := range results[:3] {
 		if r.Pruned {
 			t.Errorf("good trial pruned: %+v", r)
+		}
+	}
+}
+
+// Median stopping must not depend on goroutine timing: with 4 workers
+// every run prunes exactly the trials a 1-worker run prunes. One trial
+// fails its first attempt midway, so its retry reports its steps again.
+func TestMedianStoppingIndependentOfWorkers(t *testing.T) {
+	configs := SampleSpec{
+		"lr": func(r *stats.RNG) float64 { return r.Uniform(-1, 1.6) },
+	}.Sample(16, stats.NewRNG(7))
+	run := func(workers int) ([]TrialResult, int) {
+		p := NewPool(workers, 1)
+		defer p.Close()
+		var failed atomic.Bool
+		objective := func(cfg map[string]float64, report func(int, float64) bool) (float64, error) {
+			score := 1 - (cfg["lr"]-0.3)*(cfg["lr"]-0.3)
+			for step := 0; step < 6; step++ {
+				runtime.Gosched()
+				partial := score * float64(step+1) / 6
+				if cfg["lr"] == configs[5]["lr"] && step == 3 && !failed.Swap(true) {
+					return 0, errors.New("worker lost")
+				}
+				if !report(step, partial) {
+					return partial, nil
+				}
+			}
+			return score, nil
+		}
+		tuner := &Tuner{Pool: p, Maximize: true, MedianStopping: true,
+			GracePeriod: 1, MinTrialsForMedian: 3}
+		results, best, err := tuner.Run(configs, objective)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results, best
+	}
+	want, wantBest := run(1)
+	pruned := 0
+	for _, r := range want {
+		if r.Pruned {
+			pruned++
+		}
+	}
+	if pruned == 0 || pruned == len(want) {
+		t.Fatalf("1-worker run pruned %d of %d trials; the test needs some of each", pruned, len(want))
+	}
+	for i := 0; i < 20; i++ {
+		got, best := run(4)
+		if best != wantBest || !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d with 4 workers differs from the 1-worker run:\n got %+v (best %d)\nwant %+v (best %d)",
+				i, got, best, want, wantBest)
 		}
 	}
 }

@@ -79,56 +79,105 @@ type Tuner struct {
 	// Maximize selects the optimization direction.
 	Maximize bool
 	// MedianStopping prunes a trial whose reported score at step s falls
-	// on the wrong side of the median of all other trials' scores at the
-	// same step, once at least MinTrialsForMedian trials have reported
-	// that step and s >= GracePeriod.
+	// on the wrong side of the median of the step-s scores of itself and
+	// every earlier trial (lower index) that reached step s, once at
+	// least MinTrialsForMedian trials count and s >= GracePeriod. A trial
+	// waits for the earlier trials to report step s or end, so the
+	// decisions, and the results, are those of a one-worker run for any
+	// pool size.
 	MedianStopping     bool
 	GracePeriod        int
 	MinTrialsForMedian int
 }
 
-// medianRecorder aggregates reported scores per step across trials.
+// medianRecorder keeps each trial's reported score per step. A retried
+// trial reports its steps again and overwrites them.
 type medianRecorder struct {
 	mu     sync.Mutex
-	scores map[int][]float64
+	cond   sync.Cond
+	scores []map[int]float64 // trial -> step -> score
+	ended  []bool            // trial will report no more steps
 }
 
-func (m *medianRecorder) record(step int, score float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.scores[step] = append(m.scores[step], score)
+func newMedianRecorder(trials int) *medianRecorder {
+	m := &medianRecorder{scores: make([]map[int]float64, trials), ended: make([]bool, trials)}
+	m.cond.L = &m.mu
+	for i := range m.scores {
+		m.scores[i] = map[int]float64{}
+	}
+	return m
 }
 
-func (m *medianRecorder) median(step int) (float64, int) {
+func (m *medianRecorder) record(trial, step int, score float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	xs := m.scores[step]
+	m.scores[trial][step] = score
+	m.cond.Broadcast()
+}
+
+func (m *medianRecorder) end(trial int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.ended[trial] = true
+	m.cond.Broadcast()
+}
+
+// median waits until every trial before trial has reported step or
+// ended, then returns the median of the step's scores of trials 0..trial
+// and how many there are. Pool.Map hands tasks out in index order over
+// an unbuffered queue, so every earlier trial has already started and
+// the wait ends.
+func (m *medianRecorder) median(trial, step int) (float64, int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var xs []float64
+	for j := 0; j <= trial; j++ {
+		for j < trial && !m.ended[j] {
+			if _, ok := m.scores[j][step]; ok {
+				break
+			}
+			m.cond.Wait()
+		}
+		if v, ok := m.scores[j][step]; ok {
+			xs = append(xs, v)
+		}
+	}
 	if len(xs) == 0 {
 		return 0, 0
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return stats.Percentile(sorted, 50), len(xs)
+	sort.Float64s(xs)
+	return stats.Percentile(xs, 50), len(xs)
 }
 
 // Run evaluates every configuration and returns results in input order
 // plus the index of the best non-failed trial (-1 if all failed).
 func (t *Tuner) Run(configs []map[string]float64, objective Objective) ([]TrialResult, int, error) {
-	rec := &medianRecorder{scores: map[int][]float64{}}
+	rec := newMedianRecorder(len(configs))
 	results := make([]TrialResult, len(configs))
 	tasks := make([]Task, len(configs))
 	for i, cfg := range configs {
 		i, cfg := i, cfg
+		attempts := 0
 		tasks[i] = func() (float64, error) {
 			pruned := false
 			steps := 0
+			// The pool retries a failed attempt while its budget lasts;
+			// the trial has ended once an attempt succeeds or the last
+			// one fails (or panics).
+			attempts++
+			last := attempts > t.Pool.MaxRetries
+			defer func() {
+				if last {
+					rec.end(i)
+				}
+			}()
 			report := func(step int, score float64) bool {
 				steps = step + 1
-				rec.record(step, score)
+				rec.record(i, step, score)
 				if !t.MedianStopping || step < t.GracePeriod {
 					return true
 				}
-				med, n := rec.median(step)
+				med, n := rec.median(i, step)
 				if n < t.MinTrialsForMedian {
 					return true
 				}
@@ -143,6 +192,7 @@ func (t *Tuner) Run(configs []map[string]float64, objective Objective) ([]TrialR
 				return true
 			}
 			score, err := objective(cfg, report)
+			last = last || err == nil
 			results[i].Pruned = pruned
 			results[i].Steps = steps
 			return score, err

@@ -83,9 +83,9 @@ type window struct{ start, end float64 }
 type Service struct {
 	mu     sync.Mutex
 	clock  *simclock.Clock
-	cloud  *cloud.Cloud   // optional: enables auto launch/terminate
-	tel    *telemetry.Bus // nil disables instrumentation
-	tracer *trace.Tracer  // nil disables tracing
+	cloud  *cloud.Cloud       // optional: enables auto launch/terminate
+	tel    *telemetry.Bus     // nil disables instrumentation
+	tracer *trace.Tracer      // nil disables tracing
 	log    *logging.Component // "lease" stream; nil no-ops
 	pools  map[string]*pool
 	all    map[string]*Reservation
@@ -191,18 +191,21 @@ func (s *Service) bookLocked(spec Spec) (*Reservation, error) {
 			logging.Str("reason", err.Error()))
 		return nil, err
 	}
-	s.tel.Counter("lease.bookings").Inc()
-	s.tel.Counter(telemetry.Labeled("lease.bookings",
-		telemetry.String("node_type", r.NodeType),
-		telemetry.String("project", r.Project))).Inc()
-	s.tel.Histogram("lease.duration_hours", telemetry.LinearBuckets(1, 1, 12)).Observe(r.Hours())
-	s.tel.Emit("lease.book",
-		telemetry.String("id", r.ID),
-		telemetry.String("node_type", r.NodeType),
-		telemetry.String("node", r.Node),
-		telemetry.String("user", r.User),
-		telemetry.Float("start", r.Start),
-		telemetry.Float("end", r.End))
+	// Skip building bus names and attributes when no bus is attached.
+	if s.tel != nil {
+		s.tel.Counter("lease.bookings").Inc()
+		s.tel.Counter(telemetry.Labeled("lease.bookings",
+			telemetry.String("node_type", r.NodeType),
+			telemetry.String("project", r.Project))).Inc()
+		s.tel.Histogram("lease.duration_hours", telemetry.LinearBuckets(1, 1, 12)).Observe(r.Hours())
+		s.tel.Emit("lease.book",
+			telemetry.String("id", r.ID),
+			telemetry.String("node_type", r.NodeType),
+			telemetry.String("node", r.Node),
+			telemetry.String("user", r.User),
+			telemetry.Float("start", r.Start),
+			telemetry.Float("end", r.End))
+	}
 	s.log.InfoT(r.span, "reservation booked",
 		logging.Str("id", r.ID),
 		logging.Str("node", r.Node),

@@ -117,10 +117,10 @@ type Cluster struct {
 	// events records reconciliation actions for observability and tests.
 	events []string
 
-	tel    *telemetry.Bus  // nil disables instrumentation
+	tel    *telemetry.Bus     // nil disables instrumentation
 	log    *logging.Component // "orchestrator" stream; nil no-ops
-	clk    *simclock.Clock // nil means "time stands at 0" (MTTR reads 0)
-	tracer *trace.Tracer   // nil disables evacuation tracing
+	clk    *simclock.Clock    // nil means "time stands at 0" (MTTR reads 0)
+	tracer *trace.Tracer      // nil disables evacuation tracing
 
 	// evacSpans holds, per down node, the open evacuation trace started
 	// when SyncFromCloud detected the failure; finished once the following

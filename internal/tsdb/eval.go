@@ -87,6 +87,9 @@ func (db *DB) evalInstant(sel SelectorExpr, t float64) Vector {
 	defer db.mu.RUnlock()
 	var out Vector
 	for _, key := range db.order {
+		if !keyHasName(key, sel.Name) {
+			continue
+		}
 		s := db.series[key]
 		if s.Name != sel.Name || !matchAll(sel.Matchers, s.Labels) {
 			continue
@@ -113,6 +116,9 @@ func (db *DB) foldRange(fn string, sel SelectorExpr, t float64) Vector {
 	defer db.mu.RUnlock()
 	var out Vector
 	for _, key := range db.order {
+		if !keyHasName(key, sel.Name) {
+			continue
+		}
 		s := db.series[key]
 		if s.Name != sel.Name || !matchAll(sel.Matchers, s.Labels) {
 			continue
@@ -129,6 +135,46 @@ func (db *DB) foldRange(fn string, sel SelectorExpr, t float64) Vector {
 		out = append(out, Sample{Labels: s.Labels, V: v})
 	}
 	return out
+}
+
+// CounterIncrease sums the reset-adjusted increase of every series
+// matching sel over [now-window, now], anchoring each series at the last
+// sample before the window — or at zero if the series was born inside
+// it (counters start at zero by definition). Like foldRange it folds
+// the window in place under the read lock, so its cost follows the
+// window, not the retained history. sel.Range is ignored.
+func (db *DB) CounterIncrease(sel SelectorExpr, now, window float64) float64 {
+	lo := now - window
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	var sum float64
+	for _, key := range db.order {
+		if !keyHasName(key, sel.Name) {
+			continue
+		}
+		s := db.series[key]
+		if s.Name != sel.Name || !matchAll(sel.Matchers, s.Labels) {
+			continue
+		}
+		pts := s.Points
+		i := sort.Search(len(pts), func(i int) bool { return pts[i].T >= lo })
+		prev := 0.0
+		if i > 0 {
+			prev = pts[i-1].V
+		}
+		for _, p := range pts[i:] {
+			if p.T > now {
+				break
+			}
+			d := p.V - prev
+			if d < 0 { // counter reset
+				d = p.V
+			}
+			sum += d
+			prev = p.V
+		}
+	}
+	return sum
 }
 
 // evalRange returns, per matching series, the points with T in

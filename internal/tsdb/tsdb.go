@@ -216,6 +216,9 @@ func (db *DB) Select(name string, ms []Matcher) []Series {
 	defer db.mu.RUnlock()
 	var out []Series
 	for _, key := range db.order {
+		if !keyHasName(key, name) {
+			continue
+		}
 		s := db.series[key]
 		if s.Name != name || !matchAll(ms, s.Labels) {
 			continue
@@ -227,6 +230,14 @@ func (db *DB) Select(name string, ms []Matcher) []Series {
 		})
 	}
 	return out
+}
+
+// keyHasName reports whether a series key can belong to a series named
+// name. A key is the name followed by the label signature, which always
+// starts with '{', so this string test lets a scan skip the map lookup
+// for the other series; callers still compare Series.Name.
+func keyHasName(key, name string) bool {
+	return len(key) > len(name) && key[len(name)] == '{' && key[:len(name)] == name
 }
 
 // Compact applies retention and downsampling relative to now. Retention

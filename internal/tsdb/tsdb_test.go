@@ -304,16 +304,16 @@ func TestBinaryOpsAndAggregation(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	bad := []string{
-		"",                       // empty
-		"rate(x)",                // needs a range
-		"x[0]",                   // non-positive duration
-		"x[1w]",                  // unknown unit
-		"x{k=v}",                 // unquoted label value
-		"x{k=~\"(\"}",            // bad regex
-		"sum by (a (x)",          // unclosed by-clause
+		"",                             // empty
+		"rate(x)",                      // needs a range
+		"x[0]",                         // non-positive duration
+		"x[1w]",                        // unknown unit
+		"x{k=v}",                       // unquoted label value
+		"x{k=~\"(\"}",                  // bad regex
+		"sum by (a (x)",                // unclosed by-clause
 		"histogram_quantile(x_bucket)", // missing q
-		"1 + ",                   // dangling operator
-		"x 5",                    // trailing garbage
+		"1 + ",                         // dangling operator
+		"x 5",                          // trailing garbage
 	}
 	for _, src := range bad {
 		if _, err := ParseExpr(src); err == nil {
