@@ -19,16 +19,12 @@
 //	usage                           show metered hours by flavor
 //	quota                           show project quota usage
 //	metrics [-json]                 show telemetry counters/gauges/histograms
-//	events [n] [-component c] [-since t] [-trace id] [-json]
-//	                                show the n most recent telemetry events
-//	                                (default 20), optionally filtered to a
-//	                                component prefix, a minimum sim time,
-//	                                and a trace-ID prefix
 //	logs [n] [-component c] [-level l] [-trace id] [-since t]
 //	                                show the n most recent log records
 //	                                (default 20) from the structured-log
-//	                                ring buffers, with the same filters
-//	                                plus a minimum level
+//	                                ring buffers, optionally filtered to a
+//	                                component name, a minimum level, a
+//	                                trace-ID prefix, and a minimum sim time
 //	incidents list                  list flight-recorder incident bundles
 //	incidents show <id>             print one bundle (rule, dashboard,
 //	                                series, logs, traces, faults, spot)
@@ -47,7 +43,7 @@
 //	trace export <file>             write Chrome trace-event JSON (Perfetto)
 //	tsdb stats                      monitoring-pipeline self-metrics (scrape
 //	                                counters, series, interned label sets,
-//	                                wall-clock scrape cost, bus contention)
+//	                                wall-clock scrape cost)
 //	spot prices [-json]             spot pool occupancy and current prices
 //	spot preemptions [-json]        preemption notices and the vacate ledger
 //	spot preempt <pool>             reclaim one slot from a spot pool
@@ -115,9 +111,6 @@ func main() {
 	// Fixed seed: trace/span IDs are deterministic across sessions, so a
 	// scripted run exports byte-identical Chrome JSON every time.
 	tracer := trace.New(42, clk.Now)
-	// Finished spans land on the bus as "trace.span" events carrying the
-	// trace ID, which is what `events -trace <id>` filters on.
-	tracer.SetTelemetry(bus)
 	ls := lease.New(clk, cl)
 	ls.SetTelemetry(bus)
 	ls.SetTracer(tracer)
@@ -166,7 +159,6 @@ func main() {
 			fmt.Println("reserve <start> <end> | sched <policy> <jobs> <gpus> | batch <n> |")
 			fmt.Println("hosts | fail <host> | recover <host> | resilience |")
 			fmt.Println("advance <hours> | usage | quota | metrics [-json] | quit |")
-			fmt.Println("events [n] [-component c] [-since t] [-trace id] [-json] |")
 			fmt.Println("logs [n] [-component c] [-level l] [-trace id] [-since t] |")
 			fmt.Println("incidents list | incidents show <id> | incidents export <id> <file> |")
 			fmt.Println("query <expr> | alerts | slo | dashboard | tsdb stats |")
@@ -434,85 +426,9 @@ func main() {
 			}
 			scrapes, samples := coll.Stats()
 			for _, line := range tsdbStatsLines(scrapes, samples, db.SeriesCount(),
-				db.Dropped(), coll.Interner().Len(), coll.LastScrapeDuration(),
-				bus.Contention()) {
+				db.Dropped(), coll.Interner().Len(), coll.LastScrapeDuration()) {
 				fmt.Println(line)
 			}
-		case "events":
-			n, component, since := 20, "", -1.0
-			tracePrefix := ""
-			asJSON := false
-			bad := false
-			for i := 1; i < len(fields); i++ {
-				switch fields[i] {
-				case "-json":
-					asJSON = true
-				case "-component":
-					if i+1 >= len(fields) {
-						fmt.Println("usage: -component <name>")
-						bad = true
-						break
-					}
-					i++
-					component = fields[i]
-				case "-trace":
-					if i+1 >= len(fields) {
-						fmt.Println("usage: -trace <id-or-prefix>")
-						bad = true
-						break
-					}
-					i++
-					tracePrefix = fields[i]
-				case "-since":
-					if i+1 >= len(fields) {
-						fmt.Println("usage: -since <sim-hours>")
-						bad = true
-						break
-					}
-					i++
-					v, err := strconv.ParseFloat(fields[i], 64)
-					if err != nil {
-						fmt.Println("bad time:", fields[i])
-						bad = true
-						break
-					}
-					since = v
-				default:
-					v, err := strconv.Atoi(fields[i])
-					if err != nil || v < 1 {
-						fmt.Println("bad count:", fields[i])
-						bad = true
-						break
-					}
-					n = v
-				}
-				if bad {
-					break
-				}
-			}
-			if bad {
-				break
-			}
-			// Filter over the full history, then keep the n most recent
-			// survivors — so a tight filter still shows n events.
-			evs := report.FilterEvents(bus.Events(0), component, since, tracePrefix)
-			if len(evs) > n {
-				evs = evs[len(evs)-n:]
-			}
-			if len(evs) == 0 && !asJSON {
-				fmt.Println("no events match")
-				break
-			}
-			if asJSON {
-				out, err := report.EventsJSON(evs)
-				if err != nil {
-					fmt.Println(err)
-					break
-				}
-				fmt.Print(out)
-				break
-			}
-			fmt.Print(report.Events(evs))
 		case "logs":
 			n, component, level, tracePrefix, since, bad := parseLogsArgs(fields[1:])
 			if bad != "" {
@@ -774,11 +690,11 @@ func spotNoticeLines(notices []cloud.SpotNotice, preempts, reclaims, vacated int
 }
 
 // tsdbStatsLines renders the monitoring pipeline's self-observation:
-// the deterministic scrape counters plus the two measurements that are
-// deliberately kept out of cmp-gated reports — wall-clock cost of the
-// most recent scrape and cumulative contended bus-lock acquisitions.
+// the deterministic scrape counters plus the one measurement that is
+// deliberately kept out of cmp-gated reports — the wall-clock cost of
+// the most recent scrape.
 func tsdbStatsLines(scrapes, samples int64, series int, dropped int64,
-	interned int, lastDur time.Duration, contention uint64) []string {
+	interned int, lastDur time.Duration) []string {
 	return []string{
 		fmt.Sprintf("scrapes              %d", scrapes),
 		fmt.Sprintf("samples ingested     %d", samples),
@@ -786,7 +702,6 @@ func tsdbStatsLines(scrapes, samples int64, series int, dropped int64,
 		fmt.Sprintf("dropped samples      %d", dropped),
 		fmt.Sprintf("interned label sets  %d", interned),
 		fmt.Sprintf("last scrape          %s", lastDur),
-		fmt.Sprintf("bus contention       %d", contention),
 	}
 }
 

@@ -85,10 +85,10 @@ func TestSpotNoticeLines(t *testing.T) {
 }
 
 // `tsdb stats` must render stable bytes for stable pipeline state; the
-// nondeterministic measurements (scrape duration, contention) are plain
-// formatted values, never recomputed inside the renderer.
+// nondeterministic measurement (scrape duration) is a plain formatted
+// value, never recomputed inside the renderer.
 func TestTsdbStatsLines(t *testing.T) {
-	got := tsdbStatsLines(8, 392, 47, 0, 12, 153*time.Microsecond, 3)
+	got := tsdbStatsLines(8, 392, 47, 0, 12, 153*time.Microsecond)
 	want := []string{
 		"scrapes              8",
 		"samples ingested     392",
@@ -96,13 +96,12 @@ func TestTsdbStatsLines(t *testing.T) {
 		"dropped samples      0",
 		"interned label sets  12",
 		"last scrape          153µs",
-		"bus contention       3",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("stats lines = %q, want %q", got, want)
 	}
 	for i := 0; i < 10; i++ {
-		if again := tsdbStatsLines(8, 392, 47, 0, 12, 153*time.Microsecond, 3); strings.Join(again, "\n") != strings.Join(want, "\n") {
+		if again := tsdbStatsLines(8, 392, 47, 0, 12, 153*time.Microsecond); strings.Join(again, "\n") != strings.Join(want, "\n") {
 			t.Fatalf("stats lines unstable: %q", again)
 		}
 	}

@@ -1,6 +1,6 @@
-// Command tsdbbench runs the monitoring-stack benchmark suite (bus emit,
-// collector scrape — delta, full-snapshot, and churn variants — and rate
-// query) outside `go test` and writes machine-readable results to
+// Command tsdbbench runs the monitoring-stack benchmark suite (collector
+// scrape — delta, full-snapshot, and churn variants — and rate query)
+// outside `go test` and writes machine-readable results to
 // BENCH_tsdb.json, so perf regressions in the observability hot paths
 // show up as a diffable artifact.
 //
@@ -45,8 +45,6 @@ func main() {
 		name string
 		fn   func(*testing.B)
 	}{
-		{"BusEmit", bench.BusEmit},
-		{"BusEmitParallel", bench.BusEmitParallel},
 		{"CollectorScrape", bench.CollectorScrape},
 		{"CollectorScrapeFull", bench.CollectorScrapeFull},
 		{"CollectorScrapeChurn", bench.CollectorScrapeChurn},

@@ -5,14 +5,14 @@ import (
 	"go/types"
 )
 
-// Lockedcallback returns the check for the telemetry-bus hazard class:
+// Lockedcallback returns the check for the fan-out hazard class:
 // invoking code you do not control — a callback stored in a struct
 // field, a function taken from a map/slice/parameter, or a channel send
 // — while a sync.Mutex or sync.RWMutex is held. If the callee calls
 // back into the locked component it deadlocks; if it blocks, every other
-// caller of the lock stalls behind it. The sanctioned pattern (see
-// telemetry.Bus.Emit) is: snapshot the subscriber list under the lock,
-// release, then invoke.
+// caller of the lock stalls behind it. The sanctioned pattern (see the
+// scrape hooks in tsdb.Collector.Scrape) is: snapshot the subscriber
+// list under the lock, release, then invoke.
 //
 // Lock tracking is lexical and intra-procedural: a mutex is considered
 // held from a `mu.Lock()` / `mu.RLock()` statement until the matching

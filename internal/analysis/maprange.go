@@ -17,8 +17,9 @@ import (
 // letting that order flow somewhere order-sensitive. A range body is
 // order-sensitive when it
 //
-//   - calls a rendered-output / telemetry-emission / mergeable-aggregate
-//     sink primitive directly (fmt.Fprint*, Write*, (Bus).Emit,
+//   - calls a rendered-output / log-record / mergeable-aggregate sink
+//     primitive directly (fmt.Fprint*, Write*, the (Component) record
+//     methods Debug/Info/Warn/Error and their T variants,
 //     (Acc|Hist|Occupancy).Add*/Merge/Observe), or
 //   - calls a function from which such a sink is reachable in the call
 //     graph (the interprocedural part), or
@@ -33,8 +34,8 @@ import (
 func Maprange(prog *Program) *Analyzer {
 	a := &Analyzer{
 		Name: "maprange",
-		Doc: "forbids map iteration whose order flows into rendered output, telemetry " +
-			"emission, or a mergeable-aggregate/shard-merge path; iterate sorted keys",
+		Doc: "forbids map iteration whose order flows into rendered output, log " +
+			"records, or a mergeable-aggregate/shard-merge path; iterate sorted keys",
 	}
 	a.Init = prog.build
 	var sinkReach *Reach
@@ -157,6 +158,14 @@ var writerMethods = map[string]bool{
 	"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
 }
 
+// logMethods are the structured logger's record methods on Component:
+// record order is the log stream's sequence, which `logs` and incident
+// bundles render.
+var logMethods = map[string]bool{
+	"Debug": true, "Info": true, "Warn": true, "Error": true,
+	"DebugT": true, "InfoT": true, "WarnT": true, "ErrorT": true,
+}
+
 // fmtRenderFuncs are the fmt functions that emit to a writer or stdout
 // (Sprint* builds a value and is order-free on its own).
 var fmtRenderFuncs = map[string]bool{
@@ -191,8 +200,8 @@ func sinkPrimitive(pkg *Package, call *ast.CallExpr) string {
 	switch {
 	case aggTypes[recvName] && aggMethods[name]:
 		return "mergeable aggregate (" + recvName + ")." + name
-	case recvName == "Bus" && name == "Emit":
-		return "telemetry event emission ((Bus).Emit)"
+	case recvName == "Component" && logMethods[name]:
+		return "log record ((Component)." + name + ")"
 	case writerMethods[name]:
 		return "rendered output ((" + orAny(recvName) + ")." + name + ")"
 	}

@@ -9,8 +9,8 @@ import (
 // Spanleak returns the check for the tracing hazard class: starting a
 // span and never finishing it. An unfinished span renders as a
 // zero-duration (or open) node, silently truncates critical-path
-// analysis, and — because span finish is what emits the telemetry
-// event — hides the work from every downstream report.
+// analysis, and leaves its work out of every report built from span
+// durations.
 //
 // A "start" is any call to a Start*-named function or method whose
 // single result is a *Span (repro/internal/trace.Span, or any type of

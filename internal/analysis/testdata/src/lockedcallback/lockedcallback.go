@@ -4,8 +4,8 @@ package lockedcallback
 
 import "sync"
 
-// Bus mirrors the telemetry-bus shape: stored subscribers, a single
-// callback field, and a notification channel, all guarded by mutexes.
+// Bus is a fan-out component: stored subscribers, a single callback
+// field, and a notification channel, all guarded by mutexes.
 type Bus struct {
 	mu   sync.Mutex
 	rw   sync.RWMutex
@@ -15,7 +15,8 @@ type Bus struct {
 }
 
 // EmitBad fans out to subscribers while still holding the lock — the
-// exact deadlock-and-reentrancy hazard the telemetry bus avoids.
+// exact deadlock-and-reentrancy hazard the collector's scrape hooks
+// avoid.
 func (b *Bus) EmitBad(v int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -61,7 +62,7 @@ func (b *Bus) SendOK(v int) {
 }
 
 // EmitGood snapshots under the lock and invokes outside it: the
-// sanctioned telemetry.Bus.Emit pattern.
+// sanctioned pattern of tsdb.Collector.Scrape's hooks.
 func (b *Bus) EmitGood(v int) {
 	b.mu.Lock()
 	subs := append(make([]func(int), 0, len(b.subs)), b.subs...)

@@ -1,6 +1,6 @@
 // Package maprange is a golden-test fixture for the maprange check. It
-// defines its own Acc/Bus shapes (the loader resolves stdlib imports
-// only); the check matches aggregate and telemetry sinks by type and
+// defines its own Acc/Component shapes (the loader resolves stdlib
+// imports only); the check matches aggregate and log sinks by type and
 // method name.
 package maprange
 
@@ -16,10 +16,10 @@ type Acc struct{ SumMicro int64 }
 
 func (a *Acc) Add(micro int64) { a.SumMicro += micro }
 
-// Bus mirrors repro/internal/telemetry.Bus.
-type Bus struct{}
+// Component mirrors repro/internal/logging.Component.
+type Component struct{}
 
-func (b *Bus) Emit(name string) {}
+func (c *Component) Info(msg string, attrs ...string) {}
 
 // RenderBad prints rows in map order: the output bytes differ run to run.
 func RenderBad(rows map[string]int) {
@@ -35,10 +35,10 @@ func AggregateBad(a *Acc, byRow map[string]int64) {
 	}
 }
 
-// EmitBad emits telemetry in map order.
-func EmitBad(b *Bus, rows map[string]int) {
-	for name := range rows { // want `flows into telemetry event emission`
-		b.Emit(name)
+// EmitBad writes log records in map order.
+func EmitBad(c *Component, rows map[string]int) {
+	for name := range rows { // want `flows into log record \(\(Component\)\.Info\)`
+		c.Info("row", name)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cloud"
+	"repro/internal/logging"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
 )
@@ -65,20 +66,22 @@ func TestGenerateCategoriesIndependent(t *testing.T) {
 	}
 }
 
-// Chaos off must mean chaos absent: no clock events, no telemetry, no
+// Chaos off must mean chaos absent: no clock events, no log records, no
 // registry state. This is the zero-overhead-when-disabled contract.
 func TestZeroOverheadWhenDisabled(t *testing.T) {
 	clk := simclock.New()
 	tel := telemetry.New()
+	lg := logging.New(1, clk.Now)
 	e := New(clk, tel)
+	e.SetLogging(lg)
 	if n := e.Arm(Plan{}); n != 0 {
 		t.Fatalf("empty plan armed %d events", n)
 	}
 	if clk.Pending() != 0 {
 		t.Fatalf("empty plan left %d events queued", clk.Pending())
 	}
-	if tel.EventCount() != 0 {
-		t.Fatal("empty plan emitted telemetry")
+	if recs := lg.Records(0); len(recs) != 0 {
+		t.Fatalf("empty plan logged:\n%s", logging.Render(recs))
 	}
 	inj, rec, errs := e.Stats()
 	if inj != 0 || rec != 0 || errs != 0 {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/cloud"
+	"repro/internal/logging"
 	"repro/internal/orchestrator"
 	"repro/internal/report"
 	"repro/internal/simclock"
@@ -20,6 +21,7 @@ import (
 type platform struct {
 	clk  *simclock.Clock
 	bus  *telemetry.Bus
+	log  *logging.Logger
 	cl   *cloud.Cloud
 	orch *orchestrator.Cluster
 	inst []*cloud.Instance
@@ -28,8 +30,10 @@ type platform struct {
 func buildPlatform(t *testing.T, hosts, replicas int) *platform {
 	t.Helper()
 	p := &platform{clk: simclock.New(), bus: telemetry.New()}
+	p.log = logging.New(1, p.clk.Now)
 	p.cl = cloud.New("site", p.clk)
 	p.cl.SetTelemetry(p.bus)
+	p.cl.SetLogging(p.log)
 	p.cl.AddVMCapacity(hosts, 8, 16)
 	p.cl.CreateProject("mlops", cloud.CourseQuota())
 	for i := 0; i < hosts; i++ {
@@ -45,6 +49,7 @@ func buildPlatform(t *testing.T, hosts, replicas int) *platform {
 	p.orch = orchestrator.NewCluster()
 	p.orch.SetClock(p.clk)
 	p.orch.SetTelemetry(p.bus)
+	p.orch.SetLogging(p.log)
 	for _, inst := range p.inst {
 		p.orch.AddNode(inst.Name, 4000, 8192)
 	}
@@ -194,12 +199,14 @@ func TestResilienceSummaryDeterministic(t *testing.T) {
 
 // runQuietWorkload exercises the platform with no faults. withEngine
 // additionally constructs a chaos engine and arms an empty plan — the
-// zero-overhead criterion says that must change nothing observable.
-func runQuietWorkload(t *testing.T, withEngine bool) (*telemetry.Bus, string) {
+// zero-overhead criterion says that must change nothing observable. It
+// returns the bus, the scorecard, and the rendered log stream.
+func runQuietWorkload(t *testing.T, withEngine bool) (*telemetry.Bus, string, string) {
 	t.Helper()
 	p := buildPlatform(t, 3, 2)
 	if withEngine {
 		eng := chaos.New(p.clk, p.bus)
+		eng.SetLogging(p.log)
 		eng.SetHostFailer(p.cl)
 		if n := eng.Arm(chaos.Plan{}); n != 0 {
 			t.Fatalf("empty plan armed %d events", n)
@@ -207,22 +214,26 @@ func runQuietWorkload(t *testing.T, withEngine bool) (*telemetry.Bus, string) {
 	}
 	p.clk.At(5, "control-loop", func() { p.orch.SyncFromCloud(p.cl) })
 	p.clk.RunUntil(10)
-	return p.bus, report.ResilienceSummary(p.bus)
+	return p.bus, report.ResilienceSummary(p.bus), logging.Render(p.log.Records(0))
 }
 
 // A chaos-disabled run is indistinguishable from the pre-chaos
-// baseline: identical telemetry and an all-zero scorecard.
+// baseline: identical telemetry and log stream, and an all-zero
+// scorecard.
 func TestChaosDisabledIsZeroOverhead(t *testing.T) {
-	baseBus, baseSum := runQuietWorkload(t, false)
-	offBus, offSum := runQuietWorkload(t, true)
+	baseBus, baseSum, baseLogs := runQuietWorkload(t, false)
+	offBus, offSum, offLogs := runQuietWorkload(t, true)
 	if baseSum != offSum {
 		t.Fatalf("summaries differ:\n--- baseline ---\n%s--- engine off ---\n%s", baseSum, offSum)
 	}
 	if !reflect.DeepEqual(baseBus.Snapshot(), offBus.Snapshot()) {
 		t.Fatal("metric snapshots differ between baseline and disabled-chaos runs")
 	}
-	if baseBus.EventCount() != offBus.EventCount() {
-		t.Fatalf("event counts differ: %d vs %d", baseBus.EventCount(), offBus.EventCount())
+	if baseLogs == "" {
+		t.Fatal("the quiet workload left no log records")
+	}
+	if baseLogs != offLogs {
+		t.Fatalf("log streams differ:\n--- baseline ---\n%s--- engine off ---\n%s", baseLogs, offLogs)
 	}
 	stats := report.GatherResilience(offBus)
 	if stats != (report.ResilienceStats{}) {

@@ -194,11 +194,6 @@ func (e *Engine) inject(f Fault) {
 		// A failed injection (host already down, instance already gone)
 		// is interesting but not fatal: the plan keeps running.
 		e.tel.Counter("chaos.inject_errors").Inc()
-		e.tel.Emit("chaos.inject_error",
-			telemetry.String("kind", f.Kind.String()),
-			telemetry.String("target", f.Target),
-			telemetry.String("error", err.Error()),
-			telemetry.Float("t", e.clk.Now()))
 		e.log.Warn("fault injection failed",
 			logging.Str("kind", f.Kind.String()),
 			logging.Str("target", f.Target),
@@ -206,12 +201,6 @@ func (e *Engine) inject(f Fault) {
 		return
 	}
 	e.tel.Counter("chaos.injected").Inc()
-	e.tel.Emit("chaos.inject",
-		telemetry.String("kind", f.Kind.String()),
-		telemetry.String("target", f.Target),
-		telemetry.Float("duration", f.Duration),
-		telemetry.Float("magnitude", f.Magnitude),
-		telemetry.Float("t", e.clk.Now()))
 	e.log.Warn("fault injected",
 		logging.Str("kind", f.Kind.String()),
 		logging.Str("target", f.Target),
@@ -272,18 +261,9 @@ func (e *Engine) recover(f Fault) {
 	e.mu.Unlock()
 	if err != nil {
 		// E.g. the host was already recovered by an operator command.
-		e.tel.Emit("chaos.recover_error",
-			telemetry.String("kind", f.Kind.String()),
-			telemetry.String("target", f.Target),
-			telemetry.String("error", err.Error()),
-			telemetry.Float("t", e.clk.Now()))
 		return
 	}
 	e.tel.Counter("chaos.recovered").Inc()
-	e.tel.Emit("chaos.recover",
-		telemetry.String("kind", f.Kind.String()),
-		telemetry.String("target", f.Target),
-		telemetry.Float("t", e.clk.Now()))
 	e.log.Info("fault recovered",
 		logging.Str("kind", f.Kind.String()),
 		logging.Str("target", f.Target))

@@ -216,10 +216,6 @@ func (c *Cloud) Launch(spec LaunchSpec) (*Instance, error) {
 	}
 	if err := p.Quota.CanLaunch(p.Usage, spec.Flavor); err != nil {
 		c.tel.Counter("cloud.quota_rejections").Inc()
-		c.tel.Emit("cloud.quota.reject",
-			telemetry.String("project", spec.Project),
-			telemetry.String("flavor", spec.Flavor.Name),
-			telemetry.String("reason", err.Error()))
 		c.log.WarnT(span, "launch rejected: quota",
 			logging.Str("project", spec.Project),
 			logging.Str("flavor", spec.Flavor.Name))
@@ -240,10 +236,6 @@ func (c *Cloud) Launch(spec LaunchSpec) (*Instance, error) {
 		}
 		if p.active >= p.Capacity {
 			c.tel.Counter("cloud.spot_capacity_rejections").Inc()
-			c.tel.Emit("cloud.spot.reject",
-				telemetry.String("pool", spec.Flavor.Name),
-				telemetry.String("project", spec.Project),
-				telemetry.Float("t", c.clock.Now()))
 			err := fmt.Errorf("%w: pool %q (%d/%d in use)",
 				ErrNoSpotCapacity, spec.Flavor.Name, p.active, p.Capacity)
 			span.Annotate(telemetry.String("error", err.Error()))
@@ -254,9 +246,6 @@ func (c *Cloud) Launch(spec LaunchSpec) (*Instance, error) {
 	host := c.placer.Place(c.hosts, spec.Flavor)
 	if host == nil {
 		c.tel.Counter("cloud.capacity_rejections").Inc()
-		c.tel.Emit("cloud.capacity.reject",
-			telemetry.String("project", spec.Project),
-			telemetry.String("flavor", spec.Flavor.Name))
 		c.log.WarnT(span, "launch rejected: no capacity",
 			logging.Str("project", spec.Project),
 			logging.Str("flavor", spec.Flavor.Name))
@@ -329,11 +318,6 @@ func (c *Cloud) Launch(spec LaunchSpec) (*Instance, error) {
 		c.tel.Gauge("cloud.instances_active").Add(1)
 		c.tel.Gauge(telemetry.Labeled("cloud.instances_active",
 			telemetry.String("flavor", spec.Flavor.Name))).Add(1)
-		c.tel.Emit("cloud.instance.launch",
-			telemetry.String("id", inst.ID),
-			telemetry.String("project", spec.Project),
-			telemetry.String("flavor", spec.Flavor.Name),
-			telemetry.Float("t", c.clock.Now()))
 	}
 	c.log.InfoT(span, "instance active",
 		logging.Str("id", inst.ID),
@@ -365,12 +349,6 @@ func (c *Cloud) deleteLocked(instanceID string) error {
 		inst.State = StateDeleted
 		inst.DeletedAt = c.clock.Now()
 		c.tel.Counter("cloud.deletes").Inc()
-		c.tel.Emit("cloud.instance.delete",
-			telemetry.String("id", inst.ID),
-			telemetry.String("project", inst.Project),
-			telemetry.String("flavor", inst.Flavor.Name),
-			telemetry.String("was", "ERROR"),
-			telemetry.Float("t", c.clock.Now()))
 		return nil
 	}
 	if inst.FloatingIP != "" {
@@ -415,12 +393,6 @@ func (c *Cloud) deleteLocked(instanceID string) error {
 		c.tel.Histogram(telemetry.Labeled("cloud.instance_hours",
 			telemetry.String("flavor", inst.Flavor.Name)), telemetry.ExpBuckets(0.25, 2, 12)).
 			Observe(inst.DeletedAt - inst.LaunchedAt)
-		c.tel.Emit("cloud.instance.delete",
-			telemetry.String("id", inst.ID),
-			telemetry.String("project", inst.Project),
-			telemetry.String("flavor", inst.Flavor.Name),
-			telemetry.Float("hours", inst.DeletedAt-inst.LaunchedAt),
-			telemetry.Float("t", c.clock.Now()))
 	}
 	c.log.Info("instance deleted",
 		logging.Str("id", inst.ID),
@@ -562,10 +534,6 @@ func (c *Cloud) AllocateFloatingIP(project string, tags map[string]string) (*Flo
 	c.fipRecords[f.ID] = c.meter.Open(UsageFloatingIP, project, "", tags, 1, c.clock.Now())
 	c.tel.Counter("cloud.fip_allocations").Inc()
 	c.tel.Counter("cloud.meter.opened").Inc()
-	c.tel.Emit("cloud.fip.allocate",
-		telemetry.String("id", f.ID),
-		telemetry.String("project", project),
-		telemetry.Float("t", c.clock.Now()))
 	return f, nil
 }
 
@@ -609,10 +577,6 @@ func (c *Cloud) ReleaseFloatingIP(fipID string) error {
 	delete(c.fipRecords, f.ID)
 	c.tel.Counter("cloud.fip_releases").Inc()
 	c.tel.Counter("cloud.meter.closed").Inc()
-	c.tel.Emit("cloud.fip.release",
-		telemetry.String("id", f.ID),
-		telemetry.String("project", f.Project),
-		telemetry.Float("t", c.clock.Now()))
 	return nil
 }
 

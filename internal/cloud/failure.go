@@ -33,7 +33,7 @@ func (c *Cloud) FailHost(name string) error {
 		return fmt.Errorf("%w: %q", ErrHostDown, name)
 	}
 	h.Down = true
-	// Fail instances in ID order so the emitted event sequence — and
+	// Fail instances in ID order so the log record sequence — and
 	// therefore every downstream summary — is deterministic.
 	ids := make([]string, 0, len(h.instances))
 	for id := range h.instances {
@@ -45,10 +45,6 @@ func (c *Cloud) FailHost(name string) error {
 	}
 	c.tel.Counter("cloud.host_failures").Inc()
 	c.tel.Gauge("cloud.hosts_down").Add(1)
-	c.tel.Emit("cloud.host.fail",
-		telemetry.String("host", name),
-		telemetry.Int("instances_lost", len(ids)),
-		telemetry.Float("t", c.clock.Now()))
 	c.log.Error("host crashed",
 		logging.Str("host", name),
 		logging.Int("instances_lost", len(ids)))
@@ -71,9 +67,6 @@ func (c *Cloud) RecoverHost(name string) error {
 	h.Down = false
 	c.tel.Counter("cloud.host_recoveries").Inc()
 	c.tel.Gauge("cloud.hosts_down").Add(-1)
-	c.tel.Emit("cloud.host.recover",
-		telemetry.String("host", name),
-		telemetry.Float("t", c.clock.Now()))
 	c.log.Info("host recovered", logging.Str("host", name))
 	return nil
 }
@@ -150,13 +143,6 @@ func (c *Cloud) failInstanceLocked(inst *Instance, reason string) {
 	c.tel.Histogram(telemetry.Labeled("cloud.instance_hours",
 		telemetry.String("flavor", inst.Flavor.Name)), telemetry.ExpBuckets(0.25, 2, 12)).
 		Observe(inst.FailedAt - inst.LaunchedAt)
-	c.tel.Emit("cloud.instance.error",
-		telemetry.String("id", inst.ID),
-		telemetry.String("project", inst.Project),
-		telemetry.String("flavor", inst.Flavor.Name),
-		telemetry.String("reason", reason),
-		telemetry.Float("hours", inst.FailedAt-inst.LaunchedAt),
-		telemetry.Float("t", now))
 	c.log.Warn("instance errored",
 		logging.Str("id", inst.ID),
 		logging.Str("flavor", inst.Flavor.Name),

@@ -132,10 +132,6 @@ func (m *SpotMarket) AddPool(f Flavor, capacity int, series cost.SpotPriceSeries
 			c.mu.Lock()
 			defer c.mu.Unlock()
 			c.tel.Gauge(priceGauge).Set(seg.PerHour)
-			c.tel.Emit("cloud.spot.price",
-				telemetry.String("pool", f.Name),
-				telemetry.Float("per_hour", seg.PerHour),
-				telemetry.Float("t", c.clock.Now()))
 			if priceSampler.Keep() {
 				m.log.Debug("spot price change",
 					logging.Str("pool", f.Name),
@@ -147,11 +143,6 @@ func (m *SpotMarket) AddPool(f Flavor, capacity int, series cost.SpotPriceSeries
 		logging.Str("pool", f.Name),
 		logging.Int("capacity", capacity),
 		logging.Float("per_hour", series.RateAt(now)))
-	c.tel.Emit("cloud.spot.pool",
-		telemetry.String("pool", f.Name),
-		telemetry.Int("capacity", capacity),
-		telemetry.Float("per_hour", series.RateAt(now)),
-		telemetry.Float("t", now))
 }
 
 // OnNotice subscribes to preemption notices. Subscribers run outside the
@@ -198,11 +189,6 @@ func (m *SpotMarket) Preempt(pool string) error {
 			c.tel.Counter("cloud.spot_preemptions").Inc()
 			c.tel.Counter(telemetry.Labeled("cloud.spot_preemptions",
 				telemetry.String("pool", pool))).Inc()
-			c.tel.Emit("cloud.spot.notice",
-				telemetry.String("pool", pool),
-				telemetry.String("id", notice.InstanceID),
-				telemetry.Float("reclaim_at", notice.ReclaimAt),
-				telemetry.Float("t", now))
 			m.log.Warn("spot preemption notice",
 				logging.Str("pool", pool),
 				logging.Str("id", notice.InstanceID),
@@ -237,10 +223,6 @@ func (m *SpotMarket) Release(pool string) error {
 	c.tel.Counter("cloud.spot_capacity_returns").Inc()
 	c.tel.Gauge(telemetry.Labeled("cloud.spot_capacity",
 		telemetry.String("pool", pool))).Set(float64(p.Capacity))
-	c.tel.Emit("cloud.spot.release",
-		telemetry.String("pool", pool),
-		telemetry.Int("capacity", p.Capacity),
-		telemetry.Float("t", c.clock.Now()))
 	return nil
 }
 
@@ -279,17 +261,11 @@ func (m *SpotMarket) reclaim(id, pool string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(m.noticed, id)
-	now := c.clock.Now()
 	inst, ok := c.instances[id]
 	if ok && inst.Running() {
 		c.failInstanceLocked(inst, "spot capacity reclaimed (pool "+pool+")")
 		m.reclaims++
 		c.tel.Counter("cloud.spot_reclaims").Inc()
-		c.tel.Emit("cloud.spot.reclaim",
-			telemetry.String("pool", pool),
-			telemetry.String("id", id),
-			telemetry.String("outcome", "reclaimed"),
-			telemetry.Float("t", now))
 		m.log.Warn("spot instance reclaimed while running",
 			logging.Str("pool", pool),
 			logging.Str("id", id))
@@ -297,11 +273,6 @@ func (m *SpotMarket) reclaim(id, pool string) {
 	}
 	m.vacated++
 	c.tel.Counter("cloud.spot_vacated").Inc()
-	c.tel.Emit("cloud.spot.reclaim",
-		telemetry.String("pool", pool),
-		telemetry.String("id", id),
-		telemetry.String("outcome", "vacated"),
-		telemetry.Float("t", now))
 	m.log.Info("spot instance vacated before deadline",
 		logging.Str("pool", pool),
 		logging.Str("id", id))

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/logging"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
 )
@@ -239,13 +240,15 @@ func TestSpotPriceSeriesArmsSegmentEvents(t *testing.T) {
 
 // Acceptance invariant: enabling the market but adding no pools must be
 // bit-identical to never enabling it — same clock event count, same
-// telemetry, same instance lifecycle.
+// telemetry, same instance lifecycle in the log stream.
 func TestSpotArmedEmptyBitIdenticalToOff(t *testing.T) {
-	run := func(enable bool) (string, int64, int) {
+	run := func(enable bool) (string, int64, string) {
 		clk := simclock.New()
 		c := New("s", clk)
 		bus := telemetry.New()
 		c.SetTelemetry(bus)
+		lg := logging.New(1, clk.Now)
+		c.SetLogging(lg)
 		if enable {
 			c.EnableSpot(2.0 / 60)
 		}
@@ -263,13 +266,16 @@ func TestSpotArmedEmptyBitIdenticalToOff(t *testing.T) {
 		for _, mt := range bus.Snapshot() {
 			metrics += fmt.Sprintf("%s=%v;", mt.Name, mt.Value)
 		}
-		return metrics, clk.Executed(), len(bus.Events(0))
+		return metrics, clk.Executed(), logging.Render(lg.Records(0))
 	}
-	offMetrics, offEvents, offEmits := run(false)
-	onMetrics, onEvents, onEmits := run(true)
-	if offMetrics != onMetrics || offEvents != onEvents || offEmits != onEmits {
-		t.Fatalf("armed-but-empty differs from off:\noff: %q %d %d\non:  %q %d %d",
-			offMetrics, offEvents, offEmits, onMetrics, onEvents, onEmits)
+	offMetrics, offEvents, offLogs := run(false)
+	onMetrics, onEvents, onLogs := run(true)
+	if offLogs == "" {
+		t.Fatal("the instance lifecycle left no log records")
+	}
+	if offMetrics != onMetrics || offEvents != onEvents || offLogs != onLogs {
+		t.Fatalf("armed-but-empty differs from off:\noff: %q %d\n%s\non:  %q %d\n%s",
+			offMetrics, offEvents, offLogs, onMetrics, onEvents, onLogs)
 	}
 }
 

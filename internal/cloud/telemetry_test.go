@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/logging"
 	"repro/internal/telemetry"
 )
 
@@ -65,6 +66,8 @@ func TestCloudTelemetryLifecycle(t *testing.T) {
 	bus := telemetry.New()
 	c, clk := newTestCloud()
 	c.SetTelemetry(bus)
+	lg := logging.New(1, clk.Now)
+	c.SetLogging(lg)
 
 	inst, err := c.Launch(LaunchSpec{Project: "class", Flavor: M1Medium,
 		Tags: map[string]string{"lab": "lab2"}})
@@ -103,22 +106,24 @@ func TestCloudTelemetryLifecycle(t *testing.T) {
 		t.Errorf("instance_hours = %+v, want 1 observation of 3h", hist)
 	}
 
-	var spans []string
-	for _, e := range bus.Events(0) {
-		spans = append(spans, e.Span)
+	// The lifecycle's audit trail is the log stream, in order.
+	recs := lg.Records(0)
+	var msgs []string
+	for _, r := range recs {
+		msgs = append(msgs, r.Msg)
 	}
-	want := []string{"cloud.instance.launch", "cloud.instance.delete", "cloud.quota.reject"}
-	if len(spans) != len(want) {
-		t.Fatalf("events = %v, want %v", spans, want)
+	want := []string{"instance active", "instance deleted", "launch rejected: quota"}
+	if len(msgs) != len(want) {
+		t.Fatalf("log records = %q, want %q", msgs, want)
 	}
 	for i := range want {
-		if spans[i] != want[i] {
-			t.Errorf("event %d = %s, want %s", i, spans[i], want[i])
+		if msgs[i] != want[i] {
+			t.Errorf("record %d = %q, want %q", i, msgs[i], want[i])
 		}
 	}
-	evs := bus.Events(0)
-	if evs[0].Attr("id") != inst.ID || evs[1].Attr("hours") != "3" {
-		t.Errorf("launch/delete attrs wrong: %v / %v", evs[0], evs[1])
+	if recs[0].Attr("id") != inst.ID || recs[1].Attr("id") != inst.ID ||
+		recs[1].Attr("hours") != "3" || recs[1].T != 3 || recs[2].Attr("project") != "tiny" {
+		t.Errorf("launch/delete/reject records wrong:\n%s", logging.Render(recs))
 	}
 }
 

@@ -98,7 +98,7 @@ func RingAllReduce(vectors [][]float64) error {
 	wg.Wait()
 	// Each of the 2(n-1) steps circulates exactly one full vector's worth
 	// of chunks across the ring.
-	recordOp("ring", n, length, 2*(n-1)*length)
+	recordOp("ring", 2*(n-1)*length)
 	return nil
 }
 
@@ -142,7 +142,7 @@ func NaiveAllReduce(vectors [][]float64) error {
 	bcast.Wait()
 	// n-1 full vectors in to the root, n-1 broadcast back out — the
 	// bottleneck-link traffic the ring algorithm removes.
-	recordOp("naive", n, len(root), 2*(n-1)*len(root))
+	recordOp("naive", 2*(n-1)*len(root))
 	return nil
 }
 
@@ -188,7 +188,7 @@ func TreeAllReduce(vectors [][]float64) error {
 	if n > 1 {
 		// n-1 absorbs up the tree plus n-1 copies back down, each moving
 		// one full vector.
-		recordOp("tree", n, len(vectors[0]), 2*(n-1)*len(vectors[0]))
+		recordOp("tree", 2*(n-1)*len(vectors[0]))
 	}
 	return nil
 }

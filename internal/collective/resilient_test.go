@@ -77,14 +77,8 @@ func TestResilientCutsDeadRankAndReforms(t *testing.T) {
 	if tel.Counter("collective.ring-reform.bytes").Value() != 0 {
 		t.Fatal("reform control round should move zero payload bytes")
 	}
-	found := false
-	for _, ev := range tel.Events(8) {
-		if ev.Span == "collective.op" && ev.Attr("algo") == "ring-reform" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("reformation not recorded as a collective op")
+	if ops := tel.Counter("collective.ops").Value(); ops != 2 {
+		t.Fatalf("collective.ops = %d, want 2: the reformation and the survivors' ring", ops)
 	}
 }
 

@@ -16,11 +16,11 @@ var tel atomic.Pointer[telemetry.Bus]
 // disables). Safe to call concurrently with running collectives.
 func SetTelemetry(b *telemetry.Bus) { tel.Store(b) }
 
-// recordOp reports one completed collective: workers, vector length, and
-// the exact number of float64 elements moved between workers (8 bytes
-// each). Counters accumulate per-algorithm totals so the crossover
-// analysis can cite measured traffic, not just the alpha-beta model.
-func recordOp(algo string, workers, length, elemsMoved int) {
+// recordOp reports one completed collective and the exact number of
+// float64 elements it moved between workers (8 bytes each). Counters
+// accumulate per-algorithm totals so the crossover analysis can cite
+// measured traffic, not just the alpha-beta model.
+func recordOp(algo string, elemsMoved int) {
 	b := tel.Load()
 	if b == nil {
 		return
@@ -31,9 +31,4 @@ func recordOp(algo string, workers, length, elemsMoved int) {
 	b.Counter(telemetry.Labeled("collective.bytes",
 		telemetry.String("algo", algo))).Add(bytes)
 	b.Histogram("collective.op_bytes", telemetry.ExpBuckets(1024, 4, 12)).Observe(float64(bytes))
-	b.Emit("collective.op",
-		telemetry.String("algo", algo),
-		telemetry.Int("workers", workers),
-		telemetry.Int("length", length),
-		telemetry.Int("bytes", int(bytes)))
 }

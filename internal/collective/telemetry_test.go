@@ -44,14 +44,9 @@ func TestCollectiveTelemetryBytes(t *testing.T) {
 	if m, _ := telemetry.Find(snap, "collective.ops"); m.Value != 3 {
 		t.Errorf("collective.ops = %v, want 3", m.Value)
 	}
-	evs := bus.Events(0)
-	if len(evs) != 3 {
-		t.Fatalf("got %d events, want 3", len(evs))
-	}
-	for _, e := range evs {
-		if e.Span != "collective.op" || e.Attr("workers") != "4" {
-			t.Errorf("bad collective event: %v", e)
-		}
+	// One op_bytes observation per op, each of the full payload.
+	if h, _ := telemetry.Find(snap, "collective.op_bytes"); h.Count != 3 || h.Sum != 3*want {
+		t.Errorf("collective.op_bytes = %d observations, %v bytes; want 3, %v", h.Count, h.Sum, 3*want)
 	}
 
 	// Single-worker collectives are no-ops and must not report traffic.

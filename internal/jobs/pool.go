@@ -157,15 +157,11 @@ func (p *Pool) worker() {
 		qw := sub.span.StartChildAt("jobs.queue_wait", sub.span.StartTime())
 		qw.Finish()
 		res := Result{}
-		countFailure := func(attempts int, err error, delay time.Duration) {
+		countFailure := func(attempts int, err error) {
 			p.mu.Lock()
 			p.retried++
 			p.mu.Unlock()
 			tel.Counter("jobs.retries").Inc()
-			tel.Emit("jobs.retry",
-				telemetry.Int("attempt", attempts),
-				telemetry.Float("backoff_ms", float64(delay)/float64(time.Millisecond)),
-				telemetry.String("error", err.Error()))
 			p.logStream().WarnT(sub.span, "task attempt failed",
 				logging.Int("attempt", attempts),
 				logging.Str("error", err.Error()))
@@ -174,8 +170,8 @@ func (p *Pool) worker() {
 			Budget:  p.MaxRetries + 1,
 			Backoff: backoff,
 			Sleep:   sleep,
-			OnRetry: func(attempt int, err error, delay time.Duration) {
-				countFailure(attempt+1, err, delay)
+			OnRetry: func(attempt int, err error, _ time.Duration) {
+				countFailure(attempt+1, err)
 			},
 			Span: sub.span,
 		}
@@ -192,7 +188,7 @@ func (p *Pool) worker() {
 			// Surface the task's own error, not the budget wrapper, to
 			// keep the Ray-style API: callers see what the task returned.
 			res.Err = errors.Unwrap(err)
-			countFailure(out.Attempts, res.Err, 0)
+			countFailure(out.Attempts, res.Err)
 		}
 		if out.Backoff > 0 {
 			tel.Histogram("jobs.retry_backoff_seconds", telemetry.LatencyBuckets()).

@@ -5,14 +5,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/logging"
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
 )
 
 func TestPoolTelemetry(t *testing.T) {
 	bus := telemetry.New()
+	lg := logging.New(1, nil)
 	p := NewPool(2, 1)
 	p.SetTelemetry(bus)
+	p.SetLogging(lg)
 
 	fail := errors.New("transient")
 	tasks := []Task{
@@ -37,17 +40,18 @@ func TestPoolTelemetry(t *testing.T) {
 	if !ok || stall.Count != 3 {
 		t.Errorf("worker_stall histogram = %+v, want 3 observations", stall)
 	}
-	var retryEvents int
-	for _, e := range bus.Events(0) {
-		if e.Span == "jobs.retry" {
-			retryEvents++
-			if e.Attr("error") != "transient" {
-				t.Errorf("retry event error attr = %q", e.Attr("error"))
+	// Each failed attempt also leaves a log record naming its error.
+	var failed int
+	for _, r := range lg.Records(0) {
+		if r.Msg == "task attempt failed" {
+			failed++
+			if r.Attr("error") != "transient" {
+				t.Errorf("failed-attempt record error attr = %q", r.Attr("error"))
 			}
 		}
 	}
-	if retryEvents != 2 {
-		t.Errorf("%d jobs.retry events, want 2", retryEvents)
+	if failed != 2 {
+		t.Errorf("%d failed-attempt log records, want 2", failed)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/logging"
 	"repro/internal/telemetry"
 )
 
@@ -68,13 +69,15 @@ func TestHostFailureMidLeaseDoesNotDoubleFree(t *testing.T) {
 }
 
 // A reservation whose node pool is entirely down at activation time must
-// degrade gracefully (telemetry-recorded launch failure), not panic the
+// degrade gracefully (a counted and logged launch failure), not panic the
 // simulation. This is the Chameleon "reserved node died before your slot"
 // scenario.
 func TestLaunchFailureOnDownedPoolIsGraceful(t *testing.T) {
 	s, cl, clk := newSvc()
 	tel := telemetry.New()
 	s.SetTelemetry(tel)
+	lg := logging.New(1, clk.Now)
+	s.SetLogging(lg)
 	// Down every node in the pool before the lease starts.
 	for _, h := range cl.Hosts() {
 		if err := cl.FailHost(h.Name); err != nil {
@@ -94,15 +97,15 @@ func TestLaunchFailureOnDownedPoolIsGraceful(t *testing.T) {
 		t.Fatalf("lease.launch_failures = %d, want 1", got)
 	}
 	found := false
-	for _, ev := range tel.Events(16) {
-		if ev.Span == "lease.launch_fail" {
+	for _, rec := range lg.Records(0) {
+		if rec.Msg == "reserved node failed to activate" {
 			found = true
-			if reason := ev.Attr("reason"); !strings.Contains(reason, "capacity") {
-				t.Fatalf("launch_fail reason = %q, want a capacity error", reason)
+			if reason := rec.Attr("reason"); !strings.Contains(reason, "capacity") {
+				t.Fatalf("activation failure reason = %q, want a capacity error", reason)
 			}
 		}
 	}
 	if !found {
-		t.Fatal("no lease.launch_fail event emitted")
+		t.Fatal("no activation-failure log record")
 	}
 }

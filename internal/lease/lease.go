@@ -181,10 +181,6 @@ func (s *Service) bookLocked(spec Spec) (*Reservation, error) {
 	r, err := s.tryBookLocked(spec)
 	if err != nil {
 		s.tel.Counter("lease.rejections").Inc()
-		s.tel.Emit("lease.reject",
-			telemetry.String("node_type", spec.NodeType),
-			telemetry.String("user", spec.User),
-			telemetry.String("reason", err.Error()))
 		s.log.Warn("booking rejected",
 			logging.Str("node_type", spec.NodeType),
 			logging.Str("user", spec.User),
@@ -198,13 +194,6 @@ func (s *Service) bookLocked(spec Spec) (*Reservation, error) {
 			telemetry.String("node_type", r.NodeType),
 			telemetry.String("project", r.Project))).Inc()
 		s.tel.Histogram("lease.duration_hours", telemetry.LinearBuckets(1, 1, 12)).Observe(r.Hours())
-		s.tel.Emit("lease.book",
-			telemetry.String("id", r.ID),
-			telemetry.String("node_type", r.NodeType),
-			telemetry.String("node", r.Node),
-			telemetry.String("user", r.User),
-			telemetry.Float("start", r.Start),
-			telemetry.Float("end", r.End))
 	}
 	s.log.InfoT(r.span, "reservation booked",
 		logging.Str("id", r.ID),
@@ -303,11 +292,6 @@ func (s *Service) scheduleLifecycleLocked(r *Reservation) {
 			// Students saw exactly this on Chameleon when a reserved node
 			// died before their slot.
 			s.tel.Counter("lease.launch_failures").Inc()
-			s.tel.Emit("lease.launch_fail",
-				telemetry.String("id", r.ID),
-				telemetry.String("node", r.Node),
-				telemetry.String("reason", err.Error()),
-				telemetry.Float("t", s.clock.Now()))
 			s.log.ErrorT(span, "reserved node failed to activate",
 				logging.Str("id", r.ID),
 				logging.Str("node", r.Node),
@@ -329,11 +313,6 @@ func (s *Service) scheduleLifecycleLocked(r *Reservation) {
 		r.activeSpan = active
 		s.mu.Unlock()
 		s.tel.Counter("lease.activations").Inc()
-		s.tel.Emit("lease.activate",
-			telemetry.String("id", r.ID),
-			telemetry.String("node", r.Node),
-			telemetry.String("instance", inst.ID),
-			telemetry.Float("t", s.clock.Now()))
 		s.log.InfoT(active, "reservation active",
 			logging.Str("id", r.ID),
 			logging.Str("node", r.Node),
@@ -350,11 +329,6 @@ func (s *Service) scheduleLifecycleLocked(r *Reservation) {
 				return
 			}
 			s.tel.Counter("lease.expiries").Inc()
-			s.tel.Emit("lease.expire",
-				telemetry.String("id", r.ID),
-				telemetry.String("node", r.Node),
-				telemetry.String("instance", inst.ID),
-				telemetry.Float("t", s.clock.Now()))
 			s.log.Info("reservation expired",
 				logging.Str("id", r.ID),
 				logging.Str("node", r.Node))
@@ -406,9 +380,6 @@ func (s *Service) Cancel(id string) error {
 	root.Annotate(telemetry.String("outcome", "cancelled"))
 	root.FinishAt(now)
 	s.tel.Counter("lease.cancellations").Inc()
-	s.tel.Emit("lease.cancel",
-		telemetry.String("id", id),
-		telemetry.Float("t", s.clock.Now()))
 	return nil
 }
 

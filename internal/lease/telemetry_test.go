@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cloud"
+	"repro/internal/logging"
 	"repro/internal/telemetry"
 )
 
@@ -53,6 +54,8 @@ func TestLeaseTelemetryLifecycle(t *testing.T) {
 	bus := telemetry.New()
 	s, _, clk := newSvc()
 	s.SetTelemetry(bus)
+	lg := logging.New(1, clk.Now)
+	s.SetLogging(lg)
 
 	r, err := s.Book(Spec{Project: "class", User: "s001", NodeType: "gpu_a100_pcie",
 		Start: 2, End: 5})
@@ -87,27 +90,27 @@ func TestLeaseTelemetryLifecycle(t *testing.T) {
 	}
 
 	var gotBook, gotActivate, gotExpire bool
-	for _, e := range bus.Events(0) {
-		if e.Attr("id") != r.ID {
+	for _, rec := range lg.Records(0) {
+		if rec.Attr("id") != r.ID {
 			continue
 		}
-		switch e.Span {
-		case "lease.book":
+		switch rec.Msg {
+		case "reservation booked":
 			gotBook = true
-		case "lease.activate":
-			if e.Attr("instance") == "" {
-				t.Error("activate event missing instance attr")
+		case "reservation active":
+			if rec.Attr("instance") == "" || rec.T != 2 {
+				t.Errorf("activate record = %s, want an instance at t=2", rec.String())
 			}
 			gotActivate = true
-		case "lease.expire":
-			if e.Attr("t") != "5" {
-				t.Errorf("expire at t=%s, want 5", e.Attr("t"))
+		case "reservation expired":
+			if rec.T != 5 {
+				t.Errorf("expire at t=%v, want 5", rec.T)
 			}
 			gotExpire = true
 		}
 	}
 	if !gotBook || !gotActivate || !gotExpire {
-		t.Errorf("lifecycle events missing: book=%v activate=%v expire=%v",
+		t.Errorf("lifecycle records missing: book=%v activate=%v expire=%v",
 			gotBook, gotActivate, gotExpire)
 	}
 }

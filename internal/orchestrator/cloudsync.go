@@ -52,11 +52,6 @@ func (c *Cluster) SyncFromCloud(cl *cloud.Cloud) int {
 			}
 			c.downSince[name] = failedAt
 			c.tel.Counter("orchestrator.node_failures").Inc()
-			c.tel.Emit("orchestrator.node_down",
-				telemetry.String("node", name),
-				telemetry.String("reason", inst.FailReason),
-				telemetry.Float("failed_at", failedAt),
-				telemetry.Float("t", c.nowLocked()))
 			// Evacuation trace, backdated to the crash: the detection span
 			// covers the window the failure went unnoticed (the kubelet
 			// heartbeat interval the control loop models).
@@ -71,9 +66,6 @@ func (c *Cluster) SyncFromCloud(cl *cloud.Cloud) int {
 		case !n.Ready && inst.Running():
 			n.Ready = true
 			delete(c.downSince, name)
-			c.tel.Emit("orchestrator.node_up",
-				telemetry.String("node", name),
-				telemetry.Float("t", c.nowLocked()))
 		}
 	}
 	c.mu.Unlock()

@@ -114,8 +114,6 @@ type Cluster struct {
 	pods        map[string]*Pod
 	services    map[string]*Service
 	nextPod     int
-	// events records reconciliation actions for observability and tests.
-	events []string
 
 	tel    *telemetry.Bus     // nil disables instrumentation
 	log    *logging.Component // "orchestrator" stream; nil no-ops
@@ -241,14 +239,10 @@ func (c *Cluster) SetNodeReady(name string, ready bool) error {
 	n.Ready = ready
 	if ready {
 		delete(c.downSince, name)
-		c.tel.Emit("orchestrator.node_up", telemetry.String("node", name),
-			telemetry.Float("t", c.nowLocked()))
 		c.log.Info("node ready", logging.Str("node", name))
 	} else {
 		c.downSince[name] = c.nowLocked()
 		c.tel.Counter("orchestrator.node_failures").Inc()
-		c.tel.Emit("orchestrator.node_down", telemetry.String("node", name),
-			telemetry.Float("t", c.nowLocked()))
 		c.log.Error("node down", logging.Str("node", name))
 	}
 	return nil
@@ -331,7 +325,6 @@ func (c *Cluster) Reconcile() int {
 		if n, ok := c.nodes[p.Node]; !ok || !n.Ready {
 			node := p.Node
 			c.terminateLocked(p)
-			c.events = append(c.events, fmt.Sprintf("evict %s (node down)", p.Name))
 			// A pod lost to hardware is "broken" from the moment the
 			// node died, not the moment we noticed.
 			failedAt, ok := c.downSince[node]
@@ -341,10 +334,6 @@ func (c *Cluster) Reconcile() int {
 			c.repairs[p.Deployment] = append(c.repairs[p.Deployment], failedAt)
 			c.evictions++
 			c.tel.Counter("orchestrator.evictions").Inc()
-			c.tel.Emit("orchestrator.evict",
-				telemetry.String("pod", p.Name),
-				telemetry.String("node", node),
-				telemetry.Float("t", c.nowLocked()))
 			c.log.Warn("pod evicted: node down",
 				logging.Str("pod", p.Name),
 				logging.Str("node", node))
@@ -361,12 +350,7 @@ func (c *Cluster) Reconcile() int {
 		for _, p := range live {
 			if p.Spec != d.Spec {
 				c.terminateLocked(p)
-				c.events = append(c.events, fmt.Sprintf("roll %s (spec change)", p.Name))
 				c.tel.Counter("orchestrator.rolling_updates").Inc()
-				c.tel.Emit("orchestrator.rolling_update",
-					telemetry.String("pod", p.Name),
-					telemetry.String("deployment", d.Name),
-					telemetry.Float("t", c.nowLocked()))
 				c.log.Info("rolling update",
 					logging.Str("pod", p.Name),
 					logging.Str("deployment", d.Name))
@@ -380,7 +364,6 @@ func (c *Cluster) Reconcile() int {
 		for len(live) > d.Replicas {
 			p := live[len(live)-1]
 			c.terminateLocked(p)
-			c.events = append(c.events, fmt.Sprintf("scale down %s", p.Name))
 			live = live[:len(live)-1]
 			actions++
 		}
@@ -389,12 +372,10 @@ func (c *Cluster) Reconcile() int {
 		for len(live) < d.Replicas {
 			p, err := c.scheduleLocked(d)
 			if err != nil {
-				c.events = append(c.events, fmt.Sprintf("pending %s: %v", d.Name, err))
 				c.tel.Counter("orchestrator.unschedulable").Inc()
 				break // leave the deployment under-replicated
 			}
 			live = append(live, p)
-			c.events = append(c.events, fmt.Sprintf("start %s on %s", p.Name, p.Node))
 			// If this deployment has outstanding failure-driven repairs,
 			// this pod completes the oldest one; its latency since the
 			// node death is one MTTR sample.
@@ -406,11 +387,6 @@ func (c *Cluster) Reconcile() int {
 				c.tel.Counter("orchestrator.reschedules").Inc()
 				c.tel.Histogram("orchestrator.reschedule_latency_hours",
 					telemetry.ExpBuckets(0.25, 2, 10)).Observe(mttr)
-				c.tel.Emit("orchestrator.reschedule",
-					telemetry.String("pod", p.Name),
-					telemetry.String("node", p.Node),
-					telemetry.Float("mttr_hours", mttr),
-					telemetry.Float("t", c.nowLocked()))
 				c.log.Info("pod rescheduled",
 					logging.Str("pod", p.Name),
 					logging.Str("node", p.Node),
@@ -524,15 +500,6 @@ func (c *Cluster) Pods(deployment string) []*Pod {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Events drains the reconciliation log.
-func (c *Cluster) Events() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ev := c.events
-	c.events = nil
-	return ev
 }
 
 // Route returns the pod that receives the next request to the service,

@@ -247,18 +247,6 @@ func TestCapacityAccountingProperty(t *testing.T) {
 	}
 }
 
-func TestEventsDrain(t *testing.T) {
-	c := threeNodeCluster()
-	c.Apply(Deployment{Name: "svc", Replicas: 1, Spec: webSpec()})
-	c.ReconcileToFixedPoint()
-	if ev := c.Events(); len(ev) == 0 {
-		t.Error("no events recorded")
-	}
-	if ev := c.Events(); len(ev) != 0 {
-		t.Error("events not drained")
-	}
-}
-
 func BenchmarkReconcile100Pods(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := NewCluster()

@@ -59,17 +59,10 @@ func TestEvacuationReportsMTTR(t *testing.T) {
 		tel.Counter("orchestrator.node_failures").Value() != 1 {
 		t.Fatal("telemetry counters missing")
 	}
-	found := false
-	for _, ev := range tel.Events(32) {
-		if ev.Span == "orchestrator.reschedule" {
-			found = true
-			if ev.Attr("mttr_hours") == "" {
-				t.Fatal("reschedule event missing mttr_hours")
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no orchestrator.reschedule event emitted")
+	// Each reschedule observes its MTTR (1h here) into the latency histogram.
+	h, _ := telemetry.Find(tel.Snapshot(), "orchestrator.reschedule_latency_hours")
+	if h.Count != lost || h.Sum != float64(lost) {
+		t.Fatalf("reschedule latency = %d samples summing %vh, want %d summing %dh", h.Count, h.Sum, lost, lost)
 	}
 }
 

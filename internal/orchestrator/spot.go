@@ -221,10 +221,6 @@ func (tc *TrainController) Submit(spec TrainJobSpec) error {
 	}
 	tc.jobs[spec.Name] = j
 	tc.tel.Counter("orchestrator.train_jobs").Inc()
-	tc.tel.Emit("orchestrator.train.submit",
-		telemetry.String("job", spec.Name),
-		telemetry.Int("total_steps", spec.TotalSteps),
-		telemetry.Float("t", now))
 	tc.log.InfoT(j.span, "train job submitted",
 		logging.Str("job", spec.Name),
 		logging.Int("total_steps", spec.TotalSteps))
@@ -281,10 +277,6 @@ func (tc *TrainController) launchLocked(j *trainJob) {
 	if err != nil {
 		j.retries++
 		tc.tel.Counter("orchestrator.spot_relaunch_retries").Inc()
-		tc.tel.Emit("orchestrator.train.retry",
-			telemetry.String("job", j.spec.Name),
-			telemetry.String("error", err.Error()),
-			telemetry.Float("t", now))
 		tc.log.WarnT(j.span, "relaunch failed, backing off",
 			logging.Str("job", j.spec.Name),
 			logging.Str("error", err.Error()))
@@ -303,12 +295,6 @@ func (tc *TrainController) launchLocked(j *trainJob) {
 		j.pool = target.Flavor.Name
 	}
 	tc.byInst[inst.ID] = j
-	tc.tel.Emit("orchestrator.train.launch",
-		telemetry.String("job", j.spec.Name),
-		telemetry.String("instance", inst.ID),
-		telemetry.String("flavor", target.Flavor.Name),
-		telemetry.String("pricing", pricingOf(spot)),
-		telemetry.Float("t", now))
 	tc.log.InfoT(j.span, "train job launched",
 		logging.Str("job", j.spec.Name),
 		logging.Str("instance", inst.ID),
@@ -352,11 +338,6 @@ func (tc *TrainController) resumeLocked(j *trainJob) {
 		mttr := now - j.noticedAt
 		tc.tel.Histogram("orchestrator.spot_mttr_hours",
 			telemetry.ExpBuckets(1.0/60, 2, 12)).Observe(mttr)
-		tc.tel.Emit("orchestrator.train.resume",
-			telemetry.String("job", j.spec.Name),
-			telemetry.Float("mttr_hours", mttr),
-			telemetry.Int("from_step", j.persistedSteps),
-			telemetry.Float("t", now))
 		j.noticedAt = -1
 	}
 	if sp := j.migSpan; sp != nil {
@@ -424,11 +405,6 @@ func (tc *TrainController) segmentEndLocked(j *trainJob) {
 		return
 	}
 	j.doneSteps += j.segSteps
-	tc.tel.Emit("orchestrator.train.segment",
-		telemetry.String("job", j.spec.Name),
-		telemetry.Int("steps", j.segSteps),
-		telemetry.Int("done", j.doneSteps),
-		telemetry.Float("t", now))
 	tc.checkpointLocked(j)
 }
 
@@ -462,7 +438,6 @@ func (tc *TrainController) checkpointLocked(j *trainJob) {
 // persistLocked records a durable checkpoint at the current step count
 // and writes the sized object through the store.
 func (tc *TrainController) persistLocked(j *trainJob) {
-	now := tc.clk.Now()
 	tc.keepStepsLocked(j, j.doneSteps-j.persistedSteps)
 	j.persistedSteps = j.doneSteps
 	j.checkpoints++
@@ -471,16 +446,8 @@ func (tc *TrainController) persistLocked(j *trainJob) {
 		key := fmt.Sprintf("%s/step-%06d.ckpt", j.spec.Name, j.persistedSteps)
 		if _, err := tc.store.PutSized(j.spec.Bucket, key, int64(j.spec.Checkpoint.SizeBytes)); err != nil {
 			tc.tel.Counter("orchestrator.train_checkpoint_errors").Inc()
-			tc.tel.Emit("orchestrator.train.checkpoint_error",
-				telemetry.String("job", j.spec.Name),
-				telemetry.String("error", err.Error()),
-				telemetry.Float("t", now))
 		}
 	}
-	tc.tel.Emit("orchestrator.train.checkpoint",
-		telemetry.String("job", j.spec.Name),
-		telemetry.Int("step", j.persistedSteps),
-		telemetry.Float("t", now))
 }
 
 // keepStepsLocked counts newly durable steps toward the kept/lost SLO.
@@ -512,12 +479,6 @@ func (tc *TrainController) loseWorkLocked(j *trainJob, steps int, hours float64,
 			telemetry.String("outcome", "lost"))).Add(int64(steps))
 	}
 	tc.tel.Gauge("orchestrator.train_lost_step_hours").Add(hours)
-	tc.tel.Emit("orchestrator.train.lost",
-		telemetry.String("job", j.spec.Name),
-		telemetry.String("cause", cause),
-		telemetry.Int("steps", steps),
-		telemetry.Float("hours", hours),
-		telemetry.Float("t", tc.clk.Now()))
 	tc.log.WarnT(j.span, "training work lost",
 		logging.Str("job", j.spec.Name),
 		logging.Str("cause", cause),
@@ -543,12 +504,6 @@ func (tc *TrainController) onNotice(n cloud.SpotNotice) {
 	j.preemptions++
 	j.noticedAt = n.NoticedAt
 	tc.tel.Counter("orchestrator.train_preemptions").Inc()
-	tc.tel.Emit("orchestrator.train.notice",
-		telemetry.String("job", j.spec.Name),
-		telemetry.String("instance", n.InstanceID),
-		telemetry.String("pool", n.Pool),
-		telemetry.Float("reclaim_at", n.ReclaimAt),
-		telemetry.Float("t", now))
 	tc.log.WarnT(j.span, "preemption notice received",
 		logging.Str("job", j.spec.Name),
 		logging.Str("pool", n.Pool),
@@ -591,12 +546,6 @@ func (tc *TrainController) onNotice(n cloud.SpotNotice) {
 		if partialHours > 0 {
 			j.lostStepHours += partialHours
 			tc.tel.Gauge("orchestrator.train_lost_step_hours").Add(partialHours)
-			tc.tel.Emit("orchestrator.train.lost",
-				telemetry.String("job", j.spec.Name),
-				telemetry.String("cause", "preempt-partial"),
-				telemetry.Int("steps", 0),
-				telemetry.Float("hours", partialHours),
-				telemetry.Float("t", now))
 		}
 		var sp *trace.Span
 		if j.migSpan != nil {
@@ -627,23 +576,13 @@ func (tc *TrainController) migrateLocked(j *trainJob, cause string) {
 	if j.instID != "" {
 		delete(tc.byInst, j.instID)
 		if inst, err := tc.cl.Get(j.instID); err == nil && inst.Running() {
-			if err := tc.cl.Delete(j.instID); err != nil {
-				tc.tel.Emit("orchestrator.train.vacate_error",
-					telemetry.String("job", j.spec.Name),
-					telemetry.String("error", err.Error()),
-					telemetry.Float("t", now))
-			}
+			_ = tc.cl.Delete(j.instID)
 		}
 		j.instID = ""
 	}
 	j.phase = TrainMigrating
 	j.migrations++
 	tc.tel.Counter("orchestrator.train_migrations").Inc()
-	tc.tel.Emit("orchestrator.train.migrate",
-		telemetry.String("job", j.spec.Name),
-		telemetry.String("cause", cause),
-		telemetry.Int("from_step", j.persistedSteps),
-		telemetry.Float("t", now))
 	tc.log.InfoT(j.span, "migrating train job",
 		logging.Str("job", j.spec.Name),
 		logging.Str("cause", cause),
@@ -669,12 +608,6 @@ func (tc *TrainController) finishLocked(j *trainJob) {
 		j.instID = ""
 	}
 	tc.tel.Counter("orchestrator.train_jobs_done").Inc()
-	tc.tel.Emit("orchestrator.train.done",
-		telemetry.String("job", j.spec.Name),
-		telemetry.Int("steps", j.persistedSteps),
-		telemetry.Int("lost_steps", j.lostSteps),
-		telemetry.Int("preemptions", j.preemptions),
-		telemetry.Float("t", now))
 	tc.log.InfoT(j.span, "train job done",
 		logging.Str("job", j.spec.Name),
 		logging.Int("steps", j.persistedSteps),

@@ -8,9 +8,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// JSON shapes for `chameleonctl metrics -json` / `events -json`. Bucket
-// bounds are strings because the overflow bound is +Inf, which JSON
-// numbers cannot represent ("+Inf", matching the TSDB's le label).
+// JSON shape for `chameleonctl metrics -json`. Bucket bounds are
+// strings because the overflow bound is +Inf, which JSON numbers cannot
+// represent ("+Inf", matching the TSDB's le label).
 
 type metricJSON struct {
 	Name    string       `json:"name"`
@@ -43,32 +43,6 @@ func MetricsJSON(snap []telemetry.Metric) (string, error) {
 		} else {
 			v := m.Value
 			j.Value = &v
-		}
-		out = append(out, j)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(data) + "\n", nil
-}
-
-type eventJSON struct {
-	Seq   uint64            `json:"seq"`
-	Span  string            `json:"span"`
-	Attrs map[string]string `json:"attrs,omitempty"`
-}
-
-// EventsJSON renders trace events as a JSON array, oldest first.
-func EventsJSON(events []telemetry.Event) (string, error) {
-	out := make([]eventJSON, 0, len(events))
-	for _, e := range events {
-		j := eventJSON{Seq: e.Seq, Span: e.Span}
-		if len(e.Attrs) > 0 {
-			j.Attrs = make(map[string]string, len(e.Attrs))
-			for _, a := range e.Attrs {
-				j.Attrs[a.Key] = a.Value
-			}
 		}
 		out = append(out, j)
 	}

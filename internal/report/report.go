@@ -227,7 +227,14 @@ func Fig3(proj *studentsim.ProjectResult) string {
 				max = v
 			}
 		}
-		sort.Slice(keys, func(i, j int) bool { return m[keys[i]] > m[keys[j]] })
+		// Largest first; equal hours (gpu-a100 and gpu-medium tie at seed
+		// 1) fall back to the class name, so map order never shows.
+		sort.Slice(keys, func(i, j int) bool {
+			if a, b := m[keys[i]], m[keys[j]]; a != b {
+				return a > b
+			}
+			return keys[i] < keys[j]
+		})
 		for _, k := range keys {
 			fmt.Fprintf(&b, "  %-12s %8.0f h |%s\n", k, m[k], Bar(m[k], max, 40))
 		}

@@ -97,4 +97,14 @@ func TestFig3Renders(t *testing.T) {
 			t.Errorf("Fig3 missing %q:\n%s", want, out)
 		}
 	}
+	// gpu-a100 and gpu-medium have exactly equal hours at seed 1: the tie
+	// must break by name, not by map order.
+	if a, m := strings.Index(out, "gpu-a100"), strings.Index(out, "gpu-medium"); a < 0 || m < 0 || a > m {
+		t.Errorf("gpu-a100 must render above gpu-medium:\n%s", out)
+	}
+	for i := 0; i < 200; i++ {
+		if again := Fig3(proj); again != out {
+			t.Fatalf("render %d differs:\n%s\nwant:\n%s", i, again, out)
+		}
+	}
 }

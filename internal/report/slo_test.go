@@ -115,27 +115,3 @@ func TestMetricsJSON(t *testing.T) {
 		t.Errorf("last bucket = %v", last)
 	}
 }
-
-func TestEventsJSON(t *testing.T) {
-	bus := telemetry.New()
-	bus.Emit("cloud.launch", telemetry.String("flavor", "m1.large"))
-	bus.Emit("plain")
-	out, err := EventsJSON(bus.Events(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parsed []map[string]any
-	if err := json.Unmarshal([]byte(out), &parsed); err != nil {
-		t.Fatalf("not valid JSON: %v\n%s", err, out)
-	}
-	if len(parsed) != 2 || parsed[0]["span"] != "cloud.launch" {
-		t.Fatalf("parsed = %+v", parsed)
-	}
-	attrs := parsed[0]["attrs"].(map[string]any)
-	if attrs["flavor"] != "m1.large" {
-		t.Errorf("attrs = %v", attrs)
-	}
-	if _, has := parsed[1]["attrs"]; has {
-		t.Errorf("empty attrs must be omitted: %v", parsed[1])
-	}
-}

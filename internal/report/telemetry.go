@@ -3,7 +3,6 @@ package report
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"repro/internal/telemetry"
 )
@@ -11,7 +10,7 @@ import (
 // Metrics renders a telemetry snapshot as an aligned table: counters and
 // gauges with their values, histograms with count/mean/p50/p99. This is
 // what `chameleonctl metrics` prints and what cost reports embed so every
-// aggregate figure can cite the event counts behind it.
+// aggregate figure can cite the counts behind it.
 func Metrics(snap []telemetry.Metric) string {
 	rows := [][]string{{"metric", "kind", "value", "count", "mean", "p50", "p99"}}
 	for _, m := range snap {
@@ -28,36 +27,6 @@ func Metrics(snap []telemetry.Metric) string {
 		}
 	}
 	return Table(rows)
-}
-
-// Events renders trace events one per line, oldest first, with their
-// sequence numbers so gaps from ring overwrites are visible.
-func Events(events []telemetry.Event) string {
-	var b strings.Builder
-	for _, e := range events {
-		fmt.Fprintf(&b, "%6d  %s\n", e.Seq, e.String())
-	}
-	return b.String()
-}
-
-// TelemetrySummary renders the full observability view for one bus:
-// metric table, recent events, and the emitted/dropped totals that bound
-// how much of the event stream the ring still holds. Cost reports append
-// this so usage figures are traceable to the events that produced them.
-func TelemetrySummary(bus *telemetry.Bus, recentEvents int) string {
-	if bus == nil {
-		return "telemetry: disabled\n"
-	}
-	var b strings.Builder
-	b.WriteString("== Telemetry ==\n")
-	fmt.Fprintf(&b, "events emitted: %d  (ring overwrote %d)\n\n", bus.EventCount(), bus.Dropped())
-	b.WriteString(Metrics(bus.Snapshot()))
-	evs := bus.Events(recentEvents)
-	if len(evs) > 0 {
-		fmt.Fprintf(&b, "\nrecent events (%d):\n", len(evs))
-		b.WriteString(Events(evs))
-	}
-	return b.String()
 }
 
 func trimFloat(v float64) string {

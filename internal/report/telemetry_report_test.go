@@ -15,8 +15,6 @@ func newPopulatedBus() *telemetry.Bus {
 	for _, v := range []float64{1, 2, 4, 4, 8} {
 		h.Observe(v)
 	}
-	bus.Emit("cloud.instance.launch", telemetry.String("id", "inst-000001"))
-	bus.Emit("lease.expire", telemetry.String("id", "lease-000001"))
 	return bus
 }
 
@@ -27,28 +25,5 @@ func TestMetricsRendering(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics table missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestEventsRendering(t *testing.T) {
-	bus := newPopulatedBus()
-	out := Events(bus.Events(0))
-	if !strings.Contains(out, "cloud.instance.launch id=inst-000001") ||
-		!strings.Contains(out, "lease.expire id=lease-000001") {
-		t.Errorf("events rendering missing spans:\n%s", out)
-	}
-}
-
-func TestTelemetrySummary(t *testing.T) {
-	bus := newPopulatedBus()
-	out := TelemetrySummary(bus, 10)
-	for _, want := range []string{"== Telemetry ==", "events emitted: 2",
-		"cloud.launches", "recent events (2):"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("summary missing %q:\n%s", want, out)
-		}
-	}
-	if got := TelemetrySummary(nil, 10); !strings.Contains(got, "disabled") {
-		t.Errorf("nil bus summary = %q", got)
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/cost"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -156,40 +155,4 @@ func TraceSummary(t *trace.Tracer, max int) string {
 	b.WriteString("\n")
 	b.WriteString(trace.RenderCriticalPath(traces[0]))
 	return b.String()
-}
-
-// FilterEvents keeps events matching a component prefix, a minimum sim
-// time, and a trace-ID prefix. component "" matches everything;
-// otherwise an event matches when its name equals component or begins
-// with component+"." (so "cloud" matches "cloud.instance.launch" but
-// not "cloudburst"). since < 0 disables the time filter; otherwise only
-// events carrying a "t" attribute ≥ since survive — events without a
-// timestamp are dropped, since their position in virtual time is
-// unknown. tracePrefix "" disables the trace filter; otherwise only
-// events whose "trace" attribute (stamped by traced emits since the
-// tracing PR) begins with the prefix survive, so a full 16-hex ID or
-// any unambiguous prefix pulls one trace's events without grepping
-// JSON.
-func FilterEvents(events []telemetry.Event, component string, since float64, tracePrefix string) []telemetry.Event {
-	var out []telemetry.Event
-	for _, e := range events {
-		if component != "" && e.Span != component && !strings.HasPrefix(e.Span, component+".") {
-			continue
-		}
-		if tracePrefix != "" && !strings.HasPrefix(e.Attr(trace.Tag), tracePrefix) {
-			continue
-		}
-		if since >= 0 {
-			ts := e.Attr("t")
-			if ts == "" {
-				continue
-			}
-			t, err := strconv.ParseFloat(ts, 64)
-			if err != nil || t < since {
-				continue
-			}
-		}
-		out = append(out, e)
-	}
-	return out
 }

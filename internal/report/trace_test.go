@@ -9,7 +9,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/lease"
 	"repro/internal/simclock"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -114,63 +113,4 @@ func mustFlavor(t *testing.T, name string) cloud.Flavor {
 		t.Fatal(err)
 	}
 	return f
-}
-
-func TestFilterEvents(t *testing.T) {
-	evs := []telemetry.Event{
-		{Span: "cloud.instance.launch", Attrs: []telemetry.Attr{telemetry.Float("t", 1),
-			telemetry.String("trace", "4579b960bb007f46")}},
-		{Span: "cloud.instance.delete", Attrs: []telemetry.Attr{telemetry.Float("t", 4),
-			telemetry.String("trace", "deadbeef00000001")}},
-		{Span: "cloudburst", Attrs: []telemetry.Attr{telemetry.Float("t", 2)}},
-		{Span: "lease.book"},
-		{Span: "cloud"},
-	}
-	got := FilterEvents(evs, "cloud", -1, "")
-	if len(got) != 3 {
-		t.Fatalf("component filter kept %d events, want 3 (prefix match must not catch cloudburst): %+v", len(got), got)
-	}
-	got = FilterEvents(evs, "", 2, "")
-	if len(got) != 2 {
-		t.Fatalf("since filter kept %d events, want 2 (timestamped >= 2 only): %+v", len(got), got)
-	}
-	got = FilterEvents(evs, "cloud", 2, "")
-	if len(got) != 1 || got[0].Span != "cloud.instance.delete" {
-		t.Fatalf("combined filter = %+v, want just the delete", got)
-	}
-	if got := FilterEvents(nil, "x", 0, ""); got != nil {
-		t.Fatalf("empty input must return nil, got %+v", got)
-	}
-}
-
-func TestFilterEventsByTrace(t *testing.T) {
-	evs := []telemetry.Event{
-		{Span: "cloud.instance.launch", Attrs: []telemetry.Attr{
-			telemetry.String("trace", "4579b960bb007f46")}},
-		{Span: "serve.request", Attrs: []telemetry.Attr{
-			telemetry.String("trace", "457900000000ffff")}},
-		{Span: "jobs.submit", Attrs: []telemetry.Attr{
-			telemetry.String("trace", "deadbeef00000001")}},
-		{Span: "lease.book"}, // untraced
-	}
-	// Full 16-hex ID matches exactly one event.
-	got := FilterEvents(evs, "", -1, "4579b960bb007f46")
-	if len(got) != 1 || got[0].Span != "cloud.instance.launch" {
-		t.Fatalf("full-ID trace filter = %+v", got)
-	}
-	// A shared prefix matches both traces that start with it.
-	got = FilterEvents(evs, "", -1, "4579")
-	if len(got) != 2 {
-		t.Fatalf("prefix trace filter kept %d, want 2: %+v", len(got), got)
-	}
-	// Untraced events never match a trace filter.
-	got = FilterEvents(evs, "", -1, "dead")
-	if len(got) != 1 || got[0].Span != "jobs.submit" {
-		t.Fatalf("trace filter matched untraced events: %+v", got)
-	}
-	// Trace filter composes with the component filter.
-	got = FilterEvents(evs, "serve", -1, "4579")
-	if len(got) != 1 || got[0].Span != "serve.request" {
-		t.Fatalf("combined component+trace filter = %+v", got)
-	}
 }

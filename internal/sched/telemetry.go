@@ -9,10 +9,9 @@ import (
 
 // The schedulers are pure functions over job lists, so instrumentation
 // attaches at package level: SetTelemetry installs a bus and every
-// subsequent Run/RunPreemptive reports queue waits, preemptions, and a
-// per-run summary event. A nil bus (the default) disables it. Telemetry
-// never affects scheduling decisions, so instrumented runs stay
-// deterministic.
+// subsequent Run/RunPreemptive reports queue waits and preemptions. A
+// nil bus (the default) disables it. Telemetry never affects scheduling
+// decisions, so instrumented runs stay deterministic.
 var tel atomic.Pointer[telemetry.Bus]
 
 // SetTelemetry installs the bus used by all scheduler runs (nil
@@ -53,11 +52,6 @@ func recordRun(policy string, res Result) {
 	for _, a := range res.Assignments {
 		h.Observe(a.Wait())
 	}
-	b.Emit("sched.run",
-		telemetry.String("policy", policy),
-		telemetry.Int("jobs", len(res.Assignments)),
-		telemetry.Float("makespan_h", res.Makespan),
-		telemetry.Float("avg_wait_h", res.AvgWait))
 }
 
 func recordPreemptiveRun(res PreemptiveResult) {
@@ -79,23 +73,10 @@ func recordPreemptiveRun(res PreemptiveResult) {
 	for _, a := range res.Assignments {
 		h.Observe(a.FirstStartWait())
 	}
-	b.Emit("sched.run",
-		telemetry.String("policy", "preemptive"),
-		telemetry.Int("jobs", len(res.Assignments)),
-		telemetry.Int("preemptions", res.TotalPreemptions),
-		telemetry.Float("makespan_h", res.Makespan),
-		telemetry.Float("avg_wait_h", res.AvgWait))
 }
 
 func recordPreemption(jobID string, at float64) {
 	logStream().Debug("job preempted",
 		logging.Str("job", jobID),
 		logging.Float("t", at))
-	b := telemetryBus()
-	if b == nil {
-		return
-	}
-	b.Emit("sched.preempt",
-		telemetry.String("job", jobID),
-		telemetry.Float("t", at))
 }

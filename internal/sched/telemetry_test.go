@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"repro/internal/logging"
 	"repro/internal/telemetry"
 )
 
@@ -10,6 +11,9 @@ func TestSchedulerTelemetry(t *testing.T) {
 	bus := telemetry.New()
 	SetTelemetry(bus)
 	defer SetTelemetry(nil)
+	lg := logging.New(1, nil)
+	SetLogging(lg)
+	defer SetLogging(nil)
 
 	jobs := []*Job{
 		{ID: "a", User: "u1", GPUs: 4, Duration: 2, Submit: 0},
@@ -38,9 +42,9 @@ func TestSchedulerTelemetry(t *testing.T) {
 	if wait.Sum != wantSum {
 		t.Errorf("queue_wait sum = %v, want %v", wait.Sum, wantSum)
 	}
-	evs := bus.Events(0)
-	if len(evs) != 1 || evs[0].Span != "sched.run" || evs[0].Attr("policy") != PolicyFIFO {
-		t.Errorf("events = %v, want one sched.run for fifo", evs)
+	recs := lg.Records(0)
+	if len(recs) != 1 || recs[0].Msg != "scheduler run complete" || recs[0].Attr("policy") != PolicyFIFO {
+		t.Errorf("log records = %q, want one run summary for fifo", logging.Render(recs))
 	}
 }
 
@@ -48,6 +52,10 @@ func TestPreemptionTelemetry(t *testing.T) {
 	bus := telemetry.New()
 	SetTelemetry(bus)
 	defer SetTelemetry(nil)
+	lg := logging.New(1, nil)
+	lg.SetLevel(logging.LevelDebug)
+	SetLogging(lg)
+	defer SetLogging(nil)
 
 	jobs := []*Job{
 		{ID: "low", User: "u1", GPUs: 4, Duration: 10, Submit: 0, Weight: 1},
@@ -64,16 +72,16 @@ func TestPreemptionTelemetry(t *testing.T) {
 	if m, _ := telemetry.Find(snap, "sched.preemptions"); int(m.Value) != res.TotalPreemptions {
 		t.Errorf("preemptions counter = %v, want %d", m.Value, res.TotalPreemptions)
 	}
-	var preemptEvents int
-	for _, e := range bus.Events(0) {
-		if e.Span == "sched.preempt" {
-			preemptEvents++
-			if e.Attr("job") != "low" || e.Attr("t") != "2" {
-				t.Errorf("preempt event attrs wrong: %v", e)
+	var preempted int
+	for _, r := range lg.Records(0) {
+		if r.Msg == "job preempted" {
+			preempted++
+			if r.Attr("job") != "low" || r.Attr("t") != "2" {
+				t.Errorf("preemption record attrs wrong: %s", r.String())
 			}
 		}
 	}
-	if preemptEvents != res.TotalPreemptions {
-		t.Errorf("%d sched.preempt events, want %d", preemptEvents, res.TotalPreemptions)
+	if preempted != res.TotalPreemptions {
+		t.Errorf("%d preemption log records, want %d", preempted, res.TotalPreemptions)
 	}
 }

@@ -57,7 +57,6 @@ type Batcher struct {
 	closed    bool
 	closeOnce sync.Once
 
-	tel *telemetry.Bus
 	// Instrument handles resolved once in SetTelemetry; all nil (no-op)
 	// when no bus is attached. Keeps Labeled/bucket construction off the
 	// per-batch path.
@@ -123,7 +122,6 @@ func NewBatcherClock(maxBatch int, maxDelay time.Duration, instances int, execut
 // Instruments are registered here, once, so the per-batch path only
 // touches pre-resolved handles.
 func (b *Batcher) SetTelemetry(bus *telemetry.Bus) {
-	b.tel = bus
 	b.telBatches = bus.Counter("serve.batches")
 	b.telRequests = bus.Counter("serve.requests")
 	b.telTracedReqs = bus.Counter(telemetry.Labeled("serve.requests",
@@ -236,9 +234,6 @@ func (b *Batcher) run(batch []*Request) {
 	b.telQueueDepth.Set(float64(len(b.queue)))
 	b.telBatchSize.Observe(float64(len(batch)))
 	b.telBatchForm.Observe(formation.Seconds())
-	b.tel.Emit("serve.batch",
-		telemetry.Int("size", len(batch)),
-		telemetry.Float("form_ms", float64(formation.Microseconds())/1000))
 	if err != nil {
 		b.log.Error("batch execution failed",
 			logging.Int("size", len(batch)),
@@ -316,7 +311,6 @@ func (b *Batcher) submit(input []float64, span *trace.Span) (Response, error) {
 func (b *Batcher) TrySubmit(input []float64) (Response, error) {
 	if len(b.queue) >= cap(b.queue) {
 		b.telShed.Inc()
-		b.tel.Emit("serve.shed")
 		b.log.Warn("request shed: queue full", logging.Int("depth", len(b.queue)))
 		return Response{}, ErrOverloaded
 	}
@@ -329,7 +323,6 @@ func (b *Batcher) TrySubmit(input []float64) (Response, error) {
 func (b *Batcher) TrySubmitTraced(input []float64, parent *trace.Span) (Response, error) {
 	if len(b.queue) >= cap(b.queue) {
 		b.telShed.Inc()
-		b.tel.Emit("serve.shed")
 		b.log.WarnT(parent, "request shed: queue full", logging.Int("depth", len(b.queue)))
 		span := parent.StartChild("serve.request",
 			telemetry.String("outcome", "shed"),
@@ -359,7 +352,6 @@ func (b *Batcher) Close() {
 				b.telRejected.Inc()
 				r.result <- Response{Err: ErrBatcherClosed}
 			default:
-				b.tel.Emit("serve.close")
 				b.log.Info("batcher closed")
 				return
 			}

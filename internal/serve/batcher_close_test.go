@@ -156,14 +156,7 @@ func TestBatcherTelemetry(t *testing.T) {
 	if !ok || form.Count != sizeHist.Count {
 		t.Errorf("formation histogram count = %d, want %d", form.Count, sizeHist.Count)
 	}
-	evs := bus.Events(0)
-	var batchEvents int
-	for _, e := range evs {
-		if e.Span == "serve.batch" {
-			batchEvents++
-		}
-	}
-	if batchEvents != batches {
-		t.Errorf("%d serve.batch events, want %d", batchEvents, batches)
+	if m, _ := telemetry.Find(snap, "serve.batches"); int(m.Value) != batches {
+		t.Errorf("serve.batches = %v, want %d", m.Value, batches)
 	}
 }

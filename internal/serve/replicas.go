@@ -24,7 +24,6 @@ var ErrNoReplicas = errors.New("serve: no replicas registered")
 // Unit-6 lab teaches students to prefer over collapse.
 type ReplicaSet struct {
 	clk       clock.Clock
-	tel       *telemetry.Bus
 	threshold int
 	cooldown  time.Duration
 
@@ -58,7 +57,7 @@ func NewReplicaSet(threshold int, cooldown time.Duration, clk clock.Clock, tel *
 		clk = clock.System{}
 	}
 	return &ReplicaSet{
-		clk: clk, tel: tel, threshold: threshold, cooldown: cooldown,
+		clk: clk, threshold: threshold, cooldown: cooldown,
 		telShed:     tel.Counter("serve.shed"),
 		telErrors:   tel.Counter("serve.replica_errors"),
 		telRequests: tel.Counter("serve.replica_requests"),
@@ -110,7 +109,6 @@ func (rs *ReplicaSet) Do(fn func(replicaName string) error) error {
 		rs.shed++
 		rs.mu.Unlock()
 		rs.telShed.Inc()
-		rs.tel.Emit("serve.shed")
 		return ErrOverloaded
 	}
 	chosen.inflight++
@@ -129,9 +127,6 @@ func (rs *ReplicaSet) Do(fn func(replicaName string) error) error {
 	rs.telRequests.Inc()
 	if state := chosen.breaker.State(); state != chosen.lastState {
 		chosen.lastState = state
-		rs.tel.Emit("serve.replica_state",
-			telemetry.String("replica", chosen.name),
-			telemetry.String("state", state.String()))
 		if state == resilience.Open {
 			rs.telOpens.Inc()
 		}

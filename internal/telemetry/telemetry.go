@@ -1,12 +1,14 @@
-// Package telemetry is the platform-wide observability bus: counters,
-// gauges, fixed-bucket histograms, and structured trace events with a
-// ring-buffer sink and pluggable subscribers.
+// Package telemetry is the platform-wide metric registry: counters,
+// gauges and fixed-bucket histograms, plus the key/value attributes that
+// label them and annotate trace spans.
 //
 // The paper's quantitative claims (186,692 instance hours, ≈$250 per
 // student) are only as good as the platform's ability to observe itself;
 // every subsystem on a hot path — instance lifecycle, reservations,
-// scheduling, batching, collectives — emits into one Bus so usage
-// figures can be traced back to the individual events behind them.
+// scheduling, batching, collectives — counts into one Bus. The record of
+// what happened, transition by transition, is the structured log
+// (internal/logging); the record of why a run cost what it cost is the
+// span tree (internal/trace).
 //
 // Design notes:
 //
@@ -17,14 +19,7 @@
 //     short per-histogram lock. The instrument registry is lock-striped
 //     into shards keyed by a hash of the instrument name, so concurrent
 //     workers registering or looking up instruments do not contend on
-//     one mutex — and never contend with Emit at all.
-//   - Emit takes the event lock only to append to the ring and grab the
-//     immutable subscriber snapshot; failed lock acquisitions are
-//     counted (Contention) so the monitoring plane can observe its own
-//     hot-path pressure.
-//   - Subscribers run synchronously on the emitting goroutine, outside
-//     the bus lock. They must be fast and must not call back into the
-//     component that emitted (which may hold its own lock).
+//     one mutex.
 //   - Snapshot and Instruments merge the shards in deterministic name
 //     order, so shard assignment never leaks into rendered output.
 package telemetry
@@ -39,7 +34,7 @@ import (
 	"sync/atomic"
 )
 
-// Attr is one key/value pair attached to a trace event.
+// Attr is one key/value pair: a span attribute or a Labeled name label.
 type Attr struct {
 	Key   string
 	Value string
@@ -65,40 +60,6 @@ func formatFloat(v float64) string {
 	}
 	return s
 }
-
-// Event is one structured trace record. Seq increases monotonically per
-// bus, so subscribers and ring readers can detect ordering and gaps.
-type Event struct {
-	Seq   uint64
-	Span  string
-	Attrs []Attr
-}
-
-// Attr returns the value of the named attribute ("" if absent).
-func (e Event) Attr(key string) string {
-	for _, a := range e.Attrs {
-		if a.Key == key {
-			return a.Value
-		}
-	}
-	return ""
-}
-
-// String renders the event as "span k=v k=v".
-func (e Event) String() string {
-	var b strings.Builder
-	b.WriteString(e.Span)
-	for _, a := range e.Attrs {
-		b.WriteByte(' ')
-		b.WriteString(a.Key)
-		b.WriteByte('=')
-		b.WriteString(a.Value)
-	}
-	return b.String()
-}
-
-// Subscriber receives every event emitted after Subscribe returns.
-type Subscriber func(Event)
 
 // Counter is a monotonically increasing metric.
 type Counter struct {
@@ -302,11 +263,8 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // LatencyBuckets is a general-purpose seconds scale: 1ms .. ~8s.
 func LatencyBuckets() []float64 { return ExpBuckets(0.001, 2, 14) }
 
-// DefaultRingSize is the event-ring capacity used by New.
-const DefaultRingSize = 1024
-
 // numShards is the instrument-registry stripe count. Shard assignment
-// hashes the instrument name, so hot emit sites registering labeled
+// hashes the instrument name, so hot call sites registering labeled
 // instruments spread across independent locks instead of serializing on
 // one registry mutex.
 const numShards = 16
@@ -333,40 +291,16 @@ func shardIndex(name string) int {
 	return int(h % numShards)
 }
 
-// Bus is one telemetry domain: a metric registry plus an event stream.
-// All methods are safe for concurrent use; the zero value is not usable,
-// call New or NewWithRing.
+// Bus is one telemetry domain: a metric registry. All methods are safe
+// for concurrent use; the zero value is not usable, call New.
 type Bus struct {
 	shards [numShards]registryShard
 	gen    atomic.Uint64 // bumped on every instrument registration
-
-	mu      sync.Mutex // guards the event ring and the subscriber registry
-	ring    []Event    // circular; valid entries are the `filled` before head
-	head    int        // next write position
-	filled  int        // number of valid entries, <= len(ring)
-	seq     uint64     // next event sequence number
-	dropped uint64     // events overwritten before being read is not tracked; this counts ring overwrites
-
-	contention atomic.Uint64 // Emit calls that found the event lock held
-
-	subs     map[int]Subscriber
-	subCache []Subscriber // immutable id-ordered snapshot; rebuilt on (un)subscribe
-	nextID   int
 }
 
-// New returns a bus with the default ring size.
-func New() *Bus { return NewWithRing(DefaultRingSize) }
-
-// NewWithRing returns a bus whose event ring holds ringSize events
-// (older events are overwritten once the ring is full).
-func NewWithRing(ringSize int) *Bus {
-	if ringSize < 1 {
-		ringSize = 1
-	}
-	b := &Bus{
-		ring: make([]Event, ringSize),
-		subs: map[int]Subscriber{},
-	}
+// New returns an empty bus.
+func New() *Bus {
+	b := &Bus{}
 	for i := range b.shards {
 		sh := &b.shards[i]
 		sh.counters = map[string]*Counter{}
@@ -384,15 +318,6 @@ func (b *Bus) Gen() uint64 {
 		return 0
 	}
 	return b.gen.Load()
-}
-
-// Contention returns how many Emit calls found the event lock already
-// held — the bus's own measure of hot-path lock pressure.
-func (b *Bus) Contention() uint64 {
-	if b == nil {
-		return 0
-	}
-	return b.contention.Load()
 }
 
 // Counter returns (registering on first use) the named counter.
@@ -463,118 +388,6 @@ func (b *Bus) Histogram(name string, bounds []float64) *Histogram {
 		b.gen.Add(1)
 	}
 	return h
-}
-
-// Emit appends a trace event to the ring and fans it out to subscribers.
-// Subscribers run synchronously on the caller's goroutine, outside the
-// bus lock. The subscriber list is an immutable snapshot rebuilt only
-// when subscriptions change, so Emit never allocates for fan-out; lock
-// acquisitions that had to wait are counted in Contention.
-func (b *Bus) Emit(span string, attrs ...Attr) {
-	if b == nil {
-		return
-	}
-	e := Event{Span: span, Attrs: append([]Attr(nil), attrs...)}
-	if !b.mu.TryLock() {
-		b.contention.Add(1)
-		b.mu.Lock()
-	}
-	e.Seq = b.seq
-	b.seq++
-	if b.filled == len(b.ring) {
-		b.dropped++
-	}
-	b.ring[b.head] = e
-	b.head = (b.head + 1) % len(b.ring)
-	if b.filled < len(b.ring) {
-		b.filled++
-	}
-	fns := b.subCache
-	b.mu.Unlock()
-	for _, fn := range fns {
-		fn(e)
-	}
-}
-
-// rebuildSubCache recomputes the immutable subscriber snapshot in
-// subscription-id order. Callers must hold b.mu.
-func (b *Bus) rebuildSubCache() {
-	if len(b.subs) == 0 {
-		b.subCache = nil
-		return
-	}
-	ids := make([]int, 0, len(b.subs))
-	for id := range b.subs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	fns := make([]Subscriber, 0, len(ids))
-	for _, id := range ids {
-		fns = append(fns, b.subs[id])
-	}
-	b.subCache = fns
-}
-
-// Subscribe registers fn for every subsequent event and returns a cancel
-// function. Cancel is idempotent.
-func (b *Bus) Subscribe(fn Subscriber) (cancel func()) {
-	if b == nil || fn == nil {
-		return func() {}
-	}
-	b.mu.Lock()
-	id := b.nextID
-	b.nextID++
-	b.subs[id] = fn
-	b.rebuildSubCache()
-	b.mu.Unlock()
-	return func() {
-		b.mu.Lock()
-		delete(b.subs, id)
-		b.rebuildSubCache()
-		b.mu.Unlock()
-	}
-}
-
-// Events returns up to n of the most recent events, oldest first. n <= 0
-// returns everything still in the ring.
-func (b *Bus) Events(n int) []Event {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if n <= 0 || n > b.filled {
-		n = b.filled
-	}
-	out := make([]Event, 0, n)
-	start := b.head - n
-	if start < 0 {
-		start += len(b.ring)
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, b.ring[(start+i)%len(b.ring)])
-	}
-	return out
-}
-
-// EventCount returns the total number of events ever emitted.
-func (b *Bus) EventCount() uint64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.seq
-}
-
-// Dropped returns how many events have been overwritten in the ring.
-func (b *Bus) Dropped() uint64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
 }
 
 // Snapshot returns every registered instrument's current value, sorted

@@ -165,7 +165,6 @@ type Tracer struct {
 	now    func() float64 // virtual hours; nil pins time at 0
 	traces []*traceRec
 	byID   map[ID]*traceRec
-	bus    *telemetry.Bus // optional span-finish event emission
 }
 
 // New returns a tracer whose IDs derive from seed and whose timestamps
@@ -173,18 +172,6 @@ type Tracer struct {
 // timestamp at 0; the *At variants still accept explicit times.
 func New(seed uint64, now func() float64) *Tracer {
 	return &Tracer{seed: seed, now: now, byID: map[ID]*traceRec{}}
-}
-
-// SetTelemetry attaches a bus: every span finish emits a "trace.span"
-// event. Off by default so attaching a tracer never perturbs an existing
-// run's event stream. Call before concurrent use.
-func (t *Tracer) SetTelemetry(b *telemetry.Bus) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.bus = b
 }
 
 func (t *Tracer) nowTime() float64 {
@@ -338,23 +325,10 @@ func (s *Span) FinishAt(end float64) {
 		return
 	}
 	s.t.mu.Lock()
-	if s.rec.data.End >= 0 {
-		s.t.mu.Unlock()
-		return
+	if s.rec.data.End < 0 {
+		s.rec.data.End = end
 	}
-	s.rec.data.End = end
-	data := s.rec.data
-	bus := s.t.bus
 	s.t.mu.Unlock()
-	// Emit outside the tracer lock: subscribers must not be able to stall
-	// or re-enter the tracer.
-	if bus != nil {
-		bus.Emit("trace.span",
-			telemetry.String("trace", data.Trace.String()),
-			telemetry.String("name", data.Name),
-			telemetry.Float("start", data.Start),
-			telemetry.Float("dur_h", data.Duration()))
-	}
 }
 
 // TraceID returns the span's trace ID (0 on nil).

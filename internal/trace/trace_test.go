@@ -81,7 +81,6 @@ func TestNilSafety(t *testing.T) {
 	if _, ok := tr.Longest(); ok {
 		t.Fatal("nil tracer Longest must miss")
 	}
-	tr.SetTelemetry(telemetry.New())
 	if tr.Len() != 0 {
 		t.Fatal("nil tracer Len must be 0")
 	}
@@ -247,25 +246,6 @@ func TestTreeRendering(t *testing.T) {
 	}
 	if strings.Contains(out, "(open)") {
 		t.Fatalf("all spans finished, but tree marks one open:\n%s", out)
-	}
-}
-
-func TestTelemetryEmission(t *testing.T) {
-	bus := telemetry.New()
-	tr := New(3, nil)
-	tr.SetTelemetry(bus)
-	sp := tr.StartTrace("job")
-	sp.Finish()
-	sp.Finish() // no second event
-	evs := bus.Events(10)
-	n := 0
-	for _, e := range evs {
-		if e.Span == "trace.span" {
-			n++
-		}
-	}
-	if n != 1 {
-		t.Fatalf("want exactly 1 trace.span event, got %d", n)
 	}
 }
 

@@ -6,25 +6,11 @@ package bench
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/telemetry"
 	"repro/internal/tsdb"
 )
-
-// BusEmit measures the hot instrumentation path every component pays per
-// request: one counter increment plus one trace-event emit.
-func BusEmit(b *testing.B) {
-	bus := telemetry.New()
-	c := bus.Counter("bench.requests")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-		bus.Emit("bench.request", telemetry.String("outcome", "ok"))
-	}
-}
 
 // CollectorScrape measures one full scrape of a realistically populated
 // bus (labeled counters, gauges, and histograms — about a hundred
@@ -132,26 +118,3 @@ func CollectorScrapeChurn(b *testing.B) {
 		coll.Scrape(0.25 * float64(i+1))
 	}
 }
-
-// BusEmitParallel measures Emit plus instrument updates under goroutine
-// concurrency — the lock-striped registry and TryLock-counted event
-// ring are exactly what this path exercises in sharded simulations.
-func BusEmitParallel(b *testing.B) {
-	bus := telemetry.New()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var worker int64
-	b.RunParallel(func(pb *testing.PB) {
-		id := atomicAdd(&worker, 1)
-		c := bus.Counter(telemetry.Labeled("bench.ops",
-			telemetry.String("worker", fmt.Sprintf("w%02d", id))))
-		shared := bus.Counter("bench.total")
-		for pb.Next() {
-			c.Inc()
-			shared.Inc()
-			bus.Emit("bench.request", telemetry.String("outcome", "ok"))
-		}
-	})
-}
-
-func atomicAdd(p *int64, d int64) int64 { return atomic.AddInt64(p, d) }

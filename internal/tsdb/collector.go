@@ -69,9 +69,9 @@ type Collector struct {
 	// Self-observation. The deterministic pipeline metrics
 	// (tsdb.scrapes, tsdb.scrape_samples, tsdb.series_count,
 	// tsdb.dropped_samples) go into the main DB so dashboards and rules
-	// can query them; the nondeterministic ones (wall-clock
-	// tsdb.scrape_duration, telemetry.bus_contention) go into a separate
-	// self store that never feeds cmp-gated output.
+	// can query them; the nondeterministic one (wall-clock
+	// tsdb.scrape_duration) goes into a separate self store that never
+	// feeds cmp-gated output.
 	self        *DB
 	wall        clock.Clock // nil: scrape_duration reads 0
 	lastDur     time.Duration
@@ -80,7 +80,6 @@ type Collector struct {
 	selfSeries  *SeriesRef
 	selfDropped *SeriesRef
 	selfDur     *SeriesRef
-	selfCont    *SeriesRef
 }
 
 // scrapePlan is the precomputed per-instrument scrape recipe: all
@@ -128,8 +127,7 @@ func NewCollector(db *DB, bus *telemetry.Bus, interval float64) *Collector {
 func (c *Collector) DB() *DB { return c.db }
 
 // Self returns the collector's own store for nondeterministic pipeline
-// metrics: tsdb.scrape_duration (seconds, 0 unless a wall clock is set)
-// and telemetry.bus_contention (cumulative contended Emit lockings).
+// metrics: tsdb.scrape_duration (seconds, 0 unless a wall clock is set).
 func (c *Collector) Self() *DB { return c.self }
 
 // SetDelta toggles incremental scraping; false selects the
@@ -335,13 +333,11 @@ func (c *Collector) selfRefsLocked() {
 	c.selfSeries = c.db.Ref("tsdb.series_count", base)
 	c.selfDropped = c.db.Ref("tsdb.dropped_samples", base)
 	c.selfDur = c.self.Ref("tsdb.scrape_duration", base)
-	c.selfCont = c.self.Ref("telemetry.bus_contention", base)
 }
 
 // Scrape ingests one pass over the bus at time now, compacts the DB,
 // records the pipeline self-metrics, and runs the scrape hooks. It is
-// safe to call concurrently with bus writers (instrument updates and
-// Emit); series identity makes re-scrapes at the same timestamp updates
+// safe to call concurrently with instrument updates; series identity makes re-scrapes at the same timestamp updates
 // rather than duplicates.
 func (c *Collector) Scrape(now float64) {
 	c.mu.Lock()
@@ -368,7 +364,6 @@ func (c *Collector) Scrape(now float64) {
 		c.lastDur = clock.Since(c.wall, start)
 	}
 	c.self.AppendRef(c.selfDur, now, c.lastDur.Seconds())
-	c.self.AppendRef(c.selfCont, now, float64(c.bus.Contention()))
 	c.self.Compact(now)
 
 	hooks := c.hooksCache

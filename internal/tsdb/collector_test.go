@@ -132,9 +132,8 @@ func TestOnScrapeHookSeesFreshSamples(t *testing.T) {
 	}
 }
 
-// TestScrapeWhileEmit drives concurrent instrument updates, Emit calls
-// and scrapes; run with -race this pins the collector's locking
-// discipline (satellite: scrape-while-emit race test).
+// TestScrapeWhileEmit drives concurrent instrument updates and scrapes;
+// run with -race this pins the collector's locking discipline.
 func TestScrapeWhileEmit(t *testing.T) {
 	bus := telemetry.New()
 	c := NewCollector(New(Options{}), bus, 0.25)
@@ -155,15 +154,12 @@ func TestScrapeWhileEmit(t *testing.T) {
 			}
 			ctr.Inc()
 			h.Observe(float64(i%17) * 0.001)
-			bus.Emit("test.tick", telemetry.Attr{Key: "i", Value: "x"})
 		}
 	}()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sub := bus.Subscribe(func(telemetry.Event) {})
-		defer sub()
 		for i := 0; i < 200; i++ {
 			c.Scrape(float64(i) * 0.25)
 		}
@@ -229,8 +225,8 @@ func TestScrapeDeltaMatchesFullSnapshot(t *testing.T) {
 }
 
 // The collector's deterministic self-metrics land in the main DB (so
-// dashboards can query them); the nondeterministic ones land in the
-// separate self store.
+// dashboards can query them); the nondeterministic scrape duration
+// lands in the separate self store.
 func TestScrapeSelfMetrics(t *testing.T) {
 	bus := telemetry.New()
 	bus.Counter("c").Add(2)
@@ -258,10 +254,8 @@ func TestScrapeSelfMetrics(t *testing.T) {
 			t.Errorf("%s missing from main DB: %+v %v", name, v, err)
 		}
 	}
-	for _, name := range []string{"tsdb.scrape_duration", "telemetry.bus_contention"} {
-		if got := c.Self().Select(name, nil); len(got) != 1 || len(got[0].Points) != 3 {
-			t.Errorf("%s: self store has %+v", name, got)
-		}
+	if got := c.Self().Select("tsdb.scrape_duration", nil); len(got) != 1 || len(got[0].Points) != 3 {
+		t.Errorf("tsdb.scrape_duration: self store has %+v", got)
 	}
 	if got := c.DB().Select("tsdb.scrape_duration", nil); len(got) != 0 {
 		t.Error("nondeterministic scrape_duration leaked into the main DB")
