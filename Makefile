@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build fmt test vet lint race chaos trace slo sim spot logs benchgate check bench benchcheck repro csv examples clean
+.PHONY: build fmt test vet lint race chaos trace slo sim spot logs benchgate check bench repro csv examples clean
 
 build:
 	$(GO) build ./...
@@ -127,30 +127,11 @@ benchgate:
 # suite, then the benchmark module.
 check: fmt build vet lint test race chaos trace slo sim spot logs benchgate
 
-# Benchmarks: the full `go test -bench` sweep, the monitoring-stack
-# suite via cmd/tsdbbench (BENCH_tsdb.json), the sharded-core
-# throughput suite via cmd/simbench (BENCH_sim.json: students/sec and
-# bytes/student at 100k and 1M students), then full-repo lint wall time
-# via cmd/lintbench (BENCH_lint.json: sequential vs parallel loading),
-# and the spot-market suite via cmd/spotbench (BENCH_spot.json: price
-# walk, bill integration, end-to-end survival run), and the logging
-# suite via cmd/logbench (BENCH_log.json: emit, sampling, ring merge).
+# Micro-benchmarks: every `go test -bench` in the module. End-to-end
+# numbers come from cmd/bench (see cmd/bench/README.md); allocation
+# contracts are AllocsPerRun tests that `make test` already runs.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-	$(GO) run ./cmd/tsdbbench -o BENCH_tsdb.json
-	$(GO) run ./cmd/simbench -o BENCH_sim.json
-	$(GO) run ./cmd/lintbench -o BENCH_lint.json
-	$(GO) run ./cmd/spotbench -o BENCH_spot.json
-	$(GO) run ./cmd/logbench -o BENCH_log.json
-
-# Allocation-regression gate: re-run the monitoring-stack and logging
-# suites and fail if any benchmark's allocs/op regressed >20% against
-# the committed BENCH_*.json (allocs/op is stable across machines;
-# ns/op is not). logbench additionally pins the emit path to its hard
-# ≤1 alloc/op contract regardless of baseline.
-benchcheck:
-	$(GO) run ./cmd/tsdbbench -check BENCH_tsdb.json
-	$(GO) run ./cmd/logbench -check BENCH_log.json
 
 # Regenerate every table and figure plus the capacity/support views.
 repro:

@@ -10,9 +10,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"math"
+	"os"
 
 	"repro/internal/cost"
 	"repro/internal/course"
@@ -22,46 +26,89 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("costcalc: ")
-	var (
-		rowID    = flag.String("row", "", "Table-1 row ID (e.g. 2, 4-multi-a100)")
-		class    = flag.String("class", "", "project instance class (e.g. gpu-a100)")
-		hours    = flag.Float64("hours", 0, "instance hours")
-		fipHours = flag.Float64("fip-hours", 0, "floating-IP hours")
-		expected = flag.Bool("expected", false, "price the §3 expected per-student durations")
-		catalog  = flag.Bool("catalog", false, "print the price catalog")
-	)
-	flag.Parse()
-
-	switch {
-	case *catalog:
-		printCatalog()
-	case *expected:
-		printExpected()
-	case *rowID != "":
-		for _, p := range []cost.Provider{cost.AWS, cost.GCP} {
-			c, err := cost.LabRowCost(cost.LabUsage{RowID: *rowID, InstanceHours: *hours, FIPHours: *fipHours}, p)
-			if err != nil {
-				log.Fatal(err)
-			}
-			eq, _ := cost.LabEquivalent(*rowID)
-			fmt.Printf("%s: $%.2f  (%s @ $%.4f/h + IP @ $%.3f/h)\n",
-				p, c, eq.Rate(p).Instance, eq.Rate(p).PerHour, cost.FloatingIPRate)
-		}
-	case *class != "":
-		eq, err := cost.ProjectEquivalent(*class)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, p := range []cost.Provider{cost.AWS, cost.GCP} {
-			fmt.Printf("%s: $%.2f  (%s @ $%.4f/h)\n",
-				p, *hours*eq.Rate(p).PerHour, eq.Rate(p).Instance, eq.Rate(p).PerHour)
-		}
-	default:
-		flag.Usage()
-	}
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func printExpected() {
+// run prints the requested estimate to out and returns the exit code:
+// 0 on success, 1 on a rejected input, 2 on a flag the parser rejects.
+func run(args []string, out io.Writer) int {
+	fs := flag.NewFlagSet("costcalc", flag.ContinueOnError)
+	var (
+		rowID    = fs.String("row", "", "Table-1 row ID (e.g. 2, 4-multi-a100)")
+		class    = fs.String("class", "", "project instance class (e.g. gpu-a100)")
+		hours    = fs.Float64("hours", 0, "instance hours")
+		fipHours = fs.Float64("fip-hours", 0, "floating-IP hours")
+		expected = fs.Bool("expected", false, "price the §3 expected per-student durations")
+		catalog  = fs.Bool("catalog", false, "print the price catalog")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	badHours := checkHour("-hours", *hours)
+	if badHours == nil {
+		badHours = checkHour("-fip-hours", *fipHours)
+	}
+	var err error
+	switch {
+	case *catalog:
+		err = printCatalog(out)
+	case *expected:
+		err = printExpected(out)
+	case (*rowID != "" || *class != "") && badHours != nil:
+		err = badHours
+	case *rowID != "":
+		err = printRow(out, *rowID, *hours, *fipHours)
+	case *class != "":
+		err = printClass(out, *class, *hours)
+	default:
+		fs.Usage()
+	}
+	if err != nil {
+		log.Print(err)
+		return 1
+	}
+	return 0
+}
+
+// checkHour rejects an hour count that would print a negative, NaN or
+// infinite price; !(v >= 0) is true for negatives, NaN and -Inf alike.
+func checkHour(flag string, v float64) error {
+	if !(v >= 0) || math.IsInf(v, 1) {
+		return fmt.Errorf("%s must be a finite number of hours >= 0, got %v", flag, v)
+	}
+	return nil
+}
+
+func printRow(out io.Writer, rowID string, hours, fipHours float64) error {
+	for _, p := range []cost.Provider{cost.AWS, cost.GCP} {
+		c, err := cost.LabRowCost(cost.LabUsage{RowID: rowID, InstanceHours: hours, FIPHours: fipHours}, p)
+		if err != nil {
+			return err
+		}
+		eq, _ := cost.LabEquivalent(rowID)
+		fmt.Fprintf(out, "%s: $%.2f  (%s @ $%.4f/h + IP @ $%.3f/h)\n",
+			p, c, eq.Rate(p).Instance, eq.Rate(p).PerHour, cost.FloatingIPRate)
+	}
+	return nil
+}
+
+func printClass(out io.Writer, class string, hours float64) error {
+	eq, err := cost.ProjectEquivalent(class)
+	if err != nil {
+		return err
+	}
+	for _, p := range []cost.Provider{cost.AWS, cost.GCP} {
+		fmt.Fprintf(out, "%s: $%.2f  (%s @ $%.4f/h)\n",
+			p, hours*eq.Rate(p).PerHour, eq.Rate(p).Instance, eq.Rate(p).PerHour)
+	}
+	return nil
+}
+
+func printExpected(out io.Writer) error {
 	var usages []cost.LabUsage
 	for _, r := range course.Rows() {
 		usages = append(usages, cost.LabUsage{
@@ -73,13 +120,14 @@ func printExpected() {
 	for _, p := range []cost.Provider{cost.AWS, cost.GCP} {
 		c, err := cost.LabCost(usages, p)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("expected per-student lab cost on %s: $%.2f\n", p, c)
+		fmt.Fprintf(out, "expected per-student lab cost on %s: $%.2f\n", p, c)
 	}
+	return nil
 }
 
-func printCatalog() {
+func printCatalog(out io.Writer) error {
 	rows := [][]string{{"Row", "AWS Equivalent", "AWS $/h", "GCP Equivalent", "GCP $/h"}}
 	for _, r := range course.Rows() {
 		if r.ID == "6-edge" {
@@ -88,7 +136,7 @@ func printCatalog() {
 		}
 		eq, err := cost.LabEquivalent(r.ID)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		rows = append(rows, []string{
 			r.ID,
@@ -96,10 +144,11 @@ func printCatalog() {
 			eq.GCP.Instance, fmt.Sprintf("%.4f", eq.GCP.PerHour),
 		})
 	}
-	fmt.Print(report.Table(rows))
-	fmt.Printf("floating IP: $%.3f/h on both providers\n", cost.FloatingIPRate)
-	fmt.Printf("block storage: $%.2f (AWS) / $%.2f (GCP) per GB-month\n",
+	fmt.Fprint(out, report.Table(rows))
+	fmt.Fprintf(out, "floating IP: $%.3f/h on both providers\n", cost.FloatingIPRate)
+	fmt.Fprintf(out, "block storage: $%.2f (AWS) / $%.2f (GCP) per GB-month\n",
 		cost.BlockGBMonthRate(cost.AWS), cost.BlockGBMonthRate(cost.GCP))
-	fmt.Printf("object storage: $%.3f (AWS) / $%.3f (GCP) per GB-month\n",
+	fmt.Fprintf(out, "object storage: $%.3f (AWS) / $%.3f (GCP) per GB-month\n",
 		cost.ObjectGBMonthRate(cost.AWS), cost.ObjectGBMonthRate(cost.GCP))
+	return nil
 }

@@ -22,7 +22,6 @@
 //	-baseline file   report only findings not recorded in the baseline
 //	-write-baseline  record current findings into the -baseline file
 //	                 (default lint.baseline.json) and exit
-//	-parallel n      loader workers (0 = GOMAXPROCS, 1 = sequential)
 //	-q               suppress the summary line
 //
 // Exit codes distinguish lint findings from broken builds so CI can
@@ -61,7 +60,6 @@ func run(args []string) int {
 	fix := fs.Bool("fix", false, "apply suggested fixes in place until the analysis converges")
 	baselinePath := fs.String("baseline", "", "suppress findings recorded in this baseline file")
 	writeBaseline := fs.Bool("write-baseline", false, "record current findings into the baseline file and exit")
-	parallel := fs.Int("parallel", 0, "loader workers: 0 = GOMAXPROCS, 1 = sequential")
 	quiet := fs.Bool("q", false, "suppress the summary line")
 	if err := fs.Parse(args); err != nil {
 		return exitError
@@ -75,7 +73,7 @@ func run(args []string) int {
 		*root = r
 	}
 
-	res, analyzers, pkgCount, err := analyze(*root, fs.Args(), *parallel)
+	res, analyzers, pkgCount, err := analyze(*root, fs.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mlsyslint:", err)
 		return exitError
@@ -99,7 +97,7 @@ func run(args []string) int {
 			if outcome.Applied == 0 {
 				break
 			}
-			res, analyzers, pkgCount, err = analyze(*root, fs.Args(), *parallel)
+			res, analyzers, pkgCount, err = analyze(*root, fs.Args())
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "mlsyslint:", err)
 				return exitError
@@ -199,7 +197,7 @@ func run(args []string) int {
 }
 
 // analyze performs one full load-and-run over the module.
-func analyze(root string, checkNames []string, parallel int) (analysis.Result, []*analysis.Analyzer, int, error) {
+func analyze(root string, checkNames []string) (analysis.Result, []*analysis.Analyzer, int, error) {
 	loader, err := analysis.NewLoader(root)
 	if err != nil {
 		return analysis.Result{}, nil, 0, err
@@ -209,12 +207,7 @@ func analyze(root string, checkNames []string, parallel int) (analysis.Result, [
 	if err != nil {
 		return analysis.Result{}, nil, 0, err
 	}
-	var pkgs []*analysis.Package
-	if parallel == 1 {
-		pkgs, err = loader.LoadAll()
-	} else {
-		pkgs, err = loader.LoadAllParallel(parallel)
-	}
+	pkgs, err := loader.LoadAll()
 	if err != nil {
 		return analysis.Result{}, nil, 0, err
 	}

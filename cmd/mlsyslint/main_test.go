@@ -139,23 +139,3 @@ func TestBaselineWorkflow(t *testing.T) {
 		t.Errorf("lint with new finding exit = %d, want %d", got, exitFindings)
 	}
 }
-
-func TestParallelLoadMatchesSequential(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"a/a.go":  "package a\n\nfunc A() int { return 1 }\n",
-		"b/b.go":  "package b\n\nimport \"fixmod/a\"\n\nfunc B() int { return a.A() }\n",
-		"dump.go": findingSrc,
-	})
-	for _, workers := range []int{1, 2, 8} {
-		res, _, pkgs, err := analyze(dir, nil, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if pkgs != 3 {
-			t.Errorf("workers=%d: packages = %d, want 3", workers, pkgs)
-		}
-		if len(res.Diagnostics) != 1 {
-			t.Errorf("workers=%d: findings = %d, want 1", workers, len(res.Diagnostics))
-		}
-	}
-}

@@ -9,11 +9,8 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
 )
 
 // Package is one type-checked package ready for analysis.
@@ -29,6 +26,9 @@ type Package struct {
 // Loader discovers, parses, and type-checks every package in a module
 // without go/packages: module-internal imports are resolved by walking
 // the module tree, everything else through the stdlib source importer.
+// A Loader is not safe for concurrent use: its package cache and the
+// source importer are unguarded, and every caller loads from one
+// goroutine.
 type Loader struct {
 	Root   string // module root (directory containing go.mod)
 	Module string // module path from go.mod
@@ -41,13 +41,6 @@ type Loader struct {
 	std     types.ImporterFrom
 	pkgs    map[string]*Package // by import path
 	loading map[string]bool     // cycle detection
-
-	// Parallel-mode state (LoadAllParallel): pre-parsed files by dir,
-	// and locks around the package cache and the stdlib importer. The
-	// sequential path never touches the mutexes.
-	parsed map[string][]*ast.File
-	mu     sync.Mutex // guards pkgs
-	stdMu  sync.Mutex // guards std (the source importer is not concurrency-safe)
 }
 
 // NewLoader prepares a loader for the module rooted at root, reading the
@@ -137,134 +130,6 @@ func (l *Loader) dirImportPath(dir string) string {
 	return l.Module + "/" + filepath.ToSlash(rel)
 }
 
-// LoadAllParallel is LoadAll with concurrency: every package's files
-// parse on a worker pool up front (token.FileSet is concurrency-safe),
-// then packages type-check in dependency waves — a package is checked
-// once all of its module-internal imports are done, so each wave's
-// members are independent and safe to check concurrently (*types.Package
-// is immutable once complete). The stdlib source importer is not
-// concurrency-safe and stays behind a mutex; after the first wave warms
-// its cache the contention is negligible. Results are identical to
-// LoadAll — same packages in the same order with the same type
-// information — only the wall clock differs.
-func (l *Loader) LoadAllParallel(workers int) ([]*Package, error) {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	dirs, err := l.walkDirs()
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 1: parse everything concurrently.
-	l.parsed = make(map[string][]*ast.File, len(dirs))
-	parseErrs := make([]error, len(dirs))
-	filesByDir := make([][]*ast.File, len(dirs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, dir := range dirs {
-		wg.Add(1)
-		go func(i int, dir string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			filesByDir[i], parseErrs[i] = l.parseDir(dir)
-		}(i, dir)
-	}
-	wg.Wait()
-	for i, err := range parseErrs {
-		if err != nil {
-			return nil, fmt.Errorf("analysis: parsing %s: %w", dirs[i], err)
-		}
-	}
-	for i, dir := range dirs {
-		l.parsed[dir] = filesByDir[i]
-	}
-
-	// Phase 2: wave-parallel type-checking in dependency order.
-	pathFor := make(map[string]int, len(dirs)) // importPath -> dir index
-	paths := make([]string, len(dirs))
-	for i, dir := range dirs {
-		paths[i] = l.dirImportPath(dir)
-		pathFor[paths[i]] = i
-	}
-	deps := make([][]int, len(dirs))
-	for i := range dirs {
-		seen := map[int]bool{}
-		for _, f := range filesByDir[i] {
-			for _, imp := range f.Imports {
-				p, err := strconv.Unquote(imp.Path.Value)
-				if err != nil {
-					continue
-				}
-				if j, ok := pathFor[p]; ok && j != i && !seen[j] {
-					seen[j] = true
-					deps[i] = append(deps[i], j)
-				}
-			}
-		}
-	}
-	done := make([]bool, len(dirs))
-	remaining := len(dirs)
-	for remaining > 0 {
-		var wave []int
-		for i := range dirs {
-			if done[i] {
-				continue
-			}
-			ready := true
-			for _, j := range deps[i] {
-				if !done[j] {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				wave = append(wave, i)
-			}
-		}
-		if len(wave) == 0 {
-			return nil, fmt.Errorf("analysis: import cycle among remaining %d package(s)", remaining)
-		}
-		checkErrs := make([]error, len(wave))
-		var cwg sync.WaitGroup
-		for wi, i := range wave {
-			cwg.Add(1)
-			go func(wi, i int) {
-				defer cwg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				_, checkErrs[wi] = l.load(paths[i], dirs[i])
-			}(wi, i)
-		}
-		cwg.Wait()
-		for _, err := range checkErrs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		for _, i := range wave {
-			done[i] = true
-		}
-		remaining -= len(wave)
-	}
-
-	pkgs := make([]*Package, len(dirs))
-	for i := range dirs {
-		pkgs[i] = l.cached(paths[i])
-		if pkgs[i] == nil {
-			return nil, fmt.Errorf("analysis: %s vanished after type-checking", paths[i])
-		}
-	}
-	return pkgs, nil
-}
-
-func (l *Loader) cached(importPath string) *Package {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.pkgs[importPath]
-}
-
 func hasGoFiles(dir string) bool {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -329,33 +194,20 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	return kept, nil
 }
 
-// load type-checks one package directory, parsing it first unless
-// LoadAllParallel already did.
+// load parses and type-checks one package directory.
 func (l *Loader) load(importPath, dir string) (*Package, error) {
-	l.mu.Lock()
 	if pkg, ok := l.pkgs[importPath]; ok {
-		l.mu.Unlock()
 		return pkg, nil
 	}
 	if l.loading[importPath] {
-		l.mu.Unlock()
 		return nil, fmt.Errorf("analysis: import cycle through %s", importPath)
 	}
 	l.loading[importPath] = true
-	l.mu.Unlock()
-	defer func() {
-		l.mu.Lock()
-		delete(l.loading, importPath)
-		l.mu.Unlock()
-	}()
+	defer delete(l.loading, importPath)
 
-	files, ok := l.parsed[dir]
-	if !ok {
-		var err error
-		files, err = l.parseDir(dir)
-		if err != nil {
-			return nil, err
-		}
+	files, err := l.parseDir(dir)
+	if err != nil {
+		return nil, err
 	}
 
 	info := &types.Info{
@@ -385,15 +237,12 @@ func (l *Loader) load(importPath, dir string) (*Package, error) {
 		Types:      tpkg,
 		Info:       info,
 	}
-	l.mu.Lock()
 	l.pkgs[importPath] = pkg
-	l.mu.Unlock()
 	return pkg, nil
 }
 
 // importPkg resolves one import: module-internal paths load recursively
-// from source, everything else goes through the stdlib source importer
-// (serialized — it caches internally but is not concurrency-safe).
+// from source, everything else goes through the stdlib source importer.
 func (l *Loader) importPkg(path string) (*types.Package, error) {
 	if path == l.Module || strings.HasPrefix(path, l.Module+"/") {
 		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.Module), "/")
@@ -403,8 +252,6 @@ func (l *Loader) importPkg(path string) (*types.Package, error) {
 		}
 		return pkg.Types, nil
 	}
-	l.stdMu.Lock()
-	defer l.stdMu.Unlock()
 	return l.std.ImportFrom(path, l.Root, 0)
 }
 

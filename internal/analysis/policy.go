@@ -1,9 +1,8 @@
 package analysis
 
-// RepoAnalyzers instantiates every check with this repository's policy —
-// the single source of truth shared by `mlsyslint` (the gate) and
-// `lintbench` (the benchmark), so the benchmark always times exactly
-// what the gate runs. module is the module path from go.mod.
+// RepoAnalyzers instantiates every check with this repository's policy,
+// the one place `mlsyslint` reads it from. module is the module path
+// from go.mod.
 func RepoAnalyzers(module string) []*Analyzer {
 	// The interprocedural checks share one call graph per run.
 	prog := NewProgram()

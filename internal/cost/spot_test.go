@@ -103,3 +103,46 @@ func TestGenerateSpotPricesZeroVolatilityIsFlat(t *testing.T) {
 		t.Fatalf("flat rate = %v, want 0.48", got)
 	}
 }
+
+// yearWalk is a year-long (8,760 h) seeded price walk: the per-pool
+// series a large simulated site generates once and bills against.
+var yearWalk = SpotSpec{OnDemandPerHour: 1.212, Volatility: 0.25, Horizon: 8760}
+
+// TestSpotCentsAllocs pins billing one metered interval against the
+// year-long walk to zero allocations.
+func TestSpotCentsAllocs(t *testing.T) {
+	s := GenerateSpotPrices(42, yearWalk)
+	var total int64
+	if got := testing.AllocsPerRun(100, func() { total += s.Cents(100.25, 8000.75) }); got != 0 {
+		t.Errorf("Cents over %d segments allocates %v per call, want 0", len(s.Segments), got)
+	}
+	if total == 0 {
+		t.Error("priced nothing")
+	}
+}
+
+// BenchmarkSpotPriceGen measures generating the year-long walk, the
+// setup cost a site pays once per pool.
+func BenchmarkSpotPriceGen(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if len(GenerateSpotPrices(42, yearWalk).Segments) == 0 {
+			b.Fatal("empty series")
+		}
+	}
+}
+
+// BenchmarkSpotBillCents measures pricing one metered interval against
+// the walk, the per-record cost of the billing scorecard.
+func BenchmarkSpotBillCents(b *testing.B) {
+	s := GenerateSpotPrices(42, yearWalk)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var total int64
+	for i := 0; i < b.N; i++ {
+		total += s.Cents(100.25, 8000.75)
+	}
+	if total == 0 {
+		b.Fatal("priced nothing")
+	}
+}

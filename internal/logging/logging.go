@@ -21,8 +21,8 @@
 //     components in exact emission order.
 //   - Attributes are lazy: an Attr stores the raw string/int/float and
 //     formats only when rendered, so the emit hot path stays
-//     allocation-bounded (<= 1 alloc/op steady-state, gated by
-//     BENCH_log.json and a testing.AllocsPerRun test).
+//     allocation-bounded (<= 1 alloc/op steady-state, gated by a
+//     testing.AllocsPerRun test).
 //   - Trace correlation is first-class: the *T method variants stamp the
 //     span's trace and span IDs into the record, so an incident window
 //     of logs joins against the trace store without parsing.

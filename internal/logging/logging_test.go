@@ -346,30 +346,37 @@ func TestDeterministicRecordsAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestEmitAllocs is the hot-path gate backing BENCH_log.json: a
-// steady-state emit (level check, ring write, counter bump) must cost at
-// most 1 alloc/op. The variadic attr slice is the one allowed
-// allocation; everything else lands in preallocated ring slots.
+// TestEmitAllocs is the hot-path allocation contract: a steady-state
+// emit (level check, ring write, counter bump), plain or traced, must
+// cost at most 1 alloc/op. The variadic attr array is the one allowed
+// allocation; everything else lands in preallocated ring slots. A
+// filtered emit must not even build that array, so it and a sampling
+// decision are free, and merging 2,048 records stays within 14
+// allocations. The emits are the benchmark bodies, attrs as literals.
 func TestEmitAllocs(t *testing.T) {
 	bus := telemetry.New()
 	now := 0.0
 	l := New(1, func() float64 { return now })
 	l.SetTelemetry(bus)
 	c := l.Component("serve")
-	attrs := []Attr{Str("replica", "r1"), Int("batch", 8), Float("wait", 0.015)}
-	c.Info("warmup", attrs...)
-	got := testing.AllocsPerRun(1000, func() {
-		c.Info("request batched", attrs...)
-	})
-	if got > 1 {
+	if got := testing.AllocsPerRun(1000, func() { emitRetained(c) }); got > 1 {
 		t.Fatalf("log emit = %v allocs/op, want <= 1", got)
 	}
-	// A level-filtered emit must be free.
-	gotOff := testing.AllocsPerRun(1000, func() {
-		c.Debug("dropped", attrs...)
-	})
-	if gotOff != 0 {
-		t.Fatalf("filtered emit = %v allocs/op, want 0", gotOff)
+	if got := testing.AllocsPerRun(1000, func() { emitFiltered(c) }); got != 0 {
+		t.Fatalf("filtered emit = %v allocs/op, want 0", got)
+	}
+	sp := trace.New(1, func() float64 { return now }).StartTrace("serve")
+	defer sp.FinishAt(1)
+	if got := testing.AllocsPerRun(1000, func() { emitTraced(c, sp) }); got > 1 {
+		t.Fatalf("traced emit = %v allocs/op, want <= 1", got)
+	}
+	s := l.Sampler("serve/batch", 0.25)
+	if got := testing.AllocsPerRun(1000, func() { s.Keep() }); got != 0 {
+		t.Fatalf("Sampler.Keep = %v allocs/op, want 0", got)
+	}
+	merged := mergeFixture()
+	if got := testing.AllocsPerRun(10, func() { merged.Records(0) }); got > 14 {
+		t.Fatalf("Records(0) over 2048 records = %v allocs/op, want <= 14", got)
 	}
 }
 

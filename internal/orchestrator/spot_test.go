@@ -15,7 +15,7 @@ import (
 
 // trainSite builds a 4-node bare-metal site with a 1-slot spot pool on
 // compute_liqid, an object store for checkpoints, and a controller.
-func trainSite(t *testing.T, poolCap int) (*simclock.Clock, *cloud.Cloud, *TrainController, *telemetry.Bus) {
+func trainSite(t testing.TB, poolCap int) (*simclock.Clock, *cloud.Cloud, *TrainController, *telemetry.Bus) {
 	t.Helper()
 	clk := simclock.New()
 	c := cloud.New("train-site", clk)
@@ -239,5 +239,28 @@ func TestTrainControllerDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("two identical runs diverged:\n%s\n----\n%s", a, b)
+	}
+}
+
+// BenchmarkSpotTrainRun measures a complete checkpoint-and-migrate
+// survival run: two training jobs on a one-slot spot pool, two
+// preemptions, final checkpoints, on-demand fallback, restore. It is the
+// end-to-end simulation throughput of the spot subsystem.
+func BenchmarkSpotTrainRun(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		clk, c, tc, _ := trainSite(b, 1)
+		for _, name := range []string{"a", "b"} {
+			if err := tc.Submit(trainSpec(name, 20)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		m := c.Spot()
+		clk.At(0.6, "bench.preempt", func() { _ = m.Preempt("compute_liqid") })
+		clk.At(1.3, "bench.preempt2", func() { _ = m.Preempt("compute_liqid") })
+		clk.Run()
+		if !tc.AllDone() {
+			b.Fatal("jobs did not complete")
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/course"
@@ -244,5 +245,35 @@ func TestSplitLabelSchemeCollisionFree(t *testing.T) {
 			}
 			seen[key] = fmt.Sprintf("student %d label %d", g, lbl)
 		}
+	}
+}
+
+// BenchmarkRun measures the sharded core's throughput at a mid-size and
+// at the million-student population, as students per second and heap
+// bytes allocated per student.
+func BenchmarkRun(b *testing.B) {
+	for _, bc := range []struct {
+		name     string
+		students int
+	}{
+		{"100k", 100_000},
+		{"1M", 1_000_000},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := shardsim.Run(shardsim.Config{Students: bc.students, Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			n := float64(b.N) * float64(bc.students)
+			b.ReportMetric(n/b.Elapsed().Seconds(), "students/s")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/student")
+		})
 	}
 }

@@ -138,6 +138,9 @@ func (r *Result) TotalFIPHours() float64 {
 // SimulateLabs runs the full guided-lab phase for cfg.Students students
 // on a fresh IaaS substrate and returns per-student, per-row usage.
 func SimulateLabs(cfg Config) (*Result, error) {
+	if cfg.Students < 0 {
+		return nil, fmt.Errorf("studentsim: negative Students %d", cfg.Students)
+	}
 	cfg = cfg.withDefaults()
 	n := cfg.Students
 	rng := stats.NewRNG(cfg.Seed)

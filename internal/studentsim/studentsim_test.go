@@ -186,6 +186,14 @@ func TestScalesWithEnrollment(t *testing.T) {
 	}
 }
 
+// A negative enrollment is an input error, as it is for shardsim.Run.
+func TestNegativeStudentsRejected(t *testing.T) {
+	_, err := SimulateLabs(Config{Students: -5})
+	if err == nil || err.Error() != "studentsim: negative Students -5" {
+		t.Fatalf("SimulateLabs(Students: -5) error = %v, want studentsim: negative Students -5", err)
+	}
+}
+
 func TestProjectsMatchPaperTotals(t *testing.T) {
 	res := SimulateProjects(ProjectConfig{Seed: 1})
 	paper := course.Paper()

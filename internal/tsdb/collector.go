@@ -64,7 +64,7 @@ type Collector struct {
 	planned  []*scrapePlan          // parallel to insts
 	instGen  uint64
 	instsOK  bool
-	snapPool sync.Pool // *[]telemetry.Metric, full-snapshot fallback only
+	snapBuf  []telemetry.Metric // full-snapshot fallback only, reused under mu
 
 	// Self-observation. The deterministic pipeline metrics
 	// (tsdb.scrapes, tsdb.scrape_samples, tsdb.series_count,
@@ -119,7 +119,6 @@ func NewCollector(db *DB, bus *telemetry.Bus, interval float64) *Collector {
 		plans:    map[string]*scrapePlan{},
 		self:     New(db.opts),
 	}
-	c.snapPool.New = func() any { return new([]telemetry.Metric) }
 	return c
 }
 
@@ -269,11 +268,10 @@ func (c *Collector) scrapeDelta(now float64) int {
 }
 
 // scrapeSnapshot is the full-snapshot fallback: one Bus.SnapshotAppend
-// into a pooled buffer, routed through the same plans so the stored
+// into the reused buffer, routed through the same plans so the stored
 // bytes match scrapeDelta exactly. Called with c.mu held.
 func (c *Collector) scrapeSnapshot(now float64) int {
-	bufp := c.snapPool.Get().(*[]telemetry.Metric)
-	snap := c.bus.SnapshotAppend((*bufp)[:0])
+	snap := c.bus.SnapshotAppend(c.snapBuf[:0])
 	n := 0
 	for i := range snap {
 		m := &snap[i]
@@ -313,8 +311,7 @@ func (c *Collector) scrapeSnapshot(now float64) int {
 			n++
 		}
 	}
-	*bufp = snap[:0]
-	c.snapPool.Put(bufp)
+	c.snapBuf = snap
 	return n
 }
 
