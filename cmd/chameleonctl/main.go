@@ -248,8 +248,8 @@ func main() {
 				fmt.Println("usage: advance <hours>")
 				break
 			}
-			h, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil || h < 0 {
+			h, ok := parseAdvanceHours(fields[1])
+			if !ok {
 				fmt.Println("bad hours:", fields[1])
 				break
 			}
@@ -606,6 +606,22 @@ func main() {
 		}
 		prompt()
 	}
+}
+
+// maxAdvanceHours caps one `advance` at a simulated year. Every hour
+// costs four scrapes, so two one-year advances already reach ~55 MB.
+const maxAdvanceHours = 8760
+
+// parseAdvanceHours parses the `advance` argument. It rejects NaN, which
+// would not move the clock, infinities and anything above
+// maxAdvanceHours, which would never return or exhaust memory, and
+// negatives.
+func parseAdvanceHours(arg string) (float64, bool) {
+	h, err := strconv.ParseFloat(arg, 64)
+	if err != nil || !(h >= 0 && h <= maxAdvanceHours) {
+		return 0, false
+	}
+	return h, true
 }
 
 // parseLogsArgs parses the `logs` command's arguments: an optional

@@ -134,3 +134,32 @@ func TestParseLogsArgs(t *testing.T) {
 		}
 	}
 }
+
+func TestParseAdvanceHours(t *testing.T) {
+	for _, tc := range []struct {
+		arg  string
+		want float64
+		ok   bool
+	}{
+		{"0", 0, true},
+		{"5", 5, true},
+		{"0.25", 0.25, true},
+		{"8760", 8760, true},
+		{"8760.5", 0, false},
+		{"1e308", 0, false},
+		{"1e400", 0, false},
+		{"-1", 0, false},
+		{"nan", 0, false},
+		{"NaN", 0, false},
+		{"inf", 0, false},
+		{"+Inf", 0, false},
+		{"-inf", 0, false},
+		{"soon", 0, false},
+		{"", 0, false},
+	} {
+		got, ok := parseAdvanceHours(tc.arg)
+		if ok != tc.ok || got != tc.want {
+			t.Errorf("parseAdvanceHours(%q) = %v, %v; want %v, %v", tc.arg, got, ok, tc.want, tc.ok)
+		}
+	}
+}

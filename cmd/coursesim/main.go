@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -36,25 +38,42 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("coursesim: ")
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
+
+// run prints the requested report to out and returns the exit code: 0 on
+// success, 1 on a failed run, 2 on a flag the parser rejects. The default
+// report at seed 1 is pinned by testdata/default-seed1.golden.
+func run(args []string, out io.Writer) int {
+	fs := flag.NewFlagSet("coursesim", flag.ContinueOnError)
 	var (
-		students = flag.Int("students", course.Enrollment, "enrollment")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
-		table1   = flag.Bool("table1", false, "print Table 1")
-		fig1     = flag.Bool("fig1", false, "print Fig 1 (expected vs actual)")
-		fig2     = flag.Bool("fig2", false, "print Fig 2 (cost distribution)")
-		fig3     = flag.Bool("fig3", false, "print Fig 3 (project usage)")
-		summary  = flag.Bool("summary", false, "print headline totals")
-		quota    = flag.Bool("quota", false, "print peak concurrency vs quota")
-		reserve  = flag.Bool("reservations", false, "print GPU reservation plan")
-		supp     = flag.Bool("support", false, "print forum/office-hour support load")
-		csvDir   = flag.String("csv", "", "also write table1/fig1/fig2/fig3 CSVs to this directory")
-		platf    = flag.Bool("platforms", false, "print the §4 platform capability matrix")
-		seeds    = flag.Int("seeds", 0, "run N extra seeds and print headline mean/std (robustness check)")
-		sharded  = flag.Bool("sharded", false, "run the sharded parallel core and print its report")
-		shardsz  = flag.Int("shardsize", 0, "students per shard (sharded mode; 0 = default 4096)")
-		workers  = flag.Int("workers", 0, "worker goroutines (sharded mode; 0 = GOMAXPROCS)")
+		students = fs.Int("students", course.Enrollment, "enrollment")
+		seed     = fs.Uint64("seed", 1, "simulation seed")
+		table1   = fs.Bool("table1", false, "print Table 1")
+		fig1     = fs.Bool("fig1", false, "print Fig 1 (expected vs actual)")
+		fig2     = fs.Bool("fig2", false, "print Fig 2 (cost distribution)")
+		fig3     = fs.Bool("fig3", false, "print Fig 3 (project usage)")
+		summary  = fs.Bool("summary", false, "print headline totals")
+		quota    = fs.Bool("quota", false, "print peak concurrency vs quota")
+		reserve  = fs.Bool("reservations", false, "print GPU reservation plan")
+		supp     = fs.Bool("support", false, "print forum/office-hour support load")
+		csvDir   = fs.String("csv", "", "also write table1/fig1/fig2/fig3 CSVs to this directory")
+		platf    = fs.Bool("platforms", false, "print the §4 platform capability matrix")
+		seeds    = fs.Int("seeds", 0, "run N extra seeds and print headline mean/std (robustness check)")
+		sharded  = fs.Bool("sharded", false, "run the sharded parallel core and print its report")
+		shardsz  = fs.Int("shardsize", 0, "students per shard (sharded mode; 0 = default 4096)")
+		workers  = fs.Int("workers", 0, "worker goroutines (sharded mode; 0 = GOMAXPROCS)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		log.Print(err)
+		return 1
+	}
 	if *sharded {
 		rep, err := shardsim.Run(shardsim.Config{
 			Students:  *students,
@@ -63,18 +82,17 @@ func main() {
 			Workers:   *workers,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
-		fmt.Print(report.Sharded(rep))
-		return
+		fmt.Fprint(out, report.Sharded(rep))
+		return 0
 	}
 	all := !(*table1 || *fig1 || *fig2 || *fig3 || *summary || *quota || *reserve || *supp || *platf)
 
 	s, err := core.Planner{Students: *students, Seed: *seed}.Run()
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
-	out := os.Stdout
 	paper := course.Paper()
 
 	if all || *summary {
@@ -91,13 +109,15 @@ func main() {
 			s.PerStudentAWS, s.PerStudentGCP)
 	}
 	if *seeds > 1 {
-		printSeedSweep(out, *students, *seeds)
+		if err := printSeedSweep(out, *students, *seeds); err != nil {
+			return fail(err)
+		}
 	}
 	if all || *table1 {
 		fmt.Fprintln(out, "Table 1: usage and estimated cost by lab assignment and node type")
 		t, err := report.Table1(s.Labs)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		fmt.Fprintln(out, t)
 	}
@@ -108,7 +128,7 @@ func main() {
 		for _, p := range []cost.Provider{cost.AWS, cost.GCP} {
 			f, err := report.Fig2(s.Labs, p)
 			if err != nil {
-				log.Fatal(err)
+				return fail(err)
 			}
 			fmt.Fprintln(out, f)
 		}
@@ -142,7 +162,7 @@ func main() {
 	}
 	if *csvDir != "" {
 		if err := writeCSVs(*csvDir, s); err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		fmt.Fprintf(out, "wrote CSVs to %s\n\n", *csvDir)
 	}
@@ -160,6 +180,7 @@ func main() {
 		}
 		fmt.Fprintln(out, report.Table(rows))
 	}
+	return 0
 }
 
 // writeCSVs emits the machine-readable figure data.
@@ -187,12 +208,12 @@ func writeCSVs(dir string, s *core.Summary) error {
 }
 
 // printSeedSweep reports headline stability across seeds.
-func printSeedSweep(out *os.File, students, n int) {
+func printSeedSweep(out io.Writer, students, n int) error {
 	var hours, aws []float64
 	for seed := 1; seed <= n; seed++ {
 		s, err := core.Planner{Students: students, Seed: uint64(seed)}.Run()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		hours = append(hours, s.LabInstanceHours)
 		aws = append(aws, s.LabCostAWS)
@@ -201,4 +222,5 @@ func printSeedSweep(out *os.File, students, n int) {
 	a := stats.Summarize(aws)
 	fmt.Fprintf(out, "robustness over %d seeds: lab hours %.0f ± %.0f (%.2f%%), AWS cost $%.0f ± $%.0f\n\n",
 		n, h.Mean, h.Std, 100*h.Std/h.Mean, a.Mean, a.Std)
+	return nil
 }

@@ -41,6 +41,7 @@ type Cloud struct {
 	hosts     []*Host
 	projects  map[string]*Project
 	instances map[string]*Instance
+	launched  []*Instance // every instance ever launched, in launch order
 	networks  map[string]*Network
 	subnets   map[string]*Subnet
 	routers   map[string]*Router
@@ -277,6 +278,7 @@ func (c *Cloud) Launch(spec LaunchSpec) (*Instance, error) {
 	p.Usage.Cores += spec.Flavor.VCPUs
 	p.Usage.RAMGB += spec.Flavor.RAMGB
 	c.instances[inst.ID] = inst
+	c.launched = append(c.launched, inst)
 	// API-call phases: placement, boot, and metering-start. In the sim
 	// these are instantaneous (boot latency is the caller's model), so the
 	// spans record causality, not latency.
@@ -427,15 +429,14 @@ func (c *Cloud) Get(instanceID string) (*Instance, error) {
 // List returns instances matching the filter (nil = all), sorted by ID
 // for deterministic output. The filter runs outside the cloud lock (on a
 // snapshot of the instance set), so it may safely call back into the
-// Cloud — e.g. to consult quotas — without deadlocking.
+// Cloud — e.g. to consult quotas — without deadlocking. The snapshot is
+// in launch order, which is ID order until IDs outgrow six digits, so
+// the sort is nearly free.
 func (c *Cloud) List(filter func(*Instance) bool) []*Instance {
 	c.mu.Lock()
-	all := make([]*Instance, 0, len(c.instances))
-	for _, inst := range c.instances {
-		all = append(all, inst)
-	}
+	all := append([]*Instance(nil), c.launched...)
 	c.mu.Unlock()
-	var out []*Instance
+	out := all[:0]
 	for _, inst := range all {
 		if filter == nil || filter(inst) {
 			out = append(out, inst)

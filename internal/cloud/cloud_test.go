@@ -394,6 +394,18 @@ func TestFlavorCatalog(t *testing.T) {
 	}
 }
 
+// The catalog is built once: a lookup, which the peak-concurrency sweep
+// makes per metered record, allocates nothing.
+func TestFlavorByNameAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := FlavorByName("m1.medium"); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("FlavorByName: %v allocs, want 0", got)
+	}
+}
+
 func TestListFilterSorted(t *testing.T) {
 	c, _ := newTestCloud()
 	for i := 0; i < 5; i++ {

@@ -96,9 +96,8 @@ var (
 	RaspberryPi5 = Flavor{Name: "raspberrypi5", Class: ClassEdge, VCPUs: 4, RAMGB: 8, DiskGB: 64}
 )
 
-// Flavors lists the full catalog, keyed by name, for lookup by CLIs and
-// the course definition.
-func Flavors() map[string]Flavor {
+// flavors is the catalog keyed by name, built once for FlavorByName.
+var flavors = func() map[string]Flavor {
 	m := map[string]Flavor{}
 	for _, f := range []Flavor{
 		M1Small, M1Medium, M1Large, M1XLarge,
@@ -108,11 +107,12 @@ func Flavors() map[string]Flavor {
 		m[f.Name] = f
 	}
 	return m
-}
+}()
 
-// FlavorByName looks up a catalog flavor.
+// FlavorByName looks up a catalog flavor for CLIs and the course
+// definition.
 func FlavorByName(name string) (Flavor, error) {
-	f, ok := Flavors()[name]
+	f, ok := flavors[name]
 	if !ok {
 		return Flavor{}, fmt.Errorf("cloud: unknown flavor %q", name)
 	}

@@ -91,6 +91,15 @@ func (m *Meter) Records(filter func(*UsageRecord) bool) []UsageRecord {
 	return out
 }
 
+// Each calls fn on every record in metering order. Unlike Records it
+// copies nothing: fn sees the live record and must not modify or retain
+// it.
+func (m *Meter) Each(fn func(*UsageRecord)) {
+	for _, r := range m.records {
+		fn(r)
+	}
+}
+
 // TotalHours sums Hours(now) over records matching the filter.
 func (m *Meter) TotalHours(now float64, filter func(*UsageRecord) bool) float64 {
 	var total float64

@@ -127,9 +127,9 @@ func PeakConcurrency(labs *studentsim.Result) PeakUsage {
 	}
 	var events []event
 	now := labs.Clock.Now()
-	for _, rec := range labs.Cloud.Meter().Records(nil) {
+	labs.Cloud.Meter().Each(func(rec *cloud.UsageRecord) {
 		if rec.Project != "course" {
-			continue // quota applies to the KVM site project only
+			return // quota applies to the KVM site project only
 		}
 		end := rec.End
 		if end < 0 {
@@ -139,7 +139,7 @@ func PeakConcurrency(labs *studentsim.Result) PeakUsage {
 		case cloud.UsageInstance:
 			f, err := cloud.FlavorByName(rec.Resource)
 			if err != nil {
-				continue
+				return
 			}
 			events = append(events,
 				event{t: rec.Start, insts: 1, cores: f.VCPUs, ram: f.RAMGB},
@@ -147,7 +147,7 @@ func PeakConcurrency(labs *studentsim.Result) PeakUsage {
 		case cloud.UsageFloatingIP:
 			events = append(events, event{t: rec.Start, fips: 1}, event{t: end, fips: -1})
 		}
-	}
+	})
 	sort.Slice(events, func(i, j int) bool {
 		if events[i].t != events[j].t {
 			return events[i].t < events[j].t

@@ -13,6 +13,7 @@ package lease
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -250,13 +251,14 @@ func (s *Service) tryBookLocked(spec Spec) (*Reservation, error) {
 		telemetry.String("node_type", r.NodeType),
 		telemetry.String("node", r.Node))
 	r.waitSpan = r.span.StartChild("lease.wait")
-	s.scheduleLifecycleLocked(r)
+	s.scheduleLifecycleLocked(r, p.flavor)
 	return r, nil
 }
 
 // scheduleLifecycleLocked arms the launch/terminate events when a cloud
-// is attached.
-func (s *Service) scheduleLifecycleLocked(r *Reservation) {
+// is attached. Activation launches the pool's flavor: AddPool registered
+// the matching bare-metal hosts for it.
+func (s *Service) scheduleLifecycleLocked(r *Reservation, flavor cloud.Flavor) {
 	if s.cloud == nil {
 		return
 	}
@@ -272,7 +274,7 @@ func (s *Service) scheduleLifecycleLocked(r *Reservation) {
 		inst, err := s.cloud.Launch(cloud.LaunchSpec{
 			Project: r.Project,
 			Name:    fmt.Sprintf("%s-%s", r.User, r.NodeType),
-			Flavor:  mustFlavor(r.NodeType),
+			Flavor:  flavor,
 			Tags:    r.Tags,
 			Span:    span,
 		})
@@ -339,14 +341,6 @@ func (s *Service) scheduleLifecycleLocked(r *Reservation) {
 	s.clock.At(r.Start, "lease.start "+r.ID, func() { start(8) })
 }
 
-func mustFlavor(name string) cloud.Flavor {
-	f, err := cloud.FlavorByName(name)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // Cancel withdraws a reservation. Cancelling after activation deletes the
 // backing instance immediately.
 func (s *Service) Cancel(id string) error {
@@ -400,55 +394,72 @@ func (s *Service) Get(id string) (*Reservation, error) {
 func (s *Service) FindSlot(nodeType string, earliest, duration, horizon float64) (float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.findSlotLocked(nodeType, earliest, duration, horizon)
+}
+
+// findSlotLocked searches node by node and keeps the earliest start. A
+// feasible window on a node stays feasible when it slides back to the
+// node's latest candidate at or before it: earliest, one of the node's
+// booking ends, or a hold start. So the earliest feasible candidate over
+// all nodes is the earliest feasible start.
+func (s *Service) findSlotLocked(nodeType string, earliest, duration, horizon float64) (float64, error) {
 	p, ok := s.pools[nodeType]
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoPool, nodeType)
 	}
-	// Candidate start times: earliest itself, every reservation end, and
-	// every hold start after earliest.
-	cands := []float64{earliest}
-	for _, list := range p.byNode {
-		for _, r := range list {
-			if r.End >= earliest {
-				cands = append(cands, r.End)
+	best := math.Inf(1)
+	for _, n := range p.nodes {
+		if start, ok := p.slotOn(p.byNode[n], earliest, duration, horizon, best); ok {
+			best = start
+		}
+	}
+	if math.IsInf(best, 1) {
+		return 0, fmt.Errorf("%w: %s for %.1fh before %.1f", ErrNoNodeFree, nodeType, duration, horizon)
+	}
+	return best, nil
+}
+
+// slotOn returns the first candidate start below before at which one
+// node, whose bookings are list, is free for duration hours inside the
+// horizon and, if the pool has holds, inside one. It walks only the
+// bookings that end after earliest.
+func (p *pool) slotOn(list []*Reservation, earliest, duration, horizon, before float64) (float64, bool) {
+	start := earliest
+	i := endsAfter(list, start)
+	for start < before {
+		end := start + duration
+		if end > horizon {
+			return 0, false
+		}
+		if (len(p.holds) == 0 || insideAnyHold(p.holds, start, end)) &&
+			(i == len(list) || !overlaps(start, end, list[i].Start, list[i].End)) {
+			return start, true
+		}
+		// Next candidate: the next booking end or hold start after start.
+		next := math.Inf(1)
+		if i < len(list) {
+			next = list[i].End
+		}
+		for _, h := range p.holds {
+			if h.start > start && h.start < next {
+				next = h.start
 			}
 		}
-	}
-	for _, h := range p.holds {
-		if h.start >= earliest {
-			cands = append(cands, h.start)
+		start = next
+		for i < len(list) && list[i].End <= start {
+			i++
 		}
 	}
-	sort.Float64s(cands)
-	for _, start := range cands {
-		if start < earliest || start+duration > horizon {
-			continue
-		}
-		if len(p.holds) > 0 && !insideAnyHold(p.holds, start, start+duration) {
-			continue
-		}
-		for _, n := range p.nodes {
-			if nodeFree(p.byNode[n], start, start+duration) {
-				return start, nil
-			}
-		}
-	}
-	return 0, fmt.Errorf("%w: %s for %.1fh before %.1f", ErrNoNodeFree, nodeType, duration, horizon)
+	return 0, false
 }
 
 // BookEarliest finds the earliest feasible slot and books it, a common
-// studentsim operation.
+// studentsim operation. Search and booking share one critical section,
+// so concurrent callers never race for the same slot.
 func (s *Service) BookEarliest(spec Spec, duration, horizon float64) (*Reservation, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.pools[spec.NodeType]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoPool, spec.NodeType)
-	}
-	_ = p
-	s.mu.Unlock()
-	start, err := s.FindSlot(spec.NodeType, spec.Start, duration, horizon)
-	s.mu.Lock()
+	start, err := s.findSlotLocked(spec.NodeType, spec.Start, duration, horizon)
 	if err != nil {
 		return nil, err
 	}
@@ -515,13 +526,18 @@ func (s *Service) Reservations(nodeType string) []*Reservation {
 	return out
 }
 
+// nodeFree reports whether no booking in list overlaps [start, end). Only
+// the first booking ending after start can: the ones after it start later.
 func nodeFree(list []*Reservation, start, end float64) bool {
-	for _, r := range list {
-		if overlaps(start, end, r.Start, r.End) {
-			return false
-		}
-	}
-	return true
+	i := endsAfter(list, start)
+	return i == len(list) || !overlaps(start, end, list[i].Start, list[i].End)
+}
+
+// endsAfter returns the index of the first booking in list that ends
+// after t. A node's bookings are disjoint and sorted by start, so they
+// are sorted by end too.
+func endsAfter(list []*Reservation, t float64) int {
+	return sort.Search(len(list), func(i int) bool { return list[i].End > t })
 }
 
 func insideAnyHold(holds []window, start, end float64) bool {
