@@ -19,8 +19,8 @@ vet:
 
 # Repo-native static analysis: wallclock, mapalias, lockedcallback,
 # unchecked, spanleak, and the interprocedural maprange / globalrand /
-# floatmerge checks (see README "Static analysis"). Exits 1 on findings,
-# 2 if the lint run itself failed.
+# floatmerge / deadcode checks (see README "Static analysis"). Exits 1 on
+# findings, 2 if the lint run itself failed.
 lint:
 	$(GO) run ./cmd/mlsyslint
 
@@ -29,23 +29,23 @@ race:
 
 # Seeded chaos suite: the fault-injection engine, the resilience
 # primitives, and the cross-package fault paths (host failure/evacuation,
-# quota-vs-lease races, dead-rank ring reformation, replica circuit
-# breaking), all under the race detector. Everything here is driven by
-# fixed seeds, so failures reproduce byte-for-byte.
+# quota-vs-lease races, dead-rank ring reformation), all under the race
+# detector. Everything here is driven by fixed seeds, so failures
+# reproduce byte-for-byte.
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/ ./internal/resilience/
-	$(GO) test -race -count=1 -run 'Resilien|Fail|Errored|Reform|Replica|Evacuat|MTTR|TrySubmit|RetryPolicy|InjectedVolume' \
-		./internal/cloud/ ./internal/orchestrator/ ./internal/collective/ ./internal/serve/ ./internal/lease/ ./internal/jobs/ ./internal/blockstore/
+	$(GO) test -race -count=1 -run 'Resilien|Fail|Errored|Reform|Replica|Evacuat|MTTR' \
+		./internal/cloud/ ./internal/orchestrator/ ./internal/collective/ ./internal/lease/ ./internal/jobs/
 
 # Tracing suite: deterministic span IDs, critical-path extraction,
 # byte-identical Chrome exports across same-seed runs, per-trace cost
 # reconciliation, and the end-to-end propagation paths (lease, cloud,
-# jobs, serve, collective) — all under the race detector, since spans
-# are created from concurrent request paths.
+# serve, collective) — all under the race detector, since spans are
+# created from concurrent request paths.
 trace:
 	$(GO) test -race -count=1 ./internal/trace/
 	$(GO) test -race -count=1 -run 'Trace|Span' \
-		./internal/report/ ./internal/serve/ ./internal/jobs/
+		./internal/report/ ./internal/serve/
 
 # Monitoring suite: the TSDB store, PromQL-lite engine, collector, and
 # alert/SLO layer under the race detector (the scrape-while-emit and
@@ -83,7 +83,7 @@ sim:
 # bill reconciliation, and trace tree must be byte-identical across
 # same-seed runs.
 spot:
-	$(GO) test -race -count=1 -run 'Spot|Preempt|Checkpoint|Train|Backoff|HalfOpen|Young' \
+	$(GO) test -race -count=1 -run 'Spot|Preempt|Checkpoint|Train|Young' \
 		./internal/cloud/ ./internal/cost/ ./internal/chaos/ ./internal/resilience/ \
 		./internal/orchestrator/ ./internal/train/ ./internal/report/ ./cmd/chameleonctl/
 	@mkdir -p out

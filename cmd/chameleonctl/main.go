@@ -283,9 +283,9 @@ func main() {
 				fmt.Println("usage: sched <fifo|backfill|fairshare|preemptive> <jobs> <gpus>")
 				break
 			}
-			njobs, err1 := strconv.Atoi(fields[2])
-			gpus, err2 := strconv.Atoi(fields[3])
-			if err1 != nil || err2 != nil || njobs < 1 || gpus < 1 {
+			njobs, ok := parseCount(fields[2])
+			gpus, err := strconv.Atoi(fields[3])
+			if !ok || err != nil || gpus < 1 {
 				fmt.Println("bad jobs/gpus:", fields[2], fields[3])
 				break
 			}
@@ -330,8 +330,8 @@ func main() {
 				fmt.Println("usage: batch <n>")
 				break
 			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 1 {
+			n, ok := parseCount(fields[1])
+			if !ok {
 				fmt.Println("bad count:", fields[1])
 				break
 			}
@@ -622,6 +622,23 @@ func parseAdvanceHours(arg string) (float64, bool) {
 		return 0, false
 	}
 	return h, true
+}
+
+// maxCount bounds the `sched` job count and the `batch` request count.
+// Each job or request costs memory, and each `batch` request a
+// goroutine: at 100,000, `sched fifo` takes ~0.4 s and `batch` ~1 s on a
+// 2-vCPU host, while 200,000,000 jobs or 20,000,000 requests run out of
+// memory.
+const maxCount = 100_000
+
+// parseCount parses a `sched` job count or a `batch` request count: a
+// positive integer no larger than maxCount.
+func parseCount(arg string) (int, bool) {
+	n, err := strconv.Atoi(arg)
+	if err != nil || n < 1 || n > maxCount {
+		return 0, false
+	}
+	return n, true
 }
 
 // parseLogsArgs parses the `logs` command's arguments: an optional

@@ -163,3 +163,29 @@ func TestParseAdvanceHours(t *testing.T) {
 		}
 	}
 }
+
+func TestParseCount(t *testing.T) {
+	for _, tc := range []struct {
+		arg  string
+		want int
+		ok   bool
+	}{
+		{"1", 1, true},
+		{"25", 25, true},
+		{"100000", 100000, true},
+		{"100001", 0, false},
+		{"20000000", 0, false},
+		{"200000000", 0, false},
+		{"0", 0, false},
+		{"-3", 0, false},
+		{"1e5", 0, false},
+		{"2.5", 0, false},
+		{"many", 0, false},
+		{"", 0, false},
+	} {
+		got, ok := parseCount(tc.arg)
+		if ok != tc.ok || got != tc.want {
+			t.Errorf("parseCount(%q) = %v, %v; want %v, %v", tc.arg, got, ok, tc.want, tc.ok)
+		}
+	}
+}

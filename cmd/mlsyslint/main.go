@@ -8,9 +8,9 @@
 //
 // With no positional arguments every check runs (wallclock, mapalias,
 // lockedcallback, unchecked, spanleak, and the interprocedural
-// maprange, globalrand, floatmerge); naming checks runs that subset,
-// e.g. `mlsyslint maprange`. See internal/analysis for the check
-// taxonomy and the //lint:ignore suppression syntax.
+// maprange, globalrand, floatmerge, deadcode); naming checks runs that
+// subset, e.g. `mlsyslint maprange`. See internal/analysis for the
+// check taxonomy and the //lint:ignore suppression syntax.
 //
 // Flags:
 //

@@ -9,6 +9,8 @@ import (
 
 // writeModule lays out a throwaway module for exercising the CLI
 // end-to-end: exit codes, SARIF emission, and the baseline workflow.
+// Fixture sources go under pkg/, so the deadcode check counts their
+// exports as public API.
 func writeModule(t *testing.T, files map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -44,14 +46,14 @@ func Dump(rows map[string]int) {
 `
 
 func TestExitCodeClean(t *testing.T) {
-	dir := writeModule(t, map[string]string{"clean.go": cleanSrc})
+	dir := writeModule(t, map[string]string{"pkg/clean.go": cleanSrc})
 	if got := run([]string{"-root", dir, "-q"}); got != exitClean {
 		t.Errorf("exit = %d, want %d (clean)", got, exitClean)
 	}
 }
 
 func TestExitCodeFindings(t *testing.T) {
-	dir := writeModule(t, map[string]string{"dump.go": findingSrc})
+	dir := writeModule(t, map[string]string{"pkg/dump.go": findingSrc})
 	if got := run([]string{"-root", dir, "-q"}); got != exitFindings {
 		t.Errorf("exit = %d, want %d (findings)", got, exitFindings)
 	}
@@ -65,18 +67,18 @@ func TestExitCodeLoadError(t *testing.T) {
 }
 
 func TestExitCodeUnknownCheck(t *testing.T) {
-	dir := writeModule(t, map[string]string{"clean.go": cleanSrc})
+	dir := writeModule(t, map[string]string{"pkg/clean.go": cleanSrc})
 	if got := run([]string{"-root", dir, "-q", "nosuchcheck"}); got != exitError {
 		t.Errorf("exit = %d, want %d (unknown check)", got, exitError)
 	}
 }
 
 func TestFixRewritesAndExitsClean(t *testing.T) {
-	dir := writeModule(t, map[string]string{"dump.go": findingSrc})
+	dir := writeModule(t, map[string]string{"pkg/dump.go": findingSrc})
 	if got := run([]string{"-root", dir, "-q", "-fix"}); got != exitClean {
 		t.Errorf("exit after -fix = %d, want %d", got, exitClean)
 	}
-	fixed, err := os.ReadFile(filepath.Join(dir, "dump.go"))
+	fixed, err := os.ReadFile(filepath.Join(dir, "pkg", "dump.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestFixRewritesAndExitsClean(t *testing.T) {
 }
 
 func TestSARIFFile(t *testing.T) {
-	dir := writeModule(t, map[string]string{"dump.go": findingSrc})
+	dir := writeModule(t, map[string]string{"pkg/dump.go": findingSrc})
 	out := filepath.Join(t.TempDir(), "lint.sarif")
 	if got := run([]string{"-root", dir, "-q", "-sarif", out}); got != exitFindings {
 		t.Fatalf("exit = %d, want %d", got, exitFindings)
@@ -118,7 +120,7 @@ func TestSARIFFile(t *testing.T) {
 }
 
 func TestBaselineWorkflow(t *testing.T) {
-	dir := writeModule(t, map[string]string{"dump.go": findingSrc})
+	dir := writeModule(t, map[string]string{"pkg/dump.go": findingSrc})
 	baseline := filepath.Join(dir, "lint.baseline.json")
 
 	// Record today's findings; the gate then passes against them.
@@ -130,7 +132,7 @@ func TestBaselineWorkflow(t *testing.T) {
 	}
 
 	// New debt is not grandfathered.
-	extra := filepath.Join(dir, "more.go")
+	extra := filepath.Join(dir, "pkg", "more.go")
 	src := "package fixmod\n\nimport \"fmt\"\n\nfunc More(rows map[string]int) {\n\tfor k := range rows {\n\t\tfmt.Println(k)\n\t}\n}\n"
 	if err := os.WriteFile(extra, []byte(src), 0o644); err != nil {
 		t.Fatal(err)

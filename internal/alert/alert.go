@@ -1,5 +1,4 @@
-// Package alert evaluates recording rules, alert rules, and SLO
-// burn-rate rules against the metrics TSDB — the Alertmanager-shaped
+// Package alert evaluates alert rules and SLO burn-rate rules against the metrics TSDB — the Alertmanager-shaped
 // layer of the observability stack the Unit 6/7 labs have students build
 // with Prometheus.
 //
@@ -57,14 +56,6 @@ type Rule struct {
 	Severity string
 }
 
-// RecordingRule evaluates an expression on every engine step and writes
-// the result back into the DB under the rule's name — precomputation for
-// dashboards and for layering rules on rules.
-type RecordingRule struct {
-	Name string
-	Expr string
-}
-
 // Instance is the live state of one (rule, label set) pair.
 type Instance struct {
 	Rule        string
@@ -97,25 +88,18 @@ func (t Transition) String() string {
 type Engine struct {
 	db    *tsdb.DB
 	rules []rule
-	recs  []recording
 	slos  []*SLO
 
 	active   map[string]*Instance // key: rule name + label signature
 	timeline []Transition
-	steps    int64
 	errs     []string // rule-evaluation errors, deterministic order
 	onTrans  []func(Transition)
 }
 
-// rule and recording are registered rules with their expressions parsed
-// once, at registration.
+// rule is a registered rule with its expression parsed once, at
+// registration.
 type rule struct {
 	Rule
-	query
-}
-
-type recording struct {
-	RecordingRule
 	query
 }
 
@@ -145,16 +129,8 @@ func NewEngine(db *tsdb.DB) *Engine {
 	return &Engine{db: db, active: map[string]*Instance{}}
 }
 
-// DB returns the engine's store.
-func (e *Engine) DB() *tsdb.DB { return e.db }
-
 // AddRule registers an alert rule and parses its expression.
 func (e *Engine) AddRule(r Rule) { e.rules = append(e.rules, rule{r, parseQuery(r.Expr)}) }
-
-// AddRecordingRule registers a recording rule and parses its expression.
-func (e *Engine) AddRecordingRule(r RecordingRule) {
-	e.recs = append(e.recs, recording{r, parseQuery(r.Expr)})
-}
 
 // AddSLO registers an SLO; its multi-window burn-rate rules are
 // evaluated on every step and its scorecard becomes available from
@@ -194,36 +170,14 @@ func (e *Engine) SLOs() []SLO {
 // delivered to each hook exactly once.
 func (e *Engine) OnTransition(fn func(Transition)) { e.onTrans = append(e.onTrans, fn) }
 
-// Steps returns how many evaluations have run.
-func (e *Engine) Steps() int64 { return e.steps }
-
 // Errors returns rule-evaluation errors collected so far (bad
 // expressions, type mismatches, SLO selectors that are not instant
 // selectors). Healthy rulesets keep this empty.
 func (e *Engine) Errors() []string { return append([]string(nil), e.errs...) }
 
-// Step evaluates everything at time now: recording rules first (so alert
-// rules can reference their output from this same step), then alert
-// rules, then SLO burn-rate rules.
+// Step evaluates everything at time now: alert rules, then SLO
+// burn-rate rules.
 func (e *Engine) Step(now float64) {
-	e.steps++
-	for _, r := range e.recs {
-		v, err := r.eval(e.db, now)
-		if err != nil {
-			e.recordErr(r.Name, err)
-			continue
-		}
-		switch v := v.(type) {
-		case tsdb.Scalar:
-			e.db.Append(r.Name, nil, now, float64(v))
-		case tsdb.Vector:
-			for _, s := range v {
-				e.db.Append(r.Name, s.Labels, now, s.V)
-			}
-		default:
-			e.recordErr(r.Name, fmt.Errorf("recording rule yielded a %T", v))
-		}
-	}
 	for _, r := range e.rules {
 		v, err := r.eval(e.db, now)
 		if err != nil {

@@ -9,7 +9,7 @@ import (
 
 // stepGauge appends a gauge sample and runs one engine step at t.
 func stepGauge(e *Engine, name string, t, v float64) {
-	e.DB().Append(name, nil, t, v)
+	e.db.AppendRef(e.db.Ref(name, nil), t, v)
 	e.Step(t)
 }
 
@@ -88,17 +88,17 @@ func TestZeroForFiresImmediately(t *testing.T) {
 func TestPerLabelSetInstances(t *testing.T) {
 	e := NewEngine(tsdb.New(tsdb.Options{}))
 	e.AddRule(Rule{Name: "Hot", Expr: "load > 5", For: 0})
-	db := e.DB()
-	db.Append("load", tsdb.NewLabels(tsdb.L("host", "a")), 1, 10)
-	db.Append("load", tsdb.NewLabels(tsdb.L("host", "b")), 1, 3)
+	db := e.db
+	db.AppendRef(db.Ref("load", tsdb.NewLabels(tsdb.L("host", "a"))), 1, 10)
+	db.AppendRef(db.Ref("load", tsdb.NewLabels(tsdb.L("host", "b"))), 1, 3)
 	e.Step(1)
 	got := e.Active()
 	if len(got) != 1 || got[0].Labels.Get("host") != "a" {
 		t.Fatalf("only host=a should alert: %+v", got)
 	}
 	// host=b crosses, host=a recovers: independent lifecycles.
-	db.Append("load", tsdb.NewLabels(tsdb.L("host", "a")), 1.25, 1)
-	db.Append("load", tsdb.NewLabels(tsdb.L("host", "b")), 1.25, 9)
+	db.AppendRef(db.Ref("load", tsdb.NewLabels(tsdb.L("host", "a"))), 1.25, 1)
+	db.AppendRef(db.Ref("load", tsdb.NewLabels(tsdb.L("host", "b"))), 1.25, 9)
 	e.Step(1.25)
 	got = e.Active()
 	if len(got) != 1 || got[0].Labels.Get("host") != "b" {
@@ -108,43 +108,16 @@ func TestPerLabelSetInstances(t *testing.T) {
 
 func TestEmptyRulesetIsNoOp(t *testing.T) {
 	db := tsdb.New(tsdb.Options{})
-	db.Append("g", nil, 1, 5)
-	before := db.Dump()
+	db.AppendRef(db.Ref("g", nil), 1, 5)
 	e := NewEngine(db)
 	for i := 0; i < 10; i++ {
 		e.Step(1 + float64(i)*0.25)
 	}
-	if db.Dump() != before {
-		t.Error("armed engine with no rules changed the DB")
+	if got := db.Select("g", nil); db.SeriesCount() != 1 || len(got) != 1 || len(got[0].Points) != 1 {
+		t.Errorf("armed engine with no rules changed the DB: %d series, %+v", db.SeriesCount(), got)
 	}
 	if len(e.Timeline()) != 0 || len(e.Active()) != 0 || len(e.Errors()) != 0 {
 		t.Error("armed engine with no rules produced output")
-	}
-	if e.Steps() != 10 {
-		t.Errorf("steps = %d", e.Steps())
-	}
-}
-
-func TestRecordingRules(t *testing.T) {
-	e := NewEngine(tsdb.New(tsdb.Options{}))
-	e.AddRecordingRule(RecordingRule{Name: "load:doubled", Expr: "load * 2"})
-	e.AddRecordingRule(RecordingRule{Name: "const:answer", Expr: "6 * 7"})
-	// An alert rule can reference a recording rule written the same step.
-	e.AddRule(Rule{Name: "Doubled", Expr: "load:doubled > 15", For: 0})
-	db := e.DB()
-	db.Append("load", tsdb.NewLabels(tsdb.L("host", "a")), 1, 10)
-	e.Step(1)
-
-	v, err := db.Query(`load:doubled{host="a"}`, 1)
-	if err != nil || len(v.(tsdb.Vector)) != 1 || v.(tsdb.Vector)[0].V != 20 {
-		t.Errorf("vector recording rule: %v, %v", v, err)
-	}
-	v, err = db.Query("const:answer", 1)
-	if err != nil || v.(tsdb.Vector)[0].V != 42 {
-		t.Errorf("scalar recording rule: %v, %v", v, err)
-	}
-	if got := e.Active(); len(got) != 1 || got[0].Rule != "Doubled" {
-		t.Errorf("alert over recording rule: %+v", got)
 	}
 }
 
@@ -201,8 +174,8 @@ func TestTimelineDeterministic(t *testing.T) {
 		e.AddRule(Rule{Name: "B", Expr: "m > 3", For: 0})
 		for i := 0; i <= 12; i++ {
 			now := float64(i) * 0.25
-			e.DB().Append("m", tsdb.NewLabels(tsdb.L("k", "x")), now, float64(i%5))
-			e.DB().Append("m", tsdb.NewLabels(tsdb.L("k", "y")), now, float64((i+2)%5))
+			e.db.AppendRef(e.db.Ref("m", tsdb.NewLabels(tsdb.L("k", "x"))), now, float64(i%5))
+			e.db.AppendRef(e.db.Ref("m", tsdb.NewLabels(tsdb.L("k", "y"))), now, float64((i+2)%5))
 			e.Step(now)
 		}
 		return RenderTimeline(e.Timeline())

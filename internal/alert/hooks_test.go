@@ -96,7 +96,7 @@ func TestFiringResolvedUnderCompact(t *testing.T) {
 	// Condition holds from t=1.0 to t=3.0 with a Compact after every
 	// step, downsampling 0.25h-spaced points to 0.5h resolution.
 	for _, tm := range []float64{1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0} {
-		db.Append("depth", nil, tm, 10)
+		db.AppendRef(db.Ref("depth", nil), tm, 10)
 		db.Compact(tm)
 		e.Step(tm)
 	}

@@ -131,12 +131,6 @@ func (s *SLO) burnVector(db *tsdb.DB, now float64, w BurnWindow) tsdb.Vector {
 	return nil
 }
 
-// BurnRate returns the error-budget burn rate over the trailing window
-// (1.0 = burning exactly the budget; ok=false when there was no traffic).
-func (s *SLO) BurnRate(db *tsdb.DB, now, window float64) (float64, bool) {
-	return s.burnRate(s.counters(), db, now, window)
-}
-
 func (s *SLO) burnRate(c *counters, db *tsdb.DB, now, window float64) (float64, bool) {
 	budget := s.Budget()
 	if budget <= 0 {
@@ -161,17 +155,6 @@ func errorRatio(good, total float64) (float64, bool) {
 		ratio = 0
 	}
 	return ratio, true
-}
-
-// counterIncrease parses selector and folds its increase over the
-// trailing window with tsdb.DB.CounterIncrease; a selector that is not
-// an instant selector reads as zero.
-func counterIncrease(db *tsdb.DB, selector string, now, window float64) float64 {
-	sel, err := parseCounter(selector)
-	if err != nil {
-		return 0
-	}
-	return db.CounterIncrease(sel, now, window)
 }
 
 // Status is the SLO scorecard at one instant.

@@ -23,8 +23,8 @@ func appendCounters(db *tsdb.DB, hours, errFrom float64, okStep, errStep float64
 		if t >= errFrom {
 			errC += errStep
 		}
-		db.Append("req", okL, t, okC)
-		db.Append("req", errL, t, errC)
+		db.AppendRef(db.Ref("req", okL), t, okC)
+		db.AppendRef(db.Ref("req", errL), t, errC)
 	}
 }
 
@@ -105,8 +105,8 @@ func TestBurnRateAlertFiresAndResolves(t *testing.T) {
 		if t_ >= 2 && t_ < 3 { // one hour of 50% errors: burn 50 >> 14.4
 			errC += 10
 		}
-		db.Append("req", okL, t_, okC)
-		db.Append("req", errL, t_, errC)
+		db.AppendRef(db.Ref("req", okL), t_, okC)
+		db.AppendRef(db.Ref("req", errL), t_, errC)
 		e.Step(t_)
 		for _, inst := range e.Active() {
 			if inst.Rule == "avail:burn:page" && inst.State == StateFiring {
@@ -142,16 +142,16 @@ func TestBurnRateNeedsBothWindows(t *testing.T) {
 		if t_ <= 1 {
 			errC += 10
 		}
-		db.Append("req", okL, t_, okC)
-		db.Append("req", errL, t_, errC)
+		db.AppendRef(db.Ref("req", okL), t_, okC)
+		db.AppendRef(db.Ref("req", errL), t_, errC)
 	}
 	w := BurnWindow{Severity: "page", Long: 4, Short: 0.5, Factor: 2}
 	if vec := s.burnVector(db, 4, w); vec != nil {
 		t.Errorf("clean short window must veto the alert: %+v", vec)
 	}
 	// Fresh errors: both windows agree.
-	db.Append("req", errL, 4.25, errC+40)
-	db.Append("req", okL, 4.25, okC+10)
+	db.AppendRef(db.Ref("req", errL), 4.25, errC+40)
+	db.AppendRef(db.Ref("req", okL), 4.25, okC+10)
 	if vec := s.burnVector(db, 4.25, w); vec == nil {
 		t.Error("both windows hot: alert condition must hold")
 	}
@@ -160,7 +160,7 @@ func TestBurnRateNeedsBothWindows(t *testing.T) {
 func TestSLONoTraffic(t *testing.T) {
 	db := tsdb.New(tsdb.Options{})
 	s := SLO{Name: "quiet", Objective: 0.99, Good: "g", Total: "t"}
-	if _, ok := s.BurnRate(db, 1, 1); ok {
+	if _, ok := s.burnRate(s.counters(), db, 1, 1); ok {
 		t.Error("no traffic must report not-ok, not a burn rate")
 	}
 	st := s.Status(db, 1)
@@ -173,9 +173,10 @@ func TestCounterResetInsideSLOWindow(t *testing.T) {
 	db := tsdb.New(tsdb.Options{})
 	// 0..30, reset, 0..20: true increase is 50.
 	for i, v := range []float64{10, 20, 30, 5, 10, 20} {
-		db.Append("t", nil, float64(i)*0.25+0.25, v)
+		db.AppendRef(db.Ref("t", nil), float64(i)*0.25+0.25, v)
 	}
-	if got := counterIncrease(db, "t", 1.5, 10); got != 50 {
+	s := SLO{Name: "reset", Objective: 0.99, Good: "t", Total: "t"}
+	if _, got := s.counters().increase(db, 1.5, 10); got != 50 {
 		t.Errorf("increase with reset = %v, want 50", got)
 	}
 }
@@ -193,7 +194,7 @@ func TestMalformedSLOSelectorIsAnErrorNotAPage(t *testing.T) {
 			okL := tsdb.NewLabels(tsdb.L("code", "200"))
 			for i := 1; i <= 32; i++ {
 				at := float64(i) * 0.25
-				db.Append("req", okL, at, float64(10*i))
+				db.AppendRef(db.Ref("req", okL), at, float64(10*i))
 				e.Step(at)
 			}
 			errs := e.Errors()
@@ -219,11 +220,10 @@ func stepCost(t *testing.T, hours float64) (mallocs, bytes uint64) {
 	bounds := append(telemetry.ExpBuckets(0.25, 2, 10), math.Inf(1))
 	for i := 0; float64(i)*0.25 <= hours; i++ {
 		at := float64(i) * 0.25
-		db.Append("train.steps", okL, at, float64(6*i))
-		db.Append("train.steps", missL, at, 0)
+		db.AppendRef(db.Ref("train.steps", okL), at, float64(6*i))
+		db.AppendRef(db.Ref("train.steps", missL), at, 0)
 		for _, le := range bounds {
-			db.Append("orchestrator.reschedule_latency_hours_bucket",
-				tsdb.NewLabels(tsdb.L("le", strconv.FormatFloat(le, 'g', -1, 64))), at, 3)
+			db.AppendRef(db.Ref("orchestrator.reschedule_latency_hours_bucket", tsdb.NewLabels(tsdb.L("le", strconv.FormatFloat(le, 'g', -1, 64)))), at, 3)
 		}
 	}
 	e := NewEngine(db)

@@ -19,6 +19,9 @@
 //   - unchecked: dropped error returns outside an explicit allowlist.
 //   - spanleak: trace spans started but never finished (and never
 //     handed to an owner) on any path out of the function.
+//   - deadcode: functions that no process entry point, public API or
+//     package initializer can reach — code that only tests run
+//     (deadcode.go).
 //
 // Findings are suppressed per line with
 //

@@ -20,6 +20,25 @@ func TestFloatmergeGolden(t *testing.T) {
 	runGolden(t, Floatmerge(NewProgram(), "floatmerge"), "floatmerge", false)
 }
 
+func TestDeadcodeGolden(t *testing.T) {
+	runGolden(t, Deadcode(NewProgram(), []string{"deadcode"}, nil), "deadcode", false)
+}
+
+// TestDeadcodeAPIRoots: naming the fixture as public API makes its
+// exports roots, so Exported is no longer reported.
+func TestDeadcodeAPIRoots(t *testing.T) {
+	pkg := loadFixture(t, "deadcode", false)
+	res := Run([]*Package{pkg}, []*Analyzer{Deadcode(NewProgram(), []string{"deadcode"}, []string{"deadcode"})})
+	for _, d := range res.Diagnostics {
+		if strings.Contains(d.Message, "deadcode.Exported ") {
+			t.Errorf("exported API function reported: %s", d)
+		}
+	}
+	if len(res.Diagnostics) != 3 {
+		t.Errorf("got %d findings, want 3 (orphan, ping, spin):\n%v", len(res.Diagnostics), res.Diagnostics)
+	}
+}
+
 // TestCallGraphReachability exercises the call-graph layer directly on
 // the globalrand fixture: Simulate → step → jitter is a forward chain,
 // and the reverse closure of jitter names exactly its callers.

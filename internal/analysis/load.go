@@ -73,9 +73,6 @@ func (l *Loader) init() {
 	l.loading = map[string]bool{}
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // LoadAll walks the module tree and loads every package containing Go
 // files, skipping testdata, vendor, hidden directories, and output dirs.
 func (l *Loader) LoadAll() ([]*Package, error) {
@@ -146,6 +143,8 @@ func hasGoFiles(dir string) bool {
 // LoadDir loads a single directory as the package with the given import
 // path, without walking a module. Used by analyzer golden tests to load
 // testdata packages; module-internal imports are unavailable.
+//
+//lint:ignore deadcode the analyzer golden tests load their testdata packages with it
 func LoadDir(dir, importPath string, includeTests bool) (*Package, error) {
 	l := &Loader{Root: dir, Module: importPath, IncludeTests: includeTests}
 	l.init()

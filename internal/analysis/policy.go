@@ -37,5 +37,12 @@ func RepoAnalyzers(module string) []*Analyzer {
 			module+"/internal/stats",
 			module+"/internal/cloud",
 		),
+		// Code is live when a process entry point, the public API or a
+		// package initializer reaches it. cmd/bench is one of the mains:
+		// the loader walks it like any other package.
+		Deadcode(prog,
+			[]string{module + "/cmd/...", module + "/examples/..."},
+			[]string{module + "/pkg/..."},
+		),
 	}
 }

@@ -201,12 +201,5 @@ func PathString(path []*CGNode) string {
 	return strings.Join(parts, " → ")
 }
 
-// shortName trims the module-long import path down to its last element:
-// "repro/internal/cost.ProjectCost" reads as "cost.ProjectCost".
-func shortName(n *CGNode) string {
-	name := n.Name()
-	if i := strings.LastIndex(name, "/"); i >= 0 {
-		name = name[i+1:]
-	}
-	return name
-}
+// shortName renders a node like shortFuncName (deadcode.go).
+func shortName(n *CGNode) string { return shortFuncName(n.Func) }

@@ -115,9 +115,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // Close drains the batcher.
 func (s *Server) Close() { s.batcher.Close() }
 
-// Feedback exposes the collector for annotation workflows.
-func (s *Server) Feedback() *monitor.FeedbackCollector { return s.feedback }
-
 // PredictRequest is the /predict body.
 type PredictRequest struct {
 	Features []float64 `json:"features"`

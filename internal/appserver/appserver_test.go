@@ -122,7 +122,7 @@ func TestFeedbackLoopAndMetrics(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("feedback status %d", resp.StatusCode)
 	}
-	if acc, ok := s.Feedback().ProductionAccuracy(); !ok || acc != 1 {
+	if acc, ok := s.feedback.ProductionAccuracy(); !ok || acc != 1 {
 		t.Errorf("production accuracy = %v, %v", acc, ok)
 	}
 	// Unknown ID.

@@ -1,15 +1,9 @@
 // Package blockstore simulates the OpenStack Cinder-style block-storage
 // service exercised by the Unit-8 "Persistent Data" lab: provision a
-// volume, attach it to an instance, format and mount it, and persist
-// service data across ephemeral compute environments.
-//
-// Volume state follows the real service's machine:
-//
-//	available -> in-use (attach) -> available (detach) -> deleted
-//
-// with format/mount as sub-states of an attachment. Snapshots copy a
-// volume's logical contents at a point in time. Capacity is charged
-// against the owning project's block-storage quota in GB.
+// volume and attach it to an instance. Volume state follows the real
+// service's machine, available -> in-use (attach). Capacity is charged
+// against the owning project's block-storage quota in GB and metered in
+// GB-hours.
 package blockstore
 
 import (
@@ -23,23 +17,10 @@ import (
 
 // Errors returned by the service.
 var (
-	ErrNotFound     = errors.New("blockstore: volume not found")
-	ErrInUse        = errors.New("blockstore: volume is attached")
-	ErrNotAttached  = errors.New("blockstore: volume is not attached")
-	ErrNotFormatted = errors.New("blockstore: volume is not formatted")
-	ErrNotMounted   = errors.New("blockstore: volume is not mounted")
-	ErrQuota        = errors.New("blockstore: block storage quota exceeded")
-	ErrVolumeFault  = errors.New("blockstore: I/O error (injected volume fault)")
+	ErrNotFound = errors.New("blockstore: volume not found")
+	ErrInUse    = errors.New("blockstore: volume is attached")
+	ErrQuota    = errors.New("blockstore: block storage quota exceeded")
 )
-
-// FaultView reports injected faults on volumes; chaos.Engine implements
-// it. A nil view (the default) means every volume is healthy, so chaos
-// support costs nothing when disabled.
-type FaultView interface {
-	// VolumeFault returns the I/O slowdown factor (0 or 1 = nominal) and
-	// whether the volume is hard-failed.
-	VolumeFault(volumeID string) (slowFactor float64, failed bool)
-}
 
 // VolumeState is the coarse lifecycle state.
 type VolumeState int
@@ -47,25 +28,9 @@ type VolumeState int
 const (
 	StateAvailable VolumeState = iota
 	StateInUse
-	StateDeleted
 )
 
-func (s VolumeState) String() string {
-	switch s {
-	case StateAvailable:
-		return "available"
-	case StateInUse:
-		return "in-use"
-	case StateDeleted:
-		return "deleted"
-	default:
-		return fmt.Sprintf("VolumeState(%d)", int(s))
-	}
-}
-
-// Volume is a block device. Data models the logical contents as a
-// key-value namespace (path -> bytes), which is all the labs need to
-// demonstrate persistence across instance replacement.
+// Volume is a block device.
 type Volume struct {
 	ID      string
 	Name    string
@@ -74,23 +39,7 @@ type Volume struct {
 	State   VolumeState
 
 	AttachedTo string // instance ID when in-use
-	Filesystem string // "" until formatted, e.g. "ext4"
-	MountPoint string // "" until mounted
-
-	Data map[string][]byte
-
-	CreatedAt float64
-	DeletedAt float64 // -1 while alive
-}
-
-// Snapshot is a point-in-time copy of a volume's contents.
-type Snapshot struct {
-	ID       string
-	VolumeID string
-	Name     string
-	SizeGB   int
-	Data     map[string][]byte
-	TakenAt  float64
+	CreatedAt  float64
 }
 
 // Service is the block-storage API endpoint for one site.
@@ -99,56 +48,16 @@ type Service struct {
 	clock  *simclock.Clock
 	cloud  *cloud.Cloud // for quota + metering; may be nil in unit tests
 	vols   map[string]*Volume
-	snaps  map[string]*Snapshot
 	nextID int
-
-	volRecs map[string]*cloud.UsageRecord
-	faults  FaultView // nil = no fault injection
-}
-
-// SetFaults attaches a fault view (typically a chaos.Engine). Call before
-// concurrent use.
-func (s *Service) SetFaults(fv FaultView) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.faults = fv
-}
-
-// ioCheckLocked fails the operation if the volume has a hard fault.
-func (s *Service) ioCheckLocked(volumeID string) error {
-	if s.faults == nil {
-		return nil
-	}
-	if _, failed := s.faults.VolumeFault(volumeID); failed {
-		return fmt.Errorf("%w: %s", ErrVolumeFault, volumeID)
-	}
-	return nil
-}
-
-// IOTime scales a nominal I/O duration by the volume's injected slowdown
-// (straggler storage); healthy volumes return baseHours unchanged.
-func (s *Service) IOTime(volumeID string, baseHours float64) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.faults == nil {
-		return baseHours
-	}
-	slow, _ := s.faults.VolumeFault(volumeID)
-	if slow > 1 {
-		return baseHours * slow
-	}
-	return baseHours
 }
 
 // New returns a service backed by the given cloud for quota accounting
 // and usage metering. cl may be nil for standalone use (no quotas).
 func New(clock *simclock.Clock, cl *cloud.Cloud) *Service {
 	return &Service{
-		clock:   clock,
-		cloud:   cl,
-		vols:    map[string]*Volume{},
-		snaps:   map[string]*Snapshot{},
-		volRecs: map[string]*cloud.UsageRecord{},
+		clock: clock,
+		cloud: cl,
+		vols:  map[string]*Volume{},
 	}
 }
 
@@ -181,28 +90,12 @@ func (s *Service) Create(project, name string, sizeGB int) (*Volume, error) {
 	}
 	v := &Volume{
 		ID: s.id("vol"), Name: name, Project: project, SizeGB: sizeGB,
-		State: StateAvailable, Data: map[string][]byte{},
-		CreatedAt: s.clock.Now(), DeletedAt: -1,
+		State: StateAvailable, CreatedAt: s.clock.Now(),
 	}
 	s.vols[v.ID] = v
 	if s.cloud != nil {
-		s.volRecs[v.ID] = s.cloud.Meter().Open(cloud.UsageBlockStorageGB, project, "volume",
+		s.cloud.Meter().Open(cloud.UsageBlockStorageGB, project, "volume",
 			map[string]string{"volume": name}, float64(sizeGB), s.clock.Now())
-	}
-	return v, nil
-}
-
-// Get looks up a volume.
-func (s *Service) Get(id string) (*Volume, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.getLocked(id)
-}
-
-func (s *Service) getLocked(id string) (*Volume, error) {
-	v, ok := s.vols[id]
-	if !ok || v.State == StateDeleted {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
 	return v, nil
 }
@@ -211,9 +104,9 @@ func (s *Service) getLocked(id string) (*Volume, error) {
 func (s *Service) Attach(volumeID, instanceID string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v, err := s.getLocked(volumeID)
-	if err != nil {
-		return err
+	v, ok := s.vols[volumeID]
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrNotFound, volumeID)
 	}
 	if v.State == StateInUse {
 		return fmt.Errorf("%w: attached to %s", ErrInUse, v.AttachedTo)
@@ -221,187 +114,4 @@ func (s *Service) Attach(volumeID, instanceID string) error {
 	v.State = StateInUse
 	v.AttachedTo = instanceID
 	return nil
-}
-
-// Detach unmounts (if needed) and releases the volume from its instance.
-// Contents persist: that is the point of the Unit-8 lab.
-func (s *Service) Detach(volumeID string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, err := s.getLocked(volumeID)
-	if err != nil {
-		return err
-	}
-	if v.State != StateInUse {
-		return ErrNotAttached
-	}
-	v.State = StateAvailable
-	v.AttachedTo = ""
-	v.MountPoint = ""
-	return nil
-}
-
-// Format lays a filesystem on the attached volume. Reformatting erases
-// contents, exactly like mkfs.
-func (s *Service) Format(volumeID, fstype string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, err := s.getLocked(volumeID)
-	if err != nil {
-		return err
-	}
-	if v.State != StateInUse {
-		return ErrNotAttached
-	}
-	v.Filesystem = fstype
-	v.Data = map[string][]byte{}
-	return nil
-}
-
-// Mount exposes the formatted volume at mountPoint on its instance.
-func (s *Service) Mount(volumeID, mountPoint string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, err := s.getLocked(volumeID)
-	if err != nil {
-		return err
-	}
-	if v.State != StateInUse {
-		return ErrNotAttached
-	}
-	if v.Filesystem == "" {
-		return ErrNotFormatted
-	}
-	v.MountPoint = mountPoint
-	return nil
-}
-
-// Unmount detaches the filesystem view, keeping the attachment.
-func (s *Service) Unmount(volumeID string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, err := s.getLocked(volumeID)
-	if err != nil {
-		return err
-	}
-	if v.MountPoint == "" {
-		return ErrNotMounted
-	}
-	v.MountPoint = ""
-	return nil
-}
-
-// WriteFile stores data at path on a mounted volume.
-func (s *Service) WriteFile(volumeID, path string, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, err := s.getLocked(volumeID)
-	if err != nil {
-		return err
-	}
-	if v.MountPoint == "" {
-		return ErrNotMounted
-	}
-	if err := s.ioCheckLocked(v.ID); err != nil {
-		return err
-	}
-	v.Data[path] = append([]byte(nil), data...)
-	return nil
-}
-
-// ReadFile retrieves data stored at path on a mounted volume.
-func (s *Service) ReadFile(volumeID, path string) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, err := s.getLocked(volumeID)
-	if err != nil {
-		return nil, err
-	}
-	if v.MountPoint == "" {
-		return nil, ErrNotMounted
-	}
-	if err := s.ioCheckLocked(v.ID); err != nil {
-		return nil, err
-	}
-	data, ok := v.Data[path]
-	if !ok {
-		return nil, fmt.Errorf("blockstore: %w: file %q", ErrNotFound, path)
-	}
-	return append([]byte(nil), data...), nil
-}
-
-// Snapshot captures a point-in-time copy of the volume's contents.
-func (s *Service) Snapshot(volumeID, name string) (*Snapshot, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, err := s.getLocked(volumeID)
-	if err != nil {
-		return nil, err
-	}
-	data := make(map[string][]byte, len(v.Data))
-	for k, b := range v.Data {
-		data[k] = append([]byte(nil), b...)
-	}
-	snap := &Snapshot{ID: s.id("snap"), VolumeID: volumeID, Name: name,
-		SizeGB: v.SizeGB, Data: data, TakenAt: s.clock.Now()}
-	s.snaps[snap.ID] = snap
-	return snap, nil
-}
-
-// Restore creates a new volume from a snapshot.
-func (s *Service) Restore(snapshotID, project, name string) (*Volume, error) {
-	s.mu.Lock()
-	snap, ok := s.snaps[snapshotID]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: snapshot %q", ErrNotFound, snapshotID)
-	}
-	v, err := s.Create(project, name, snap.SizeGB)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k, b := range snap.Data {
-		v.Data[k] = append([]byte(nil), b...)
-	}
-	v.Filesystem = "ext4"
-	return v, nil
-}
-
-// Delete removes an available volume, returning its capacity to quota.
-func (s *Service) Delete(volumeID string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, err := s.getLocked(volumeID)
-	if err != nil {
-		return err
-	}
-	if v.State == StateInUse {
-		return ErrInUse
-	}
-	v.State = StateDeleted
-	v.DeletedAt = s.clock.Now()
-	if s.cloud != nil {
-		if p, err := s.cloud.GetProject(v.Project); err == nil {
-			p.Usage.Volumes--
-			p.Usage.BlockStorageGB -= v.SizeGB
-		}
-		s.cloud.Meter().Close(s.volRecs[v.ID], s.clock.Now())
-		delete(s.volRecs, v.ID)
-	}
-	return nil
-}
-
-// List returns live volumes for a project ("" = all).
-func (s *Service) List(project string) []*Volume {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []*Volume
-	for _, v := range s.vols {
-		if v.State != StateDeleted && (project == "" || v.Project == project) {
-			out = append(out, v)
-		}
-	}
-	return out
 }

@@ -18,11 +18,6 @@ type HostFailer interface {
 	RecoverHost(name string) error
 }
 
-// InstanceFailer handles instance-crash faults; *cloud.Cloud satisfies it.
-type InstanceFailer interface {
-	FailInstance(id string) error
-}
-
 // Preempter handles spot-preemption faults; *cloud.SpotMarket satisfies
 // it. Preempt shrinks a pool's capacity by one (the market notices and
 // then reclaims its newest spot instance); Release returns the slot when
@@ -32,26 +27,11 @@ type Preempter interface {
 	Release(pool string) error
 }
 
-// LinkFault is the current degradation on one network link. The zero
-// value means healthy.
-type LinkFault struct {
-	LatencyFactor float64 // multiplier on base latency; 0 or 1 = nominal
-	DropProb      float64 // packet-loss probability
-}
-
-// Degraded reports whether the link is currently impaired.
-func (l LinkFault) Degraded() bool { return l.LatencyFactor > 1 || l.DropProb > 0 }
-
-// VolumeFault is the current state of one block-storage volume. The zero
-// value means healthy.
-type VolumeFault struct {
-	SlowFactor float64 // multiplier on I/O time; 0 or 1 = nominal
-	Failed     bool    // hard failure: I/O errors
-}
-
-// Engine arms a Plan against a simulation: crash faults are delegated to
-// the registered failers, while degradation faults (links, volumes, dead
-// ranks) are recorded in registries that the affected subsystems query.
+// Engine arms a Plan against a simulation: host crashes and spot
+// preemptions are delegated to the registered failers, and dead ranks
+// are recorded in a registry the collective layer queries. Instance
+// crashes, link degradation and volume faults have no target in the
+// simulation: they are counted, logged and listed as active only.
 // All scheduling happens on the shared simclock, so injections interleave
 // deterministically with the rest of the simulation.
 type Engine struct {
@@ -61,10 +41,7 @@ type Engine struct {
 
 	mu    sync.Mutex
 	hosts HostFailer
-	insts InstanceFailer
 	spot  Preempter
-	links map[string]LinkFault
-	vols  map[string]VolumeFault
 	ranks map[int]bool
 
 	injected    int64
@@ -86,8 +63,6 @@ type ActiveFault struct {
 func New(clk *simclock.Clock, tel *telemetry.Bus) *Engine {
 	return &Engine{
 		clk: clk, tel: tel,
-		links: map[string]LinkFault{},
-		vols:  map[string]VolumeFault{},
 		ranks: map[int]bool{},
 	}
 }
@@ -105,13 +80,6 @@ func (e *Engine) SetHostFailer(h HostFailer) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.hosts = h
-}
-
-// SetInstanceFailer registers the target for instance-crash faults.
-func (e *Engine) SetInstanceFailer(i InstanceFailer) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.insts = i
 }
 
 // SetPreempter registers the target for spot-preemption faults.
@@ -150,26 +118,6 @@ func (e *Engine) inject(f Fault) {
 			err = h.FailHost(f.Target)
 			e.mu.Lock()
 		}
-	case KindInstanceCrash:
-		if i := e.insts; i != nil {
-			e.mu.Unlock()
-			err = i.FailInstance(f.Target)
-			e.mu.Lock()
-		}
-	case KindLinkDegrade:
-		lf := LinkFault{LatencyFactor: f.Magnitude, DropProb: f.DropProb}
-		if lf.LatencyFactor < 1 {
-			lf.LatencyFactor = 1
-		}
-		e.links[f.Target] = lf
-	case KindVolumeSlow:
-		v := e.vols[f.Target]
-		v.SlowFactor = f.Magnitude
-		e.vols[f.Target] = v
-	case KindVolumeFail:
-		v := e.vols[f.Target]
-		v.Failed = true
-		e.vols[f.Target] = v
 	case KindRankFail:
 		if r, perr := strconv.Atoi(f.Target); perr == nil {
 			e.ranks[r] = true
@@ -218,26 +166,6 @@ func (e *Engine) recover(f Fault) {
 			err = h.RecoverHost(f.Target)
 			e.mu.Lock()
 		}
-	case KindInstanceCrash:
-		// Instances do not resurrect; the orchestrator replaces them.
-	case KindLinkDegrade:
-		delete(e.links, f.Target)
-	case KindVolumeSlow:
-		v := e.vols[f.Target]
-		v.SlowFactor = 0
-		if !v.Failed {
-			delete(e.vols, f.Target)
-		} else {
-			e.vols[f.Target] = v
-		}
-	case KindVolumeFail:
-		v := e.vols[f.Target]
-		v.Failed = false
-		if v.SlowFactor <= 1 {
-			delete(e.vols, f.Target)
-		} else {
-			e.vols[f.Target] = v
-		}
 	case KindRankFail:
 		if r, perr := strconv.Atoi(f.Target); perr == nil {
 			delete(e.ranks, r)
@@ -269,45 +197,11 @@ func (e *Engine) recover(f Fault) {
 		logging.Str("target", f.Target))
 }
 
-// Link returns the current fault on a named link (zero value = healthy).
-func (e *Engine) Link(name string) LinkFault {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.links[name]
-}
-
-// VolumeFault reports the injected state of a volume. The signature
-// matches blockstore.FaultView, so an *Engine plugs straight into the
-// block-storage service.
-func (e *Engine) VolumeFault(volumeID string) (slowFactor float64, failed bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	v := e.vols[volumeID]
-	return v.SlowFactor, v.Failed
-}
-
 // RankDead reports whether a collective rank is currently failed.
 func (e *Engine) RankDead(rank int) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.ranks[rank]
-}
-
-// DeadRanks returns the currently failed ranks in ascending order.
-func (e *Engine) DeadRanks() []int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]int, 0, len(e.ranks))
-	for r := range e.ranks {
-		out = append(out, r)
-	}
-	// Insertion sort: the set is tiny and this avoids an import.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // Active returns the currently-applied faults (injected, not yet

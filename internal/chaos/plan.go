@@ -103,9 +103,6 @@ type Plan struct {
 	Faults []Fault
 }
 
-// Empty reports whether the plan injects nothing.
-func (p Plan) Empty() bool { return len(p.Faults) == 0 }
-
 // sorted returns the faults ordered by (At, Kind, Target) so arming a
 // plan is independent of how it was assembled.
 func (p Plan) sorted() []Fault {

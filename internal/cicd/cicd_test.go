@@ -153,58 +153,6 @@ func newCluster() *orchestrator.Cluster {
 	return c
 }
 
-func TestGitOpsSyncAndPrune(t *testing.T) {
-	cluster := newCluster()
-	repo := NewRepo()
-	ctl := NewSyncController(repo, cluster)
-
-	repo.Commit(
-		orchestrator.Deployment{Name: "web", Replicas: 2, Spec: orchestrator.PodSpec{Image: "web:v1", CPUMilli: 200, MemMB: 256}},
-		orchestrator.Deployment{Name: "api", Replicas: 1, Spec: orchestrator.PodSpec{Image: "api:v1", CPUMilli: 200, MemMB: 256}},
-	)
-	if ctl.Status() != OutOfSync {
-		t.Fatal("controller should be OutOfSync after commit")
-	}
-	if _, _, err := ctl.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if ctl.Status() != Synced {
-		t.Fatal("controller should be Synced after Sync")
-	}
-	if got := len(cluster.Pods("web")); got != 2 {
-		t.Errorf("web pods = %d", got)
-	}
-	// Remove api from the repo: the controller prunes it.
-	repo.Remove("api")
-	if _, _, err := ctl.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(cluster.Pods("api")); got != 0 {
-		t.Errorf("api pods after prune = %d", got)
-	}
-}
-
-func TestGitOpsImageUpdateRollsOut(t *testing.T) {
-	cluster := newCluster()
-	repo := NewRepo()
-	ctl := NewSyncController(repo, cluster)
-	repo.Commit(orchestrator.Deployment{Name: "web", Replicas: 2,
-		Spec: orchestrator.PodSpec{Image: "web:v1", CPUMilli: 200, MemMB: 256}})
-	if _, _, err := ctl.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	repo.Commit(orchestrator.Deployment{Name: "web", Replicas: 2,
-		Spec: orchestrator.PodSpec{Image: "web:v2", CPUMilli: 200, MemMB: 256}})
-	if _, _, err := ctl.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range cluster.Pods("web") {
-		if p.Spec.Image != "web:v2" {
-			t.Errorf("pod %s image = %s after sync", p.Name, p.Spec.Image)
-		}
-	}
-}
-
 func newPipeline(cluster *orchestrator.Cluster) *ReleasePipeline {
 	return &ReleasePipeline{
 		Cluster:      cluster,
@@ -283,34 +231,6 @@ func TestGateRejectionRollsBackCanary(t *testing.T) {
 	_, _, stable := p.Images()
 	if stable != "model:v1" {
 		t.Errorf("stable image = %q, want model:v1", stable)
-	}
-}
-
-func TestRollback(t *testing.T) {
-	cluster := newCluster()
-	p := newPipeline(cluster)
-	mustOK(t, p.DeployStaging("model:v1"))
-	mustOK(t, p.PromoteToCanary(1))
-	mustOK(t, p.PromoteToProduction(nil))
-	mustOK(t, p.DeployStaging("model:v2"))
-	mustOK(t, p.PromoteToCanary(1))
-	mustOK(t, p.PromoteToProduction(nil))
-	_, _, stable := p.Images()
-	if stable != "model:v2" {
-		t.Fatalf("stable = %q", stable)
-	}
-	mustOK(t, p.Rollback())
-	_, _, stable = p.Images()
-	if stable != "model:v1" {
-		t.Errorf("after rollback stable = %q, want model:v1", stable)
-	}
-	for _, pod := range cluster.Pods("gourmetgram") {
-		if pod.Spec.Image != "model:v1" {
-			t.Errorf("pod %s image %s after rollback", pod.Name, pod.Spec.Image)
-		}
-	}
-	if err := p.Rollback(); err == nil {
-		t.Error("second rollback should fail (history depth 1)")
 	}
 }
 

@@ -60,19 +60,6 @@ const (
 	StepSkipped // upstream failure
 )
 
-func (s StepStatus) String() string {
-	switch s {
-	case StepSucceeded:
-		return "Succeeded"
-	case StepFailed:
-		return "Failed"
-	case StepSkipped:
-		return "Skipped"
-	default:
-		return fmt.Sprintf("StepStatus(%d)", int(s))
-	}
-}
-
 // StepResult records one step's outcome.
 type StepResult struct {
 	Status   StepStatus

@@ -3,7 +3,7 @@
 //
 // The simulation kernel (internal/simclock) advances virtual hours
 // deterministically; components that measure wall-clock latencies (the
-// jobs pool, the dynamic batcher, the app server) would silently break
+// dynamic batcher, the app server, the TSDB collector) would silently break
 // that determinism if they called time.Now directly. They instead accept
 // a Clock, and the mlsyslint wallclock check enforces that this package
 // and internal/simclock are the only places outside cmd/ entry points
@@ -53,6 +53,8 @@ type Manual struct {
 }
 
 // NewManual returns a manual clock frozen at start.
+//
+//lint:ignore deadcode test fake: the batcher, app-server and TSDB-collector tests freeze latency telemetry with it
 func NewManual(start time.Time) *Manual {
 	return &Manual{t: start}
 }
@@ -65,6 +67,8 @@ func (m *Manual) Now() time.Time {
 }
 
 // Advance moves the clock forward by d (negative d moves it back).
+//
+//lint:ignore deadcode part of the Manual test fake
 func (m *Manual) Advance(d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -72,6 +76,8 @@ func (m *Manual) Advance(d time.Duration) {
 }
 
 // Set jumps the clock to t.
+//
+//lint:ignore deadcode part of the Manual test fake
 func (m *Manual) Set(t time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -87,6 +93,8 @@ type Sim struct {
 }
 
 // NewSim wraps c with the given epoch for hour 0.
+//
+//lint:ignore deadcode test fake kept with Manual: it runs a wall-clock component on simulated hours, and no binary does that yet
 func NewSim(c *simclock.Clock, epoch time.Time) Sim {
 	return Sim{C: c, Epoch: epoch}
 }

@@ -37,7 +37,6 @@ type Cloud struct {
 	clock *simclock.Clock
 	name  string
 
-	placer    Placer
 	hosts     []*Host
 	projects  map[string]*Project
 	instances map[string]*Instance
@@ -48,7 +47,6 @@ type Cloud struct {
 	fips      map[string]*FloatingIP
 	secgroups map[string]*SecurityGroup
 	meter     *Meter
-	images    map[string]*Image
 
 	fipRecords map[string]*UsageRecord // fip ID -> open meter record
 	instRecs   map[string]*UsageRecord // instance ID -> open meter record
@@ -64,13 +62,12 @@ type Cloud struct {
 	nextFIP int
 }
 
-// New creates a site named name driven by clock. The default placement
-// policy is first-fit; override with SetPlacer.
+// New creates a site named name driven by clock. Launches place
+// instances first-fit.
 func New(name string, clock *simclock.Clock) *Cloud {
 	return &Cloud{
 		clock:      clock,
 		name:       name,
-		placer:     FirstFit{},
 		projects:   map[string]*Project{},
 		instances:  map[string]*Instance{},
 		networks:   map[string]*Network{},
@@ -87,9 +84,6 @@ func New(name string, clock *simclock.Clock) *Cloud {
 
 // Name returns the site name.
 func (c *Cloud) Name() string { return c.name }
-
-// Now returns the site's current virtual time.
-func (c *Cloud) Now() float64 { return c.clock.Now() }
 
 // Meter exposes the usage meter for aggregation by the cost model.
 func (c *Cloud) Meter() *Meter { return c.meter }
@@ -116,13 +110,6 @@ func (c *Cloud) SetLogging(lg *logging.Logger) {
 	if c.spot != nil {
 		c.spot.log = lg.Component("spot")
 	}
-}
-
-// SetPlacer replaces the placement policy.
-func (c *Cloud) SetPlacer(p Placer) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.placer = p
 }
 
 // AddHost registers a hypervisor or bare-metal node.
@@ -244,7 +231,7 @@ func (c *Cloud) Launch(spec LaunchSpec) (*Instance, error) {
 		}
 		spotPool = p
 	}
-	host := c.placer.Place(c.hosts, spec.Flavor)
+	host := firstFit(c.hosts, spec.Flavor)
 	if host == nil {
 		c.tel.Counter("cloud.capacity_rejections").Inc()
 		c.log.WarnT(span, "launch rejected: no capacity",
@@ -493,22 +480,6 @@ func (c *Cloud) CreateRouter(project, name string, externalGW *Network) (*Router
 	c.routers[r.ID] = r
 	p.Usage.Routers++
 	return r, nil
-}
-
-// AttachInterface connects a subnet to a router.
-func (c *Cloud) AttachInterface(routerID, subnetID string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.routers[routerID]
-	if !ok {
-		return fmt.Errorf("%w: router %q", ErrNotFound, routerID)
-	}
-	s, ok := c.subnets[subnetID]
-	if !ok {
-		return fmt.Errorf("%w: subnet %q", ErrNotFound, subnetID)
-	}
-	r.Interfaces = append(r.Interfaces, s)
-	return nil
 }
 
 // AllocateFloatingIP reserves a public address and starts metering it.

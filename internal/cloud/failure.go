@@ -11,17 +11,15 @@ import (
 
 // Failure-injection errors.
 var (
-	ErrHostDown   = errors.New("cloud: host is already down")
-	ErrHostUp     = errors.New("cloud: host is not down")
-	ErrNotRunning = errors.New("cloud: instance is not running")
+	ErrHostDown = errors.New("cloud: host is already down")
+	ErrHostUp   = errors.New("cloud: host is not down")
 )
 
 // FailHost crashes a host: every running instance on it enters ERROR
 // with its end time stamped (metering and billing stop at the failure
 // instant), capacity and quota are released, and the host stops
 // accepting placements until RecoverHost. This is the API the chaos
-// engine drives; cloud.StateError is reachable only through here and
-// FailInstance.
+// engine drives; cloud.StateError is reachable only through here.
 func (c *Cloud) FailHost(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -68,23 +66,6 @@ func (c *Cloud) RecoverHost(name string) error {
 	c.tel.Counter("cloud.host_recoveries").Inc()
 	c.tel.Gauge("cloud.hosts_down").Add(-1)
 	c.log.Info("host recovered", logging.Str("host", name))
-	return nil
-}
-
-// FailInstance crashes a single instance (kernel panic, OOM kill, ...):
-// it enters ERROR with the end time stamped, and its capacity and quota
-// are released. The host stays up.
-func (c *Cloud) FailInstance(instanceID string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	inst, ok := c.instances[instanceID]
-	if !ok {
-		return fmt.Errorf("%w: instance %q", ErrNotFound, instanceID)
-	}
-	if !inst.Running() {
-		return fmt.Errorf("%w: %s is %s", ErrNotRunning, instanceID, inst.State)
-	}
-	c.failInstanceLocked(inst, "instance fault injected")
 	return nil
 }
 

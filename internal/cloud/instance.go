@@ -120,9 +120,9 @@ func NewBareMetalHost(name string, nodeType Flavor) *Host {
 }
 
 // Fits reports whether the host can accept an instance of flavor f.
-// Down hosts never fit, so every placement policy — first-fit, best-fit,
-// worst-fit, and the sched package's packers — avoids crashed hardware
-// without knowing about failures.
+// Down hosts never fit, so placement — first-fit here and the sched
+// package's packers — avoids crashed hardware without knowing about
+// failures.
 func (h *Host) Fits(f Flavor) bool {
 	if h.Down {
 		return false
@@ -135,15 +135,6 @@ func (h *Host) Fits(f Flavor) bool {
 	}
 	return h.allocVCPUs+f.VCPUs <= h.VCPUs && h.allocRAMGB+f.RAMGB <= h.RAMGB
 }
-
-// FreeVCPUs returns remaining vCPU capacity (VM hosts).
-func (h *Host) FreeVCPUs() int { return h.VCPUs - h.allocVCPUs }
-
-// FreeRAMGB returns remaining memory capacity (VM hosts).
-func (h *Host) FreeRAMGB() int { return h.RAMGB - h.allocRAMGB }
-
-// InstanceCount returns the number of instances currently placed here.
-func (h *Host) InstanceCount() int { return len(h.instances) }
 
 func (h *Host) place(i *Instance) {
 	h.allocVCPUs += i.Flavor.VCPUs
@@ -161,59 +152,13 @@ func (h *Host) evict(i *Instance) {
 	delete(h.instances, i.ID)
 }
 
-// Placer chooses a host for an instance; implementations include the
-// default first-fit here and the bin-packing policies in internal/sched.
-type Placer interface {
-	// Place returns the chosen host or nil if no host fits.
-	Place(hosts []*Host, f Flavor) *Host
-}
-
-// FirstFit places each instance on the first host with room, the
-// OpenStack default-ish baseline.
-type FirstFit struct{}
-
-// Place implements Placer.
-func (FirstFit) Place(hosts []*Host, f Flavor) *Host {
+// firstFit returns the first host with room for f, or nil: the
+// OpenStack default-ish placement every launch uses.
+func firstFit(hosts []*Host, f Flavor) *Host {
 	for _, h := range hosts {
 		if h.Fits(f) {
 			return h
 		}
 	}
 	return nil
-}
-
-// BestFit places each instance on the feasible host with the least free
-// vCPUs, consolidating load to keep large holes available.
-type BestFit struct{}
-
-// Place implements Placer.
-func (BestFit) Place(hosts []*Host, f Flavor) *Host {
-	var best *Host
-	for _, h := range hosts {
-		if !h.Fits(f) {
-			continue
-		}
-		if best == nil || h.FreeVCPUs() < best.FreeVCPUs() {
-			best = h
-		}
-	}
-	return best
-}
-
-// WorstFit spreads instances across the emptiest hosts, trading
-// consolidation for noisy-neighbor isolation.
-type WorstFit struct{}
-
-// Place implements Placer.
-func (WorstFit) Place(hosts []*Host, f Flavor) *Host {
-	var best *Host
-	for _, h := range hosts {
-		if !h.Fits(f) {
-			continue
-		}
-		if best == nil || h.FreeVCPUs() > best.FreeVCPUs() {
-			best = h
-		}
-	}
-	return best
 }

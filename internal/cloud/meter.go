@@ -111,19 +111,6 @@ func (m *Meter) TotalHours(now float64, filter func(*UsageRecord) bool) float64 
 	return total
 }
 
-// HoursByTag aggregates Hours(now) for records of the given kind, grouped
-// by the value of tag key (records lacking the tag group under "").
-func (m *Meter) HoursByTag(now float64, kind UsageKind, key string) map[string]float64 {
-	out := map[string]float64{}
-	for _, r := range m.records {
-		if r.Kind != kind {
-			continue
-		}
-		out[r.Tags[key]] += r.Hours(now)
-	}
-	return out
-}
-
 // HoursByResource aggregates instance hours by flavor/node-type name for
 // records of the given kind matching the filter.
 func (m *Meter) HoursByResource(now float64, kind UsageKind, filter func(*UsageRecord) bool) map[string]float64 {
@@ -138,9 +125,4 @@ func (m *Meter) HoursByResource(now float64, kind UsageKind, filter func(*UsageR
 		out[r.Resource] += r.Hours(now)
 	}
 	return out
-}
-
-// TagFilter returns a filter matching records whose tag key equals value.
-func TagFilter(key, value string) func(*UsageRecord) bool {
-	return func(r *UsageRecord) bool { return r.Tags[key] == value }
 }

@@ -34,7 +34,6 @@ type Router struct {
 	Name       string
 	Project    string
 	ExternalGW *Network
-	Interfaces []*Subnet
 }
 
 // FloatingIP is a publicly routable address billed by the hour on
@@ -64,60 +63,6 @@ type SecurityGroup struct {
 	Name    string
 	Project string
 	Rules   []SecurityGroupRule
-}
-
-// AllowsIngress reports whether traffic with the given protocol and port
-// from srcIP is permitted by any rule. CIDR matching is prefix-based on
-// dotted-quad strings, sufficient for simulation purposes.
-func (g *SecurityGroup) AllowsIngress(protocol string, port int, srcIP string) bool {
-	for _, r := range g.Rules {
-		if r.Protocol != protocol {
-			continue
-		}
-		if port < r.PortMin || port > r.PortMax {
-			continue
-		}
-		if cidrContains(r.RemoteCIDR, srcIP) {
-			return true
-		}
-	}
-	return false
-}
-
-// cidrContains implements simplified IPv4 CIDR matching for the /0, /8,
-// /16, /24 and /32 prefixes used in the labs.
-func cidrContains(cidr, ip string) bool {
-	slash := strings.IndexByte(cidr, '/')
-	if slash < 0 {
-		return cidr == ip
-	}
-	base, bitsStr := cidr[:slash], cidr[slash+1:]
-	octetsKept := 0
-	switch bitsStr {
-	case "0":
-		return true
-	case "8":
-		octetsKept = 1
-	case "16":
-		octetsKept = 2
-	case "24":
-		octetsKept = 3
-	case "32":
-		return base == ip
-	default:
-		return false
-	}
-	bp := strings.Split(base, ".")
-	ipp := strings.Split(ip, ".")
-	if len(bp) != 4 || len(ipp) != 4 {
-		return false
-	}
-	for i := 0; i < octetsKept; i++ {
-		if bp[i] != ipp[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // allocIP hands out the next address in the subnet's block. The simulator

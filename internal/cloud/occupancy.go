@@ -30,9 +30,6 @@ func NewOccupancy(horizonHours int) *Occupancy {
 	}
 }
 
-// Horizon returns the curve's coverage in hours.
-func (o *Occupancy) Horizon() int { return o.horizon }
-
 // bucketSpan converts a [start, end) window in hours to the delta
 // indexes [lo, hi): the window counts toward every hour bucket it
 // overlaps, clamped to the horizon.

@@ -103,9 +103,6 @@ func (c *Cloud) Spot() *SpotMarket {
 	return c.spot
 }
 
-// NoticeHours returns the advance-warning window.
-func (m *SpotMarket) NoticeHours() float64 { return m.noticeHours }
-
 // AddPool registers preemptible capacity for a flavor and arms the
 // pool's price series: the spot_price gauge is set now and re-set by one
 // clock event per future price change (a flat series arms nothing).

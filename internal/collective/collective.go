@@ -15,7 +15,6 @@ package collective
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 )
 
@@ -98,7 +97,6 @@ func RingAllReduce(vectors [][]float64) error {
 	wg.Wait()
 	// Each of the 2(n-1) steps circulates exactly one full vector's worth
 	// of chunks across the ring.
-	recordOp("ring", 2*(n-1)*length)
 	return nil
 }
 
@@ -106,6 +104,8 @@ func RingAllReduce(vectors [][]float64) error {
 // ships its whole vector to rank 0, which reduces and broadcasts the
 // result. The root link carries 2(N−1) full vectors — the bottleneck the
 // ring algorithm removes.
+//
+//lint:ignore deadcode the root ablation benchmarks that EXPERIMENTS.md cites compare it with RingAllReduce
 func NaiveAllReduce(vectors [][]float64) error {
 	if err := validate(vectors); err != nil {
 		return err
@@ -142,13 +142,14 @@ func NaiveAllReduce(vectors [][]float64) error {
 	bcast.Wait()
 	// n-1 full vectors in to the root, n-1 broadcast back out — the
 	// bottleneck-link traffic the ring algorithm removes.
-	recordOp("naive", 2*(n-1)*len(root))
 	return nil
 }
 
 // TreeAllReduce reduces up a binary tree and broadcasts back down:
 // 2·log2(N) latency steps, each moving the full vector. Better latency
 // than ring for small messages, worse bandwidth for large ones.
+//
+//lint:ignore deadcode the root ablation benchmarks that EXPERIMENTS.md cites compare it with RingAllReduce
 func TreeAllReduce(vectors [][]float64) error {
 	if err := validate(vectors); err != nil {
 		return err
@@ -188,88 +189,6 @@ func TreeAllReduce(vectors [][]float64) error {
 	if n > 1 {
 		// n-1 absorbs up the tree plus n-1 copies back down, each moving
 		// one full vector.
-		recordOp("tree", 2*(n-1)*len(vectors[0]))
 	}
-	return nil
-}
-
-// ReduceScatter leaves worker r holding the fully reduced chunk r of the
-// elementwise sum (chunks are contiguous length/n regions, remainder to
-// the last chunk). Returns per-worker reduced chunks.
-func ReduceScatter(vectors [][]float64) ([][]float64, error) {
-	if err := validate(vectors); err != nil {
-		return nil, err
-	}
-	n := len(vectors)
-	length := len(vectors[0])
-	out := make([][]float64, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for r := 0; r < n; r++ {
-		go func(r int) {
-			defer wg.Done()
-			lo := r * length / n
-			hi := (r + 1) * length / n
-			acc := make([]float64, hi-lo)
-			for _, v := range vectors {
-				for i, x := range v[lo:hi] {
-					acc[i] += x
-				}
-			}
-			out[r] = acc
-		}(r)
-	}
-	wg.Wait()
-	return out, nil
-}
-
-// AllGather concatenates per-worker chunks and hands every worker the full
-// concatenation.
-func AllGather(chunks [][]float64) ([][]float64, error) {
-	if len(chunks) == 0 {
-		return nil, ErrShape
-	}
-	var total int
-	for _, c := range chunks {
-		total += len(c)
-	}
-	full := make([]float64, 0, total)
-	for _, c := range chunks {
-		full = append(full, c...)
-	}
-	out := make([][]float64, len(chunks))
-	var wg sync.WaitGroup
-	wg.Add(len(chunks))
-	for r := range chunks {
-		go func(r int) {
-			defer wg.Done()
-			out[r] = append([]float64(nil), full...)
-		}(r)
-	}
-	wg.Wait()
-	return out, nil
-}
-
-// Broadcast copies root's vector into every worker's vector.
-func Broadcast(vectors [][]float64, root int) error {
-	if err := validate(vectors); err != nil {
-		return err
-	}
-	if root < 0 || root >= len(vectors) {
-		return fmt.Errorf("collective: root %d out of range [0,%d)", root, len(vectors))
-	}
-	src := vectors[root]
-	var wg sync.WaitGroup
-	for r := range vectors {
-		if r == root {
-			continue
-		}
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			copy(vectors[r], src)
-		}(r)
-	}
-	wg.Wait()
 	return nil
 }

@@ -119,7 +119,6 @@ func RingAllReduceResilient(vectors [][]float64, dead FailedRanks) (ReformReport
 	// The reformation itself is a control round over the survivors'
 	// edges; it moves no payload but is accounted so chaos experiments
 	// see the extra collective op.
-	recordOp("ring-reform", 0)
 	if len(survivors) == 1 {
 		return rep, nil
 	}

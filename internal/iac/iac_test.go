@@ -74,8 +74,7 @@ func TestApplyIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan2.Empty() {
-		c, u, d := plan2.Summary()
+	if c, u, d := plan2.Summary(); c+u+d != 0 {
 		t.Fatalf("second plan not empty: %d/%d/%d", c, u, d)
 	}
 	if err := Apply(plan2, p, s); err != nil {
@@ -173,44 +172,6 @@ func TestDestroy(t *testing.T) {
 	}
 }
 
-func TestDriftDetection(t *testing.T) {
-	p, cl, _ := newProvider()
-	m := labModule("s001")
-	s := NewState()
-	plan, _ := PlanChanges(m, s)
-	if err := Apply(plan, p, s); err != nil {
-		t.Fatal(err)
-	}
-	// Delete node2 out-of-band ("ClickOps").
-	e, _ := s.Get("instance.node2")
-	if err := cl.Delete(e.ID); err != nil {
-		t.Fatal(err)
-	}
-	drifted, err := DetectDrift(p, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(drifted) != 1 || drifted[0] != "instance.node2" {
-		t.Fatalf("drift = %v, want [instance.node2]", drifted)
-	}
-	n, err := RemoveDrifted(p, s)
-	if err != nil || n != 1 {
-		t.Fatalf("RemoveDrifted = %d, %v", n, err)
-	}
-	// Re-plan recreates exactly the drifted instance.
-	plan2, _ := PlanChanges(m, s)
-	c, _, _ := plan2.Summary()
-	if c != 1 {
-		t.Errorf("re-plan creates = %d, want 1", c)
-	}
-	if err := Apply(plan2, p, s); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(cl.List(func(i *cloud.Instance) bool { return i.Running() })); got != 3 {
-		t.Errorf("%d instances after drift repair, want 3", got)
-	}
-}
-
 func TestCycleDetection(t *testing.T) {
 	m := NewModule()
 	m.MustAdd(Resource{Type: "a", Name: "x", DependsOn: []string{"b.y"}})
@@ -238,15 +199,16 @@ func TestDuplicateAddress(t *testing.T) {
 
 func TestTopoOrderRespectsDependencies(t *testing.T) {
 	m := labModule("s")
-	rs, err := m.Resources()
+	addrs, err := m.topoSort()
 	if err != nil {
 		t.Fatal(err)
 	}
 	pos := map[string]int{}
-	for i, r := range rs {
-		pos[r.Address()] = i
+	for i, addr := range addrs {
+		pos[addr] = i
 	}
-	for _, r := range rs {
+	for _, addr := range addrs {
+		r := m.resources[addr]
 		for _, dep := range r.DependsOn {
 			if pos[dep] >= pos[r.Address()] {
 				t.Errorf("%s ordered before its dependency %s", r.Address(), dep)

@@ -27,10 +27,6 @@ func (m *memProvider) Delete(_ Resource, id string, _ *State) error {
 	return nil
 }
 
-func (m *memProvider) Read(_ Resource, id string) (bool, error) {
-	return m.live[id], nil
-}
-
 // randomModule builds an acyclic module from fuzz input: resource i may
 // depend only on resources with smaller indices.
 func randomModule(rawN uint8, edges []uint16, attrSeed uint8) *Module {
@@ -69,7 +65,10 @@ func TestPlanApplyConvergence(t *testing.T) {
 			return false
 		}
 		replan, err := PlanChanges(m, s)
-		if err != nil || !replan.Empty() {
+		if err != nil {
+			return false
+		}
+		if c, u, d := replan.Summary(); c+u+d != 0 {
 			return false
 		}
 		want := len(s.Addresses())
@@ -121,14 +120,15 @@ func TestAttrChangeReplacesExactlyOne(t *testing.T) {
 		}
 		before := len(p.live)
 
-		rs, err := m.Resources()
+		addrs, err := m.topoSort()
 		if err != nil {
 			return false
 		}
-		target := rs[int(pick)%len(rs)]
+		target := addrs[int(pick)%len(addrs)]
 		m2 := NewModule()
-		for _, r := range rs {
-			if r.Address() == target.Address() {
+		for _, addr := range addrs {
+			r := m.resources[addr]
+			if addr == target {
 				r.Attrs = map[string]string{"v": "mutated"}
 			}
 			m2.MustAdd(r)

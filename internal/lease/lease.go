@@ -28,7 +28,6 @@ import (
 var (
 	ErrNoPool      = errors.New("lease: no pool for node type")
 	ErrNoNodeFree  = errors.New("lease: no node free in the requested window")
-	ErrNotFound    = errors.New("lease: reservation not found")
 	ErrBadWindow   = errors.New("lease: reservation end must be after start")
 	ErrPastStart   = errors.New("lease: reservation starts in the past")
 	ErrOutsideHold = errors.New("lease: window not inside any staff hold")
@@ -50,7 +49,6 @@ type Reservation struct {
 	// InstanceID is set once the reservation activates with a cloud
 	// attached.
 	InstanceID string
-	Cancelled  bool
 
 	// Tracing handles (nil when the service has no tracer): the root span
 	// covers the whole reservation, waitSpan the booking→activation wait,
@@ -89,7 +87,6 @@ type Service struct {
 	tracer *trace.Tracer      // nil disables tracing
 	log    *logging.Component // "lease" stream; nil no-ops
 	pools  map[string]*pool
-	all    map[string]*Reservation
 	nextID int
 }
 
@@ -97,11 +94,11 @@ type Service struct {
 // calendar-only (no instance lifecycle side effects).
 func New(clock *simclock.Clock, cl *cloud.Cloud) *Service {
 	return &Service{clock: clock, cloud: cl,
-		pools: map[string]*pool{}, all: map[string]*Reservation{}}
+		pools: map[string]*pool{}}
 }
 
 // SetTelemetry attaches a telemetry bus; bookings, rejections, and the
-// reservation lifecycle (activate/expire/cancel) are instrumented. Call
+// reservation lifecycle (activate/expire) are instrumented. Call
 // before concurrent use.
 func (s *Service) SetTelemetry(b *telemetry.Bus) {
 	s.mu.Lock()
@@ -205,12 +202,14 @@ func (s *Service) bookLocked(spec Spec) (*Reservation, error) {
 }
 
 func (s *Service) tryBookLocked(spec Spec) (*Reservation, error) {
-	if spec.End <= spec.Start {
+	// Written so that NaN fails both tests: a NaN window would never
+	// activate, and its events would stall every later lease.
+	if !(spec.End > spec.Start) || math.IsInf(spec.End, 1) {
 		return nil, ErrBadWindow
 	}
 	// The lifecycle is driven by clock events; scheduling one in the past
 	// would panic the clock, so reject it here as a booking error.
-	if now := s.clock.Now(); spec.Start < now {
+	if now := s.clock.Now(); !(spec.Start >= now) {
 		return nil, fmt.Errorf("%w: start %.1f < now %.1f", ErrPastStart, spec.Start, now)
 	}
 	p, ok := s.pools[spec.NodeType]
@@ -242,7 +241,6 @@ func (s *Service) tryBookLocked(spec Spec) (*Reservation, error) {
 		Tags: copyTags(spec.Tags),
 	}
 	p.byNode[node] = insertSorted(p.byNode[node], r)
-	s.all[r.ID] = r
 	// The trace starts at booking: the paper's cost question ("why did
 	// this slot cost what it cost") begins when the student books, not
 	// when the node activates.
@@ -265,12 +263,8 @@ func (s *Service) scheduleLifecycleLocked(r *Reservation, flavor cloud.Flavor) {
 	var start func(retries int)
 	start = func(retries int) {
 		s.mu.Lock()
-		cancelled := r.Cancelled
 		span, waitSpan := r.span, r.waitSpan
 		s.mu.Unlock()
-		if cancelled {
-			return
-		}
 		inst, err := s.cloud.Launch(cloud.LaunchSpec{
 			Project: r.Project,
 			Name:    fmt.Sprintf("%s-%s", r.User, r.NodeType),
@@ -324,12 +318,8 @@ func (s *Service) scheduleLifecycleLocked(r *Reservation, flavor cloud.Flavor) {
 		s.cloud.DeleteAt(inst.ID, r.End)
 		s.clock.At(r.End, "lease.expire "+r.ID, func() {
 			s.mu.Lock()
-			cancelled := r.Cancelled
 			root, active := r.span, r.activeSpan
 			s.mu.Unlock()
-			if cancelled {
-				return
-			}
 			s.tel.Counter("lease.expiries").Inc()
 			s.log.Info("reservation expired",
 				logging.Str("id", r.ID),
@@ -341,56 +331,11 @@ func (s *Service) scheduleLifecycleLocked(r *Reservation, flavor cloud.Flavor) {
 	s.clock.At(r.Start, "lease.start "+r.ID, func() { start(8) })
 }
 
-// Cancel withdraws a reservation. Cancelling after activation deletes the
-// backing instance immediately.
-func (s *Service) Cancel(id string) error {
-	s.mu.Lock()
-	r, ok := s.all[id]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	r.Cancelled = true
-	p := s.pools[r.NodeType]
-	list := p.byNode[r.Node]
-	for i, x := range list {
-		if x.ID == id {
-			p.byNode[r.Node] = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	delete(s.all, id)
-	instID := r.InstanceID
-	root, wait, active := r.span, r.waitSpan, r.activeSpan
-	s.mu.Unlock()
-	if instID != "" && s.cloud != nil {
-		_ = s.cloud.Delete(instID)
-	}
-	// Finish whatever phase the reservation was in; Finish is idempotent,
-	// so cancelling an already-expired lease changes nothing.
-	now := s.clock.Now()
-	wait.FinishAt(now)
-	active.FinishAt(now)
-	root.Annotate(telemetry.String("outcome", "cancelled"))
-	root.FinishAt(now)
-	s.tel.Counter("lease.cancellations").Inc()
-	return nil
-}
-
-// Get returns a reservation by ID.
-func (s *Service) Get(id string) (*Reservation, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.all[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	return r, nil
-}
-
 // FindSlot returns the earliest start >= earliest at which some node of
 // nodeType is free for duration hours (and, if holds exist, the window
 // fits in a hold). It returns an error if no slot exists before horizon.
+//
+//lint:ignore deadcode FuzzFindSlot checks the slot search against findSlotRef through it
 func (s *Service) FindSlot(nodeType string, earliest, duration, horizon float64) (float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -466,64 +411,6 @@ func (s *Service) BookEarliest(spec Spec, duration, horizon float64) (*Reservati
 	spec.Start = start
 	spec.End = start + duration
 	return s.bookLocked(spec)
-}
-
-// Utilization returns booked-hours / (nodes × window-hours) for a node
-// type over [start, end).
-func (s *Service) Utilization(nodeType string, start, end float64) (float64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.pools[nodeType]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoPool, nodeType)
-	}
-	if end <= start || len(p.nodes) == 0 {
-		return 0, nil
-	}
-	// Sum in sorted node order: float addition is not associative, so
-	// map-order accumulation would make utilization run-dependent.
-	nodes := make([]string, 0, len(p.byNode))
-	for n := range p.byNode {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	var booked float64
-	for _, n := range nodes {
-		for _, r := range p.byNode[n] {
-			lo, hi := r.Start, r.End
-			if lo < start {
-				lo = start
-			}
-			if hi > end {
-				hi = end
-			}
-			if hi > lo {
-				booked += hi - lo
-			}
-		}
-	}
-	return booked / (float64(len(p.nodes)) * (end - start)), nil
-}
-
-// Reservations returns all bookings for a node type, sorted by start.
-func (s *Service) Reservations(nodeType string) []*Reservation {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.pools[nodeType]
-	if !ok {
-		return nil
-	}
-	var out []*Reservation
-	for _, list := range p.byNode {
-		out = append(out, list...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
 }
 
 // nodeFree reports whether no booking in list overlaps [start, end). Only

@@ -87,41 +87,6 @@ func TestStaffHolds(t *testing.T) {
 	}
 }
 
-func TestCancelBeforeStart(t *testing.T) {
-	s, cl, clk := newSvc()
-	r, _ := s.Book(Spec{Project: "class", NodeType: "gpu_a100_pcie", Start: 5, End: 8})
-	if err := s.Cancel(r.ID); err != nil {
-		t.Fatal(err)
-	}
-	clk.RunUntil(10)
-	if n := len(cl.List(func(i *cloud.Instance) bool { return i.Running() })); n != 0 {
-		t.Errorf("%d instances running after cancelled reservation", n)
-	}
-	// The freed window can be rebooked on the same node.
-	if _, err := s.Book(Spec{Project: "class", NodeType: "gpu_a100_pcie", Start: 11, End: 12}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Cancel("lease-999999"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("cancel missing err = %v", err)
-	}
-}
-
-func TestCancelAfterStartDeletesInstance(t *testing.T) {
-	s, cl, clk := newSvc()
-	r, _ := s.Book(Spec{Project: "class", NodeType: "gpu_a100_pcie", Start: 1, End: 10})
-	clk.RunUntil(2)
-	if r.InstanceID == "" {
-		t.Fatal("reservation not activated")
-	}
-	if err := s.Cancel(r.ID); err != nil {
-		t.Fatal(err)
-	}
-	inst, _ := cl.Get(r.InstanceID)
-	if inst.Running() {
-		t.Error("instance still running after cancel")
-	}
-}
-
 func TestFindSlotSkipsBusyWindows(t *testing.T) {
 	s, _, _ := newSvc()
 	// Fill both nodes over [0, 10).
@@ -166,41 +131,6 @@ func TestBookEarliest(t *testing.T) {
 	clk.Run()
 }
 
-func TestUtilization(t *testing.T) {
-	s, _, _ := newSvc()
-	// 2 nodes over [0,10) = 20 node-hours; book 5.
-	_, _ = s.Book(Spec{Project: "class", NodeType: "gpu_a100_pcie", Start: 0, End: 3})
-	_, _ = s.Book(Spec{Project: "class", NodeType: "gpu_a100_pcie", Start: 2, End: 4})
-	u, err := s.Utilization("gpu_a100_pcie", 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u != 0.25 {
-		t.Errorf("utilization = %v, want 0.25", u)
-	}
-	// Window clamping: only the overlap counts.
-	u, _ = s.Utilization("gpu_a100_pcie", 2, 4)
-	if u != 0.75 { // node A busy [2,3) + node B busy [2,4) = 3 of 4
-		t.Errorf("clamped utilization = %v, want 0.75", u)
-	}
-}
-
-func TestReservationsSorted(t *testing.T) {
-	s, _, _ := newSvc()
-	_, _ = s.Book(Spec{Project: "class", NodeType: "gpu_a100_pcie", Start: 5, End: 6})
-	_, _ = s.Book(Spec{Project: "class", NodeType: "gpu_a100_pcie", Start: 1, End: 2})
-	_, _ = s.Book(Spec{Project: "class", NodeType: "gpu_a100_pcie", Start: 3, End: 4})
-	rs := s.Reservations("gpu_a100_pcie")
-	if len(rs) != 3 {
-		t.Fatalf("got %d reservations", len(rs))
-	}
-	for i := 1; i < len(rs); i++ {
-		if rs[i-1].Start > rs[i].Start {
-			t.Fatal("reservations not sorted")
-		}
-	}
-}
-
 func TestNoOverlapProperty(t *testing.T) {
 	// Property: whatever sequence of bookings succeeds, no node ever has
 	// two overlapping reservations.
@@ -217,11 +147,7 @@ func TestNoOverlapProperty(t *testing.T) {
 			end := start + float64(q.Len%8) + 1
 			_, _ = s.Book(Spec{Project: "p", NodeType: "gpu_v100", Start: start, End: end})
 		}
-		byNode := map[string][]*Reservation{}
-		for _, r := range s.Reservations("gpu_v100") {
-			byNode[r.Node] = append(byNode[r.Node], r)
-		}
-		for _, list := range byNode {
+		for _, list := range s.pools["gpu_v100"].byNode {
 			for i := 0; i < len(list); i++ {
 				for j := i + 1; j < len(list); j++ {
 					if overlaps(list[i].Start, list[i].End, list[j].Start, list[j].End) {
@@ -277,8 +203,8 @@ func TestFindSlotIsEarliest(t *testing.T) {
 		free := func(start float64) bool {
 			for _, n := range []string{"gpu_p100-00", "gpu_p100-01"} {
 				conflict := false
-				for _, r := range s.Reservations("gpu_p100") {
-					if r.Node == n && start < r.End && r.Start < start+dur {
+				for _, r := range s.pools["gpu_p100"].byNode[n] {
+					if start < r.End && r.Start < start+dur {
 						conflict = true
 						break
 					}

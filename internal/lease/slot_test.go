@@ -91,7 +91,7 @@ func FuzzFindSlot(f *testing.F) {
 		want, werr := findSlotRef(s, "gpu_p100", e, d, h)
 		if (err != nil) != (werr != nil) || math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("FindSlot(%v, %v, %v) = %v, %v; reference %v, %v\nbookings %v\nholds %v",
-				e, d, h, got, err, want, werr, s.Reservations("gpu_p100"), s.pools["gpu_p100"].holds)
+				e, d, h, got, err, want, werr, s.pools["gpu_p100"].byNode, s.pools["gpu_p100"].holds)
 		}
 	})
 }
@@ -118,7 +118,7 @@ func TestBookEarliestConcurrent(t *testing.T) {
 				t.Fatalf("trial %d caller %d: %v", trial, g, err)
 			}
 		}
-		rs := s.Reservations("gpu_p100")
+		rs := s.pools["gpu_p100"].byNode["gpu_p100-00"]
 		if len(rs) != callers {
 			t.Fatalf("trial %d: %d reservations, want %d", trial, len(rs), callers)
 		}

@@ -131,9 +131,6 @@ func Str(key, value string) Attr { return Attr{Key: key, kind: kindStr, s: value
 // Int builds an integer attribute.
 func Int(key string, value int) Attr { return Attr{Key: key, kind: kindInt, i: int64(value)} }
 
-// Int64 builds an int64 attribute.
-func Int64(key string, value int64) Attr { return Attr{Key: key, kind: kindInt, i: value} }
-
 // Float builds a float attribute rendered with %.4f, trailing zeros
 // trimmed — the same compact form telemetry.Float uses, so log lines and
 // event attrs agree byte-for-byte on the same value.
@@ -179,11 +176,9 @@ type Record struct {
 	attrs  [MaxAttrs]Attr
 }
 
-// Attrs returns the record's attributes (aliasing the record's inline
-// array; copy before mutating the record).
-func (r *Record) Attrs() []Attr { return r.attrs[:r.nattrs] }
-
 // Attr returns the value of the named attribute ("" if absent).
+//
+//lint:ignore deadcode tests of live code read record attributes with it; no live API exposes them one by one
 func (r *Record) Attr(key string) string {
 	for i := uint8(0); i < r.nattrs; i++ {
 		if r.attrs[i].Key == key {
@@ -249,18 +244,20 @@ func Filter(recs []Record, component string, min Level, tracePrefix string, sinc
 	return out
 }
 
-// DefaultRingSize is the per-component ring capacity used by New.
+// DefaultRingSize is the per-component ring capacity.
 const DefaultRingSize = 512
+
+// minLevel is the lowest level a component records: Debug records are
+// dropped before they reach a ring.
+const minLevel = LevelInfo
 
 // Logger owns the component registry and the global record sequence.
 // All methods are safe for concurrent use; a nil *Logger is a valid
 // "logging disabled" logger.
 type Logger struct {
-	seed     uint64
-	now      func() float64
-	level    atomic.Int32
-	seq      atomic.Uint64
-	ringSize int
+	seed uint64
+	now  func() float64
+	seq  atomic.Uint64
 
 	mu    sync.Mutex
 	bus   *telemetry.Bus
@@ -272,9 +269,7 @@ type Logger struct {
 // simclock.Clock.Now; nil pins time at 0) and whose samplers derive
 // their keep/drop sequences from seed. The minimum level is Info.
 func New(seed uint64, now func() float64) *Logger {
-	l := &Logger{seed: seed, now: now, ringSize: DefaultRingSize, comps: map[string]*Component{}}
-	l.level.Store(int32(LevelInfo))
-	return l
+	return &Logger{seed: seed, now: now, comps: map[string]*Component{}}
 }
 
 // SetTelemetry attaches a bus: every component registered *after* this
@@ -289,36 +284,6 @@ func (l *Logger) SetTelemetry(b *telemetry.Bus) {
 	l.bus = b
 }
 
-// SetLevel sets the minimum level a record must have to be kept.
-func (l *Logger) SetLevel(min Level) {
-	if l == nil {
-		return
-	}
-	l.level.Store(int32(min))
-}
-
-// Level returns the current minimum level.
-func (l *Logger) Level() Level {
-	if l == nil {
-		return LevelError + 1
-	}
-	return Level(l.level.Load())
-}
-
-// SetRingSize sets the ring capacity for components registered after the
-// call (existing rings keep their size). Values < 1 are clamped to 1.
-func (l *Logger) SetRingSize(n int) {
-	if l == nil {
-		return
-	}
-	if n < 1 {
-		n = 1
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.ringSize = n
-}
-
 // Component returns (registering on first use) the named component
 // handle. Returns nil on a nil logger.
 func (l *Logger) Component(name string) *Component {
@@ -329,7 +294,7 @@ func (l *Logger) Component(name string) *Component {
 	defer l.mu.Unlock()
 	c, ok := l.comps[name]
 	if !ok {
-		c = &Component{l: l, name: name, ring: make([]Record, l.ringSize)}
+		c = &Component{l: l, name: name, ring: make([]Record, DefaultRingSize)}
 		if l.bus != nil {
 			for lv := LevelDebug; lv <= LevelError; lv++ {
 				c.counters[lv] = l.bus.Counter(telemetry.Labeled("log.records",
@@ -344,16 +309,6 @@ func (l *Logger) Component(name string) *Component {
 		l.order[i] = name
 	}
 	return c
-}
-
-// Components returns the registered component names, sorted.
-func (l *Logger) Components() []string {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]string(nil), l.order...)
 }
 
 // Records returns the retained records of every component merged into
@@ -468,12 +423,6 @@ func (c *Component) Warn(msg string, attrs ...Attr) { c.log(LevelWarn, nil, msg,
 // Error emits an error record.
 func (c *Component) Error(msg string, attrs ...Attr) { c.log(LevelError, nil, msg, attrs) }
 
-// DebugT is Debug correlated to a span: the record carries the span's
-// trace and span IDs. A nil span leaves the record uncorrelated.
-func (c *Component) DebugT(sp *trace.Span, msg string, attrs ...Attr) {
-	c.log(LevelDebug, sp, msg, attrs)
-}
-
 // InfoT is Info correlated to a span.
 func (c *Component) InfoT(sp *trace.Span, msg string, attrs ...Attr) {
 	c.log(LevelInfo, sp, msg, attrs)
@@ -495,7 +444,7 @@ func (c *Component) ErrorT(sp *trace.Span, msg string, attrs ...Attr) {
 // copied into the slot's inline array, and the counter handle was
 // registered at component creation.
 func (c *Component) log(lv Level, sp *trace.Span, msg string, attrs []Attr) {
-	if c == nil || int32(lv) < c.l.level.Load() {
+	if c == nil || lv < minLevel {
 		return
 	}
 	seq := c.l.seq.Add(1)

@@ -1,6 +1,7 @@
 package logging
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -27,10 +28,8 @@ func TestNilSafety(t *testing.T) {
 	if c.Dropped() != 0 || c.Name() != "" {
 		t.Fatal("nil component Dropped/Name not zero")
 	}
-	l.SetLevel(LevelDebug)
-	l.SetRingSize(4)
 	l.SetTelemetry(nil)
-	if l.Records(0) != nil || l.Components() != nil || l.Dropped() != 0 {
+	if l.Records(0) != nil || l.Dropped() != 0 {
 		t.Fatal("nil logger queries not empty")
 	}
 	var s *Sampler
@@ -48,16 +47,6 @@ func TestLevelsAndFiltering(t *testing.T) {
 	recs := c.Records()
 	if len(recs) != 2 {
 		t.Fatalf("got %d records, want 2 (debug filtered at Info level)", len(recs))
-	}
-	l.SetLevel(LevelDebug)
-	c.Debug("now kept")
-	if got := len(c.Records()); got != 3 {
-		t.Fatalf("after SetLevel(Debug): %d records, want 3", got)
-	}
-	l.SetLevel(LevelError)
-	c.Warn("dropped again")
-	if got := len(c.Records()); got != 3 {
-		t.Fatalf("after SetLevel(Error): %d records, want 3", got)
 	}
 }
 
@@ -84,22 +73,21 @@ func TestParseLevel(t *testing.T) {
 
 func TestRingEvictionOldestFirst(t *testing.T) {
 	l := New(1, nil)
-	l.SetRingSize(3)
 	c := l.Component("jobs")
-	for _, m := range []string{"r1", "r2", "r3", "r4", "r5"} {
-		c.Info(m)
+	for i := 1; i <= DefaultRingSize+2; i++ {
+		c.Info(fmt.Sprintf("r%d", i))
 	}
 	recs := c.Records()
-	if len(recs) != 3 {
-		t.Fatalf("ring holds %d, want 3", len(recs))
+	if len(recs) != DefaultRingSize {
+		t.Fatalf("ring holds %d, want %d", len(recs), DefaultRingSize)
 	}
-	for i, want := range []string{"r3", "r4", "r5"} {
-		if recs[i].Msg != want {
-			t.Errorf("recs[%d].Msg = %q, want %q", i, recs[i].Msg, want)
+	if recs[0].Msg != "r3" || recs[len(recs)-1].Msg != fmt.Sprintf("r%d", DefaultRingSize+2) {
+		t.Errorf("ring spans %q..%q, want r3..r%d", recs[0].Msg, recs[len(recs)-1].Msg, DefaultRingSize+2)
+	}
+	for i := 1; i < len(recs); i++ {
+		if recs[i-1].Seq >= recs[i].Seq {
+			t.Fatalf("records not in ascending Seq order at %d: %d %d", i, recs[i-1].Seq, recs[i].Seq)
 		}
-	}
-	if recs[0].Seq >= recs[1].Seq || recs[1].Seq >= recs[2].Seq {
-		t.Errorf("records not in ascending Seq order: %d %d %d", recs[0].Seq, recs[1].Seq, recs[2].Seq)
 	}
 	if c.Dropped() != 2 {
 		t.Errorf("Dropped = %d, want 2", c.Dropped())
@@ -130,10 +118,6 @@ func TestMergedRecordsEmissionOrder(t *testing.T) {
 	if len(tail) != 2 || tail[0].Msg != "a2" || tail[1].Msg != "b2" {
 		t.Fatalf("Records(2) = %v, want last two records", tail)
 	}
-	comps := l.Components()
-	if len(comps) != 2 || comps[0] != "alpha" || comps[1] != "beta" {
-		t.Fatalf("Components = %v, want [alpha beta]", comps)
-	}
 }
 
 func TestSimClockTimestampsAndRange(t *testing.T) {
@@ -153,9 +137,9 @@ func TestSimClockTimestampsAndRange(t *testing.T) {
 func TestAttrs(t *testing.T) {
 	l := New(1, nil)
 	c := l.Component("serve")
-	c.Info("m", Str("pool", "gpu"), Int("n", 42), Float("price", 1.2500), Float("zero", 0), Int64("big", 1<<40))
+	c.Info("m", Str("pool", "gpu"), Int("n", 42), Float("price", 1.2500), Float("zero", 0))
 	r := l.Records(0)[0]
-	want := map[string]string{"pool": "gpu", "n": "42", "price": "1.25", "zero": "0", "big": "1099511627776"}
+	want := map[string]string{"pool": "gpu", "n": "42", "price": "1.25", "zero": "0"}
 	for k, v := range want {
 		if got := r.Attr(k); got != v {
 			t.Errorf("Attr(%q) = %q, want %q", k, got, v)
@@ -164,8 +148,8 @@ func TestAttrs(t *testing.T) {
 	if got := r.Attr("absent"); got != "" {
 		t.Errorf("Attr(absent) = %q, want empty", got)
 	}
-	if len(r.Attrs()) != 5 {
-		t.Errorf("Attrs len = %d, want 5", len(r.Attrs()))
+	if r.nattrs != 4 {
+		t.Errorf("attrs len = %d, want 4", r.nattrs)
 	}
 }
 
@@ -178,8 +162,8 @@ func TestAttrTruncation(t *testing.T) {
 	}
 	c.Info("over", attrs...)
 	r := l.Records(0)[0]
-	if len(r.Attrs()) != MaxAttrs {
-		t.Fatalf("kept %d attrs, want %d", len(r.Attrs()), MaxAttrs)
+	if r.nattrs != MaxAttrs {
+		t.Fatalf("kept %d attrs, want %d", r.nattrs, MaxAttrs)
 	}
 	if r.Truncated != 3 {
 		t.Fatalf("Truncated = %d, want 3", r.Truncated)

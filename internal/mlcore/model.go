@@ -160,6 +160,8 @@ func (m *SoftmaxClassifier) Clone() *SoftmaxClassifier {
 }
 
 // Equal reports whether two models have identical parameters within eps.
+//
+//lint:ignore deadcode the DDP-equivalence and marshal round-trip tests of Train and Unmarshal compare models with it
 func (m *SoftmaxClassifier) Equal(o *SoftmaxClassifier, eps float64) bool {
 	if m.Classes != o.Classes || m.Features != o.Features {
 		return false

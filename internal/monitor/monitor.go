@@ -78,18 +78,6 @@ func (db *TSDB) WindowStats(name string, from, to float64) (stats.Summary, error
 	return stats.Summarize(vs), nil
 }
 
-// Series lists stored metric names, sorted.
-func (db *TSDB) Series() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.series))
-	for n := range db.series {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // DriftReport is the outcome of one drift check.
 type DriftReport struct {
 	KS       float64
@@ -148,82 +136,4 @@ func (d *DriftDetector) Check(current []float64) DriftReport {
 		r.Reason = fmt.Sprintf("PSI %.2f above threshold %.2f", r.PSI, psiTh)
 	}
 	return r
-}
-
-// Comparison tells an alert rule how to compare the aggregate to the
-// threshold.
-type Comparison int
-
-const (
-	Above Comparison = iota
-	Below
-)
-
-// Aggregate selects which window statistic an alert rule examines.
-type Aggregate int
-
-const (
-	AggMean Aggregate = iota
-	AggP95
-	AggP99
-	AggMax
-	AggCount
-)
-
-// Rule is a threshold alert over a metric window.
-type Rule struct {
-	Name      string
-	Metric    string
-	Window    float64 // lookback width in time units
-	Aggregate Aggregate
-	Compare   Comparison
-	Threshold float64
-}
-
-// Alert is one fired rule.
-type Alert struct {
-	Rule  string
-	Value float64
-	At    float64
-}
-
-func (a Alert) String() string {
-	return fmt.Sprintf("[%v] %s value=%.3f", a.At, a.Rule, a.Value)
-}
-
-// AlertManager evaluates rules against a TSDB.
-type AlertManager struct {
-	Rules []Rule
-	DB    *TSDB
-}
-
-// Evaluate checks all rules at time now and returns fired alerts. Rules
-// whose window holds no data do not fire (no data ≠ incident in this
-// simulator; production systems often alert on absence separately).
-func (m *AlertManager) Evaluate(now float64) []Alert {
-	var alerts []Alert
-	for _, r := range m.Rules {
-		s, err := m.DB.WindowStats(r.Metric, now-r.Window, now)
-		if err != nil {
-			continue
-		}
-		var v float64
-		switch r.Aggregate {
-		case AggMean:
-			v = s.Mean
-		case AggP95:
-			v = s.P95
-		case AggP99:
-			v = s.P99
-		case AggMax:
-			v = s.Max
-		case AggCount:
-			v = float64(s.N)
-		}
-		fired := (r.Compare == Above && v > r.Threshold) || (r.Compare == Below && v < r.Threshold)
-		if fired {
-			alerts = append(alerts, Alert{Rule: r.Name, Value: v, At: now})
-		}
-	}
-	return alerts
 }

@@ -1,8 +1,6 @@
 package monitor
 
 import (
-	"fmt"
-	"math"
 	"sync"
 	"testing"
 
@@ -89,117 +87,6 @@ func TestDriftDetectorCatchesShift(t *testing.T) {
 	}
 }
 
-func TestAlertRules(t *testing.T) {
-	db := NewTSDB()
-	for i := 0; i < 100; i++ {
-		db.Add("latency_ms", float64(i)*0.01, 50+float64(i%10))
-	}
-	// Spike in the last window.
-	db.Add("latency_ms", 0.99, 400)
-	m := &AlertManager{DB: db, Rules: []Rule{
-		{Name: "max-latency", Metric: "latency_ms", Window: 1, Aggregate: AggMax, Compare: Above, Threshold: 200},
-		{Name: "mean-latency", Metric: "latency_ms", Window: 1, Aggregate: AggMean, Compare: Above, Threshold: 200},
-		{Name: "throughput-low", Metric: "rps", Window: 1, Aggregate: AggMean, Compare: Below, Threshold: 10},
-	}}
-	alerts := m.Evaluate(1)
-	if len(alerts) != 1 {
-		t.Fatalf("alerts = %v, want just max-latency", alerts)
-	}
-	if alerts[0].Rule != "max-latency" {
-		t.Errorf("fired %s", alerts[0].Rule)
-	}
-	if alerts[0].String() == "" {
-		t.Error("empty alert string")
-	}
-}
-
-func TestAlertBelowComparison(t *testing.T) {
-	db := NewTSDB()
-	db.Add("rps", 1, 3)
-	m := &AlertManager{DB: db, Rules: []Rule{
-		{Name: "low", Metric: "rps", Window: 5, Aggregate: AggMean, Compare: Below, Threshold: 10},
-	}}
-	if alerts := m.Evaluate(2); len(alerts) != 1 {
-		t.Errorf("below-rule alerts = %v", alerts)
-	}
-}
-
-func TestShadowDeployment(t *testing.T) {
-	s := NewShadowDeployment(2)
-	if s.AgreementRate() != 1 {
-		t.Error("idle shadow should report 1.0")
-	}
-	for i := 0; i < 90; i++ {
-		s.Observe(fmt.Sprint(i), "pizza", "pizza")
-	}
-	for i := 0; i < 10; i++ {
-		s.Observe(fmt.Sprint(i), "pizza", "pasta")
-	}
-	if got := s.AgreementRate(); got != 0.9 {
-		t.Errorf("agreement = %v, want 0.9", got)
-	}
-	if got := len(s.Disagreements()); got != 2 {
-		t.Errorf("kept %d disagreements, want cap 2", got)
-	}
-}
-
-func TestABAssignStable(t *testing.T) {
-	ab := &ABTest{Name: "ranker", TrafficToB: 0.5}
-	for i := 0; i < 50; i++ {
-		u := fmt.Sprintf("user-%d", i)
-		if ab.Assign(u) != ab.Assign(u) {
-			t.Fatal("assignment not stable for same user")
-		}
-	}
-	// Split should be roughly even.
-	b := 0
-	for i := 0; i < 2000; i++ {
-		if ab.Assign(fmt.Sprintf("user-%d", i)) == "B" {
-			b++
-		}
-	}
-	if b < 800 || b > 1200 {
-		t.Errorf("B share = %d/2000, want ~1000", b)
-	}
-}
-
-func TestABTestDetectsRealDifference(t *testing.T) {
-	ab := &ABTest{Name: "exp", TrafficToB: 0.5}
-	rng := stats.NewRNG(9)
-	for i := 0; i < 3000; i++ {
-		mustOK(t, ab.Record("A", rng.Bool(0.50)))
-		mustOK(t, ab.Record("B", rng.Bool(0.58)))
-	}
-	r := ab.Result()
-	if !r.Significant || r.Winner != "B" {
-		t.Errorf("missed a real 8-point lift: %+v", r)
-	}
-}
-
-func TestABTestNoFalsePositiveOnEqualArms(t *testing.T) {
-	ab := &ABTest{Name: "exp", TrafficToB: 0.5}
-	rng := stats.NewRNG(10)
-	for i := 0; i < 3000; i++ {
-		mustOK(t, ab.Record("A", rng.Bool(0.5)))
-		mustOK(t, ab.Record("B", rng.Bool(0.5)))
-	}
-	r := ab.Result()
-	if r.Significant {
-		t.Errorf("significant on identical arms (p=%.3f); unlucky seeds possible but this one should pass", r.PValue)
-	}
-	if ab.Record("C", true) == nil {
-		t.Error("unknown arm accepted")
-	}
-}
-
-func TestABTestEmptyArms(t *testing.T) {
-	ab := &ABTest{Name: "x"}
-	r := ab.Result()
-	if r.Significant || r.ZScore != 0 {
-		t.Errorf("empty test result: %+v", r)
-	}
-}
-
 func TestCanaryVerdicts(t *testing.T) {
 	// Healthy canary.
 	c := NewCanaryComparison()
@@ -230,15 +117,6 @@ func TestCanaryVerdicts(t *testing.T) {
 	// No traffic: refuse to judge.
 	if err := NewCanaryComparison().Verdict(); err == nil {
 		t.Error("verdict with no canary traffic should fail")
-	}
-}
-
-func TestNormalCDF(t *testing.T) {
-	if math.Abs(normalCDF(0)-0.5) > 1e-12 {
-		t.Error("Phi(0) != 0.5")
-	}
-	if math.Abs(normalCDF(1.96)-0.975) > 0.001 {
-		t.Errorf("Phi(1.96) = %v", normalCDF(1.96))
 	}
 }
 

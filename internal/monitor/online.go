@@ -2,157 +2,8 @@ package monitor
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math"
 	"sync"
 )
-
-// ShadowDeployment mirrors traffic to a candidate model without serving
-// its responses. Agreement rate between primary and shadow predictions is
-// the cheap health signal the lab computes before risking a canary.
-type ShadowDeployment struct {
-	mu       sync.Mutex
-	total    int
-	agree    int
-	examples []Disagreement
-	maxKeep  int
-}
-
-// Disagreement records one diverging prediction for later inspection.
-type Disagreement struct {
-	Input   string
-	Primary string
-	Shadow  string
-}
-
-// NewShadowDeployment keeps up to maxExamples disagreements for review.
-func NewShadowDeployment(maxExamples int) *ShadowDeployment {
-	return &ShadowDeployment{maxKeep: maxExamples}
-}
-
-// Observe records one mirrored request.
-func (s *ShadowDeployment) Observe(input, primary, shadow string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.total++
-	if primary == shadow {
-		s.agree++
-		return
-	}
-	if len(s.examples) < s.maxKeep {
-		s.examples = append(s.examples, Disagreement{input, primary, shadow})
-	}
-}
-
-// AgreementRate returns the fraction of matching predictions (1.0 when no
-// traffic has been observed yet, so an idle shadow never alarms).
-func (s *ShadowDeployment) AgreementRate() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.total == 0 {
-		return 1
-	}
-	return float64(s.agree) / float64(s.total)
-}
-
-// Disagreements returns retained diverging examples.
-func (s *ShadowDeployment) Disagreements() []Disagreement {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Disagreement(nil), s.examples...)
-}
-
-// ABTest assigns traffic to two variants by stable user hash and compares
-// success proportions with a two-proportion z-test.
-type ABTest struct {
-	Name string
-	// TrafficToB in [0,1] controls the assignment split.
-	TrafficToB float64
-
-	mu                 sync.Mutex
-	nA, nB             int
-	successA, successB int
-}
-
-// Assign deterministically routes a user to "A" or "B": the same user
-// always lands in the same arm, the property that keeps experiences
-// consistent mid-experiment.
-func (t *ABTest) Assign(userID string) string {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(t.Name))
-	_, _ = h.Write([]byte(userID))
-	u := float64(h.Sum64()%10000) / 10000
-	if u < t.TrafficToB {
-		return "B"
-	}
-	return "A"
-}
-
-// Record logs one outcome for an arm.
-func (t *ABTest) Record(arm string, success bool) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	switch arm {
-	case "A":
-		t.nA++
-		if success {
-			t.successA++
-		}
-	case "B":
-		t.nB++
-		if success {
-			t.successB++
-		}
-	default:
-		return fmt.Errorf("monitor: unknown arm %q", arm)
-	}
-	return nil
-}
-
-// ABResult summarizes the experiment.
-type ABResult struct {
-	RateA, RateB float64
-	NA, NB       int
-	ZScore       float64
-	PValue       float64 // two-sided
-	// Significant at alpha=0.05.
-	Significant bool
-	// Winner is "A", "B", or "" when not significant.
-	Winner string
-}
-
-// Result computes the two-proportion z-test.
-func (t *ABTest) Result() ABResult {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r := ABResult{NA: t.nA, NB: t.nB}
-	if t.nA == 0 || t.nB == 0 {
-		return r
-	}
-	r.RateA = float64(t.successA) / float64(t.nA)
-	r.RateB = float64(t.successB) / float64(t.nB)
-	pooled := float64(t.successA+t.successB) / float64(t.nA+t.nB)
-	se := math.Sqrt(pooled * (1 - pooled) * (1/float64(t.nA) + 1/float64(t.nB)))
-	if se == 0 {
-		return r
-	}
-	r.ZScore = (r.RateB - r.RateA) / se
-	r.PValue = 2 * (1 - normalCDF(math.Abs(r.ZScore)))
-	r.Significant = r.PValue < 0.05
-	if r.Significant {
-		if r.RateB > r.RateA {
-			r.Winner = "B"
-		} else {
-			r.Winner = "A"
-		}
-	}
-	return r
-}
-
-// normalCDF is the standard normal CDF via erf.
-func normalCDF(x float64) float64 {
-	return 0.5 * (1 + math.Erf(x/math.Sqrt2))
-}
 
 // CanaryComparison watches error rates of the stable and canary arms and
 // renders the promote/rollback verdict used as a cicd.Gate.

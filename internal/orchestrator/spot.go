@@ -140,23 +140,22 @@ type TrainController struct {
 	tracer *trace.Tracer
 	log    *logging.Component // "train" stream; nil no-ops
 
-	// RetryHours is the backoff before re-trying a failed relaunch.
-	retryHours float64
-
 	jobs   map[string]*trainJob
 	byInst map[string]*trainJob
 }
+
+// retryHours is the backoff before re-trying a failed relaunch.
+const retryHours = 0.1
 
 // NewTrainController attaches a controller to the cloud. If the site's
 // spot market is enabled, the controller subscribes to preemption
 // notices; enable the market before constructing the controller.
 func NewTrainController(clk *simclock.Clock, cl *cloud.Cloud) *TrainController {
 	tc := &TrainController{
-		clk:        clk,
-		cl:         cl,
-		retryHours: 0.1,
-		jobs:       map[string]*trainJob{},
-		byInst:     map[string]*trainJob{},
+		clk:    clk,
+		cl:     cl,
+		jobs:   map[string]*trainJob{},
+		byInst: map[string]*trainJob{},
 	}
 	if m := cl.Spot(); m != nil {
 		m.OnNotice(tc.onNotice)
@@ -193,13 +192,6 @@ func (tc *TrainController) SetTracer(t *trace.Tracer) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	tc.tracer = t
-}
-
-// SetRetryHours overrides the relaunch backoff (default 0.1h).
-func (tc *TrainController) SetRetryHours(h float64) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	tc.retryHours = h
 }
 
 // Submit registers a job and launches it immediately.
@@ -281,7 +273,7 @@ func (tc *TrainController) launchLocked(j *trainJob) {
 			logging.Str("job", j.spec.Name),
 			logging.Str("error", err.Error()))
 		jn := j.spec.Name
-		tc.clk.After(tc.retryHours, "orchestrator.train_retry "+jn, func() {
+		tc.clk.After(retryHours, "orchestrator.train_retry "+jn, func() {
 			tc.mu.Lock()
 			defer tc.mu.Unlock()
 			tc.launchLocked(tc.jobs[jn])

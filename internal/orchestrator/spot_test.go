@@ -173,7 +173,7 @@ func TestTrainJobSurvivesHostCrash(t *testing.T) {
 			t.Errorf("running instances = %d, want 1", len(insts))
 			return
 		}
-		if err := c.FailInstance(insts[0].ID); err != nil {
+		if err := c.FailHost(insts[0].Host); err != nil {
 			t.Errorf("fail: %v", err)
 		}
 	})

@@ -36,7 +36,7 @@ func incidentRun() *flightrec.Recorder {
 		now = float64(i) * 0.5
 		sp := tracer.StartTrace("scrape")
 		comp.WarnT(sp, "queue depth", logging.Float("depth", v))
-		db.Append("queue.depth", nil, now, v)
+		db.AppendRef(db.Ref("queue.depth", nil), now, v)
 		sp.FinishAt(now + 0.05)
 		eng.Step(now)
 	}

@@ -168,8 +168,3 @@ func Spot(s SpotStats) string {
 		cost.FormatCents(s.Bill.SavingsCents), pct)
 	return b.String()
 }
-
-// SpotSummary gathers and renders in one call.
-func SpotSummary(bus *telemetry.Bus, recs []cloud.UsageRecord, now float64, series func(pool string) (cost.SpotPriceSeries, bool)) string {
-	return Spot(GatherSpot(bus, recs, now, series))
-}

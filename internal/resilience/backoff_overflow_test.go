@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // Regression test: on an uncapped policy, Base·Factor^attempt exceeds
@@ -33,7 +35,7 @@ func TestBackoffUncappedLargeAttemptSaturates(t *testing.T) {
 }
 
 func TestBackoffSaturationWithJitterStaysPositive(t *testing.T) {
-	b := NewBackoff(time.Second, 10, 0, 0.5, 42)
+	b := &Backoff{Base: time.Second, Factor: 10, Jitter: 0.5, rng: stats.NewRNG(42)}
 	for attempt := 0; attempt <= 200; attempt++ {
 		if d := b.Delay(attempt); d <= 0 {
 			t.Fatalf("Delay(%d) = %d, want positive", attempt, d)

@@ -58,12 +58,3 @@ func PlanCheckpoints(sizeBytes, writeBytesPerSec, mtbfHours float64) CheckpointP
 
 // Enabled reports whether the policy actually checkpoints.
 func (p CheckpointPolicy) Enabled() bool { return p.IntervalHours > 0 && p.SizeBytes > 0 }
-
-// OverheadFraction is the share of wall time spent writing checkpoints
-// in steady state (no preemptions): write / (interval + write).
-func (p CheckpointPolicy) OverheadFraction() float64 {
-	if p.IntervalHours+p.WriteHours <= 0 {
-		return 0
-	}
-	return p.WriteHours / (p.IntervalHours + p.WriteHours)
-}

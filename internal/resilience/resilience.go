@@ -1,15 +1,14 @@
 // Package resilience provides the reusable failure-handling primitives
 // the platform leans on when chaos (internal/chaos) — or real hardware —
 // misbehaves: exponential backoff with seeded jitter and a retry budget,
-// a circuit breaker, and deadline/hedge helpers.
+// and the checkpoint-interval policy of checkpoint.go.
 //
-// Everything here is clock-injected (internal/clock) and, where
-// randomness is involved, seeded through *stats.RNG, so retries and
-// breaker transitions are exactly reproducible inside the discrete-event
-// simulation and never read the machine clock (the mlsyslint wallclock
-// check enforces this). Sleeping is delegated to an injectable Sleeper:
-// simulations pass nil (delays are accounted, not waited out), entry
-// points can pass a real sleeper.
+// Randomness is seeded through *stats.RNG, so retries are exactly
+// reproducible inside the discrete-event simulation, and nothing here
+// reads the machine clock (the mlsyslint wallclock check enforces this).
+// Sleeping is delegated to an injectable Sleeper: simulations pass nil
+// (delays are accounted, not waited out), entry points can pass a real
+// sleeper.
 package resilience
 
 import (
@@ -38,14 +37,6 @@ type Backoff struct {
 	Jitter float64       // fraction in [0,1] of each delay randomized
 
 	rng *stats.RNG // nil disables jitter regardless of Jitter
-}
-
-// NewBackoff returns a backoff policy with seeded jitter. The same seed
-// reproduces the same jitter sequence, keeping chaos experiments
-// byte-for-byte repeatable.
-func NewBackoff(base time.Duration, factor float64, cap time.Duration, jitter float64, seed uint64) *Backoff {
-	return &Backoff{Base: base, Factor: factor, Cap: cap, Jitter: jitter,
-		rng: stats.NewRNG(seed)}
 }
 
 // maxDelayFloat is the saturation point for delay arithmetic:

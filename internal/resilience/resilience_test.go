@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/clock"
+	"repro/internal/stats"
 )
 
 func TestRetrySucceedsWithinBudget(t *testing.T) {
@@ -63,7 +63,7 @@ func TestBackoffExponentialAndCapped(t *testing.T) {
 
 func TestBackoffJitterDeterministicPerSeed(t *testing.T) {
 	seq := func(seed uint64) []time.Duration {
-		b := NewBackoff(time.Second, 2, time.Minute, 0.5, seed)
+		b := &Backoff{Base: time.Second, Factor: 2, Cap: time.Minute, Jitter: 0.5, rng: stats.NewRNG(seed)}
 		out := make([]time.Duration, 6)
 		for i := range out {
 			out[i] = b.Delay(i)
@@ -87,7 +87,7 @@ func TestBackoffJitterDeterministicPerSeed(t *testing.T) {
 		t.Fatal("different seeds produced identical jitter")
 	}
 	// Jitter stays within the configured band.
-	b3 := NewBackoff(time.Second, 2, time.Hour, 0.5, 1)
+	b3 := &Backoff{Base: time.Second, Factor: 2, Cap: time.Hour, Jitter: 0.5, rng: stats.NewRNG(1)}
 	for i := 0; i < 4; i++ {
 		d := b3.Delay(i)
 		nominal := time.Duration(float64(time.Second) * float64(int(1)<<i))
@@ -115,97 +115,5 @@ func TestRetryRecordsBackoffWithoutSleeping(t *testing.T) {
 	}
 	if len(slept) != 2 || slept[0] != time.Second || slept[1] != 2*time.Second {
 		t.Fatalf("OnRetry delays = %v", slept)
-	}
-}
-
-func TestBreakerLifecycle(t *testing.T) {
-	clk := clock.NewManual(time.Unix(0, 0))
-	b := NewBreaker(3, 10*time.Second, clk)
-	fail := func() error { return errors.New("down") }
-
-	// Three consecutive failures trip the circuit.
-	for i := 0; i < 3; i++ {
-		if err := b.Do(fail); err == nil {
-			t.Fatal("expected failure")
-		}
-	}
-	if b.State() != Open {
-		t.Fatalf("state = %v, want open", b.State())
-	}
-	if err := b.Do(fail); !errors.Is(err, ErrOpen) {
-		t.Fatalf("open circuit returned %v, want ErrOpen", err)
-	}
-
-	// Cooldown elapses: one probe is admitted; its failure reopens.
-	clk.Advance(10 * time.Second)
-	if err := b.Do(fail); errors.Is(err, ErrOpen) {
-		t.Fatal("probe after cooldown should run")
-	}
-	if b.State() != Open {
-		t.Fatalf("failed probe should reopen, state = %v", b.State())
-	}
-
-	// Second cooldown: successful probe closes the circuit.
-	clk.Advance(10 * time.Second)
-	if err := b.Do(func() error { return nil }); err != nil {
-		t.Fatalf("probe success errored: %v", err)
-	}
-	if b.State() != Closed {
-		t.Fatalf("state = %v, want closed", b.State())
-	}
-	opens, rejected, _, _ := b.Stats()
-	if opens != 2 || rejected < 1 {
-		t.Fatalf("stats opens=%d rejected=%d, want 2 opens and >=1 rejection", opens, rejected)
-	}
-}
-
-func TestBreakerHalfOpenAdmitsSingleProbe(t *testing.T) {
-	clk := clock.NewManual(time.Unix(0, 0))
-	b := NewBreaker(1, time.Second, clk)
-	b.Failure()
-	clk.Advance(time.Second)
-	if !b.Allow() {
-		t.Fatal("first caller after cooldown should be admitted")
-	}
-	if b.Allow() {
-		t.Fatal("second caller should be rejected while the probe is in flight")
-	}
-	b.Success()
-	if !b.Allow() {
-		t.Fatal("circuit should be closed after probe success")
-	}
-}
-
-func TestDeadline(t *testing.T) {
-	clk := clock.NewManual(time.Unix(100, 0))
-	d := NewDeadline(clk, time.Minute)
-	if d.Expired() {
-		t.Fatal("fresh deadline expired")
-	}
-	clk.Advance(59 * time.Second)
-	if d.Expired() {
-		t.Fatal("expired 1s early")
-	}
-	clk.Advance(time.Second)
-	if !d.Expired() {
-		t.Fatal("deadline should have expired")
-	}
-	if d.Remaining() > 0 {
-		t.Fatalf("remaining = %v after expiry", d.Remaining())
-	}
-}
-
-func TestHedge(t *testing.T) {
-	used, err := Hedge(func() error { return nil }, func() error { t.Fatal("fallback ran"); return nil })
-	if used || err != nil {
-		t.Fatalf("primary success: used=%v err=%v", used, err)
-	}
-	used, err = Hedge(func() error { return errors.New("primary down") }, func() error { return nil })
-	if !used || err != nil {
-		t.Fatalf("fallback path: used=%v err=%v", used, err)
-	}
-	_, err = Hedge(func() error { return errors.New("a") }, nil)
-	if err == nil {
-		t.Fatal("nil fallback should surface the primary error")
 	}
 }

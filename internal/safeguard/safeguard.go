@@ -24,13 +24,7 @@ const (
 	Bias           Category = "bias"
 	Privacy        Category = "privacy"
 	HarmfulContent Category = "harmful-content"
-	Overreliance   Category = "overreliance"
 )
-
-// Categories lists the taxonomy in stable order.
-func Categories() []Category {
-	return []Category{Bias, Privacy, HarmfulContent, Overreliance}
-}
 
 // Decision is a filter verdict.
 type Decision int
@@ -224,16 +218,6 @@ func isWordChar(c byte) bool {
 // (Block beats Flag only by ordering — put blockers first).
 type Pipeline struct {
 	Filters []Filter
-
-	// Audit accumulates every non-Allow verdict for transparency
-	// reporting.
-	audit []AuditEntry
-}
-
-// AuditEntry is one recorded filter intervention.
-type AuditEntry struct {
-	Content string
-	Verdict Verdict
 }
 
 // Check evaluates content through the chain.
@@ -241,15 +225,11 @@ func (p *Pipeline) Check(content string) Verdict {
 	for _, f := range p.Filters {
 		v := f.Check(content)
 		if v.Decision != Allow {
-			p.audit = append(p.audit, AuditEntry{Content: content, Verdict: v})
 			return v
 		}
 	}
 	return Verdict{Decision: Allow}
 }
-
-// Audit returns recorded interventions.
-func (p *Pipeline) Audit() []AuditEntry { return append([]AuditEntry(nil), p.audit...) }
 
 // DefaultPipeline returns a filter chain with the lecture's three layers:
 // harmful-content blocking, bias-term flagging, and PII flagging.

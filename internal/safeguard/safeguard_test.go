@@ -66,18 +66,11 @@ func TestPipelineOrderingAndAudit(t *testing.T) {
 	if v := p.Check("a lovely sushi photo"); v.Decision != Allow {
 		t.Errorf("benign: %+v", v)
 	}
-	if v := p.Check("tell me how to make a weapon"); v.Decision != Block {
+	if v := p.Check("tell me how to make a weapon"); v.Decision != Block || v.Rule != "harmful-content" {
 		t.Errorf("harmful: %+v", v)
 	}
 	if v := p.Check("email bob@corp.io for access"); v.Decision != Flag || v.Category != Privacy {
 		t.Errorf("pii: %+v", v)
-	}
-	audit := p.Audit()
-	if len(audit) != 2 {
-		t.Fatalf("audit entries = %d, want 2", len(audit))
-	}
-	if audit[0].Verdict.Rule != "harmful-content" {
-		t.Errorf("first audit entry: %+v", audit[0])
 	}
 }
 
@@ -141,12 +134,6 @@ func TestRedTeamEmpty(t *testing.T) {
 	rep := RedTeam(guardedModel, nil)
 	if rep.FailureRate() != 0 || rep.Total != 0 {
 		t.Errorf("empty sweep: %+v", rep)
-	}
-}
-
-func TestCategories(t *testing.T) {
-	if len(Categories()) != 4 {
-		t.Errorf("categories = %v", Categories())
 	}
 }
 

@@ -40,16 +40,6 @@ func (a PreemptiveAssignment) End() float64 {
 	return a.Segments[len(a.Segments)-1].End
 }
 
-// RunTime sums executed hours across segments (equals Job.Duration on
-// completion — checkpointing loses no work in this model).
-func (a PreemptiveAssignment) RunTime() float64 {
-	var t float64
-	for _, s := range a.Segments {
-		t += s.End - s.Start
-	}
-	return t
-}
-
 // FirstStartWait is the queueing delay before the job first ran.
 func (a PreemptiveAssignment) FirstStartWait() float64 { return a.Start() - a.Job.Submit }
 

@@ -240,13 +240,17 @@ func TestInvariantsOnSyntheticTrace(t *testing.T) {
 func TestBackfillBeatsFIFOOnWait(t *testing.T) {
 	rng := stats.NewRNG(7)
 	jobs := GenerateTrace(DefaultTrace(300), rng)
-	results, err := Compare(jobs, 16)
+	fifo, err := Run(PolicyFIFO, jobs, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[PolicyBackfill].AvgWait >= results[PolicyFIFO].AvgWait {
+	backfill, err := Run(PolicyBackfill, jobs, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if backfill.AvgWait >= fifo.AvgWait {
 		t.Errorf("backfill avg wait %.2f not below FIFO %.2f — the Unit-5 lesson should hold",
-			results[PolicyBackfill].AvgWait, results[PolicyFIFO].AvgWait)
+			backfill.AvgWait, fifo.AvgWait)
 	}
 }
 

@@ -70,17 +70,3 @@ func GenerateTrace(cfg TraceConfig, rng *stats.RNG) []*Job {
 	}
 	return jobs
 }
-
-// Compare runs every policy on the same trace, returning results keyed by
-// policy name — the Unit-5 ablation.
-func Compare(jobs []*Job, capacity int) (map[string]Result, error) {
-	out := map[string]Result{}
-	for _, p := range []string{PolicyFIFO, PolicyBackfill, PolicyFairShare} {
-		r, err := Run(p, jobs, capacity)
-		if err != nil {
-			return nil, err
-		}
-		out[p] = r
-	}
-	return out, nil
-}

@@ -301,38 +301,6 @@ func (b *Batcher) submit(input []float64, span *trace.Span) (Response, error) {
 	return resp, nil
 }
 
-// TrySubmit is Submit with load shedding: when the queue is already at
-// capacity the request is rejected immediately with ErrOverloaded
-// instead of blocking the caller — shedding beats collapse under
-// saturation. The occupancy check is advisory (another submitter can win
-// the last slot between check and enqueue), in which case the request
-// briefly blocks like a plain Submit; the bound on queue depth is what
-// matters, not exactness.
-func (b *Batcher) TrySubmit(input []float64) (Response, error) {
-	if len(b.queue) >= cap(b.queue) {
-		b.telShed.Inc()
-		b.log.Warn("request shed: queue full", logging.Int("depth", len(b.queue)))
-		return Response{}, ErrOverloaded
-	}
-	return b.Submit(input)
-}
-
-// TrySubmitTraced is TrySubmit with tracing: shed requests still get a
-// (zero-duration) "serve.request" span annotated with the overload, so
-// traces show every rejection the client saw.
-func (b *Batcher) TrySubmitTraced(input []float64, parent *trace.Span) (Response, error) {
-	if len(b.queue) >= cap(b.queue) {
-		b.telShed.Inc()
-		b.log.WarnT(parent, "request shed: queue full", logging.Int("depth", len(b.queue)))
-		span := parent.StartChild("serve.request",
-			telemetry.String("outcome", "shed"),
-			telemetry.String("error", ErrOverloaded.Error()))
-		span.Finish()
-		return Response{}, ErrOverloaded
-	}
-	return b.SubmitTraced(input, parent)
-}
-
 // Close stops the instances. In-flight batches finish; queued requests
 // that were never collected receive ErrBatcherClosed. Close is
 // idempotent and blocks until every accepted request has been answered.

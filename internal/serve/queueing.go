@@ -129,54 +129,3 @@ func erlangC(c int, a float64) float64 {
 	rho := a / float64(c)
 	return b / (1 - rho + rho*b)
 }
-
-// MaxThroughput returns the highest sustainable arrival rate (requests/s)
-// for the configuration — the knee the lab's load tests find.
-func MaxThroughput(cfg Config) float64 {
-	return cfg.Throughput()
-}
-
-// SweepConfigs evaluates candidate configurations against a latency
-// budget at the given load and returns those that satisfy it, cheapest-
-// latency first — automating the lab's "balance cost, latency and
-// throughput under tight performance budgets" exercise.
-func SweepConfigs(candidates []Config, lambda, maxDelayMS, p95BudgetMS float64) []ConfigResult {
-	var out []ConfigResult
-	for _, cfg := range candidates {
-		est, err := EstimateLoad(cfg, lambda, maxDelayMS)
-		res := ConfigResult{Config: cfg, Load: est, Err: err}
-		res.Meets = err == nil && est.P95MS <= p95BudgetMS
-		out = append(out, res)
-	}
-	// Sort: feasible first, then finite-but-over-budget by P95, then
-	// overloaded configurations last.
-	rank := func(r ConfigResult) int {
-		switch {
-		case r.Meets:
-			return 0
-		case r.Err == nil:
-			return 1
-		default:
-			return 2
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			a, b := out[j-1], out[j]
-			if rank(b) < rank(a) || (rank(b) == rank(a) && b.Load.P95MS < a.Load.P95MS) {
-				out[j-1], out[j] = b, a
-			} else {
-				break
-			}
-		}
-	}
-	return out
-}
-
-// ConfigResult pairs a configuration with its load estimate.
-type ConfigResult struct {
-	Config Config
-	Load   LoadEstimate
-	Meets  bool
-	Err    error
-}

@@ -31,7 +31,7 @@ func TestEstimateLoadLightTraffic(t *testing.T) {
 func TestEstimateLoadLatencyGrowsWithLoad(t *testing.T) {
 	cfg := a100Cfg(8, 2)
 	prev := 0.0
-	max := MaxThroughput(cfg)
+	max := cfg.Throughput()
 	for _, frac := range []float64{0.3, 0.6, 0.85, 0.95} {
 		est, err := EstimateLoad(cfg, frac*max, 5)
 		if err != nil {
@@ -46,7 +46,7 @@ func TestEstimateLoadLatencyGrowsWithLoad(t *testing.T) {
 
 func TestEstimateLoadOverload(t *testing.T) {
 	cfg := a100Cfg(1, 1)
-	max := MaxThroughput(cfg)
+	max := cfg.Throughput()
 	if _, err := EstimateLoad(cfg, max*1.2, 5); !errors.Is(err, ErrOverloaded) {
 		t.Errorf("overload err = %v", err)
 	}
@@ -59,7 +59,7 @@ func TestBatchingTradesLatencyForCapacity(t *testing.T) {
 	// At high load, batch-8 sustains what batch-1 cannot.
 	single := a100Cfg(1, 1)
 	batched := a100Cfg(8, 1)
-	load := MaxThroughput(single) * 2
+	load := single.Throughput() * 2
 	if _, err := EstimateLoad(single, load, 10); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("batch-1 should overload: %v", err)
 	}
@@ -95,43 +95,9 @@ func TestErlangCSanity(t *testing.T) {
 	}
 }
 
-func TestSweepConfigsOrdersFeasibleFirst(t *testing.T) {
-	candidates := []Config{
-		a100Cfg(1, 1),
-		a100Cfg(8, 1),
-		a100Cfg(16, 4),
-		{Model: FoodClassifier(), Device: DevicePi5, MaxBatch: 4, Instances: 4}, // hopeless at this load
-	}
-	results := SweepConfigs(candidates, 300, 10, 100)
-	if len(results) != 4 {
-		t.Fatalf("results = %d", len(results))
-	}
-	// Feasible configs precede infeasible ones.
-	seenInfeasible := false
-	anyFeasible := false
-	for _, r := range results {
-		if r.Meets {
-			anyFeasible = true
-			if seenInfeasible {
-				t.Error("feasible config after infeasible one")
-			}
-		} else {
-			seenInfeasible = true
-		}
-	}
-	if !anyFeasible {
-		t.Error("no feasible config found for a modest budget")
-	}
-	// The Pi cannot serve 300 rps.
-	last := results[len(results)-1]
-	if last.Config.Device.Name != "raspberrypi5" || last.Meets {
-		t.Errorf("expected the Pi to rank last and fail: %+v", last.Config.Device)
-	}
-}
-
 func TestP95AboveMean(t *testing.T) {
 	cfg := a100Cfg(8, 2)
-	est, err := EstimateLoad(cfg, 0.9*MaxThroughput(cfg), 5)
+	est, err := EstimateLoad(cfg, 0.9*cfg.Throughput(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,24 +133,6 @@ type Report struct {
 	Events int64
 }
 
-// TotalInstanceMicroHours sums instance micro-hours across rows.
-func (r *Report) TotalInstanceMicroHours() int64 {
-	var t int64
-	for i := range r.Rows {
-		t += r.Rows[i].Instances.SumMicro
-	}
-	return t
-}
-
-// TotalFIPMicroHours sums floating-IP micro-hours across rows.
-func (r *Report) TotalFIPMicroHours() int64 {
-	var t int64
-	for i := range r.Rows {
-		t += r.Rows[i].FIPs.SumMicro
-	}
-	return t
-}
-
 // costHist returns the per-student bill histogram shape: buckets
 // [1, sqrt(2)) ... covering $1 to ~$16M.
 func costHist() *stats.Hist { return stats.NewHist(1, math.Sqrt2, 48) }

@@ -56,8 +56,11 @@ func TestTotalsConvergeToTable1(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := float64(rep.Students)
+	var instMicro, fipMicro int64
 	for _, rt := range rep.Rows {
-		got := rt.Instances.Sum() / n
+		instMicro += rt.Instances.SumMicro
+		fipMicro += rt.FIPs.SumMicro
+		got := float64(rt.Instances.SumMicro) / stats.MicroPerUnit / n
 		want := rt.Row.TargetHours
 		tol := 0.06 // heavy-tailed rows: SE of the mean ~1.6% at 200k
 		if math.Abs(got-want) > tol*want {
@@ -71,12 +74,12 @@ func TestTotalsConvergeToTable1(t *testing.T) {
 	}
 	paper := course.Paper()
 	wantTotal := paper.LabInstanceHours / course.Enrollment
-	gotTotal := float64(rep.TotalInstanceMicroHours()) / stats.MicroPerUnit / n
+	gotTotal := float64(instMicro) / stats.MicroPerUnit / n
 	if math.Abs(gotTotal-wantTotal) > 0.03*wantTotal {
 		t.Errorf("total per-student instance hours %.2f, want %.2f ±3%%", gotTotal, wantTotal)
 	}
 	wantFIP := paper.LabFIPHours / course.Enrollment
-	gotFIP := float64(rep.TotalFIPMicroHours()) / stats.MicroPerUnit / n
+	gotFIP := float64(fipMicro) / stats.MicroPerUnit / n
 	if math.Abs(gotFIP-wantFIP) > 0.05*wantFIP {
 		t.Errorf("total per-student FIP hours %.2f, want %.2f ±5%%", gotFIP, wantFIP)
 	}
@@ -102,7 +105,7 @@ func TestCostDistributionAtScale(t *testing.T) {
 		{"GCP", rep.GCP, paper.LabCostPerStudentGCP},
 	}
 	for _, ck := range checks {
-		mean := ck.c.PerStudent.Mean()
+		mean := accMean(ck.c.PerStudent)
 		if math.Abs(mean-ck.wantMean) > 0.08*ck.wantMean {
 			t.Errorf("%s mean $%.2f, want $%.0f ±8%%", ck.name, mean, ck.wantMean)
 		}
@@ -204,7 +207,7 @@ func TestBehaviorOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseMean, prunedMean := base.AWS.PerStudent.Mean(), pruned.AWS.PerStudent.Mean()
+	baseMean, prunedMean := accMean(base.AWS.PerStudent), accMean(pruned.AWS.PerStudent)
 	if prunedMean >= baseMean-10 {
 		t.Errorf("DisableOverhang mean $%.2f should cut well below base $%.2f", prunedMean, baseMean)
 	}
@@ -276,4 +279,12 @@ func BenchmarkRun(b *testing.B) {
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/student")
 		})
 	}
+}
+
+// accMean is an accumulator's mean in units (0 when empty).
+func accMean(a stats.Acc) float64 {
+	if a.N == 0 {
+		return 0
+	}
+	return float64(a.SumMicro) / stats.MicroPerUnit / float64(a.N)
 }

@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"math"
 	"testing"
 )
 
@@ -70,7 +71,7 @@ func TestCancel(t *testing.T) {
 	if ran {
 		t.Error("cancelled event ran")
 	}
-	if !e.Cancelled() {
+	if e.index != -1 {
 		t.Error("event not marked cancelled")
 	}
 	// Double-cancel and nil-cancel are no-ops.
@@ -161,4 +162,15 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 		}
 		c.Run()
 	}
+}
+
+// A NaN time compares false against now, so it used to slip past the
+// past-time guard and corrupt the heap order; it panics like a past time.
+func TestAtRejectsNaN(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("At(NaN) did not panic")
+		}
+	}()
+	New().At(math.NaN(), "nan", func() {})
 }

@@ -101,17 +101,6 @@ func (a *Acc) Merge(b Acc) {
 	a.SumMicro += b.SumMicro
 }
 
-// Sum returns the accumulated total.
-func (a Acc) Sum() float64 { return float64(a.SumMicro) / MicroPerUnit }
-
-// Mean returns the accumulated mean (0 for an empty accumulator).
-func (a Acc) Mean() float64 {
-	if a.N == 0 {
-		return 0
-	}
-	return a.Sum() / float64(a.N)
-}
-
 // Hist is a mergeable fixed-shape histogram with geometrically spaced
 // buckets: bucket i covers [Lo*Ratio^i, Lo*Ratio^(i+1)). Observations
 // below Lo land in Under; observations at or above the top edge saturate

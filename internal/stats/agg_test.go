@@ -46,7 +46,7 @@ func TestAccMergePartitionInvariant(t *testing.T) {
 
 func TestAccBasics(t *testing.T) {
 	var a Acc
-	if a.Mean() != 0 || a.Sum() != 0 {
+	if a.N != 0 || a.SumMicro != 0 {
 		t.Fatal("zero Acc not empty")
 	}
 	a.Add(1.5)
@@ -55,8 +55,8 @@ func TestAccBasics(t *testing.T) {
 	if a.N != 3 {
 		t.Fatalf("N = %d", a.N)
 	}
-	if got := a.Sum(); got != 9.25 {
-		t.Fatalf("Sum = %v", got)
+	if a.SumMicro != 9_250_000 {
+		t.Fatalf("SumMicro = %v", a.SumMicro)
 	}
 	if a.MinV != -2.25 || a.MaxV != 10 {
 		t.Fatalf("min/max = %v/%v", a.MinV, a.MaxV)

@@ -155,16 +155,6 @@ func (r *RNG) Exponential(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Pareto returns a Pareto(xm, alpha) variate: heavy-tailed with minimum
-// xm and tail index alpha (smaller alpha = heavier tail).
-func (r *RNG) Pareto(xm, alpha float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // Triangular returns a triangular variate on [lo, hi] with the given mode.
 func (r *RNG) Triangular(lo, mode, hi float64) float64 {
 	u := r.Float64()
@@ -201,14 +191,4 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }

@@ -79,13 +79,6 @@ func Percentile(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// PercentileUnsorted sorts a copy of xs and returns its p-th percentile.
-func PercentileUnsorted(xs []float64, p float64) float64 {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return Percentile(sorted, p)
-}
-
 // FractionAbove returns the fraction of xs strictly greater than threshold.
 func FractionAbove(xs []float64, threshold float64) float64 {
 	if len(xs) == 0 {
@@ -127,18 +120,6 @@ func Histogram(xs []float64, nbins int, min, max float64) (counts []int, edges [
 		counts[b]++
 	}
 	return counts, edges
-}
-
-// CDF returns (sorted values, cumulative fractions) suitable for plotting
-// an empirical CDF.
-func CDF(xs []float64) (values, fractions []float64) {
-	values = append([]float64(nil), xs...)
-	sort.Float64s(values)
-	fractions = make([]float64, len(values))
-	for i := range values {
-		fractions[i] = float64(i+1) / float64(len(values))
-	}
-	return values, fractions
 }
 
 // String renders the summary on one line for logs and test failures.

@@ -136,7 +136,7 @@ func TestReservedShareRoundingSmallN(t *testing.T) {
 			}
 			var studentHours float64
 			for _, s := range res.Students {
-				studentHours += s.Total()
+				studentHours += sumSorted(s.InstHours)
 			}
 			if math.Abs(totalHours-studentHours) > 1e-9 {
 				t.Errorf("shares %v n=%d: row hours %.2f != student hours %.2f",

@@ -85,12 +85,6 @@ type StudentUsage struct {
 	FIPHours  map[string]float64
 }
 
-// Total sums instance hours across rows (in sorted row order, so the
-// floating-point result is identical run to run).
-func (s StudentUsage) Total() float64 {
-	return sumSorted(s.InstHours)
-}
-
 // sumSorted adds map values in key order for bit-for-bit reproducibility.
 func sumSorted(m map[string]float64) float64 {
 	keys := make([]string, 0, len(m))

@@ -131,9 +131,10 @@ func TestSubstrateMeterAgreesWithBookkeeping(t *testing.T) {
 	// launched and deleted at the right virtual times.
 	res := simOnce(t, 3)
 	now := res.Clock.Now()
-	meterHours := res.Cloud.Meter().HoursByTag(now, cloud.UsageInstance, "lab")
 	for _, row := range course.Rows() {
-		got := meterHours[row.ID]
+		got := res.Cloud.Meter().TotalHours(now, func(r *cloud.UsageRecord) bool {
+			return r.Kind == cloud.UsageInstance && r.Tags["lab"] == row.ID
+		})
 		want := res.RowInstanceHours[row.ID]
 		// The meter can lag slightly when quota-blocked launches retried
 		// (delayed starts shorten metered windows).
@@ -154,10 +155,12 @@ func TestNoDoubleBookedLeases(t *testing.T) {
 		if !row.Reserved() {
 			continue
 		}
-		rs := res.Lease.Reservations(row.Flavor.Name)
+		// A reserved node hosts one lease instance at a time: the
+		// instances launched on each bare-metal host never overlap.
+		insts := res.Cloud.List(func(i *cloud.Instance) bool { return i.Flavor.Name == row.Flavor.Name })
 		byNode := map[string][]float64{} // flattened (start, end) pairs
-		for _, r := range rs {
-			byNode[r.Node] = append(byNode[r.Node], r.Start, r.End)
+		for _, inst := range insts {
+			byNode[inst.Host] = append(byNode[inst.Host], inst.LaunchedAt, inst.DeletedAt)
 		}
 		for node, windows := range byNode {
 			for i := 0; i+1 < len(windows); i += 2 {

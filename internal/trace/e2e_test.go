@@ -130,10 +130,10 @@ func TestChaosReformationSpans(t *testing.T) {
 		switch {
 		case s.Name == "collective.reform":
 			reform = true
-			if s.Attr("ranks_lost") == "" {
+			if spanAttr(s, "ranks_lost") == "" {
 				t.Errorf("reform span lost its ranks_lost attribute: %+v", s)
 			}
-		case s.Name == "rank 1" && s.Attr("dead") == "true":
+		case s.Name == "rank 1" && spanAttr(s, "dead") == "true":
 			deadRank = true
 		}
 	}
@@ -186,4 +186,14 @@ func TestLeaseTraceShape(t *testing.T) {
 	if td.Start() != 0 || td.End() != 4 {
 		t.Errorf("lease trace covers [%v, %v], want [0, 4]", td.Start(), td.End())
 	}
+}
+
+// spanAttr returns the value of a span's named attribute ("" if absent).
+func spanAttr(d trace.SpanData, key string) string {
+	for _, a := range d.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
 }

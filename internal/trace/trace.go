@@ -82,16 +82,6 @@ func (d SpanData) endOrStart() float64 {
 	return d.End
 }
 
-// Attr returns the value of the named attribute ("" if absent).
-func (d SpanData) Attr(key string) string {
-	for _, a := range d.Attrs {
-		if a.Key == key {
-			return a.Value
-		}
-	}
-	return ""
-}
-
 // TraceData is an immutable snapshot of one whole trace. Spans are
 // sorted by (Start, ID) — a deterministic order even when the spans were
 // recorded from concurrent goroutines.

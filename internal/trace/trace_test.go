@@ -100,7 +100,7 @@ func TestFinishIdempotentAndAnnotate(t *testing.T) {
 	if root.End != 2 {
 		t.Fatalf("End = %v after double finish, want 2", root.End)
 	}
-	if root.Attr("outcome") != "ok" {
+	if want := (telemetry.Attr{Key: "outcome", Value: "ok"}); len(root.Attrs) != 1 || root.Attrs[0] != want {
 		t.Fatalf("post-finish annotation lost: %+v", root.Attrs)
 	}
 }

@@ -2,7 +2,6 @@ package tracking
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Stage is a registered model version's deployment stage.
@@ -40,18 +39,6 @@ type RegisteredModel struct {
 	Versions []*ModelVersion `json:"versions"`
 }
 
-// RegisterModel creates a named model; idempotent.
-func (s *Store) RegisterModel(name string) *RegisteredModel {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m, ok := s.registry[name]; ok {
-		return m
-	}
-	m := &RegisteredModel{Name: name}
-	s.registry[name] = m
-	return m
-}
-
 // CreateModelVersion registers a run's artifact as the next version of
 // the named model (creating the model if needed).
 func (s *Store) CreateModelVersion(name, runID, artifactPath string) (*ModelVersion, error) {
@@ -75,8 +62,7 @@ func (s *Store) CreateModelVersion(name, runID, artifactPath string) (*ModelVers
 		RunID:        runID,
 		ArtifactPath: artifactPath,
 		Stage:        StageNone,
-		//lint:ignore lockedcallback now is the store's injected time source, called under s.mu by design: the default counter clock mutates s.counter and relies on the lock for atomicity
-		CreatedAt: s.now(),
+		CreatedAt:    s.now(),
 	}
 	m.Versions = append(m.Versions, v)
 	return v, nil
@@ -132,16 +118,4 @@ func (s *Store) LatestVersion(name string, stage Stage) (*ModelVersion, error) {
 // process does at startup.
 func (s *Store) LoadModel(v *ModelVersion) ([]byte, error) {
 	return s.GetArtifact(v.RunID, v.ArtifactPath)
-}
-
-// ListModels returns registered model names, sorted.
-func (s *Store) ListModels() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.registry))
-	for n := range s.registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -75,29 +75,24 @@ type Store struct {
 	runs        map[string]*Run
 	registry    map[string]*RegisteredModel
 	nextID      int
-	// now supplies timestamps; injectable so the course simulator can
-	// use virtual hours. Defaults to a monotonic counter.
-	now     func() float64
-	counter float64
+	counter     float64 // the logical clock behind run timestamps
 }
 
 // NewStore returns an empty tracking store.
 func NewStore() *Store {
-	s := &Store{
+	return &Store{
 		experiments: map[string]*Experiment{},
 		byName:      map[string]string{},
 		runs:        map[string]*Run{},
 		registry:    map[string]*RegisteredModel{},
 	}
-	s.now = func() float64 { s.counter++; return s.counter }
-	return s
 }
 
-// SetClock injects a timestamp source (e.g. simclock.Clock.Now).
-func (s *Store) SetClock(now func() float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.now = now
+// now advances and returns the store's logical clock: run timestamps
+// order runs, they do not measure time. Call with s.mu held.
+func (s *Store) now() float64 {
+	s.counter++
+	return s.counter
 }
 
 func (s *Store) id(prefix string) string {
@@ -136,9 +131,8 @@ func (s *Store) StartRun(experimentID, name string) (*Run, error) {
 		Tags:         map[string]string{},
 		Metrics:      map[string][]MetricPoint{},
 		Artifacts:    map[string][]byte{},
-		//lint:ignore lockedcallback now is the store's injected time source, called under s.mu by design: the default counter clock mutates s.counter and relies on the lock for atomicity
-		StartTime: s.now(),
-		EndTime:   -1,
+		StartTime:    s.now(),
+		EndTime:      -1,
 	}
 	s.runs[r.ID] = r
 	return r, nil
@@ -179,18 +173,6 @@ func (s *Store) LogMetric(runID, key string, step int, value float64) error {
 	return nil
 }
 
-// SetTag annotates a run.
-func (s *Store) SetTag(runID, key, value string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, err := s.activeRun(runID)
-	if err != nil {
-		return err
-	}
-	r.Tags[key] = value
-	return nil
-}
-
 // LogArtifact stores a blob under path in the run's artifact store.
 func (s *Store) LogArtifact(runID, path string, data []byte) error {
 	s.mu.Lock()
@@ -227,7 +209,6 @@ func (s *Store) EndRun(runID string, status RunStatus) error {
 		return err
 	}
 	r.Status = status
-	//lint:ignore lockedcallback now is the store's injected time source, called under s.mu by design: the default counter clock mutates s.counter and relies on the lock for atomicity
 	r.EndTime = s.now()
 	return nil
 }

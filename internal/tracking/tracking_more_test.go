@@ -10,29 +10,10 @@ import (
 	"testing"
 )
 
-func TestSetClockUsedForTimestamps(t *testing.T) {
-	s := NewStore()
-	now := 100.0
-	s.SetClock(func() float64 { return now })
-	exp := s.CreateExperiment("e")
-	run, _ := s.StartRun(exp.ID, "r")
-	if run.StartTime != 100 {
-		t.Errorf("start time = %v, want injected 100", run.StartTime)
-	}
-	now = 105
-	mustOK(t, s.EndRun(run.ID, StatusFinished))
-	if run.EndTime != 105 {
-		t.Errorf("end time = %v, want 105", run.EndTime)
-	}
-}
-
 func TestArtifactAndTagErrors(t *testing.T) {
 	s := NewStore()
 	if _, err := s.GetArtifact("ghost", "p"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("artifact of missing run err = %v", err)
-	}
-	if err := s.SetTag("ghost", "k", "v"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("tag on missing run err = %v", err)
 	}
 	if err := s.LogArtifact("ghost", "p", nil); !errors.Is(err, ErrNotFound) {
 		t.Errorf("artifact on missing run err = %v", err)
@@ -48,20 +29,6 @@ func TestArtifactAndTagErrors(t *testing.T) {
 	mustOK(t, s.LogArtifact(run.ID, "a", []byte("x")))
 	if _, err := s.GetArtifact(run.ID, "missing"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("missing artifact err = %v", err)
-	}
-}
-
-func TestRegisterModelAndList(t *testing.T) {
-	s := NewStore()
-	a := s.RegisterModel("zeta")
-	b := s.RegisterModel("zeta") // idempotent
-	if a != b {
-		t.Error("RegisterModel not idempotent")
-	}
-	s.RegisterModel("alpha")
-	names := s.ListModels()
-	if len(names) != 2 || names[0] != "alpha" || names[1] != "zeta" {
-		t.Errorf("ListModels = %v", names)
 	}
 }
 

@@ -18,7 +18,6 @@ func TestRunLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustOK(t, s.LogParam(run.ID, "lr", "3e-4"))
-	mustOK(t, s.SetTag(run.ID, "gpu", "A100"))
 	for step := 0; step < 5; step++ {
 		mustOK(t, s.LogMetric(run.ID, "loss", step, 1.0/float64(step+1)))
 	}
@@ -29,7 +28,7 @@ func TestRunLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Params["lr"] != "3e-4" || got.Tags["gpu"] != "A100" {
+	if got.Params["lr"] != "3e-4" {
 		t.Errorf("metadata lost: %+v", got)
 	}
 	if len(got.Metrics["loss"]) != 5 {
@@ -321,82 +320,5 @@ func BenchmarkLogMetric(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = s.LogMetric(run.ID, "loss", i, float64(i))
-	}
-}
-
-func TestCompareRuns(t *testing.T) {
-	s := NewStore()
-	exp := s.CreateExperiment("cmp")
-	a, _ := s.StartRun(exp.ID, "run-a")
-	mustOK(t, s.LogParam(a.ID, "lr", "0.1"))
-	mustOK(t, s.LogMetric(a.ID, "val_acc", 0, 0.91))
-	mustOK(t, s.EndRun(a.ID, StatusFinished))
-	b, _ := s.StartRun(exp.ID, "run-b")
-	mustOK(t, s.LogParam(b.ID, "lr", "0.01"))
-	mustOK(t, s.LogParam(b.ID, "rank", "16"))
-	mustOK(t, s.EndRun(b.ID, StatusFinished))
-
-	table, err := s.CompareRuns([]string{a.ID, b.ID}, []string{"val_acc", "bleu"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table) != 3 {
-		t.Fatalf("rows = %d", len(table))
-	}
-	header := table[0]
-	if header[0] != "run" || header[2] != "lr" || header[3] != "rank" {
-		t.Errorf("header = %v", header)
-	}
-	// run-a has no rank param and no bleu metric.
-	if table[1][3] != "-" || table[1][5] != "-" {
-		t.Errorf("run-a row = %v", table[1])
-	}
-	if table[1][4] != "0.91" {
-		t.Errorf("run-a val_acc cell = %q", table[1][4])
-	}
-	if _, err := s.CompareRuns([]string{"ghost"}, nil); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing run err = %v", err)
-	}
-}
-
-func TestAnalyzeBottleneck(t *testing.T) {
-	s := NewStore()
-	exp := s.CreateExperiment("bn")
-	log := func(metrics map[string]float64) string {
-		run, _ := s.StartRun(exp.ID, "r")
-		for name, v := range metrics {
-			mustOK(t, s.LogMetric(run.ID, name, 0, v))
-		}
-		mustOK(t, s.EndRun(run.ID, StatusFinished))
-		return run.ID
-	}
-	cases := []struct {
-		metrics map[string]float64
-		want    Bottleneck
-	}{
-		{map[string]float64{"gpu_util": 0.95, "data_wait_frac": 0.05}, BottleneckGPU},
-		{map[string]float64{"gpu_util": 0.3, "data_wait_frac": 0.5, "comm_frac": 0.1}, BottleneckData},
-		{map[string]float64{"gpu_util": 0.3, "data_wait_frac": 0.1, "comm_frac": 0.5}, BottleneckComm},
-		{map[string]float64{"gpu_util": 0.3, "data_wait_frac": 0.1, "comm_frac": 0.1}, BottleneckUnknown},
-	}
-	for i, tc := range cases {
-		got, hint, err := s.AnalyzeBottleneck(log(tc.metrics))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != tc.want {
-			t.Errorf("case %d: %s, want %s", i, got, tc.want)
-		}
-		if hint == "" {
-			t.Errorf("case %d: empty recommendation", i)
-		}
-	}
-	// Runs without system metrics are an error, not a guess.
-	run, _ := s.StartRun(exp.ID, "bare")
-	if _, _, err := s.AnalyzeBottleneck(run.ID); !errors.Is(err, ErrNoMetric) {
-		t.Errorf("missing gpu_util err = %v", err)
-	}
-	if _, _, err := s.AnalyzeBottleneck("ghost"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing run err = %v", err)
 	}
 }

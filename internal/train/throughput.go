@@ -21,28 +21,9 @@ type GPUProfile struct {
 var (
 	A100_80 = GPUProfile{Name: "A100-80GB", MemGB: 80, HasBF16: true,
 		TFLOPS: map[Precision]float64{FP32: 19.5, BF16: 312, FP16: 312, INT8: 624}}
-	A100_40 = GPUProfile{Name: "A100-40GB", MemGB: 40, HasBF16: true,
-		TFLOPS: map[Precision]float64{FP32: 19.5, BF16: 312, FP16: 312, INT8: 624}}
 	V100 = GPUProfile{Name: "V100", MemGB: 32,
 		TFLOPS: map[Precision]float64{FP32: 15.7, FP16: 125, BF16: 0, INT8: 125}}
-	MI100 = GPUProfile{Name: "MI100", MemGB: 32, HasBF16: true,
-		TFLOPS: map[Precision]float64{FP32: 23.1, BF16: 92.3, FP16: 184.6, INT8: 184.6}}
-	P100 = GPUProfile{Name: "P100", MemGB: 16,
-		TFLOPS: map[Precision]float64{FP32: 10.6, FP16: 21.2, BF16: 0, INT8: 21.2}}
-	T4 = GPUProfile{Name: "T4", MemGB: 16,
-		TFLOPS: map[Precision]float64{FP32: 8.1, FP16: 65, BF16: 0, INT8: 130}}
 )
-
-// GPUByName looks up the catalog by GPU type string (as used in
-// cloud.Flavor.GPUType).
-func GPUByName(name string) (GPUProfile, error) {
-	for _, g := range []GPUProfile{A100_80, A100_40, V100, MI100, P100, T4} {
-		if g.Name == name {
-			return g, nil
-		}
-	}
-	return GPUProfile{}, fmt.Errorf("train: unknown GPU %q", name)
-}
 
 // Strategy selects the distributed-training paradigm for step-time
 // estimation.

@@ -1,7 +1,6 @@
 package train
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -13,7 +12,7 @@ func TestFullFineTune13BDoesNotFitOneGPU(t *testing.T) {
 	// model needs far more than 80 GB.
 	plan := PlanMemory(Llama13B(), Config{Precision: FP32, Optimizer: AdamW, MicroBatch: 1, SeqLen: 2048})
 	if plan.Fits(80) {
-		t.Errorf("13B full fp32 fine-tune reported as fitting 80GB: %s", plan)
+		t.Errorf("13B full fp32 fine-tune reported as fitting 80GB: %+v", plan)
 	}
 	// Even weights+optimizer alone exceed 80 GB: 13e9 × (4+8) bytes.
 	if plan.WeightsGB+plan.OptimizerGB < 140 {
@@ -30,7 +29,7 @@ func TestBF16ShrinksButStillDoesNotFit(t *testing.T) {
 	// Mixed-precision AdamW still carries fp32 master weights + moments:
 	// 13B × (2+2+12) ≈ 194 GB. Memory optimizations alone don't fit 13B.
 	if bf16.Fits(80) {
-		t.Errorf("bf16 full fine-tune unexpectedly fits 80GB: %s", bf16)
+		t.Errorf("bf16 full fine-tune unexpectedly fits 80GB: %+v", bf16)
 	}
 }
 
@@ -39,7 +38,7 @@ func TestLoRAFitsOn80GB(t *testing.T) {
 	plan := PlanMemory(Llama13B(), Config{Precision: BF16, Optimizer: AdamW,
 		MicroBatch: 1, SeqLen: 2048, GradCheckpoint: true, LoRA: lora})
 	if !plan.Fits(80) {
-		t.Errorf("13B LoRA should fit on A100-80GB: %s", plan)
+		t.Errorf("13B LoRA should fit on A100-80GB: %+v", plan)
 	}
 	// Trainable params should be tiny relative to the model.
 	if plan.TrainableParams > 0.01*Llama13B().Params {
@@ -52,7 +51,7 @@ func TestQLoRAFitsOn40GB(t *testing.T) {
 	plan := PlanMemory(Llama13B(), Config{Precision: BF16, Optimizer: AdamW,
 		MicroBatch: 1, SeqLen: 2048, GradCheckpoint: true, LoRA: qlora})
 	if !plan.Fits(40) {
-		t.Errorf("13B QLoRA should fit on 40GB: %s", plan)
+		t.Errorf("13B QLoRA should fit on 40GB: %+v", plan)
 	}
 	// NF4 base weights are ~6.5 GB vs 26 GB bf16.
 	if plan.WeightsGB > 10 {
@@ -97,7 +96,7 @@ func TestFSDPShardsMemory(t *testing.T) {
 	fit := PlanMemory(Llama13B(), Config{Precision: BF16, Optimizer: AdamW,
 		MicroBatch: 1, SeqLen: 2048, GradCheckpoint: true, ZeROStage: 3, DataParallel: 4})
 	if !fit.Fits(80) {
-		t.Errorf("13B FSDP/4-GPU fine-tune should fit on 80GB: %s", fit)
+		t.Errorf("13B FSDP/4-GPU fine-tune should fit on 80GB: %+v", fit)
 	}
 }
 
@@ -117,13 +116,6 @@ func TestZeroStagesMonotonic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPlanString(t *testing.T) {
-	s := PlanMemory(GPT2Small(), Config{Precision: FP32}).String()
-	if !strings.Contains(s, "GB") {
-		t.Errorf("plan string: %q", s)
 	}
 }
 
@@ -156,11 +148,11 @@ func TestEstimateStepBasics(t *testing.T) {
 func TestBF16RequiresCapableGPU(t *testing.T) {
 	// The lab's hardware requirement: bf16 needs compute capability 8.0+.
 	cfg := Config{Precision: BF16, MicroBatch: 1, SeqLen: 512}
-	if _, err := EstimateStep(Llama7B(), cfg, V100, 1, SingleGPU, collective.DefaultCostModel()); err == nil {
+	if _, err := EstimateStep(llama7b, cfg, V100, 1, SingleGPU, collective.DefaultCostModel()); err == nil {
 		t.Error("bf16 on V100 should fail")
 	}
 	cfg.Precision = FP16
-	if _, err := EstimateStep(Llama7B(), cfg, V100, 1, SingleGPU, collective.DefaultCostModel()); err != nil {
+	if _, err := EstimateStep(llama7b, cfg, V100, 1, SingleGPU, collective.DefaultCostModel()); err != nil {
 		t.Errorf("fp16 on V100 should work: %v", err)
 	}
 }
@@ -209,21 +201,11 @@ func TestScalingCurveMonotoneButSublinear(t *testing.T) {
 func TestEstimateStepValidation(t *testing.T) {
 	net := collective.DefaultCostModel()
 	cfg := Config{Precision: BF16, MicroBatch: 1, SeqLen: 128}
-	if _, err := EstimateStep(Llama7B(), cfg, A100_80, 0, DDP, net); err == nil {
+	if _, err := EstimateStep(llama7b, cfg, A100_80, 0, DDP, net); err == nil {
 		t.Error("zero GPUs accepted")
 	}
-	if _, err := EstimateStep(Llama7B(), cfg, A100_80, 4, SingleGPU, net); err == nil {
+	if _, err := EstimateStep(llama7b, cfg, A100_80, 4, SingleGPU, net); err == nil {
 		t.Error("single-GPU strategy with 4 GPUs accepted")
-	}
-}
-
-func TestGPUByName(t *testing.T) {
-	g, err := GPUByName("A100-80GB")
-	if err != nil || g.MemGB != 80 {
-		t.Errorf("GPUByName(A100-80GB) = %+v, %v", g, err)
-	}
-	if _, err := GPUByName("H100"); err == nil {
-		t.Error("unknown GPU accepted")
 	}
 }
 
@@ -234,3 +216,6 @@ func BenchmarkPlanMemory(b *testing.B) {
 		PlanMemory(Llama13B(), cfg)
 	}
 }
+
+// llama7b approximates a 7-billion-parameter decoder.
+var llama7b = ModelSpec{Name: "llama-7b", Params: 6.7e9, Layers: 32, Hidden: 4096, VocabSize: 32000}

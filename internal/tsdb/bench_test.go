@@ -52,7 +52,7 @@ func queryFixture() (*DB, float64) {
 	for s := 0; s < shards; s++ {
 		labels := Labels{L("shard", fmt.Sprintf("s%d", s))}
 		for i := 0; i < points; i++ {
-			db.Append("bench.ops", labels, 0.25*float64(i+1), float64(i*(s+1)))
+			db.AppendRef(db.Ref("bench.ops", labels), 0.25*float64(i+1), float64(i*(s+1)))
 		}
 	}
 	return db, 0.25 * points

@@ -125,12 +125,10 @@ func NewCollector(db *DB, bus *telemetry.Bus, interval float64) *Collector {
 // DB returns the store this collector appends into.
 func (c *Collector) DB() *DB { return c.db }
 
-// Self returns the collector's own store for nondeterministic pipeline
-// metrics: tsdb.scrape_duration (seconds, 0 unless a wall clock is set).
-func (c *Collector) Self() *DB { return c.self }
-
 // SetDelta toggles incremental scraping; false selects the
 // full-snapshot fallback path. Both store byte-identical series.
+//
+//lint:ignore deadcode it selects the full-snapshot reference path for the delta-vs-full scrape test
 func (c *Collector) SetDelta(on bool) {
 	c.mu.Lock()
 	c.delta = on
@@ -368,16 +366,6 @@ func (c *Collector) Scrape(now float64) {
 	for _, fn := range hooks {
 		fn(now)
 	}
-}
-
-// Push appends one sample directly, bypassing the bus — for
-// simulation-level metrics that have no live instrument. Base labels
-// apply here too.
-func (c *Collector) Push(name string, labels Labels, t, v float64) {
-	for _, bl := range c.Base {
-		labels = labels.With(bl.Key, bl.Value)
-	}
-	c.db.Append(name, labels, t, v)
 }
 
 // Stats reports completed scrapes and total samples ingested by Scrape.

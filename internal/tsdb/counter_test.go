@@ -60,7 +60,7 @@ func FuzzCounterIncrease(f *testing.F) {
 			if s == 2 {
 				name = "cc"
 			}
-			db.Append(name, series[s], float64(int8(pts[1]))/4, float64(int8(pts[2]))/3)
+			db.AppendRef(db.Ref(name, series[s]), float64(int8(pts[1]))/4, float64(int8(pts[2]))/3)
 		}
 		e, err := ParseExpr(fuzzSelectors[int(which)%len(fuzzSelectors)])
 		if err != nil {
@@ -71,7 +71,7 @@ func FuzzCounterIncrease(f *testing.F) {
 		got, want := db.CounterIncrease(sel, n, w), copyIncrease(db, sel, n, w)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("CounterIncrease(%s, now=%v, window=%v) = %v, reference %v\n%s",
-				sel, n, w, got, want, db.Dump())
+				sel, n, w, got, want, dbState(db))
 		}
 	})
 }
@@ -79,8 +79,8 @@ func FuzzCounterIncrease(f *testing.F) {
 func TestCounterIncreaseAllocatesNothing(t *testing.T) {
 	db := New(Options{})
 	for i := 0; i < 672; i++ {
-		db.Append("c", NewLabels(L("k", "a")), float64(i)/4, float64(i))
-		db.Append("c", NewLabels(L("k", "b")), float64(i)/4, float64(2*i))
+		db.AppendRef(db.Ref("c", NewLabels(L("k", "a"))), float64(i)/4, float64(i))
+		db.AppendRef(db.Ref("c", NewLabels(L("k", "b"))), float64(i)/4, float64(2*i))
 	}
 	e, err := ParseExpr(`c{k=~"a|b"}`)
 	if err != nil {

@@ -26,10 +26,6 @@ type LabelSet struct {
 	sig string
 }
 
-// ID returns the table-scoped integer identity (dense, starting at 0 in
-// intern order).
-func (s *LabelSet) ID() int { return s.id }
-
 // Labels returns the canonical label set. The slice is shared and must
 // not be mutated.
 func (s *LabelSet) Labels() Labels { return s.ls }

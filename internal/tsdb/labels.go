@@ -64,16 +64,6 @@ func (ls Labels) Get(key string) string {
 	return ""
 }
 
-// Has reports whether key is present.
-func (ls Labels) Has(key string) bool {
-	for _, l := range ls {
-		if l.Key == key {
-			return true
-		}
-	}
-	return false
-}
-
 // With returns a copy with key set to value (replacing any existing).
 func (ls Labels) With(key, value string) Labels {
 	out := make([]Label, 0, len(ls)+1)
@@ -134,19 +124,6 @@ func (ls Labels) String() string {
 		return "{}"
 	}
 	return ls.Signature()
-}
-
-// Equal reports whether two canonical label sets are identical.
-func (ls Labels) Equal(other Labels) bool {
-	if len(ls) != len(other) {
-		return false
-	}
-	for i := range ls {
-		if ls[i] != other[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // MatchOp is a label-matcher comparison operator.

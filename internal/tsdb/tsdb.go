@@ -24,9 +24,7 @@
 package tsdb
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -90,21 +88,6 @@ func New(opts Options) *DB {
 	return &DB{series: map[string]*Series{}, opts: opts}
 }
 
-// Append records one sample. Labels must be canonical (built by
-// NewLabels / LabelsFromAttrs). Appends whose timestamp is older than
-// the series tail are dropped and counted in Dropped; a sample at
-// exactly the tail timestamp replaces it (a re-scrape at the same
-// aligned step is an update, not history).
-func (db *DB) Append(name string, labels Labels, t, v float64) {
-	if db == nil {
-		return
-	}
-	key := name + labels.Signature()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.appendLocked(db.getOrCreateLocked(key, name, labels), t, v)
-}
-
 func (db *DB) getOrCreateLocked(key, name string, labels Labels) *Series {
 	s, ok := db.series[key]
 	if !ok {
@@ -158,11 +141,14 @@ func (db *DB) RefSet(name string, set *LabelSet) *SeriesRef {
 	return &SeriesRef{name: name, labels: set.Labels(), key: name + set.Signature()}
 }
 
-// AppendRef records one sample through a cached handle, with the same
-// ordering semantics as Append. The cached series pointer is revalidated
-// whenever Compact has deleted any series since it was resolved (the DB
-// generation counter), so a ref survives retention deleting and later
-// recreating its series.
+// AppendRef records one sample through a cached handle. Labels must be
+// canonical (built by NewLabels / LabelsFromAttrs). Appends whose
+// timestamp is older than the series tail are dropped and counted in
+// Dropped; a sample at exactly the tail timestamp replaces it (a
+// re-scrape at the same aligned step is an update, not history). The
+// cached series pointer is revalidated whenever Compact has deleted any
+// series since it was resolved (the DB generation counter), so a ref
+// survives retention deleting and later recreating its series.
 func (db *DB) AppendRef(ref *SeriesRef, t, v float64) {
 	if db == nil || ref == nil {
 		return
@@ -320,20 +306,4 @@ func floorDiv(t, step float64) float64 {
 		f--
 	}
 	return f
-}
-
-// Dump renders every series and point deterministically — the test and
-// acceptance format for "byte-identical per seed".
-func (db *DB) Dump() string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var b strings.Builder
-	for _, key := range db.order {
-		s := db.series[key]
-		fmt.Fprintf(&b, "%s\n", s.ID())
-		for _, p := range s.Points {
-			fmt.Fprintf(&b, "  %g %g\n", p.T, p.V)
-		}
-	}
-	return b.String()
 }

@@ -8,7 +8,7 @@ import (
 func TestLabelsCanonical(t *testing.T) {
 	a := NewLabels(L("b", "2"), L("a", "1"))
 	b := NewLabels(L("a", "1"), L("b", "2"))
-	if !a.Equal(b) {
+	if a.Signature() != b.Signature() || len(a) != len(b) {
 		t.Errorf("order-insensitive construction: %v != %v", a, b)
 	}
 	if got := a.Signature(); got != `{a="1",b="2"}` {
@@ -30,10 +30,10 @@ func TestLabelsCanonical(t *testing.T) {
 func TestAppendOrderingAndDropped(t *testing.T) {
 	db := New(Options{})
 	ls := NewLabels(L("x", "1"))
-	db.Append("m", ls, 1, 10)
-	db.Append("m", ls, 2, 20)
-	db.Append("m", ls, 1.5, 99) // out of order: dropped
-	db.Append("m", ls, 2, 25)   // same timestamp: replace
+	db.AppendRef(db.Ref("m", ls), 1, 10)
+	db.AppendRef(db.Ref("m", ls), 2, 20)
+	db.AppendRef(db.Ref("m", ls), 1.5, 99) // out of order: dropped
+	db.AppendRef(db.Ref("m", ls), 2, 25)   // same timestamp: replace
 	if db.Dropped() != 1 {
 		t.Errorf("dropped = %d, want 1", db.Dropped())
 	}
@@ -53,10 +53,10 @@ func TestAppendOrderingAndDropped(t *testing.T) {
 
 func TestSelectMatchers(t *testing.T) {
 	db := New(Options{})
-	db.Append("req", NewLabels(L("flavor", "m1.small"), L("project", "a")), 1, 1)
-	db.Append("req", NewLabels(L("flavor", "m1.large"), L("project", "a")), 1, 2)
-	db.Append("req", NewLabels(L("flavor", "gpu.a100"), L("project", "b")), 1, 3)
-	db.Append("other", nil, 1, 4)
+	db.AppendRef(db.Ref("req", NewLabels(L("flavor", "m1.small"), L("project", "a"))), 1, 1)
+	db.AppendRef(db.Ref("req", NewLabels(L("flavor", "m1.large"), L("project", "a"))), 1, 2)
+	db.AppendRef(db.Ref("req", NewLabels(L("flavor", "gpu.a100"), L("project", "b"))), 1, 3)
+	db.AppendRef(db.Ref("other", nil), 1, 4)
 
 	eq, _ := NewMatcher("flavor", MatchEq, "m1.large")
 	if got := db.Select("req", []Matcher{eq}); len(got) != 1 || got[0].Points[0].V != 2 {
@@ -94,7 +94,7 @@ func TestSelectMatchers(t *testing.T) {
 func TestRetentionAndDownsampling(t *testing.T) {
 	db := New(Options{Retention: 10, RawWindow: 4, DownsampleStep: 1})
 	for i := 0; i <= 48; i++ { // every 0.25h from 0 to 12
-		db.Append("g", nil, float64(i)*0.25, float64(i))
+		db.AppendRef(db.Ref("g", nil), float64(i)*0.25, float64(i))
 	}
 	db.Compact(12)
 	pts := db.Select("g", nil)[0].Points
@@ -120,13 +120,13 @@ func TestRetentionAndDownsampling(t *testing.T) {
 		t.Errorf("recent count = %d, want 17", recentCount)
 	}
 	// Compact is idempotent for a fixed now.
-	before := db.Dump()
+	before := dbState(db)
 	db.Compact(12)
-	if db.Dump() != before {
+	if dbState(db) != before {
 		t.Error("Compact not idempotent")
 	}
 	// A fully-aged-out series disappears.
-	db.Append("dead", nil, 1, 1)
+	db.AppendRef(db.Ref("dead", nil), 1, 1)
 	db.Compact(50)
 	if got := db.Select("dead", nil); len(got) != 0 {
 		t.Errorf("dead series survived: %+v", got)
@@ -135,7 +135,7 @@ func TestRetentionAndDownsampling(t *testing.T) {
 
 func TestInstantSelectorLookback(t *testing.T) {
 	db := New(Options{Lookback: 1})
-	db.Append("m", nil, 5, 42)
+	db.AppendRef(db.Ref("m", nil), 5, 42)
 	if v, _ := db.Query("m", 5.5); len(v.(Vector)) != 1 {
 		t.Error("sample within lookback not found")
 	}
@@ -151,7 +151,7 @@ func TestRateIncreaseAcrossCounterResets(t *testing.T) {
 	db := New(Options{})
 	// Counter: 0,10,25, reset, 5,12 at t=0..4.
 	for i, v := range []float64{0, 10, 25, 5, 12} {
-		db.Append("c", nil, float64(i), v)
+		db.AppendRef(db.Ref("c", nil), float64(i), v)
 	}
 	v, err := db.Query("increase(c[4])", 4)
 	if err != nil {
@@ -170,7 +170,7 @@ func TestRateIncreaseAcrossCounterResets(t *testing.T) {
 		t.Errorf("rate = %v, want %v", got, 37.0/4)
 	}
 	// A series with a single in-window point is dropped, not faked.
-	db.Append("solo", nil, 4, 100)
+	db.AppendRef(db.Ref("solo", nil), 4, 100)
 	if v, _ := db.Query("increase(solo[1])", 4); len(v.(Vector)) != 0 {
 		t.Errorf("single-point increase should drop the series: %+v", v)
 	}
@@ -179,7 +179,7 @@ func TestRateIncreaseAcrossCounterResets(t *testing.T) {
 func TestOverTimeFunctions(t *testing.T) {
 	db := New(Options{})
 	for i, v := range []float64{1, 5, 3, 9} {
-		db.Append("g", nil, float64(i), v)
+		db.AppendRef(db.Ref("g", nil), float64(i), v)
 	}
 	cases := map[string]float64{
 		"avg_over_time(g[3])":   4.5,
@@ -204,7 +204,7 @@ func TestHistogramQuantileKnownDistribution(t *testing.T) {
 	// Cumulative buckets for 100 observations uniform over (0, 10]:
 	// le=2.5: 25, le=5: 50, le=7.5: 75, le=10: 100, +Inf: 100.
 	for le, cum := range map[string]float64{"2.5": 25, "5": 50, "7.5": 75, "10": 100, "+Inf": 100} {
-		db.Append("lat_bucket", NewLabels(L("le", le)), 1, cum)
+		db.AppendRef(db.Ref("lat_bucket", NewLabels(L("le", le))), 1, cum)
 	}
 	for q, want := range map[string]float64{"0.5": 5, "0.25": 2.5, "0.9": 9, "1": 10} {
 		v, err := db.Query("histogram_quantile("+q+", lat_bucket)", 1)
@@ -218,17 +218,17 @@ func TestHistogramQuantileKnownDistribution(t *testing.T) {
 	}
 	// Rank falling past the last finite bound reports that bound
 	// (overflow bucket has no upper edge to interpolate toward).
-	db.Append("o_bucket", NewLabels(L("le", "1")), 1, 50)
-	db.Append("o_bucket", NewLabels(L("le", "+Inf")), 1, 100)
+	db.AppendRef(db.Ref("o_bucket", NewLabels(L("le", "1"))), 1, 50)
+	db.AppendRef(db.Ref("o_bucket", NewLabels(L("le", "+Inf"))), 1, 100)
 	v, _ := db.Query("histogram_quantile(0.9, o_bucket)", 1)
 	if got := v.(Vector)[0].V; got != 1 {
 		t.Errorf("overflow quantile = %v, want lower bound 1", got)
 	}
 	// Groups split by non-le labels; empty groups are dropped.
-	db.Append("m_bucket", NewLabels(L("le", "1"), L("k", "a")), 1, 10)
-	db.Append("m_bucket", NewLabels(L("le", "+Inf"), L("k", "a")), 1, 10)
-	db.Append("m_bucket", NewLabels(L("le", "1"), L("k", "b")), 1, 0)
-	db.Append("m_bucket", NewLabels(L("le", "+Inf"), L("k", "b")), 1, 0)
+	db.AppendRef(db.Ref("m_bucket", NewLabels(L("le", "1"), L("k", "a"))), 1, 10)
+	db.AppendRef(db.Ref("m_bucket", NewLabels(L("le", "+Inf"), L("k", "a"))), 1, 10)
+	db.AppendRef(db.Ref("m_bucket", NewLabels(L("le", "1"), L("k", "b"))), 1, 0)
+	db.AppendRef(db.Ref("m_bucket", NewLabels(L("le", "+Inf"), L("k", "b"))), 1, 0)
 	v, _ = db.Query("histogram_quantile(0.5, m_bucket)", 1)
 	vec := v.(Vector)
 	if len(vec) != 1 || vec[0].Labels.Get("k") != "a" {
@@ -238,9 +238,9 @@ func TestHistogramQuantileKnownDistribution(t *testing.T) {
 
 func TestBinaryOpsAndAggregation(t *testing.T) {
 	db := New(Options{})
-	db.Append("a", NewLabels(L("k", "x")), 1, 10)
-	db.Append("a", NewLabels(L("k", "y")), 1, 20)
-	db.Append("b", NewLabels(L("k", "x")), 1, 4)
+	db.AppendRef(db.Ref("a", NewLabels(L("k", "x"))), 1, 10)
+	db.AppendRef(db.Ref("a", NewLabels(L("k", "y"))), 1, 20)
+	db.AppendRef(db.Ref("b", NewLabels(L("k", "x"))), 1, 4)
 
 	// vector-scalar arithmetic.
 	v, err := db.Query("a * 2", 1)
@@ -292,7 +292,7 @@ func TestBinaryOpsAndAggregation(t *testing.T) {
 		}
 	}
 	// division by zero yields NaN, not a panic.
-	db.Append("z", NewLabels(L("k", "x")), 1, 0)
+	db.AppendRef(db.Ref("z", NewLabels(L("k", "x"))), 1, 0)
 	v, err = db.Query("a / z", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -326,8 +326,8 @@ func TestParseErrors(t *testing.T) {
 
 func TestFormatValueDeterministic(t *testing.T) {
 	db := New(Options{})
-	db.Append("m", NewLabels(L("b", "2")), 1, 1)
-	db.Append("m", NewLabels(L("a", "1")), 1, 2)
+	db.AppendRef(db.Ref("m", NewLabels(L("b", "2"))), 1, 1)
+	db.AppendRef(db.Ref("m", NewLabels(L("a", "1"))), 1, 2)
 	v, err := db.Query("m", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +379,7 @@ func TestAppendRefSurvivesCompact(t *testing.T) {
 	}
 
 	// Ref and plain Append hit the same series (same key construction).
-	db.Append("r", NewLabels(L("k", "v")), 101, 30)
+	db.AppendRef(db.Ref("r", NewLabels(L("k", "v"))), 101, 30)
 	if got := db.Select("r", nil); len(got) != 1 || len(got[0].Points) != 2 {
 		t.Fatalf("ref and Append diverged: %+v", got)
 	}
