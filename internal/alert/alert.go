@@ -1,4 +1,5 @@
-// Package alert evaluates alert rules and SLO burn-rate rules against the metrics TSDB — the Alertmanager-shaped
+// Package alert evaluates recording rules, alert rules, and SLO
+// burn-rate rules against the metrics TSDB — the Alertmanager-shaped
 // layer of the observability stack the Unit 6/7 labs have students build
 // with Prometheus.
 //
@@ -56,6 +57,14 @@ type Rule struct {
 	Severity string
 }
 
+// RecordingRule evaluates an expression on every engine step and writes
+// the result back into the DB under the rule's name — precomputation for
+// dashboards and for layering rules on rules.
+type RecordingRule struct {
+	Name string
+	Expr string
+}
+
 // Instance is the live state of one (rule, label set) pair.
 type Instance struct {
 	Rule        string
@@ -88,6 +97,7 @@ func (t Transition) String() string {
 type Engine struct {
 	db    *tsdb.DB
 	rules []rule
+	recs  []recording
 	slos  []*SLO
 
 	active   map[string]*Instance // key: rule name + label signature
@@ -96,10 +106,15 @@ type Engine struct {
 	onTrans  []func(Transition)
 }
 
-// rule is a registered rule with its expression parsed once, at
-// registration.
+// rule and recording are registered rules with their expressions parsed
+// once, at registration.
 type rule struct {
 	Rule
+	query
+}
+
+type recording struct {
+	RecordingRule
 	query
 }
 
@@ -131,6 +146,13 @@ func NewEngine(db *tsdb.DB) *Engine {
 
 // AddRule registers an alert rule and parses its expression.
 func (e *Engine) AddRule(r Rule) { e.rules = append(e.rules, rule{r, parseQuery(r.Expr)}) }
+
+// AddRecordingRule registers a recording rule and parses its expression.
+//
+//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
+func (e *Engine) AddRecordingRule(r RecordingRule) {
+	e.recs = append(e.recs, recording{r, parseQuery(r.Expr)})
+}
 
 // AddSLO registers an SLO; its multi-window burn-rate rules are
 // evaluated on every step and its scorecard becomes available from
@@ -175,9 +197,27 @@ func (e *Engine) OnTransition(fn func(Transition)) { e.onTrans = append(e.onTran
 // selectors). Healthy rulesets keep this empty.
 func (e *Engine) Errors() []string { return append([]string(nil), e.errs...) }
 
-// Step evaluates everything at time now: alert rules, then SLO
-// burn-rate rules.
+// Step evaluates everything at time now: recording rules first (so alert
+// rules can reference their output from this same step), then alert
+// rules, then SLO burn-rate rules.
 func (e *Engine) Step(now float64) {
+	for _, r := range e.recs {
+		v, err := r.eval(e.db, now)
+		if err != nil {
+			e.recordErr(r.Name, err)
+			continue
+		}
+		switch v := v.(type) {
+		case tsdb.Scalar:
+			e.db.AppendRef(e.db.Ref(r.Name, nil), now, float64(v))
+		case tsdb.Vector:
+			for _, s := range v {
+				e.db.AppendRef(e.db.Ref(r.Name, s.Labels), now, s.V)
+			}
+		default:
+			e.recordErr(r.Name, fmt.Errorf("recording rule yielded a %T", v))
+		}
+	}
 	for _, r := range e.rules {
 		v, err := r.eval(e.db, now)
 		if err != nil {

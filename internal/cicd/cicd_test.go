@@ -271,3 +271,31 @@ func BenchmarkWorkflowRun(b *testing.B) {
 		}
 	}
 }
+
+func TestRollback(t *testing.T) {
+	cluster := newCluster()
+	p := newPipeline(cluster)
+	mustOK(t, p.DeployStaging("model:v1"))
+	mustOK(t, p.PromoteToCanary(1))
+	mustOK(t, p.PromoteToProduction(nil))
+	mustOK(t, p.DeployStaging("model:v2"))
+	mustOK(t, p.PromoteToCanary(1))
+	mustOK(t, p.PromoteToProduction(nil))
+	_, _, stable := p.Images()
+	if stable != "model:v2" {
+		t.Fatalf("stable = %q", stable)
+	}
+	mustOK(t, p.Rollback())
+	_, _, stable = p.Images()
+	if stable != "model:v1" {
+		t.Errorf("after rollback stable = %q, want model:v1", stable)
+	}
+	for _, pod := range cluster.Pods("gourmetgram") {
+		if pod.Spec.Image != "model:v1" {
+			t.Errorf("pod %s image %s after rollback", pod.Name, pod.Spec.Image)
+		}
+	}
+	if err := p.Rollback(); err == nil {
+		t.Error("second rollback should fail (history depth 1)")
+	}
+}

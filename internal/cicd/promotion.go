@@ -22,7 +22,8 @@ type Gate func(image string) error
 // ReleasePipeline manages the staging → canary → production flow the
 // GourmetGram service uses: staging runs the candidate alone, canary
 // splits production replicas between stable and candidate, and promotion
-// replaces stable.
+// replaces stable. Rollback reverts production to the previous stable
+// image.
 type ReleasePipeline struct {
 	Cluster *orchestrator.Cluster
 	// Service is the base name; deployments are <service>-staging,
@@ -31,10 +32,11 @@ type ReleasePipeline struct {
 	Spec         orchestrator.PodSpec
 	ProdReplicas int
 
-	mu         sync.Mutex
-	stagingImg string
-	canaryImg  string
-	stableImg  string
+	mu          sync.Mutex
+	stagingImg  string
+	canaryImg   string
+	stableImg   string
+	previousImg string
 }
 
 // DeployStaging deploys the candidate image to the staging environment
@@ -99,6 +101,7 @@ func (p *ReleasePipeline) PromoteToProduction(gate Gate) error {
 			return fmt.Errorf("%w: %v", ErrGateRejected, err)
 		}
 	}
+	p.previousImg = p.stableImg
 	p.stableImg = p.canaryImg
 	p.canaryImg = ""
 	spec := p.Spec
@@ -119,6 +122,24 @@ func (p *ReleasePipeline) rollbackCanaryLocked() {
 	}
 	p.Cluster.ReconcileToFixedPoint()
 	p.canaryImg = ""
+}
+
+// Rollback reverts production to the previous stable image (one level of
+// history, like `kubectl rollout undo`).
+//
+//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
+func (p *ReleasePipeline) Rollback() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.previousImg == "" {
+		return errors.New("cicd: no previous release to roll back to")
+	}
+	p.stableImg, p.previousImg = p.previousImg, ""
+	spec := p.Spec
+	spec.Image = p.stableImg
+	p.Cluster.Apply(orchestrator.Deployment{Name: p.Service, Replicas: p.ProdReplicas, Spec: spec})
+	p.Cluster.ReconcileToFixedPoint()
+	return nil
 }
 
 // Images reports the current staging, canary, and stable images.

@@ -180,3 +180,50 @@ func BenchmarkTreeAllReduce(b *testing.B) {
 		}
 	}
 }
+
+func TestReduceScatterAllGatherComposition(t *testing.T) {
+	vectors, want := makeVectors(4, 103, 5)
+	chunks, err := ReduceScatter(vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var totalLen int
+	for _, c := range chunks {
+		totalLen += len(c)
+	}
+	if totalLen != 103 {
+		t.Fatalf("chunks cover %d elements, want 103", totalLen)
+	}
+	gathered, err := AllGather(chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAllEqual(t, gathered, want, "reduce-scatter + all-gather")
+}
+
+func TestBroadcast(t *testing.T) {
+	vectors, _ := makeVectors(5, 40, 9)
+	want := append([]float64(nil), vectors[2]...)
+	if err := Broadcast(vectors, 2); err != nil {
+		t.Fatal(err)
+	}
+	checkAllEqual(t, vectors, want, "broadcast")
+	if err := Broadcast(vectors, 9); err == nil {
+		t.Error("out-of-range root accepted")
+	}
+}
+
+func TestRingCrossover(t *testing.T) {
+	m := DefaultCostModel()
+	b := m.RingCrossoverBytes(8)
+	if math.IsInf(b, 1) || b <= 0 {
+		t.Fatalf("crossover = %v, want finite positive", b)
+	}
+	// Below crossover tree wins; above it ring wins.
+	if m.Ring(8, b/4) < m.Tree(8, b/4) {
+		t.Errorf("below crossover (%v bytes) ring should lose", b/4)
+	}
+	if m.Ring(8, b*4) > m.Tree(8, b*4) {
+		t.Errorf("above crossover (%v bytes) ring should win", b*4)
+	}
+}

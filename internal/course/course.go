@@ -161,3 +161,21 @@ func Paper() PaperTotals {
 		ProjectCostGCP:       26218,
 	}
 }
+
+// Units returns the lecture topics.
+//
+//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
+func Units() []string {
+	return []string{
+		"1. Introduction to ML Systems",
+		"2. Cloud Computing",
+		"3. DevOps for ML Systems",
+		"4. Model Training at Scale",
+		"5. Model Training Infrastructure",
+		"6. Model Serving",
+		"7. Monitoring and Evaluation",
+		"8. Data Systems",
+		"9. Safeguarding ML Systems (no lab)",
+		"10. Commercial Clouds (optional lab)",
+	}
+}

@@ -81,3 +81,10 @@ func TestVMFIPRatioMatchesClusterSize(t *testing.T) {
 		}
 	}
 }
+
+func TestUnitsListed(t *testing.T) {
+	units := Units()
+	if len(units) != 10 {
+		t.Errorf("%d units, want 10", len(units))
+	}
+}

@@ -108,3 +108,23 @@ func (fs *FeatureStore) AsOf(key string, t float64) (map[string]float64, error) 
 	}
 	return out, nil
 }
+
+// TrainingSet materializes point-in-time-correct feature vectors for
+// (entity, timestamp) pairs, skipping pairs with no history before their
+// timestamp.
+//
+//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
+func (fs *FeatureStore) TrainingSet(pairs []struct {
+	Key string
+	T   float64
+}) []Record {
+	var out []Record
+	for _, p := range pairs {
+		fields, err := fs.AsOf(p.Key, p.T)
+		if err != nil {
+			continue
+		}
+		out = append(out, Record{Key: p.Key, Fields: fields})
+	}
+	return out
+}

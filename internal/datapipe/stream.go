@@ -8,8 +8,9 @@ import (
 
 // Broker errors.
 var (
-	ErrNoTopic = errors.New("datapipe: topic does not exist")
-	ErrNoGroup = errors.New("datapipe: consumer group not subscribed")
+	ErrNoTopic  = errors.New("datapipe: topic does not exist")
+	ErrNoGroup  = errors.New("datapipe: consumer group not subscribed")
+	ErrTooEarly = errors.New("datapipe: offset beyond log head")
 )
 
 // Message is one event in a topic log.
@@ -100,4 +101,41 @@ func (b *Broker) Poll(topic, group string, max int) ([]Message, error) {
 	out := append([]Message(nil), log[off:end]...)
 	b.offsets[topic][group] = end
 	return out, nil
+}
+
+// Seek rewinds or advances a group's offset (replay support).
+//
+//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
+func (b *Broker) Seek(topic, group string, offset int64) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	log, ok := b.topics[topic]
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrNoTopic, topic)
+	}
+	if _, ok := b.offsets[topic][group]; !ok {
+		return fmt.Errorf("%w: %q on %q", ErrNoGroup, group, topic)
+	}
+	if offset < 0 || offset > int64(len(log)) {
+		return fmt.Errorf("%w: offset %d, log length %d", ErrTooEarly, offset, len(log))
+	}
+	b.offsets[topic][group] = offset
+	return nil
+}
+
+// Lag returns how many messages the group has not yet consumed.
+//
+//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
+func (b *Broker) Lag(topic, group string) (int64, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	log, ok := b.topics[topic]
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", ErrNoTopic, topic)
+	}
+	off, ok := b.offsets[topic][group]
+	if !ok {
+		return 0, fmt.Errorf("%w: %q on %q", ErrNoGroup, group, topic)
+	}
+	return int64(len(log)) - off, nil
 }

@@ -2,7 +2,11 @@ package monitor
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 func TestFeedbackRecordAndAccuracy(t *testing.T) {
@@ -27,5 +31,99 @@ func TestFeedbackRecordAndAccuracy(t *testing.T) {
 	}
 	if err := f.UserFeedback("ghost", "x"); !errors.Is(err, ErrNoPrediction) {
 		t.Errorf("missing event err = %v", err)
+	}
+}
+
+func TestAnnotatorMajorityOverridesUser(t *testing.T) {
+	f := NewFeedbackCollector()
+	id := f.Record("img", "pizza", 0.9)
+	mustOK(t, f.UserFeedback(id, "pizza")) // user agrees
+	// Two annotators say pasta, one says pizza: majority pasta → wrong.
+	mustOK(t, f.Annotate(id, "ann1", "pasta"))
+	mustOK(t, f.Annotate(id, "ann2", "pasta"))
+	mustOK(t, f.Annotate(id, "ann3", "pizza"))
+	acc, ok := f.ProductionAccuracy()
+	if !ok || acc != 0 {
+		t.Errorf("majority label should override user: acc=%v", acc)
+	}
+}
+
+func TestSamplingStrategies(t *testing.T) {
+	f := NewFeedbackCollector()
+	rng := stats.NewRNG(5)
+	var lowConfID, disagreeID string
+	for i := 0; i < 20; i++ {
+		conf := 0.9
+		if i == 7 {
+			conf = 0.1
+		}
+		id := f.Record(fmt.Sprintf("img%d", i), "pizza", conf)
+		if i == 7 {
+			lowConfID = id
+		}
+		if i == 3 {
+			disagreeID = id
+			mustOK(t, f.UserFeedback(id, "sushi"))
+		}
+	}
+	low := f.SampleForAnnotation(SampleLowConfidence, 1, rng)
+	if len(low) != 1 || low[0] != lowConfID {
+		t.Errorf("low-confidence sample = %v, want %s", low, lowConfID)
+	}
+	dis := f.SampleForAnnotation(SampleDisagreement, 1, rng)
+	if len(dis) != 1 || dis[0] != disagreeID {
+		t.Errorf("disagreement sample = %v, want %s", dis, disagreeID)
+	}
+	random := f.SampleForAnnotation(SampleRandom, 50, rng)
+	if len(random) != 20 {
+		t.Errorf("random sample size = %d, want all 20", len(random))
+	}
+	// Annotated events leave the pool.
+	mustOK(t, f.Annotate(lowConfID, "ann1", "pizza"))
+	after := f.SampleForAnnotation(SampleRandom, 50, rng)
+	if len(after) != 19 {
+		t.Errorf("pool after annotation = %d, want 19", len(after))
+	}
+}
+
+func TestCohenKappaPerfectAndChance(t *testing.T) {
+	f := NewFeedbackCollector()
+	// Perfect agreement across mixed labels.
+	for i := 0; i < 10; i++ {
+		id := f.Record(fmt.Sprintf("a%d", i), "x", 0.5)
+		label := "pizza"
+		if i%2 == 0 {
+			label = "sushi"
+		}
+		mustOK(t, f.Annotate(id, "ann1", label))
+		mustOK(t, f.Annotate(id, "ann2", label))
+	}
+	kappa, n := f.CohenKappa("ann1", "ann2")
+	if n != 10 || math.Abs(kappa-1) > 1e-12 {
+		t.Errorf("perfect kappa = %v over %d", kappa, n)
+	}
+	// No shared events.
+	if _, n := f.CohenKappa("ann1", "ghost"); n != 0 {
+		t.Errorf("kappa with no overlap: n=%d", n)
+	}
+}
+
+func TestCohenKappaDisagreement(t *testing.T) {
+	f := NewFeedbackCollector()
+	// ann1 alternates labels; ann2 assigns them independently (half
+	// agree by construction): kappa should be near 0.
+	labels := []string{"a", "a", "b", "b"}
+	shifted := []string{"a", "b", "a", "b"}
+	for i := 0; i < 4; i++ {
+		id := f.Record(fmt.Sprintf("e%d", i), "x", 0.5)
+		mustOK(t, f.Annotate(id, "ann1", labels[i]))
+		mustOK(t, f.Annotate(id, "ann2", shifted[i]))
+	}
+	kappa, n := f.CohenKappa("ann1", "ann2")
+	if n != 4 {
+		t.Fatalf("n = %d", n)
+	}
+	if math.Abs(kappa) > 1e-9 {
+		t.Errorf("chance-level kappa = %v, want ~0", kappa)
 	}
 }

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -158,5 +159,14 @@ func BenchmarkDriftCheck(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Check(cur)
+	}
+}
+
+func TestNormalCDF(t *testing.T) {
+	if math.Abs(normalCDF(0)-0.5) > 1e-12 {
+		t.Error("Phi(0) != 0.5")
+	}
+	if math.Abs(normalCDF(1.96)-0.975) > 0.001 {
+		t.Errorf("Phi(1.96) = %v", normalCDF(1.96))
 	}
 }

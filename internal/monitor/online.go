@@ -2,8 +2,16 @@ package monitor
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
+
+// normalCDF is the standard normal CDF via erf.
+//
+//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
+func normalCDF(x float64) float64 {
+	return 0.5 * (1 + math.Erf(x/math.Sqrt2))
+}
 
 // CanaryComparison watches error rates of the stable and canary arms and
 // renders the promote/rollback verdict used as a cicd.Gate.

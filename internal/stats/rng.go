@@ -192,3 +192,15 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		swap(i, j)
 	}
 }
+
+// Perm returns a random permutation of [0, n).
+//
+//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
+func (r *RNG) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
+	return p
+}

@@ -122,6 +122,20 @@ func Histogram(xs []float64, nbins int, min, max float64) (counts []int, edges [
 	return counts, edges
 }
 
+// CDF returns (sorted values, cumulative fractions) suitable for plotting
+// an empirical CDF.
+//
+//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
+func CDF(xs []float64) (values, fractions []float64) {
+	values = append([]float64(nil), xs...)
+	sort.Float64s(values)
+	fractions = make([]float64, len(values))
+	for i := range values {
+		fractions[i] = float64(i+1) / float64(len(values))
+	}
+	return values, fractions
+}
+
 // String renders the summary on one line for logs and test failures.
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.2f std=%.2f min=%.2f p50=%.2f p90=%.2f p99=%.2f max=%.2f sum=%.1f",

@@ -112,3 +112,17 @@ func TestServerEndDefaultsToFinished(t *testing.T) {
 		t.Errorf("default end status = %s", got.Status)
 	}
 }
+
+func TestRegisterModelAndList(t *testing.T) {
+	s := NewStore()
+	a := s.RegisterModel("zeta")
+	b := s.RegisterModel("zeta") // idempotent
+	if a != b {
+		t.Error("RegisterModel not idempotent")
+	}
+	s.RegisterModel("alpha")
+	names := s.ListModels()
+	if len(names) != 2 || names[0] != "alpha" || names[1] != "zeta" {
+		t.Errorf("ListModels = %v", names)
+	}
+}

@@ -104,6 +104,13 @@ func Llama13B() ModelSpec {
 	return ModelSpec{Name: "llama-13b", Params: 13.0e9, Layers: 40, Hidden: 5120, VocabSize: 32000}
 }
 
+// GPT2Small is a small model for examples and tests.
+//
+//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
+func GPT2Small() ModelSpec {
+	return ModelSpec{Name: "gpt2-small", Params: 124e6, Layers: 12, Hidden: 768, VocabSize: 50257}
+}
+
 // LoRAConfig selects parameter-efficient fine-tuning: only low-rank
 // adapters train; the base model is frozen (and, for QLoRA, quantized).
 type LoRAConfig struct {
@@ -241,3 +248,9 @@ func PlanMemory(m ModelSpec, c Config) MemoryPlan {
 
 // Fits reports whether the plan fits in a GPU with memGB of memory.
 func (p MemoryPlan) Fits(memGB float64) bool { return p.TotalGB <= memGB }
+
+// String renders the plan for lab-style output.
+func (p MemoryPlan) String() string {
+	return fmt.Sprintf("weights %.1f GB + grads %.1f GB + optimizer %.1f GB + activations %.1f GB + overhead %.1f GB = %.1f GB (trainable %.2gB params)",
+		p.WeightsGB, p.GradientsGB, p.OptimizerGB, p.ActivationsGB, p.OverheadGB, p.TotalGB, p.TrainableParams)
+}
