@@ -2,10 +2,12 @@ package analysis
 
 import (
 	"fmt"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -198,6 +200,49 @@ func b() {}
 	}
 	if !malformed || !stale {
 		t.Errorf("malformed=%v stale=%v, want both true", malformed, stale)
+	}
+}
+
+// TestLoadersShareStdlib loads three fixtures that import fmt, each with
+// its own Loader and on its own goroutine (run it under -race): the
+// loads must succeed, and all three must see the one fmt package the
+// process-wide importer checked.
+func TestLoadersShareStdlib(t *testing.T) {
+	fixtures := []string{"deadcode", "maprange", "unchecked"}
+	pkgs := make([]*Package, len(fixtures))
+	var wg sync.WaitGroup
+	for i, name := range fixtures {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pkg, err := LoadDir(filepath.Join("testdata", "src", name), name, false)
+			if err != nil {
+				t.Errorf("loading %s: %v", name, err)
+				return
+			}
+			pkgs[i] = pkg
+		}()
+	}
+	wg.Wait()
+	var fmtPkg *types.Package
+	for i, pkg := range pkgs {
+		if pkg == nil {
+			t.FailNow()
+		}
+		var got *types.Package
+		for _, imp := range pkg.Types.Imports() {
+			if imp.Path() == "fmt" {
+				got = imp
+			}
+		}
+		if got == nil {
+			t.Fatalf("%s does not import fmt", fixtures[i])
+		}
+		if fmtPkg == nil {
+			fmtPkg = got
+		} else if got != fmtPkg {
+			t.Errorf("%s sees its own fmt package; want the one shared stdlib import", fixtures[i])
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one type-checked package ready for analysis.
@@ -26,9 +27,16 @@ type Package struct {
 // Loader discovers, parses, and type-checks every package in a module
 // without go/packages: module-internal imports are resolved by walking
 // the module tree, everything else through the stdlib source importer.
-// A Loader is not safe for concurrent use: its package cache and the
-// source importer are unguarded, and every caller loads from one
-// goroutine.
+// A Loader is not safe for concurrent use: its package cache is
+// unguarded, and every caller loads from one goroutine.
+//
+// The stdlib source importer and the file set are process-wide, shared
+// by every Loader: the standard library's type information is the same
+// for every module, and type-checking it from source is most of what a
+// load costs, so a process that builds many Loaders (the linter's tests
+// build one per case) checks each stdlib package once. A mutex guards
+// the shared importer, since Loaders in different goroutines may import
+// at once; token.FileSet is safe for concurrent use on its own.
 type Loader struct {
 	Root   string // module root (directory containing go.mod)
 	Module string // module path from go.mod
@@ -37,11 +45,16 @@ type Loader struct {
 	// off: tests are exempt from the simulation invariants.
 	IncludeTests bool
 
-	fset    *token.FileSet
-	std     types.ImporterFrom
 	pkgs    map[string]*Package // by import path
 	loading map[string]bool     // cycle detection
 }
+
+// The process-wide file set and stdlib importer.
+var (
+	sharedFset  = token.NewFileSet()
+	stdMu       sync.Mutex
+	stdImporter = importer.ForCompiler(sharedFset, "source", nil).(types.ImporterFrom)
+)
 
 // NewLoader prepares a loader for the module rooted at root, reading the
 // module path from go.mod.
@@ -67,8 +80,6 @@ func NewLoader(root string) (*Loader, error) {
 }
 
 func (l *Loader) init() {
-	l.fset = token.NewFileSet()
-	l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
 	l.pkgs = map[string]*Package{}
 	l.loading = map[string]bool{}
 }
@@ -167,7 +178,7 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 		if !l.IncludeTests && strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		f, err := parser.ParseFile(sharedFset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -223,7 +234,7 @@ func (l *Loader) load(importPath, dir string) (*Package, error) {
 		}),
 		Error: func(err error) { typeErrs = append(typeErrs, err) },
 	}
-	tpkg, _ := conf.Check(importPath, l.fset, files, info)
+	tpkg, _ := conf.Check(importPath, sharedFset, files, info)
 	if len(typeErrs) > 0 {
 		return nil, fmt.Errorf("analysis: type-checking %s: %v (and %d more)",
 			importPath, typeErrs[0], len(typeErrs)-1)
@@ -231,7 +242,7 @@ func (l *Loader) load(importPath, dir string) (*Package, error) {
 	pkg := &Package{
 		ImportPath: importPath,
 		Dir:        dir,
-		Fset:       l.fset,
+		Fset:       sharedFset,
 		Files:      files,
 		Types:      tpkg,
 		Info:       info,
@@ -251,7 +262,9 @@ func (l *Loader) importPkg(path string) (*types.Package, error) {
 		}
 		return pkg.Types, nil
 	}
-	return l.std.ImportFrom(path, l.Root, 0)
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return stdImporter.ImportFrom(path, l.Root, 0)
 }
 
 // importerFunc adapts a function to types.ImporterFrom.

@@ -20,6 +20,12 @@ var (
 	ErrIPInUse        = errors.New("cloud: floating IP already associated")
 )
 
+// instanceHourBuckets are the bounds of the cloud.instance_hours
+// histograms: 0.25 h to 512 h, doubling. Built once, because every
+// delete and failure looks the histograms up, and the bus copies the
+// bounds only when it first registers one.
+var instanceHourBuckets = telemetry.ExpBuckets(0.25, 2, 12)
+
 // Project is a tenancy: a quota, current usage, and ownership of
 // resources. The course ran as a single large project; per-student
 // attribution happens through tags.
@@ -377,10 +383,10 @@ func (c *Cloud) deleteLocked(instanceID string) error {
 		c.tel.Gauge("cloud.instances_active").Add(-1)
 		c.tel.Gauge(telemetry.Labeled("cloud.instances_active",
 			telemetry.String("flavor", inst.Flavor.Name))).Add(-1)
-		c.tel.Histogram("cloud.instance_hours", telemetry.ExpBuckets(0.25, 2, 12)).
+		c.tel.Histogram("cloud.instance_hours", instanceHourBuckets).
 			Observe(inst.DeletedAt - inst.LaunchedAt)
 		c.tel.Histogram(telemetry.Labeled("cloud.instance_hours",
-			telemetry.String("flavor", inst.Flavor.Name)), telemetry.ExpBuckets(0.25, 2, 12)).
+			telemetry.String("flavor", inst.Flavor.Name)), instanceHourBuckets).
 			Observe(inst.DeletedAt - inst.LaunchedAt)
 	}
 	c.log.Info("instance deleted",

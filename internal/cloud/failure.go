@@ -119,10 +119,10 @@ func (c *Cloud) failInstanceLocked(inst *Instance, reason string) {
 	c.tel.Gauge("cloud.instances_active").Add(-1)
 	c.tel.Gauge(telemetry.Labeled("cloud.instances_active",
 		telemetry.String("flavor", inst.Flavor.Name))).Add(-1)
-	c.tel.Histogram("cloud.instance_hours", telemetry.ExpBuckets(0.25, 2, 12)).
+	c.tel.Histogram("cloud.instance_hours", instanceHourBuckets).
 		Observe(inst.FailedAt - inst.LaunchedAt)
 	c.tel.Histogram(telemetry.Labeled("cloud.instance_hours",
-		telemetry.String("flavor", inst.Flavor.Name)), telemetry.ExpBuckets(0.25, 2, 12)).
+		telemetry.String("flavor", inst.Flavor.Name)), instanceHourBuckets).
 		Observe(inst.FailedAt - inst.LaunchedAt)
 	c.log.Warn("instance errored",
 		logging.Str("id", inst.ID),

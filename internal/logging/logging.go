@@ -39,7 +39,9 @@
 package logging
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -311,6 +313,17 @@ func (l *Logger) Component(name string) *Component {
 	return c
 }
 
+// components returns the registered components in name order.
+func (l *Logger) components() []*Component {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	comps := make([]*Component, 0, len(l.order))
+	for _, name := range l.order {
+		comps = append(comps, l.comps[name])
+	}
+	return comps
+}
+
 // Records returns the retained records of every component merged into
 // emission order (by sequence number). max > 0 keeps only the most
 // recent max records.
@@ -318,17 +331,12 @@ func (l *Logger) Records(max int) []Record {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	comps := make([]*Component, 0, len(l.order))
-	for _, name := range l.order {
-		comps = append(comps, l.comps[name])
-	}
-	l.mu.Unlock()
+	comps := l.components()
 	var out []Record
 	for _, c := range comps {
 		out = append(out, c.Records()...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	sortBySeq(out)
 	if max > 0 && len(out) > max {
 		out = out[len(out)-max:]
 	}
@@ -336,16 +344,26 @@ func (l *Logger) Records(max int) []Record {
 }
 
 // Range returns every retained record with from <= T <= to, in emission
-// order — the incident-window query the flight recorder captures.
+// order — the incident-window query the flight recorder captures. Each
+// ring is filtered under its own lock, so only the window's records are
+// copied and merged.
 func (l *Logger) Range(from, to float64) []Record {
-	all := l.Records(0)
-	var out []Record
-	for _, r := range all {
-		if r.T >= from && r.T <= to {
-			out = append(out, r)
-		}
+	if l == nil {
+		return nil
 	}
+	comps := l.components()
+	var out []Record
+	for _, c := range comps {
+		out = c.appendRange(out, from, to)
+	}
+	sortBySeq(out)
 	return out
+}
+
+// sortBySeq puts merged records in emission order. Sequence numbers are
+// unique, so the order does not depend on the sort's stability.
+func sortBySeq(recs []Record) {
+	slices.SortFunc(recs, func(a, b Record) int { return cmp.Compare(a.Seq, b.Seq) })
 }
 
 // Dropped sums ring overwrites across components.
@@ -353,12 +371,7 @@ func (l *Logger) Dropped() uint64 {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	comps := make([]*Component, 0, len(l.order))
-	for _, name := range l.order {
-		comps = append(comps, l.comps[name])
-	}
-	l.mu.Unlock()
+	comps := l.components()
 	var n uint64
 	for _, c := range comps {
 		n += c.Dropped()
@@ -496,6 +509,23 @@ func (c *Component) Records() []Record {
 		out = append(out, c.ring[(start+i)%len(c.ring)])
 	}
 	return out
+}
+
+// appendRange appends the retained records with from <= T <= to to dst,
+// oldest first.
+func (c *Component) appendRange(dst []Record, from, to float64) []Record {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	start := c.head - c.filled
+	if start < 0 {
+		start += len(c.ring)
+	}
+	for i := 0; i < c.filled; i++ {
+		if r := &c.ring[(start+i)%len(c.ring)]; r.T >= from && r.T <= to {
+			dst = append(dst, *r)
+		}
+	}
+	return dst
 }
 
 // Dropped returns how many records this component's ring has overwritten.

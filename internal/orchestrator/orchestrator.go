@@ -13,7 +13,9 @@ package orchestrator
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/logging"
@@ -396,13 +398,28 @@ func (c *Cluster) deploymentNamesLocked() []string {
 }
 
 func (c *Cluster) livePodsLocked(deployment string) []*Pod {
-	var out []*Pod
+	return c.podsLocked(func(p *Pod) bool { return p.Deployment == deployment && p.Phase == PodRunning })
+}
+
+// podsLocked returns the pods that keep accepts, sorted by name. The
+// result is sized by a first pass, so it is the one allocation.
+func (c *Cluster) podsLocked(keep func(*Pod) bool) []*Pod {
+	n := 0
 	for _, p := range c.pods {
-		if p.Deployment == deployment && p.Phase == PodRunning {
+		if keep(p) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]*Pod, 0, n)
+	for _, p := range c.pods {
+		if keep(p) {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b *Pod) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -456,14 +473,7 @@ func (c *Cluster) terminateLocked(p *Pod) {
 func (c *Cluster) Pods(deployment string) []*Pod {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []*Pod
-	for _, p := range c.pods {
-		if deployment == "" || p.Deployment == deployment {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return c.podsLocked(func(p *Pod) bool { return deployment == "" || p.Deployment == deployment })
 }
 
 // Route returns the pod that receives the next request to the service,

@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -232,5 +233,35 @@ func BenchmarkReconcile100Pods(b *testing.B) {
 		}
 		c.Apply(Deployment{Name: "svc", Replicas: 100, Spec: PodSpec{CPUMilli: 100, MemMB: 128}})
 		c.ReconcileToFixedPoint()
+	}
+}
+
+// TestPodsAllocs is the heartbeat read's allocation contract: Pods sizes
+// its result once and sorts it without reflection, so the result is the
+// only allocation. It also checks the order: by name, other deployments
+// left out.
+func TestPodsAllocs(t *testing.T) {
+	c := threeNodeCluster()
+	c.Apply(Deployment{Name: "train", Replicas: 5, Spec: webSpec()})
+	c.Apply(Deployment{Name: "serve", Replicas: 2, Spec: webSpec()})
+	c.ReconcileToFixedPoint()
+	var pods []*Pod
+	fewest := math.Inf(1)
+	for i := 0; i < 50; i++ {
+		fewest = min(fewest, testing.AllocsPerRun(1, func() { pods = c.Pods("train") }))
+	}
+	if fewest > 1 {
+		t.Errorf("Pods allocates %v, want <= 1", fewest)
+	}
+	if len(pods) != 5 {
+		t.Fatalf("Pods(train) = %d pods, want 5", len(pods))
+	}
+	for i, p := range pods {
+		if p.Deployment != "train" || i > 0 && pods[i-1].Name >= p.Name {
+			t.Fatalf("Pods(train) not the train pods sorted by name: %v at %d", p.Name, i)
+		}
+	}
+	if all := c.Pods(""); len(all) != 7 {
+		t.Errorf("Pods(\"\") = %d pods, want 7", len(all))
 	}
 }

@@ -19,11 +19,12 @@ type Hours = float64
 
 // Event is a scheduled callback.
 type Event struct {
-	At    Hours
-	Name  string // for tracing and test assertions
-	Run   func()
-	seq   int64 // tie-break so equal-time events run FIFO
-	index int   // heap index; -1 once popped or cancelled
+	At        Hours
+	Name      string // for tracing and test assertions
+	Run       func()
+	seq       int64 // tie-break so equal-time events run FIFO
+	index     int32 // heap index; -1 once popped or cancelled
+	cancelled bool  // set by Cancel; a periodic event is not re-armed
 }
 
 type eventHeap []*Event
@@ -37,12 +38,12 @@ func (h eventHeap) Less(i, j int) bool {
 }
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+	h[i].index = int32(i)
+	h[j].index = int32(j)
 }
 func (h *eventHeap) Push(x any) {
 	e := x.(*Event)
-	e.index = len(*h)
+	e.index = int32(len(*h))
 	*h = append(*h, e)
 }
 func (h *eventHeap) Pop() any {
@@ -83,13 +84,19 @@ func (c *Clock) Pending() int { return len(c.queue) }
 // At schedules run at absolute time t. Scheduling in the past panics: that
 // is always a simulation bug, and silently clamping would corrupt results.
 func (c *Clock) At(t Hours, name string, run func()) *Event {
+	e := &Event{Name: name, Run: run}
+	c.push(e, t)
+	return e
+}
+
+// push queues e at t behind every event already queued for t.
+func (c *Clock) push(e *Event, t Hours) {
 	if !(t >= c.now) { // NaN included: it would corrupt the heap order
-		panic(fmt.Sprintf("simclock: event %q scheduled at %v, before now %v", name, t, c.now))
+		panic(fmt.Sprintf("simclock: event %q scheduled at %v, before now %v", e.Name, t, c.now))
 	}
-	e := &Event{At: t, Name: name, Run: run, seq: c.seq}
+	e.At, e.seq = t, c.seq
 	c.seq++
 	heap.Push(&c.queue, e)
-	return e
 }
 
 // After schedules run d hours from now.
@@ -98,12 +105,17 @@ func (c *Clock) After(d Hours, name string, run func()) *Event {
 }
 
 // Cancel removes a pending event. Cancelling an executed or already
-// cancelled event is a no-op.
+// cancelled event is a no-op, except that a periodic event (see Every)
+// cancelled from inside its own callback is not re-armed.
 func (c *Clock) Cancel(e *Event) {
-	if e == nil || e.index == -1 {
+	if e == nil {
 		return
 	}
-	heap.Remove(&c.queue, e.index)
+	e.cancelled = true
+	if e.index == -1 {
+		return
+	}
+	heap.Remove(&c.queue, int(e.index))
 	e.index = -1
 }
 
@@ -139,19 +151,21 @@ func (c *Clock) Run() Hours {
 }
 
 // Every schedules run at t, t+interval, t+2*interval, ... until stop
-// returns true (checked after each execution). It returns the first event.
+// returns true (checked after each execution). It returns the series'
+// one event, which each tick re-arms, so Cancel stops the series at any
+// point, from inside run too. A re-armed tick takes the next sequence
+// number, so it orders among equal-time events as a fresh At would.
 func (c *Clock) Every(start, interval Hours, name string, run func(), stop func() bool) *Event {
 	if interval <= 0 {
 		panic("simclock: Every with non-positive interval")
 	}
-	var schedule func(t Hours) *Event
-	schedule = func(t Hours) *Event {
-		return c.At(t, name, func() {
-			run()
-			if stop == nil || !stop() {
-				schedule(c.now + interval)
-			}
-		})
+	e := &Event{Name: name}
+	e.Run = func() {
+		run()
+		if !e.cancelled && (stop == nil || !stop()) {
+			c.push(e, c.now+interval)
+		}
 	}
-	return schedule(start)
+	c.push(e, start)
+	return e
 }

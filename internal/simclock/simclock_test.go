@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -124,6 +125,79 @@ func TestEveryRepeatsUntilStop(t *testing.T) {
 	}
 	if c.Now() != 9 { // ticks at 1,3,5,7,9
 		t.Errorf("final time = %v, want 9", c.Now())
+	}
+}
+
+// The event Every returns is the series' one event, so a Cancel after
+// any tick stops the series, not only one before the first.
+func TestEveryCancelAfterThreeTicks(t *testing.T) {
+	c := New()
+	count := 0
+	e := c.Every(1, 1, "tick", func() { count++ }, nil)
+	c.RunUntil(3.5)
+	if count != 3 {
+		t.Fatalf("ticks by 3.5 = %d, want 3", count)
+	}
+	c.Cancel(e)
+	c.RunUntil(10)
+	if count != 3 {
+		t.Errorf("ticks after Cancel = %d, want 3 (no fourth tick)", count)
+	}
+	if c.Pending() != 0 {
+		t.Errorf("pending after Cancel = %d, want 0", c.Pending())
+	}
+}
+
+func TestEveryCancelFromCallback(t *testing.T) {
+	c := New()
+	count := 0
+	var e *Event
+	e = c.Every(0, 0.5, "tick", func() {
+		count++
+		if count == 2 {
+			c.Cancel(e)
+		}
+	}, nil)
+	c.RunUntil(10)
+	if count != 2 {
+		t.Errorf("ticks = %d, want 2: a Cancel from inside the callback must stop the series", count)
+	}
+}
+
+// A re-armed tick takes the next sequence number after whatever its
+// callback scheduled, so equal-time events run in the order a fresh At
+// per tick gave them.
+func TestEveryKeepsEqualTimeOrder(t *testing.T) {
+	c := New()
+	var order []string
+	c.Every(1, 1, "tick", func() {
+		order = append(order, "tick")
+		c.At(c.Now()+1, "after", func() { order = append(order, "after") })
+	}, func() bool { return c.Now() >= 3 })
+	c.At(2, "before", func() { order = append(order, "before") })
+	c.Run()
+	want := []string{"tick", "before", "after", "tick", "after", "tick", "after"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Errorf("order = %v, want %v", order, want)
+	}
+}
+
+func TestEveryTickAllocatesNothing(t *testing.T) {
+	c := New()
+	count := 0
+	c.Every(0, 1, "tick", func() { count++ }, nil)
+	c.Step() // the first tick
+	// The fewest over many single runs leaves out the heap's growth and
+	// any race-mode noise.
+	fewest := math.Inf(1)
+	for i := 0; i < 20; i++ {
+		fewest = min(fewest, testing.AllocsPerRun(1, func() { c.Step() }))
+	}
+	if fewest != 0 {
+		t.Errorf("a periodic tick allocates %v, want 0", fewest)
+	}
+	if count < 2 {
+		t.Fatalf("ticks = %d, want several", count)
 	}
 }
 

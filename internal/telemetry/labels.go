@@ -1,7 +1,7 @@
 package telemetry
 
 import (
-	"sort"
+	"cmp"
 	"strings"
 )
 
@@ -21,34 +21,55 @@ import (
 // Labeled renders base plus a label set as a canonical instrument name.
 // With no labels it returns base unchanged. Attribute order does not
 // matter; keys are sorted. Later duplicate keys win.
+//
+// Instrumented code calls Labeled on every emit, so it allocates only
+// the name: up to stackLabels pairs are sorted in a stack array, and
+// since sanitizing maps each byte to one byte, keys compare and the name
+// is sized straight from the raw strings.
 func Labeled(base string, labels ...Attr) string {
 	if len(labels) == 0 {
 		return base
 	}
-	kv := make(map[string]string, len(labels))
-	keys := make([]string, 0, len(labels))
-	for _, l := range labels {
-		k := sanitizeLabel(l.Key)
-		if _, seen := kv[k]; !seen {
-			keys = append(keys, k)
-		}
-		kv[k] = sanitizeLabel(l.Value)
+	var stack [stackLabels]Attr
+	pairs := stack[:0]
+	if len(labels) > len(stack) {
+		pairs = make([]Attr, 0, len(labels))
 	}
-	sort.Strings(keys)
+	for _, l := range labels {
+		i := 0
+		for i < len(pairs) && compareSanitized(pairs[i].Key, l.Key) < 0 {
+			i++
+		}
+		if i < len(pairs) && compareSanitized(pairs[i].Key, l.Key) == 0 {
+			pairs[i].Value = l.Value
+			continue
+		}
+		pairs = append(pairs, Attr{})
+		copy(pairs[i+1:], pairs[i:])
+		pairs[i] = l
+	}
+	n := len(base) + len(pairs) + 1 // braces, '=' per pair, ',' between
+	for _, p := range pairs {
+		n += len(p.Key) + 1 + len(p.Value)
+	}
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteString(base)
 	b.WriteByte('{')
-	for i, k := range keys {
+	for i, p := range pairs {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(k)
+		writeSanitized(&b, p.Key)
 		b.WriteByte('=')
-		b.WriteString(kv[k])
+		writeSanitized(&b, p.Value)
 	}
 	b.WriteByte('}')
 	return b.String()
 }
+
+// stackLabels is how many label pairs Labeled sorts without allocating.
+const stackLabels = 8
 
 // ParseLabeled splits a canonical labeled name back into its base name
 // and label attributes (sorted by key). Names without a label block come
@@ -74,24 +95,38 @@ func ParseLabeled(name string) (base string, labels []Attr) {
 	return base, labels
 }
 
-func sanitizeLabel(s string) string {
-	var b *strings.Builder
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '{', '}', '=', ',', ' ', '\t', '\n':
-			if b == nil {
-				b = &strings.Builder{}
-				b.WriteString(s[:i])
+// sanitizeByte maps the structural characters and whitespace to '_'.
+func sanitizeByte(c byte) byte {
+	switch c {
+	case '{', '}', '=', ',', ' ', '\t', '\n':
+		return '_'
+	}
+	return c
+}
+
+// compareSanitized compares the sanitized forms of a and b, as
+// strings.Compare would, without building them.
+func compareSanitized(a, b string) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if x, y := sanitizeByte(a[i]), sanitizeByte(b[i]); x != y {
+			if x < y {
+				return -1
 			}
-			b.WriteByte('_')
-		default:
-			if b != nil {
-				b.WriteByte(s[i])
-			}
+			return 1
 		}
 	}
-	if b == nil {
-		return s
+	return cmp.Compare(len(a), len(b))
+}
+
+// writeSanitized writes the sanitized form of s.
+func writeSanitized(b *strings.Builder, s string) {
+	clean := 0
+	for i := 0; i < len(s); i++ {
+		if c := sanitizeByte(s[i]); c != s[i] {
+			b.WriteString(s[clean:i])
+			b.WriteByte(c)
+			clean = i + 1
+		}
 	}
-	return b.String()
+	b.WriteString(s[clean:])
 }

@@ -57,14 +57,15 @@ type Collector struct {
 	scrapes    int64
 	samples    int64
 
-	delta    bool
-	interner *Interner
-	plans    map[string]*scrapePlan // keyed by full instrument name, chained on kind
-	insts    []telemetry.Instrument // cached bus listing, valid while instGen matches
-	planned  []*scrapePlan          // parallel to insts
-	instGen  uint64
-	instsOK  bool
-	snapBuf  []telemetry.Metric // full-snapshot fallback only, reused under mu
+	delta     bool
+	interner  *Interner
+	plans     map[string]*scrapePlan // keyed by full instrument name, chained on kind
+	insts     []telemetry.Instrument // cached bus listing, valid while instGen matches
+	planned   []*scrapePlan          // parallel to insts
+	instGen   uint64
+	instsOK   bool
+	snapBuf   []telemetry.Metric // full-snapshot fallback only, reused under mu
+	snapPlans []*scrapePlan      // parallel to snapBuf
 
 	// Self-observation. The deterministic pipeline metrics
 	// (tsdb.scrapes, tsdb.scrape_samples, tsdb.series_count,
@@ -185,10 +186,8 @@ func (c *Collector) Start(clk *simclock.Clock, stop func() bool) *simclock.Event
 // first sight. bounds is only consulted when a histogram plan is built.
 // Called with c.mu held.
 func (c *Collector) planFor(name, kind string, bounds []float64) *scrapePlan {
-	for p := c.plans[name]; p != nil; p = p.alt {
-		if p.kind == kind {
-			return p
-		}
+	if p := c.lookupPlan(name, kind); p != nil {
+		return p
 	}
 	base, attrs := telemetry.ParseLabeled(name)
 	labels := LabelsFromAttrs(attrs)
@@ -219,11 +218,20 @@ func (c *Collector) planFor(name, kind string, bounds []float64) *scrapePlan {
 	return p
 }
 
-// scrapeDelta walks the bus instruments directly (the cached listing is
-// refreshed only when the bus registration generation moves) and
-// replays each plan. Unchanged histograms cost one lock acquisition and
-// zero copies. Returns samples appended. Called with c.mu held.
-func (c *Collector) scrapeDelta(now float64) int {
+// lookupPlan returns the plan already built for one instrument, or nil.
+// Called with c.mu held.
+func (c *Collector) lookupPlan(name, kind string) *scrapePlan {
+	for p := c.plans[name]; p != nil; p = p.alt {
+		if p.kind == kind {
+			return p
+		}
+	}
+	return nil
+}
+
+// planDelta refreshes the cached bus listing and its plans, only when
+// the bus registration generation has moved. Called with c.mu held.
+func (c *Collector) planDelta() {
 	if g := c.bus.Gen(); !c.instsOK || g != c.instGen {
 		c.insts = c.bus.Instruments(c.insts)
 		c.planned = c.planned[:0]
@@ -233,15 +241,22 @@ func (c *Collector) scrapeDelta(now float64) int {
 		}
 		c.instGen, c.instsOK = g, true
 	}
+}
+
+// appendDelta walks the bus instruments directly and replays each plan.
+// Unchanged histograms cost one lock acquisition and zero copies.
+// Returns samples appended. Called with c.mu and c.db.mu held.
+func (c *Collector) appendDelta(now float64) int {
+	db := c.db
 	n := 0
 	for i := range c.insts {
 		inst, p := &c.insts[i], c.planned[i]
 		switch inst.Kind {
 		case "counter":
-			c.db.AppendRef(p.ref, now, float64(inst.Counter.Value()))
+			db.appendRefLocked(p.ref, now, float64(inst.Counter.Value()))
 			n++
 		case "gauge":
-			c.db.AppendRef(p.ref, now, inst.Gauge.Value())
+			db.appendRefLocked(p.ref, now, inst.Gauge.Value())
 			n++
 		case "histogram":
 			counts, sum, total, changed := inst.Hist.SnapshotDelta(p.lastCount, p.counts[:0])
@@ -255,61 +270,67 @@ func (c *Collector) scrapeDelta(now float64) int {
 				p.lastSum, p.lastCount = sum, total
 			}
 			for j, r := range p.bucketRefs {
-				c.db.AppendRef(r, now, p.cums[j])
+				db.appendRefLocked(r, now, p.cums[j])
 			}
-			c.db.AppendRef(p.sumRef, now, p.lastSum)
-			c.db.AppendRef(p.countRef, now, float64(p.lastCount))
+			db.appendRefLocked(p.sumRef, now, p.lastSum)
+			db.appendRefLocked(p.countRef, now, float64(p.lastCount))
 			n += len(p.bucketRefs) + 2
 		}
 	}
 	return n
 }
 
-// scrapeSnapshot is the full-snapshot fallback: one Bus.SnapshotAppend
-// into the reused buffer, routed through the same plans so the stored
-// bytes match scrapeDelta exactly. Called with c.mu held.
-func (c *Collector) scrapeSnapshot(now float64) int {
-	snap := c.bus.SnapshotAppend(c.snapBuf[:0])
-	n := 0
-	for i := range snap {
-		m := &snap[i]
-		switch m.Kind {
-		case "histogram":
-			var p *scrapePlan
-			for q := c.plans[m.Name]; q != nil; q = q.alt {
-				if q.kind == m.Kind {
-					p = q
-					break
-				}
-			}
-			if p == nil {
-				bounds := make([]float64, 0, len(m.Buckets))
+// planSnapshot is the full-snapshot fallback's first half: one
+// Bus.SnapshotAppend into the reused buffer, and the plan of each
+// metric in it. Called with c.mu held.
+func (c *Collector) planSnapshot() {
+	c.snapBuf = c.bus.SnapshotAppend(c.snapBuf[:0])
+	c.snapPlans = c.snapPlans[:0]
+	for i := range c.snapBuf {
+		m := &c.snapBuf[i]
+		p := c.lookupPlan(m.Name, m.Kind)
+		if p == nil {
+			var bounds []float64
+			if m.Kind == "histogram" {
+				bounds = make([]float64, 0, len(m.Buckets))
 				for _, bkt := range m.Buckets {
 					if !math.IsInf(bkt.Bound, 1) {
 						bounds = append(bounds, bkt.Bound)
 					}
 				}
-				p = c.planFor(m.Name, m.Kind, bounds)
 			}
-			var cum int64
-			for j, bkt := range m.Buckets {
-				cum += bkt.Count
-				p.cums[j] = float64(cum)
-				c.db.AppendRef(p.bucketRefs[j], now, p.cums[j])
-			}
-			c.db.AppendRef(p.sumRef, now, m.Sum)
-			c.db.AppendRef(p.countRef, now, float64(m.Count))
-			// Keep the delta cache coherent so modes can be switched
-			// mid-run without replaying stale values.
-			p.lastSum, p.lastCount = m.Sum, m.Count
-			n += len(m.Buckets) + 2
-		default:
-			p := c.planFor(m.Name, m.Kind, nil)
-			c.db.AppendRef(p.ref, now, m.Value)
-			n++
+			p = c.planFor(m.Name, m.Kind, bounds)
 		}
+		c.snapPlans = append(c.snapPlans, p)
 	}
-	c.snapBuf = snap
+}
+
+// appendSnapshot routes the snapshot through the same plans, so the
+// stored bytes match appendDelta exactly. Called with c.mu and c.db.mu
+// held.
+func (c *Collector) appendSnapshot(now float64) int {
+	db := c.db
+	n := 0
+	for i := range c.snapBuf {
+		m, p := &c.snapBuf[i], c.snapPlans[i]
+		if m.Kind != "histogram" {
+			db.appendRefLocked(p.ref, now, m.Value)
+			n++
+			continue
+		}
+		var cum int64
+		for j, bkt := range m.Buckets {
+			cum += bkt.Count
+			p.cums[j] = float64(cum)
+			db.appendRefLocked(p.bucketRefs[j], now, p.cums[j])
+		}
+		db.appendRefLocked(p.sumRef, now, m.Sum)
+		db.appendRefLocked(p.countRef, now, float64(m.Count))
+		// Keep the delta cache coherent so modes can be switched
+		// mid-run without replaying stale values.
+		p.lastSum, p.lastCount = m.Sum, m.Count
+		n += len(m.Buckets) + 2
+	}
 	return n
 }
 
@@ -332,29 +353,41 @@ func (c *Collector) selfRefsLocked() {
 
 // Scrape ingests one pass over the bus at time now, compacts the DB,
 // records the pipeline self-metrics, and runs the scrape hooks. It is
-// safe to call concurrently with instrument updates; series identity makes re-scrapes at the same timestamp updates
-// rather than duplicates.
+// safe to call concurrently with instrument updates; series identity
+// makes re-scrapes at the same timestamp updates rather than
+// duplicates. The plans are refreshed first, because building one
+// resolves refs through the DB; then the samples, the compaction and
+// the self-metrics go in under one DB write lock.
 func (c *Collector) Scrape(now float64) {
 	c.mu.Lock()
 	var start time.Time
 	if c.wall != nil {
 		start = c.wall.Now()
 	}
+	if c.delta {
+		c.planDelta()
+	} else {
+		c.planSnapshot()
+	}
+	c.selfRefsLocked()
+
+	db := c.db
+	db.mu.Lock()
 	var n int
 	if c.delta {
-		n = c.scrapeDelta(now)
+		n = c.appendDelta(now)
 	} else {
-		n = c.scrapeSnapshot(now)
+		n = c.appendSnapshot(now)
 	}
-	c.db.Compact(now)
+	db.compactLocked(now)
 	c.scrapes++
 	c.samples += int64(n)
+	db.appendRefLocked(c.selfScrapes, now, float64(c.scrapes))
+	db.appendRefLocked(c.selfSamples, now, float64(c.samples))
+	db.appendRefLocked(c.selfSeries, now, float64(len(db.series)))
+	db.appendRefLocked(c.selfDropped, now, float64(db.dropped))
+	db.mu.Unlock()
 
-	c.selfRefsLocked()
-	c.db.AppendRef(c.selfScrapes, now, float64(c.scrapes))
-	c.db.AppendRef(c.selfSamples, now, float64(c.samples))
-	c.db.AppendRef(c.selfSeries, now, float64(c.db.SeriesCount()))
-	c.db.AppendRef(c.selfDropped, now, float64(c.db.Dropped()))
 	if c.wall != nil {
 		c.lastDur = clock.Since(c.wall, start)
 	}

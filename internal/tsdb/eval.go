@@ -309,16 +309,20 @@ func histogramQuantile(q float64, vec Vector) Vector {
 	}
 	groups := map[string]*group{}
 	var order []string
+	// The group key, the signature minus `le`, is built in one reused
+	// buffer; only a new group allocates its key and its labels.
+	var keyBuf [128]byte
+	buf := keyBuf[:0]
 	for _, s := range vec {
 		le, ok := parseBound(s.Labels.Get("le"))
 		if !ok {
 			continue
 		}
-		rest := s.Labels.Without("le")
-		key := rest.Signature()
-		g, exists := groups[key]
+		buf = s.Labels.appendSignature(buf[:0], "le")
+		g, exists := groups[string(buf)]
 		if !exists {
-			g = &group{labels: rest}
+			key := string(buf)
+			g = &group{labels: s.Labels.Without("le")}
 			g.bp = floatSlicePool.Get().(*[]float64)
 			g.cp = floatSlicePool.Get().(*[]float64)
 			g.bounds, g.cums = (*g.bp)[:0], (*g.cp)[:0]

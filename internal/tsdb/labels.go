@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"regexp"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/telemetry"
 )
@@ -106,16 +106,29 @@ func (ls Labels) Keep(keys ...string) Labels {
 // empty). Two label sets are equal iff their signatures are equal; the
 // DB keys series by name+signature.
 func (ls Labels) Signature() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range ls {
-		if i > 0 {
-			b.WriteByte(',')
+	var buf [128]byte
+	return string(ls.appendSignature(buf[:0], ""))
+}
+
+// appendSignature appends the signature of ls without the label named
+// drop ("" drops nothing) to dst. Values are quoted by
+// strconv.AppendQuote, which writes the bytes of fmt's %q.
+func (ls Labels) appendSignature(dst []byte, drop string) []byte {
+	dst = append(dst, '{')
+	first := true
+	for _, l := range ls {
+		if drop != "" && l.Key == drop {
+			continue
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
+		if !first {
+			dst = append(dst, ',')
+		}
+		first = false
+		dst = append(dst, l.Key...)
+		dst = append(dst, '=')
+		dst = strconv.AppendQuote(dst, l.Value)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(dst, '}')
 }
 
 // String renders the signature without the braces when empty.

@@ -155,6 +155,12 @@ func (db *DB) AppendRef(ref *SeriesRef, t, v float64) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.appendRefLocked(ref, t, v)
+}
+
+// appendRefLocked is AppendRef with db.mu already held for writing, so
+// a whole scrape can append under one lock.
+func (db *DB) appendRefLocked(ref *SeriesRef, t, v float64) {
 	s := ref.s
 	if s == nil || ref.gen != db.gen {
 		s = db.getOrCreateLocked(ref.key, ref.name, ref.labels)
@@ -234,12 +240,23 @@ func keyHasName(key, name string) bool {
 func (db *DB) Compact(now float64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.compactLocked(now)
+}
+
+// compactLocked is Compact with db.mu already held for writing.
+func (db *DB) compactLocked(now float64) {
 	var dead []string
 	for key, s := range db.series {
 		pts := s.Points
 		if db.opts.Retention > 0 {
+			// Compact runs on every scrape, so usually no point or one
+			// has expired since the last call: a forward scan from the
+			// head costs what expires, where a search costs log n.
 			cut := now - db.opts.Retention
-			i := sort.Search(len(pts), func(i int) bool { return pts[i].T >= cut })
+			i := 0
+			for i < len(pts) && !(pts[i].T >= cut) {
+				i++
+			}
 			pts = pts[i:]
 		}
 		if db.opts.RawWindow > 0 && db.opts.DownsampleStep > 0 {
