@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build fmt test vet lint race chaos trace slo sim spot logs benchgate check bench repro csv examples clean
+.PHONY: build fmt test vet lint race chaos trace slo slo-cmp sim spot spot-cmp logs logs-cmp benchgate check bench repro csv examples clean
 
 build:
 	$(GO) build ./...
@@ -51,11 +51,13 @@ trace:
 # alert/SLO layer under the race detector (the scrape-while-emit and
 # histogram-consistency tests need it), then the seeded monitoring e2e:
 # the distributed-training example's alert timeline and SLO scorecard
-# must be byte-identical across runs.
-slo:
+# must be byte-identical across runs. The cmp gate, slo-cmp, runs first.
+slo: slo-cmp
 	$(GO) test -race -count=1 ./internal/tsdb/ ./internal/alert/
 	$(GO) test -race -count=1 -run 'SLO|Dashboard|Labeled|Histogram|MetricsJSON' \
 		./internal/report/ ./internal/telemetry/
+
+slo-cmp:
 	@mkdir -p out
 	$(GO) run ./examples/distributed-training > out/slo_run_a.txt
 	$(GO) run ./examples/distributed-training > out/slo_run_b.txt
@@ -81,11 +83,13 @@ sim:
 # policy, and the migrate-on-notice training controller under the race
 # detector, then the seeded spot-training e2e: the survival scorecard,
 # bill reconciliation, and trace tree must be byte-identical across
-# same-seed runs.
-spot:
+# same-seed runs. The cmp gate, spot-cmp, runs first.
+spot: spot-cmp
 	$(GO) test -race -count=1 -run 'Spot|Preempt|Checkpoint|Train|Young' \
 		./internal/cloud/ ./internal/cost/ ./internal/chaos/ ./internal/resilience/ \
 		./internal/orchestrator/ ./internal/train/ ./internal/report/ ./cmd/chameleonctl/
+
+spot-cmp:
 	@mkdir -p out
 	$(GO) run ./examples/spot-training > out/spot_run_a.txt
 	$(GO) run ./examples/spot-training > out/spot_run_b.txt
@@ -99,10 +103,12 @@ spot:
 # export byte-identical incident bundles across same-seed runs, and the
 # spot-training example with the recorder armed (its SLO stays inside
 # budget, so the recorder captures nothing) must be bit-identical to the
-# same run without the recorder.
-logs:
+# same run without the recorder. The cmp gates, logs-cmp, run first.
+logs: logs-cmp
 	$(GO) test -race -count=1 ./internal/logging/ ./internal/flightrec/ ./internal/alert/
 	$(GO) test -race -count=1 -run 'Log|Incident' 		./internal/report/ ./cmd/chameleonctl/
+
+logs-cmp:
 	@mkdir -p out
 	$(GO) run ./examples/distributed-training -incident out/incident_a.txt > /dev/null
 	$(GO) run ./examples/distributed-training -incident out/incident_b.txt > /dev/null
@@ -121,11 +127,12 @@ benchgate:
 
 # Default verification path: formatting, compile, static checks (go vet
 # plus the repo's own mlsyslint pass), unit tests, the race-enabled suite
-# (the concurrent batcher/telemetry tests need it), the seeded chaos
-# suite, the tracing suite, the monitoring/SLO suite, the sharded-core
-# determinism gate, the spot-survival suite, the logging/flight-recorder
-# suite, then the benchmark module.
-check: fmt build vet lint test race chaos trace slo sim spot logs benchgate
+# (the concurrent batcher/telemetry tests need it), the sharded-core
+# determinism gate, the byte-identity gates of the monitoring/SLO, spot
+# and logging suites, then the benchmark module. The suites' own -race
+# test runs are subsets of `race`, so check runs only their cmp gates;
+# CI runs each whole suite as its own job.
+check: fmt build vet lint test race sim slo-cmp spot-cmp logs-cmp benchgate
 
 # Micro-benchmarks: every `go test -bench` in the module. End-to-end
 # numbers come from cmd/bench (see cmd/bench/README.md); allocation

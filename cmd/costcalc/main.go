@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"os"
 
 	"repro/internal/cost"
@@ -74,22 +73,31 @@ func run(args []string, out io.Writer) int {
 	return 0
 }
 
+// maxHours bounds the hour flags: a billion instance hours is far beyond
+// any course, and times the dearest rate it still prints a finite price.
+const maxHours = 1e9
+
 // checkHour rejects an hour count that would print a negative, NaN or
-// infinite price; !(v >= 0) is true for negatives, NaN and -Inf alike.
+// infinite price; the comparison is false for NaN too.
 func checkHour(flag string, v float64) error {
-	if !(v >= 0) || math.IsInf(v, 1) {
-		return fmt.Errorf("%s must be a finite number of hours >= 0, got %v", flag, v)
+	if !(v >= 0 && v <= maxHours) {
+		return fmt.Errorf("%s must be a number of hours from 0 to %g, got %v", flag, maxHours, v)
 	}
 	return nil
 }
 
+// printRow prices a Table-1 row on each provider. A row with no
+// commercial equivalent (the Raspberry Pi row) is an error.
 func printRow(out io.Writer, rowID string, hours, fipHours float64) error {
+	eq, err := cost.LabEquivalent(rowID)
+	if err != nil {
+		return err
+	}
 	for _, p := range []cost.Provider{cost.AWS, cost.GCP} {
 		c, err := cost.LabRowCost(cost.LabUsage{RowID: rowID, InstanceHours: hours, FIPHours: fipHours}, p)
 		if err != nil {
 			return err
 		}
-		eq, _ := cost.LabEquivalent(rowID)
 		fmt.Fprintf(out, "%s: $%.2f  (%s @ $%.4f/h + IP @ $%.3f/h)\n",
 			p, c, eq.Rate(p).Instance, eq.Rate(p).PerHour, cost.FloatingIPRate)
 	}

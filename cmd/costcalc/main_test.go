@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// Hours from the command line must be finite and non-negative, or the
-// printed price is negative, NaN or infinite.
+// Hours from the command line must lie in [0, maxHours], or the printed
+// price is negative, NaN or infinite.
 func TestRunRejectsBadHours(t *testing.T) {
 	var msgs strings.Builder
 	log.SetOutput(&msgs)
@@ -25,6 +25,8 @@ func TestRunRejectsBadHours(t *testing.T) {
 		{[]string{"-class", "gpu-a100", "-hours", "-5"}, "-hours"},
 		{[]string{"-class", "gpu-a100", "-hours", "NaN"}, "-hours"},
 		{[]string{"-class", "gpu-a100", "-hours", "48", "-fip-hours", "-Inf"}, "-fip-hours"},
+		{[]string{"-class", "gpu-a100", "-hours", "1e308"}, "-hours"},
+		{[]string{"-row", "4-multi-a100", "-hours", "1e308"}, "-hours"},
 	} {
 		msgs.Reset()
 		var out strings.Builder
@@ -35,6 +37,21 @@ func TestRunRejectsBadHours(t *testing.T) {
 		if !strings.Contains(msgs.String(), tc.flag+" must be") {
 			t.Errorf("%s: message %q does not name %s", cmd, msgs.String(), tc.flag)
 		}
+	}
+}
+
+// The edge row runs on Raspberry Pis, which no commercial cloud sells:
+// costcalc says so instead of printing a price with no instance name.
+func TestRunRejectsRowWithoutEquivalent(t *testing.T) {
+	var msgs strings.Builder
+	log.SetOutput(&msgs)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	var out strings.Builder
+	if code := run([]string{"-row", "6-edge", "-hours", "5", "-fip-hours", "100"}, &out); code != 1 || out.Len() != 0 {
+		t.Errorf("exit %d, printed %q; want exit 1 and no price", code, out.String())
+	}
+	if !strings.Contains(msgs.String(), "no commercial-cloud equivalent") {
+		t.Errorf("message %q does not say the row has no equivalent", msgs.String())
 	}
 }
 

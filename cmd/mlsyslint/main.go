@@ -16,12 +16,8 @@
 //
 //	-root dir        module root (default: nearest go.mod upward)
 //	-json            emit machine-readable findings
-//	-sarif file      write SARIF 2.1.0 to file ("-" for stdout)
 //	-fix             apply suggested fixes in place, re-running the
 //	                 analysis until it converges
-//	-baseline file   report only findings not recorded in the baseline
-//	-write-baseline  record current findings into the -baseline file
-//	                 (default lint.baseline.json) and exit
 //	-q               suppress the summary line
 //
 // Exit codes distinguish lint findings from broken builds so CI can
@@ -56,10 +52,7 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("mlsyslint", flag.ContinueOnError)
 	root := fs.String("root", "", "module root (default: nearest go.mod upward from cwd)")
 	jsonOut := fs.Bool("json", false, "emit findings as JSON")
-	sarifOut := fs.String("sarif", "", "write SARIF 2.1.0 findings to this file (\"-\" for stdout)")
 	fix := fs.Bool("fix", false, "apply suggested fixes in place until the analysis converges")
-	baselinePath := fs.String("baseline", "", "suppress findings recorded in this baseline file")
-	writeBaseline := fs.Bool("write-baseline", false, "record current findings into the baseline file and exit")
 	quiet := fs.Bool("q", false, "suppress the summary line")
 	if err := fs.Parse(args); err != nil {
 		return exitError
@@ -105,50 +98,6 @@ func run(args []string) int {
 		}
 	}
 
-	if *writeBaseline {
-		path := *baselinePath
-		if path == "" {
-			path = filepath.Join(*root, "lint.baseline.json")
-		}
-		if err := analysis.WriteBaseline(path, analysis.NewBaseline(res.Diagnostics, *root)); err != nil {
-			fmt.Fprintln(os.Stderr, "mlsyslint:", err)
-			return exitError
-		}
-		if !*quiet {
-			fmt.Printf("mlsyslint: wrote %d finding(s) to %s\n", len(res.Diagnostics), path)
-		}
-		return exitClean
-	}
-
-	baselined := 0
-	if *baselinePath != "" {
-		b, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mlsyslint:", err)
-			return exitError
-		}
-		fresh, matched := b.Filter(res.Diagnostics, *root)
-		res.Diagnostics = fresh
-		baselined = len(matched)
-	}
-
-	if *sarifOut != "" {
-		data, err := analysis.SARIF(res, *root, analyzers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mlsyslint:", err)
-			return exitError
-		}
-		if *sarifOut == "-" {
-			if _, err := os.Stdout.Write(data); err != nil {
-				fmt.Fprintln(os.Stderr, "mlsyslint:", err)
-				return exitError
-			}
-		} else if err := os.WriteFile(*sarifOut, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "mlsyslint:", err)
-			return exitError
-		}
-	}
-
 	if *jsonOut {
 		type finding struct {
 			File    string `json:"file"`
@@ -161,9 +110,8 @@ func run(args []string) int {
 		out := struct {
 			Findings   []finding `json:"findings"`
 			Suppressed int       `json:"suppressed"`
-			Baselined  int       `json:"baselined"`
 			Packages   int       `json:"packages"`
-		}{Findings: []finding{}, Suppressed: len(res.Suppressed), Baselined: baselined, Packages: pkgCount}
+		}{Findings: []finding{}, Suppressed: len(res.Suppressed), Packages: pkgCount}
 		for _, d := range res.Diagnostics {
 			out.Findings = append(out.Findings, finding{
 				File: relPath(*root, d.Pos.Filename), Line: d.Pos.Line, Col: d.Pos.Column,
@@ -176,7 +124,7 @@ func run(args []string) int {
 			fmt.Fprintln(os.Stderr, "mlsyslint:", err)
 			return exitError
 		}
-	} else if *sarifOut != "-" {
+	} else {
 		for _, d := range res.Diagnostics {
 			fmt.Printf("%s:%d:%d: [%s] %s\n",
 				relPath(*root, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Check, d.Message)
@@ -186,8 +134,8 @@ func run(args []string) int {
 			for i, a := range analyzers {
 				names[i] = a.Name
 			}
-			fmt.Printf("mlsyslint: %d finding(s), %d suppressed, %d baselined, %d package(s), checks: %s\n",
-				len(res.Diagnostics), len(res.Suppressed), baselined, pkgCount, strings.Join(names, ","))
+			fmt.Printf("mlsyslint: %d finding(s), %d suppressed, %d package(s), checks: %s\n",
+				len(res.Diagnostics), len(res.Suppressed), pkgCount, strings.Join(names, ","))
 		}
 	}
 	if len(res.Diagnostics) > 0 {

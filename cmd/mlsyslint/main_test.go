@@ -1,14 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 )
 
 // writeModule lays out a throwaway module for exercising the CLI
-// end-to-end: exit codes, SARIF emission, and the baseline workflow.
+// end-to-end: exit codes, -fix and the -json output.
 // Fixture sources go under pkg/, so the deadcode check counts their
 // exports as public API.
 func writeModule(t *testing.T, files map[string]string) string {
@@ -90,54 +93,60 @@ func TestFixRewritesAndExitsClean(t *testing.T) {
 	}
 }
 
-func TestSARIFFile(t *testing.T) {
+// TestJSONOutput pins the -json schema: one object whose keys are
+// exactly findings, suppressed and packages, and a finding that names
+// its file, position, check and message.
+func TestJSONOutput(t *testing.T) {
 	dir := writeModule(t, map[string]string{"pkg/dump.go": findingSrc})
-	out := filepath.Join(t.TempDir(), "lint.sarif")
-	if got := run([]string{"-root", dir, "-q", "-sarif", out}); got != exitFindings {
-		t.Fatalf("exit = %d, want %d", got, exitFindings)
-	}
-	data, err := os.ReadFile(out)
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Results []struct {
-				RuleID string `json:"ruleId"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("SARIF not valid JSON: %v", err)
-	}
-	if doc.Version != "2.1.0" || len(doc.Runs) != 1 || len(doc.Runs[0].Results) == 0 {
-		t.Errorf("unexpected SARIF shape: version=%q runs=%d", doc.Version, len(doc.Runs))
-	}
-	if doc.Runs[0].Results[0].RuleID != "maprange" {
-		t.Errorf("ruleId = %q, want maprange", doc.Runs[0].Results[0].RuleID)
-	}
-}
-
-func TestBaselineWorkflow(t *testing.T) {
-	dir := writeModule(t, map[string]string{"pkg/dump.go": findingSrc})
-	baseline := filepath.Join(dir, "lint.baseline.json")
-
-	// Record today's findings; the gate then passes against them.
-	if got := run([]string{"-root", dir, "-q", "-write-baseline", "-baseline", baseline}); got != exitClean {
-		t.Fatalf("write-baseline exit = %d, want %d", got, exitClean)
-	}
-	if got := run([]string{"-root", dir, "-q", "-baseline", baseline}); got != exitClean {
-		t.Errorf("baselined lint exit = %d, want clean", got)
-	}
-
-	// New debt is not grandfathered.
-	extra := filepath.Join(dir, "pkg", "more.go")
-	src := "package fixmod\n\nimport \"fmt\"\n\nfunc More(rows map[string]int) {\n\tfor k := range rows {\n\t\tfmt.Println(k)\n\t}\n}\n"
-	if err := os.WriteFile(extra, []byte(src), 0o644); err != nil {
+	stdout := os.Stdout
+	os.Stdout = out
+	code := run([]string{"-root", dir, "-json"})
+	os.Stdout = stdout
+	if err := out.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := run([]string{"-root", dir, "-q", "-baseline", baseline}); got != exitFindings {
-		t.Errorf("lint with new finding exit = %d, want %d", got, exitFindings)
+	if code != exitFindings {
+		t.Errorf("exit = %d, want %d", code, exitFindings)
+	}
+	data, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	var doc map[string]json.RawMessage
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatalf("-json output is not a JSON object: %v\n%s", err, data)
+	}
+	if dec.More() {
+		t.Errorf("-json printed more than one value:\n%s", data)
+	}
+	var keys []string
+	for k := range doc {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got := strings.Join(keys, ","); got != "findings,packages,suppressed" {
+		t.Errorf("keys = %s, want findings,packages,suppressed", got)
+	}
+	var findings []struct {
+		File    string `json:"file"`
+		Line    int    `json:"line"`
+		Col     int    `json:"col"`
+		Check   string `json:"check"`
+		Message string `json:"message"`
+	}
+	if err := json.Unmarshal(doc["findings"], &findings); err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 {
+		t.Fatalf("findings = %d, want 1:\n%s", len(findings), data)
+	}
+	f := findings[0]
+	if f.File != filepath.Join("pkg", "dump.go") || f.Line != 7 || f.Col <= 0 || f.Check != "maprange" || f.Message == "" {
+		t.Errorf("finding = %+v, want pkg/dump.go:7 maprange with a column and a message", f)
 	}
 }

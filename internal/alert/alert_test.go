@@ -188,26 +188,3 @@ func TestTimelineDeterministic(t *testing.T) {
 		t.Error("scenario produced no transitions; test is vacuous")
 	}
 }
-
-func TestRecordingRules(t *testing.T) {
-	db := tsdb.New(tsdb.Options{})
-	e := NewEngine(db)
-	e.AddRecordingRule(RecordingRule{Name: "load:doubled", Expr: "load * 2"})
-	e.AddRecordingRule(RecordingRule{Name: "const:answer", Expr: "6 * 7"})
-	// An alert rule can reference a recording rule written the same step.
-	e.AddRule(Rule{Name: "Doubled", Expr: "load:doubled > 15", For: 0})
-	db.AppendRef(db.Ref("load", tsdb.NewLabels(tsdb.L("host", "a"))), 1, 10)
-	e.Step(1)
-
-	v, err := db.Query(`load:doubled{host="a"}`, 1)
-	if err != nil || len(v.(tsdb.Vector)) != 1 || v.(tsdb.Vector)[0].V != 20 {
-		t.Errorf("vector recording rule: %v, %v", v, err)
-	}
-	v, err = db.Query("const:answer", 1)
-	if err != nil || v.(tsdb.Vector)[0].V != 42 {
-		t.Errorf("scalar recording rule: %v, %v", v, err)
-	}
-	if got := e.Active(); len(got) != 1 || got[0].Rule != "Doubled" {
-		t.Errorf("alert over recording rule: %+v", got)
-	}
-}

@@ -69,17 +69,12 @@ func TestOnTransitionHookSeesTimelineEntry(t *testing.T) {
 }
 
 // TestFiringResolvedUnderCompact: a firing alert whose underlying series
-// loses points to retention+downsampling Compact must still resolve
+// loses points to retention Compact must still resolve
 // exactly once (when the selector goes stale), with no spurious
 // re-fire — the pending→firing and firing→inactive edges each appear
 // once in both the timeline and the hook stream.
 func TestFiringResolvedUnderCompact(t *testing.T) {
-	db := tsdb.New(tsdb.Options{
-		Retention:      4.0,
-		RawWindow:      1.0,
-		DownsampleStep: 0.5,
-		Lookback:       1.0,
-	})
+	db := tsdb.New(tsdb.Options{Retention: 4.0})
 	e := NewEngine(db)
 	e.AddRule(Rule{Name: "Deep", Expr: "depth > 5", For: 0.5, Severity: "page"})
 
@@ -94,7 +89,7 @@ func TestFiringResolvedUnderCompact(t *testing.T) {
 	})
 
 	// Condition holds from t=1.0 to t=3.0 with a Compact after every
-	// step, downsampling 0.25h-spaced points to 0.5h resolution.
+	// step.
 	for _, tm := range []float64{1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0} {
 		db.AppendRef(db.Ref("depth", nil), tm, 10)
 		db.Compact(tm)
@@ -108,7 +103,7 @@ func TestFiringResolvedUnderCompact(t *testing.T) {
 	}
 
 	// The series stops being written; keep compacting and stepping. Once
-	// the last sample ages past Lookback the selector returns nothing and
+	// the last sample ages past the lookback the selector returns nothing and
 	// the instance must resolve — once.
 	for _, tm := range []float64{3.5, 4.0, 4.5, 5.0, 5.5, 6.0} {
 		db.Compact(tm)

@@ -25,10 +25,6 @@ type SLO struct {
 	Total     string  // counter selector, e.g. `train.steps`
 	Window    float64 // error-budget window in simulated hours
 
-	// Windows overrides the multi-window burn-rate alert policy
-	// (DefaultBurnWindows when empty).
-	Windows []BurnWindow
-
 	// sel is Good and Total parsed by Engine.AddSLO into the engine's
 	// own copy. An SLO used on its own leaves it nil and parses on use.
 	sel *counters
@@ -96,21 +92,13 @@ type BurnWindow struct {
 	For      float64 // pending duration in hours
 }
 
-// DefaultBurnWindows is the SRE-workbook two-tier policy scaled to
-// simulation time (scrapes default to 0.25h, so the short windows hold
-// at least two samples).
-func DefaultBurnWindows() []BurnWindow {
-	return []BurnWindow{
-		{Severity: "page", Long: 1, Short: 0.5, Factor: 14.4, For: 0},
-		{Severity: "ticket", Long: 6, Short: 1.5, Factor: 6, For: 0.5},
-	}
-}
-
-func (s *SLO) burnWindows() []BurnWindow {
-	if len(s.Windows) > 0 {
-		return s.Windows
-	}
-	return DefaultBurnWindows()
+// BurnWindows is the burn-rate alert policy of every SLO: the
+// SRE-workbook two-tier policy scaled to simulation time (scrapes
+// default to 0.25h, so the short windows hold at least two samples).
+// It is read-only.
+var BurnWindows = []BurnWindow{
+	{Severity: "page", Long: 1, Short: 0.5, Factor: 14.4, For: 0},
+	{Severity: "ticket", Long: 6, Short: 1.5, Factor: 6, For: 0.5},
 }
 
 // Budget returns the allowed error ratio, 1-Objective.
@@ -183,14 +171,11 @@ func (s *SLO) Status(db *tsdb.DB, now float64) Status {
 	if st.Budget > 0 {
 		st.BudgetConsumed = st.ErrorRatio / st.Budget
 	}
-	ws := s.burnWindows()
-	if len(ws) > 0 {
-		if b, ok := s.burnRate(c, db, now, ws[0].Long); ok {
-			st.FastBurn = b
-		}
-		if b, ok := s.burnRate(c, db, now, ws[len(ws)-1].Long); ok {
-			st.SlowBurn = b
-		}
+	if b, ok := s.burnRate(c, db, now, BurnWindows[0].Long); ok {
+		st.FastBurn = b
+	}
+	if b, ok := s.burnRate(c, db, now, BurnWindows[len(BurnWindows)-1].Long); ok {
+		st.SlowBurn = b
 	}
 	return st
 }

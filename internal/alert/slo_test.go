@@ -92,9 +92,7 @@ func TestBurnRateAlertFiresAndResolves(t *testing.T) {
 	db := tsdb.New(tsdb.Options{})
 	e := NewEngine(db)
 	e.AddSLO(SLO{Name: "avail", Objective: 0.99,
-		Good: `req{outcome="ok"}`, Total: "req", Window: 6,
-		Windows: []BurnWindow{{Severity: "page", Long: 1, Short: 0.5, Factor: 14.4, For: 0}},
-	})
+		Good: `req{outcome="ok"}`, Total: "req", Window: 6})
 
 	okL := tsdb.NewLabels(tsdb.L("outcome", "ok"))
 	errL := tsdb.NewLabels(tsdb.L("outcome", "err"))

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -150,119 +149,5 @@ func TestApplyFixesGolden(t *testing.T) {
 	}
 	if out.Applied != 0 || out.Files != 0 {
 		t.Fatalf("second ApplyFixes outcome = %+v, want all zero", out)
-	}
-}
-
-// TestBaselineRoundTrip writes a baseline from one run's findings and
-// verifies a reload filters exactly those findings, while an extra
-// instance of a baselined finding still gates.
-func TestBaselineRoundTrip(t *testing.T) {
-	pkg := loadFixture(t, "maprange", false)
-	res := Run([]*Package{pkg}, []*Analyzer{Maprange(NewProgram())})
-	if len(res.Diagnostics) == 0 {
-		t.Fatal("fixture produced no findings")
-	}
-
-	path := filepath.Join(t.TempDir(), "lint.baseline.json")
-	if err := WriteBaseline(path, NewBaseline(res.Diagnostics, "")); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fresh, matched := b.Filter(res.Diagnostics, "")
-	if len(fresh) != 0 {
-		t.Errorf("fresh after round-trip = %d, want 0: %v", len(fresh), fresh)
-	}
-	if len(matched) != len(res.Diagnostics) {
-		t.Errorf("matched = %d, want %d", len(matched), len(res.Diagnostics))
-	}
-
-	// A new instance of an already-baselined finding overflows its count.
-	extra := append([]Diagnostic{res.Diagnostics[0]}, res.Diagnostics...)
-	fresh, _ = b.Filter(extra, "")
-	if len(fresh) != 1 {
-		t.Errorf("fresh with duplicated finding = %d, want 1", len(fresh))
-	}
-}
-
-// TestSARIFShape validates the emitted SARIF against the 2.1.0 shape the
-// acceptance gate cares about: schema/version, one run, every rule
-// referenced by a result is declared, and locations are file+line.
-func TestSARIFShape(t *testing.T) {
-	pkg := loadFixture(t, "maprange", false)
-	analyzers := []*Analyzer{Maprange(NewProgram())}
-	res := Run([]*Package{pkg}, analyzers)
-	data, err := SARIF(res, "", analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var doc struct {
-		Schema  string `json:"$schema"`
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID  string `json:"ruleId"`
-				Message struct {
-					Text string `json:"text"`
-				} `json:"message"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("SARIF output is not valid JSON: %v", err)
-	}
-	if !strings.Contains(doc.Schema, "sarif-2.1.0") || doc.Version != "2.1.0" {
-		t.Errorf("schema/version = %q / %q, want 2.1.0", doc.Schema, doc.Version)
-	}
-	if len(doc.Runs) != 1 {
-		t.Fatalf("runs = %d, want 1", len(doc.Runs))
-	}
-	run := doc.Runs[0]
-	rules := map[string]bool{}
-	for _, r := range run.Tool.Driver.Rules {
-		rules[r.ID] = true
-	}
-	if !rules["maprange"] {
-		t.Errorf("driver rules missing maprange: %v", rules)
-	}
-	if len(run.Results) != len(res.Diagnostics) {
-		t.Errorf("results = %d, want %d", len(run.Results), len(res.Diagnostics))
-	}
-	for _, r := range run.Results {
-		if !rules[r.RuleID] {
-			t.Errorf("result references undeclared rule %q", r.RuleID)
-		}
-		if r.Message.Text == "" {
-			t.Error("result has empty message")
-		}
-		if len(r.Locations) != 1 {
-			t.Fatalf("result has %d locations, want 1", len(r.Locations))
-		}
-		loc := r.Locations[0].PhysicalLocation
-		if loc.ArtifactLocation.URI == "" || loc.Region.StartLine <= 0 {
-			t.Errorf("bad physical location: %+v", loc)
-		}
 	}
 }

@@ -12,18 +12,14 @@ import (
 
 func genSpec() GenSpec {
 	return GenSpec{
-		Horizon:           100,
-		Hosts:             []string{"h0", "h1", "h2"},
-		Instances:         []string{"i0", "i1"},
-		Links:             []string{"rack0-rack1"},
-		Volumes:           []string{"vol-000001"},
-		Ranks:             8,
-		HostCrashMTBF:     20,
-		InstanceCrashMTBF: 15,
-		LinkDegradeMTBF:   30,
-		VolumeFaultMTBF:   25,
-		RankFailMTBF:      40,
-		MeanRepairHours:   4,
+		Horizon:         100,
+		Hosts:           []string{"h0", "h1", "h2"},
+		Ranks:           8,
+		SpotPools:       []string{"pool-a", "pool-b"},
+		HostCrashMTBF:   20,
+		RankFailMTBF:    40,
+		PreemptMTBF:     25,
+		MeanRepairHours: 4,
 	}
 }
 
@@ -42,8 +38,8 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-// Each category draws from its own RNG split: enabling volumes must not
-// perturb the host-crash sequence.
+// Each category draws from its own RNG split: enabling preemptions must
+// not perturb the host-crash sequence.
 func TestGenerateCategoriesIndependent(t *testing.T) {
 	hostsOf := func(p Plan) []Fault {
 		var out []Fault
@@ -56,10 +52,8 @@ func TestGenerateCategoriesIndependent(t *testing.T) {
 	}
 	full := Generate(7, genSpec())
 	spec := genSpec()
-	spec.VolumeFaultMTBF = 0
-	spec.LinkDegradeMTBF = 0
 	spec.RankFailMTBF = 0
-	spec.InstanceCrashMTBF = 0
+	spec.PreemptMTBF = 0
 	hostsOnly := Generate(7, spec)
 	if !reflect.DeepEqual(hostsOf(full), hostsOf(hostsOnly)) {
 		t.Fatal("disabling other categories changed the host-crash sequence")
@@ -131,9 +125,6 @@ func TestDegradationRegistries(t *testing.T) {
 	clk := simclock.New()
 	e := New(clk, nil)
 	e.Arm(Plan{Faults: []Fault{
-		{At: 1, Kind: KindLinkDegrade, Target: "tor0", Duration: 2, Magnitude: 10, DropProb: 0.02},
-		{At: 1, Kind: KindVolumeSlow, Target: "vol-1", Duration: 2, Magnitude: 8},
-		{At: 1, Kind: KindVolumeFail, Target: "vol-2"}, // permanent
 		{At: 1, Kind: KindRankFail, Target: "3", Duration: 1},
 	}})
 	clk.RunUntil(1.5)
@@ -157,7 +148,7 @@ func TestInjectErrorsAreTolerated(t *testing.T) {
 	e.SetHostFailer(cl)
 	e.Arm(Plan{Faults: []Fault{
 		{At: 1, Kind: KindHostCrash, Target: "no-such-host"},
-		{At: 2, Kind: KindLinkDegrade, Target: "tor0", Magnitude: 3},
+		{At: 2, Kind: KindRankFail, Target: "0"},
 	}})
 	clk.RunUntil(3)
 	inj, _, errs := e.Stats()

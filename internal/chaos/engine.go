@@ -29,10 +29,8 @@ type Preempter interface {
 
 // Engine arms a Plan against a simulation: host crashes and spot
 // preemptions are delegated to the registered failers, and dead ranks
-// are recorded in a registry the collective layer queries. Instance
-// crashes, link degradation and volume faults have no target in the
-// simulation: they are counted, logged and listed as active only.
-// All scheduling happens on the shared simclock, so injections interleave
+// are recorded in a registry the collective layer queries. All
+// scheduling happens on the shared simclock, so injections interleave
 // deterministically with the rest of the simulation.
 type Engine struct {
 	clk *simclock.Clock

@@ -2,7 +2,7 @@
 // course platform simulation. The paper's operational story is dominated
 // by things going wrong at inconvenient times — reserved GPU nodes dying
 // before a student's slot, stragglers stalling distributed training,
-// storage slowing to a crawl mid-lab — so the simulator needs a way to
+// spot capacity reclaimed mid-run — so the simulator needs a way to
 // reproduce those incidents exactly.
 //
 // Two properties are non-negotiable and shape the whole package:
@@ -35,15 +35,6 @@ const (
 	// KindHostCrash downs a cloud host; every instance on it errors and
 	// the host rejects placements until recovery.
 	KindHostCrash Kind = iota
-	// KindInstanceCrash errors a single instance (kernel panic, OOM).
-	KindInstanceCrash
-	// KindLinkDegrade inflates latency and injects loss on a named
-	// network link; consumers query Engine.Link.
-	KindLinkDegrade
-	// KindVolumeSlow multiplies I/O time on a block-storage volume.
-	KindVolumeSlow
-	// KindVolumeFail makes a block-storage volume return I/O errors.
-	KindVolumeFail
 	// KindRankFail kills one rank of a collective (straggler taken to
 	// its limit); the ring must reform around it.
 	KindRankFail
@@ -58,14 +49,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindHostCrash:
 		return "host-crash"
-	case KindInstanceCrash:
-		return "instance-crash"
-	case KindLinkDegrade:
-		return "link-degrade"
-	case KindVolumeSlow:
-		return "volume-slow"
-	case KindVolumeFail:
-		return "volume-fail"
 	case KindRankFail:
 		return "rank-fail"
 	case KindPreempt:
@@ -81,18 +64,12 @@ type Fault struct {
 	At float64
 	// Kind selects the fault class.
 	Kind Kind
-	// Target names the victim: host name, instance ID, link name,
-	// volume ID, or decimal rank number, depending on Kind.
+	// Target names the victim: host name, decimal rank number or spot
+	// pool name, depending on Kind.
 	Target string
 	// Duration is hours until automatic recovery; <= 0 means the fault
 	// persists until something else (e.g. an operator command) clears it.
 	Duration float64
-	// Magnitude parameterises degradation faults: latency multiplier
-	// for link/volume slowness, drop probability for links (via
-	// DropProb), ignored for crash kinds.
-	Magnitude float64
-	// DropProb is the packet-loss probability for KindLinkDegrade.
-	DropProb float64
 }
 
 // Plan is an ordered fault schedule plus the seed that produced it (0 for
@@ -127,18 +104,12 @@ type GenSpec struct {
 	Horizon float64
 
 	Hosts     []string // host-crash victims
-	Instances []string // instance-crash victims
-	Links     []string // link-degrade victims
-	Volumes   []string // volume slow/fail victims
 	Ranks     int      // rank-fail victims are 0..Ranks-1
 	SpotPools []string // preempt victims (spot pool names)
 
-	HostCrashMTBF     float64
-	InstanceCrashMTBF float64
-	LinkDegradeMTBF   float64
-	VolumeFaultMTBF   float64
-	RankFailMTBF      float64
-	PreemptMTBF       float64
+	HostCrashMTBF float64
+	RankFailMTBF  float64
+	PreemptMTBF   float64
 
 	// MeanRepairHours is the mean injected-fault duration (exponential).
 	// Zero means faults are permanent.
@@ -147,17 +118,17 @@ type GenSpec struct {
 
 // Generate builds a random-but-reproducible plan from a seed. Each fault
 // category draws from its own RNG split, so adding hosts to the spec does
-// not perturb, say, the volume-fault sequence.
+// not perturb, say, the preemption sequence.
 func Generate(seed uint64, spec GenSpec) Plan {
 	root := stats.NewRNG(seed)
 	p := Plan{Seed: seed}
-	gen := func(label uint64, mtbf float64, pick func(r *stats.RNG) (Kind, string, float64, float64)) {
+	gen := func(label uint64, kind Kind, mtbf float64, pick func(r *stats.RNG) string) {
 		if mtbf <= 0 {
 			return
 		}
 		r := root.Split(label)
 		for t := expDraw(r, mtbf); t < spec.Horizon; t += expDraw(r, mtbf) {
-			kind, target, mag, drop := pick(r)
+			target := pick(r)
 			if target == "" {
 				continue
 			}
@@ -165,36 +136,22 @@ func Generate(seed uint64, spec GenSpec) Plan {
 			if spec.MeanRepairHours > 0 {
 				dur = expDraw(r, spec.MeanRepairHours)
 			}
-			p.Faults = append(p.Faults, Fault{
-				At: t, Kind: kind, Target: target,
-				Duration: dur, Magnitude: mag, DropProb: drop,
-			})
+			p.Faults = append(p.Faults, Fault{At: t, Kind: kind, Target: target, Duration: dur})
 		}
 	}
-	gen(1, spec.HostCrashMTBF, func(r *stats.RNG) (Kind, string, float64, float64) {
-		return KindHostCrash, pickString(r, spec.Hosts), 0, 0
+	// A category's split label fixes its fault sequence for a seed:
+	// renumbering one would change every plan generated with it.
+	gen(1, KindHostCrash, spec.HostCrashMTBF, func(r *stats.RNG) string {
+		return pickString(r, spec.Hosts)
 	})
-	gen(2, spec.InstanceCrashMTBF, func(r *stats.RNG) (Kind, string, float64, float64) {
-		return KindInstanceCrash, pickString(r, spec.Instances), 0, 0
-	})
-	gen(3, spec.LinkDegradeMTBF, func(r *stats.RNG) (Kind, string, float64, float64) {
-		// Latency blows up 2–20x; a few percent of packets drop.
-		return KindLinkDegrade, pickString(r, spec.Links), r.Uniform(2, 20), r.Uniform(0, 0.05)
-	})
-	gen(4, spec.VolumeFaultMTBF, func(r *stats.RNG) (Kind, string, float64, float64) {
-		if r.Bool(0.25) { // a quarter of storage faults are hard failures
-			return KindVolumeFail, pickString(r, spec.Volumes), 0, 0
-		}
-		return KindVolumeSlow, pickString(r, spec.Volumes), r.Uniform(3, 50), 0
-	})
-	gen(5, spec.RankFailMTBF, func(r *stats.RNG) (Kind, string, float64, float64) {
+	gen(5, KindRankFail, spec.RankFailMTBF, func(r *stats.RNG) string {
 		if spec.Ranks <= 0 {
-			return KindRankFail, "", 0, 0
+			return ""
 		}
-		return KindRankFail, fmt.Sprintf("%d", r.Intn(spec.Ranks)), 0, 0
+		return fmt.Sprintf("%d", r.Intn(spec.Ranks))
 	})
-	gen(6, spec.PreemptMTBF, func(r *stats.RNG) (Kind, string, float64, float64) {
-		return KindPreempt, pickString(r, spec.SpotPools), 0, 0
+	gen(6, KindPreempt, spec.PreemptMTBF, func(r *stats.RNG) string {
+		return pickString(r, spec.SpotPools)
 	})
 	p.Faults = p.sorted()
 	return p

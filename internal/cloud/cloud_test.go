@@ -390,24 +390,3 @@ func BenchmarkLaunchDelete(b *testing.B) {
 		}
 	}
 }
-
-func TestCIDRContains(t *testing.T) {
-	cases := []struct {
-		cidr, ip string
-		want     bool
-	}{
-		{"0.0.0.0/0", "200.1.2.3", true},
-		{"10.0.0.0/8", "10.255.0.1", true},
-		{"10.0.0.0/8", "11.0.0.1", false},
-		{"192.168.1.0/24", "192.168.1.99", true},
-		{"192.168.1.0/24", "192.168.2.99", false},
-		{"1.2.3.4/32", "1.2.3.4", true},
-		{"1.2.3.4/32", "1.2.3.5", false},
-		{"1.2.3.4", "1.2.3.4", true},
-	}
-	for _, tc := range cases {
-		if got := cidrContains(tc.cidr, tc.ip); got != tc.want {
-			t.Errorf("cidrContains(%s,%s) = %v, want %v", tc.cidr, tc.ip, got, tc.want)
-		}
-	}
-}

@@ -65,44 +65,6 @@ type SecurityGroup struct {
 	Rules   []SecurityGroupRule
 }
 
-// cidrContains implements simplified IPv4 CIDR matching for the /0, /8,
-// /16, /24 and /32 prefixes used in the labs.
-//
-//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
-func cidrContains(cidr, ip string) bool {
-	slash := strings.IndexByte(cidr, '/')
-	if slash < 0 {
-		return cidr == ip
-	}
-	base, bitsStr := cidr[:slash], cidr[slash+1:]
-	octetsKept := 0
-	switch bitsStr {
-	case "0":
-		return true
-	case "8":
-		octetsKept = 1
-	case "16":
-		octetsKept = 2
-	case "24":
-		octetsKept = 3
-	case "32":
-		return base == ip
-	default:
-		return false
-	}
-	bp := strings.Split(base, ".")
-	ipp := strings.Split(ip, ".")
-	if len(bp) != 4 || len(ipp) != 4 {
-		return false
-	}
-	for i := 0; i < octetsKept; i++ {
-		if bp[i] != ipp[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // allocIP hands out the next address in the subnet's block. The simulator
 // formats the CIDR base with an incrementing host part and does not model
 // exhaustion beyond 60k hosts.

@@ -15,7 +15,6 @@ package collective
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 )
 
@@ -191,92 +190,5 @@ func TreeAllReduce(vectors [][]float64) error {
 		// n-1 absorbs up the tree plus n-1 copies back down, each moving
 		// one full vector.
 	}
-	return nil
-}
-
-// ReduceScatter leaves worker r holding the fully reduced chunk r of the
-// elementwise sum (chunks are contiguous length/n regions, remainder to
-// the last chunk). Returns per-worker reduced chunks.
-//
-//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
-func ReduceScatter(vectors [][]float64) ([][]float64, error) {
-	if err := validate(vectors); err != nil {
-		return nil, err
-	}
-	n := len(vectors)
-	length := len(vectors[0])
-	out := make([][]float64, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for r := 0; r < n; r++ {
-		go func(r int) {
-			defer wg.Done()
-			lo := r * length / n
-			hi := (r + 1) * length / n
-			acc := make([]float64, hi-lo)
-			for _, v := range vectors {
-				for i, x := range v[lo:hi] {
-					acc[i] += x
-				}
-			}
-			out[r] = acc
-		}(r)
-	}
-	wg.Wait()
-	return out, nil
-}
-
-// AllGather concatenates per-worker chunks and hands every worker the full
-// concatenation.
-//
-//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
-func AllGather(chunks [][]float64) ([][]float64, error) {
-	if len(chunks) == 0 {
-		return nil, ErrShape
-	}
-	var total int
-	for _, c := range chunks {
-		total += len(c)
-	}
-	full := make([]float64, 0, total)
-	for _, c := range chunks {
-		full = append(full, c...)
-	}
-	out := make([][]float64, len(chunks))
-	var wg sync.WaitGroup
-	wg.Add(len(chunks))
-	for r := range chunks {
-		go func(r int) {
-			defer wg.Done()
-			out[r] = append([]float64(nil), full...)
-		}(r)
-	}
-	wg.Wait()
-	return out, nil
-}
-
-// Broadcast copies root's vector into every worker's vector.
-//
-//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
-func Broadcast(vectors [][]float64, root int) error {
-	if err := validate(vectors); err != nil {
-		return err
-	}
-	if root < 0 || root >= len(vectors) {
-		return fmt.Errorf("collective: root %d out of range [0,%d)", root, len(vectors))
-	}
-	src := vectors[root]
-	var wg sync.WaitGroup
-	for r := range vectors {
-		if r == root {
-			continue
-		}
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			copy(vectors[r], src)
-		}(r)
-	}
-	wg.Wait()
 	return nil
 }

@@ -73,26 +73,3 @@ func (m CostModel) RingWithReformation(n, failed int, bytes, detectTimeout float
 	reform := float64(survivors) * m.Alpha
 	return detectTimeout + reform + m.Ring(survivors, bytes)
 }
-
-// RingCrossoverBytes returns the payload size above which ring beats tree
-// under this model (solving Ring(n,b) = Tree(n,b)); +Inf if ring never
-// wins, 0 if it always does.
-//
-//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
-func (m CostModel) RingCrossoverBytes(n int) float64 {
-	if n <= 2 {
-		return 0 // identical or degenerate topologies
-	}
-	fn := float64(n)
-	steps := 2 * math.Ceil(math.Log2(fn))
-	// (2(n-1) - steps)·α = (steps - 2(n-1)/n)·b·β
-	num := (2*(fn-1) - steps) * m.Alpha
-	den := (steps - 2*(fn-1)/fn) * m.Beta
-	if den <= 0 {
-		return math.Inf(1)
-	}
-	if num <= 0 {
-		return 0
-	}
-	return num / den
-}

@@ -229,54 +229,3 @@ func BenchmarkETL(b *testing.B) {
 		}
 	}
 }
-
-func TestDedupe(t *testing.T) {
-	p := NewETL("x").Stage("dedupe", Dedupe())
-	out, _, err := p.Run([]Record{rec("a", nil), rec("b", nil), rec("a", nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Errorf("deduped to %d, want 2", len(out))
-	}
-}
-
-func TestBrokerSeekReplay(t *testing.T) {
-	b := NewBroker()
-	b.CreateTopic("t")
-	_ = b.Subscribe("t", "g", true)
-	for i := 0; i < 3; i++ {
-		_, _ = b.Produce("t", "k", nil)
-	}
-	_, _ = b.Poll("t", "g", 100)
-	if lag, _ := b.Lag("t", "g"); lag != 0 {
-		t.Errorf("lag = %d", lag)
-	}
-	if err := b.Seek("t", "g", 0); err != nil {
-		t.Fatal(err)
-	}
-	replay, _ := b.Poll("t", "g", 100)
-	if len(replay) != 3 {
-		t.Errorf("replay got %d", len(replay))
-	}
-	if err := b.Seek("t", "g", 99); !errors.Is(err, ErrTooEarly) {
-		t.Errorf("seek past head err = %v", err)
-	}
-}
-
-func TestFeatureStoreTrainingSetPointInTime(t *testing.T) {
-	fs := NewFeatureStore()
-	fs.IngestBatch([]Record{rec("e", map[string]float64{"v": 1})}, 1)
-	fs.IngestStream("e", map[string]float64{"v": 2}, 5)
-	pairs := []struct {
-		Key string
-		T   float64
-	}{{"e", 3}, {"e", 6}, {"ghost", 9}, {"e", 0.5}}
-	ts := fs.TrainingSet(pairs)
-	if len(ts) != 2 {
-		t.Fatalf("training set size = %d, want 2", len(ts))
-	}
-	if ts[0].Fields["v"] != 1 || ts[1].Fields["v"] != 2 {
-		t.Errorf("point-in-time values: %v", ts)
-	}
-}

@@ -7,7 +7,6 @@ package datapipe
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Record is one data row flowing through a pipeline: a flat map of
@@ -135,24 +134,5 @@ func Derive(field string, fn func(Record) float64) Transform {
 		out := r.Clone()
 		out.Fields[field] = fn(r)
 		return []Record{out}, nil
-	}
-}
-
-// Dedupe drops records whose key was already seen in this run. The
-// returned Transform is stateful per pipeline run; build a fresh one per
-// Run call.
-//
-//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
-func Dedupe() Transform {
-	var mu sync.Mutex
-	seen := map[string]bool{}
-	return func(r Record) ([]Record, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if seen[r.Key] {
-			return nil, nil
-		}
-		seen[r.Key] = true
-		return []Record{r}, nil
 	}
 }

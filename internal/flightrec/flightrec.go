@@ -230,11 +230,7 @@ func (r *Recorder) capture(tr alert.Transition) {
 				continue
 			}
 			inc.Exprs = append(inc.Exprs, s.Good, s.Total)
-			windows := s.Windows
-			if len(windows) == 0 {
-				windows = alert.DefaultBurnWindows()
-			}
-			for _, w := range windows {
+			for _, w := range alert.BurnWindows {
 				if w.Severity == sev {
 					inc.Severity = w.Severity
 					if w.Long > maxRange {

@@ -118,24 +118,6 @@ func (p *CloudProvider) Delete(r Resource, id string, _ *State) error {
 	}
 }
 
-// Read implements Provider for drift detection.
-func (p *CloudProvider) Read(r Resource, id string) (bool, error) {
-	switch r.Type {
-	case "instance":
-		inst, err := p.Cloud.Get(id)
-		if errors.Is(err, cloud.ErrNotFound) {
-			return false, nil
-		}
-		if err != nil {
-			return false, err
-		}
-		return inst.Running(), nil
-	default:
-		// Networking metadata cannot vanish out-of-band in the simulator.
-		return true, nil
-	}
-}
-
 // resolve maps a referenced resource address to its provider ID via state.
 func (p *CloudProvider) resolve(s *State, addr string) (string, error) {
 	e, ok := s.Get(addr)

@@ -151,21 +151,6 @@ const (
 	ActionNoop
 )
 
-func (k ActionKind) String() string {
-	switch k {
-	case ActionCreate:
-		return "create"
-	case ActionUpdate:
-		return "update"
-	case ActionDelete:
-		return "delete"
-	case ActionNoop:
-		return "noop"
-	default:
-		return fmt.Sprintf("ActionKind(%d)", int(k))
-	}
-}
-
 // Action is one planned change.
 type Action struct {
 	Kind     ActionKind
@@ -249,12 +234,10 @@ func attrsEqual(a, b map[string]string) bool {
 	return true
 }
 
-// Provider executes infrastructure changes. Read supports drift
-// detection: it returns false when the managed object no longer exists.
+// Provider executes infrastructure changes.
 type Provider interface {
 	Create(r Resource, state *State) (id string, err error)
 	Delete(r Resource, id string, state *State) error
-	Read(r Resource, id string) (exists bool, err error)
 }
 
 // Apply executes a plan against a provider, recording results in state.
@@ -315,36 +298,4 @@ func Destroy(provider Provider, s *State) error {
 		remaining = next
 	}
 	return nil
-}
-
-// DetectDrift returns the addresses whose provider objects have vanished
-// out-of-band (e.g. an instance deleted in the console — "ClickOps").
-func DetectDrift(provider Provider, s *State) ([]string, error) {
-	var drifted []string
-	for _, addr := range s.Addresses() {
-		e := s.entries[addr]
-		exists, err := provider.Read(e.Resource, e.ID)
-		if err != nil {
-			return nil, fmt.Errorf("iac: read %s: %w", addr, err)
-		}
-		if !exists {
-			drifted = append(drifted, addr)
-		}
-	}
-	return drifted, nil
-}
-
-// RemoveDrifted drops vanished entries from state so the next plan
-// recreates them.
-//
-//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
-func RemoveDrifted(provider Provider, s *State) (int, error) {
-	drifted, err := DetectDrift(provider, s)
-	if err != nil {
-		return 0, err
-	}
-	for _, addr := range drifted {
-		delete(s.entries, addr)
-	}
-	return len(drifted), nil
 }

@@ -114,12 +114,9 @@ func TestCloudProviderUnknownType(t *testing.T) {
 		Attrs: map[string]string{"instance": "instance.ghost"}}, NewState()); !errors.Is(err, ErrUnknown) {
 		t.Errorf("dangling instance ref err = %v", err)
 	}
-	// Deleting unknown types is a no-op; reading them reports existence.
+	// Deleting unknown types is a no-op.
 	if err := p.Delete(Resource{Type: "network", Name: "n"}, "id", nil); err != nil {
 		t.Errorf("network delete err = %v", err)
-	}
-	if ok, err := p.Read(Resource{Type: "network", Name: "n"}, "id"); !ok || err != nil {
-		t.Errorf("network read = %v, %v", ok, err)
 	}
 }
 
@@ -147,19 +144,5 @@ func TestPlaybookFileAndServiceChecks(t *testing.T) {
 	}
 	if !h.Services["adhoc"] {
 		t.Error("service not started")
-	}
-}
-
-func TestActionKindStrings(t *testing.T) {
-	for k, want := range map[ActionKind]string{
-		ActionCreate: "create", ActionUpdate: "update",
-		ActionDelete: "delete", ActionNoop: "noop",
-	} {
-		if k.String() != want {
-			t.Errorf("kind %d = %q", int(k), k.String())
-		}
-	}
-	if ActionKind(9).String() == "" {
-		t.Error("unknown kind empty")
 	}
 }

@@ -267,41 +267,3 @@ func BenchmarkPlanApply(b *testing.B) {
 		}
 	}
 }
-
-func TestDriftDetection(t *testing.T) {
-	p, cl, _ := newProvider()
-	m := labModule("s001")
-	s := NewState()
-	plan, _ := PlanChanges(m, s)
-	if err := Apply(plan, p, s); err != nil {
-		t.Fatal(err)
-	}
-	// Delete node2 out-of-band ("ClickOps").
-	e, _ := s.Get("instance.node2")
-	if err := cl.Delete(e.ID); err != nil {
-		t.Fatal(err)
-	}
-	drifted, err := DetectDrift(p, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(drifted) != 1 || drifted[0] != "instance.node2" {
-		t.Fatalf("drift = %v, want [instance.node2]", drifted)
-	}
-	n, err := RemoveDrifted(p, s)
-	if err != nil || n != 1 {
-		t.Fatalf("RemoveDrifted = %d, %v", n, err)
-	}
-	// Re-plan recreates exactly the drifted instance.
-	plan2, _ := PlanChanges(m, s)
-	c, _, _ := plan2.Summary()
-	if c != 1 {
-		t.Errorf("re-plan creates = %d, want 1", c)
-	}
-	if err := Apply(plan2, p, s); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(cl.List(func(i *cloud.Instance) bool { return i.Running() })); got != 3 {
-		t.Errorf("%d instances after drift repair, want 3", got)
-	}
-}

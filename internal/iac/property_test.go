@@ -27,10 +27,6 @@ func (m *memProvider) Delete(_ Resource, id string, _ *State) error {
 	return nil
 }
 
-func (m *memProvider) Read(_ Resource, id string) (bool, error) {
-	return m.live[id], nil
-}
-
 // randomModule builds an acyclic module from fuzz input: resource i may
 // depend only on resources with smaller indices.
 func randomModule(rawN uint8, edges []uint16, attrSeed uint8) *Module {

@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -103,22 +102,6 @@ func TestFutureGetIdempotent(t *testing.T) {
 	}
 }
 
-func TestGridSpecExpansion(t *testing.T) {
-	g := GridSpec{"lr": {0.1, 0.01}, "batch": {16, 32, 64}}
-	configs := g.Configs()
-	if len(configs) != 6 {
-		t.Fatalf("grid size = %d, want 6", len(configs))
-	}
-	seen := map[string]bool{}
-	for _, c := range configs {
-		key := fmt.Sprintf("%v-%v", c["lr"], c["batch"])
-		if seen[key] {
-			t.Fatalf("duplicate config %s", key)
-		}
-		seen[key] = true
-	}
-}
-
 func TestSampleSpecDeterminism(t *testing.T) {
 	spec := SampleSpec{
 		"lr":      func(r *stats.RNG) float64 { return math.Pow(10, r.Uniform(-4, -1)) },
@@ -131,6 +114,15 @@ func TestSampleSpecDeterminism(t *testing.T) {
 			t.Fatal("sampling not deterministic for equal seeds")
 		}
 	}
+}
+
+// lrConfigs returns one trial configuration per learning rate.
+func lrConfigs(lrs ...float64) []map[string]float64 {
+	out := make([]map[string]float64, len(lrs))
+	for i, lr := range lrs {
+		out[i] = map[string]float64{"lr": lr}
+	}
+	return out
 }
 
 // parabola has its optimum at lr=0.3: score = 1 - (lr-0.3)^2.
@@ -150,8 +142,7 @@ func TestGridSearchFindsOptimum(t *testing.T) {
 	p := NewPool(4, 0)
 	defer p.Close()
 	tuner := &Tuner{Pool: p, Maximize: true}
-	grid := GridSpec{"lr": {0.1, 0.2, 0.3, 0.4, 0.5}}
-	results, best, err := tuner.Run(grid.Configs(), parabola)
+	results, best, err := tuner.Run(lrConfigs(0.1, 0.2, 0.3, 0.4, 0.5), parabola)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +155,11 @@ func TestMinimizeDirection(t *testing.T) {
 	p := NewPool(2, 0)
 	defer p.Close()
 	tuner := &Tuner{Pool: p, Maximize: false}
-	grid := GridSpec{"lr": {0.1, 0.3, 0.5}}
+	grid := lrConfigs(0.1, 0.3, 0.5)
 	loss := func(cfg map[string]float64, report func(int, float64) bool) (float64, error) {
 		return (cfg["lr"] - 0.3) * (cfg["lr"] - 0.3), nil
 	}
-	results, best, err := tuner.Run(grid.Configs(), loss)
+	results, best, err := tuner.Run(grid, loss)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,36 +24,6 @@ type TrialResult struct {
 // return its best score so far (cooperative pruning, as in Ray Tune).
 type Objective func(cfg map[string]float64, report func(step int, score float64) bool) (float64, error)
 
-// GridSpec enumerates explicit values per hyperparameter.
-type GridSpec map[string][]float64
-
-// Configs expands the grid in deterministic (sorted-key, row-major) order.
-//
-//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
-func (g GridSpec) Configs() []map[string]float64 {
-	keys := make([]string, 0, len(g))
-	for k := range g {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	configs := []map[string]float64{{}}
-	for _, k := range keys {
-		var next []map[string]float64
-		for _, base := range configs {
-			for _, v := range g[k] {
-				cfg := make(map[string]float64, len(base)+1)
-				for bk, bv := range base {
-					cfg[bk] = bv
-				}
-				cfg[k] = v
-				next = append(next, cfg)
-			}
-		}
-		configs = next
-	}
-	return configs
-}
-
 // SampleSpec draws each hyperparameter from a distribution.
 type SampleSpec map[string]func(rng *stats.RNG) float64
 

@@ -413,68 +413,6 @@ func (s *Service) BookEarliest(spec Spec, duration, horizon float64) (*Reservati
 	return s.bookLocked(spec)
 }
 
-// Utilization returns booked-hours / (nodes × window-hours) for a node
-// type over [start, end).
-//
-//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
-func (s *Service) Utilization(nodeType string, start, end float64) (float64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.pools[nodeType]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoPool, nodeType)
-	}
-	if end <= start || len(p.nodes) == 0 {
-		return 0, nil
-	}
-	// Sum in sorted node order: float addition is not associative, so
-	// map-order accumulation would make utilization run-dependent.
-	nodes := make([]string, 0, len(p.byNode))
-	for n := range p.byNode {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	var booked float64
-	for _, n := range nodes {
-		for _, r := range p.byNode[n] {
-			lo, hi := r.Start, r.End
-			if lo < start {
-				lo = start
-			}
-			if hi > end {
-				hi = end
-			}
-			if hi > lo {
-				booked += hi - lo
-			}
-		}
-	}
-	return booked / (float64(len(p.nodes)) * (end - start)), nil
-}
-
-// Reservations returns all bookings for a node type, sorted by start.
-//
-//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
-func (s *Service) Reservations(nodeType string) []*Reservation {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.pools[nodeType]
-	if !ok {
-		return nil
-	}
-	var out []*Reservation
-	for _, list := range p.byNode {
-		out = append(out, list...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
 // nodeFree reports whether no booking in list overlaps [start, end). Only
 // the first booking ending after start can: the ones after it start later.
 func nodeFree(list []*Reservation, start, end float64) bool {

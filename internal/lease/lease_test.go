@@ -230,38 +230,3 @@ func TestFindSlotIsEarliest(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestUtilization(t *testing.T) {
-	s, _, _ := newSvc()
-	// 2 nodes over [0,10) = 20 node-hours; book 5.
-	_, _ = s.Book(Spec{Project: "class", NodeType: "gpu_a100_pcie", Start: 0, End: 3})
-	_, _ = s.Book(Spec{Project: "class", NodeType: "gpu_a100_pcie", Start: 2, End: 4})
-	u, err := s.Utilization("gpu_a100_pcie", 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u != 0.25 {
-		t.Errorf("utilization = %v, want 0.25", u)
-	}
-	// Window clamping: only the overlap counts.
-	u, _ = s.Utilization("gpu_a100_pcie", 2, 4)
-	if u != 0.75 { // node A busy [2,3) + node B busy [2,4) = 3 of 4
-		t.Errorf("clamped utilization = %v, want 0.75", u)
-	}
-}
-
-func TestReservationsSorted(t *testing.T) {
-	s, _, _ := newSvc()
-	_, _ = s.Book(Spec{Project: "class", NodeType: "gpu_a100_pcie", Start: 5, End: 6})
-	_, _ = s.Book(Spec{Project: "class", NodeType: "gpu_a100_pcie", Start: 1, End: 2})
-	_, _ = s.Book(Spec{Project: "class", NodeType: "gpu_a100_pcie", Start: 3, End: 4})
-	rs := s.Reservations("gpu_a100_pcie")
-	if len(rs) != 3 {
-		t.Fatalf("got %d reservations", len(rs))
-	}
-	for i := 1; i < len(rs); i++ {
-		if rs[i-1].Start > rs[i].Start {
-			t.Fatal("reservations not sorted")
-		}
-	}
-}

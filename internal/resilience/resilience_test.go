@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/stats"
 )
 
@@ -116,39 +115,5 @@ func TestRetryRecordsBackoffWithoutSleeping(t *testing.T) {
 	}
 	if len(slept) != 2 || slept[0] != time.Second || slept[1] != 2*time.Second {
 		t.Fatalf("OnRetry delays = %v", slept)
-	}
-}
-
-func TestDeadline(t *testing.T) {
-	clk := clock.NewManual(time.Unix(100, 0))
-	d := NewDeadline(clk, time.Minute)
-	if d.Expired() {
-		t.Fatal("fresh deadline expired")
-	}
-	clk.Advance(59 * time.Second)
-	if d.Expired() {
-		t.Fatal("expired 1s early")
-	}
-	clk.Advance(time.Second)
-	if !d.Expired() {
-		t.Fatal("deadline should have expired")
-	}
-	if d.Remaining() > 0 {
-		t.Fatalf("remaining = %v after expiry", d.Remaining())
-	}
-}
-
-func TestHedge(t *testing.T) {
-	used, err := Hedge(func() error { return nil }, func() error { t.Fatal("fallback ran"); return nil })
-	if used || err != nil {
-		t.Fatalf("primary success: used=%v err=%v", used, err)
-	}
-	used, err = Hedge(func() error { return errors.New("primary down") }, func() error { return nil })
-	if !used || err != nil {
-		t.Fatalf("fallback path: used=%v err=%v", used, err)
-	}
-	_, err = Hedge(func() error { return errors.New("a") }, nil)
-	if err == nil {
-		t.Fatal("nil fallback should surface the primary error")
 	}
 }

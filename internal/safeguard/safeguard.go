@@ -24,15 +24,7 @@ const (
 	Bias           Category = "bias"
 	Privacy        Category = "privacy"
 	HarmfulContent Category = "harmful-content"
-	Overreliance   Category = "overreliance"
 )
-
-// Categories lists the taxonomy in stable order.
-//
-//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
-func Categories() []Category {
-	return []Category{Bias, Privacy, HarmfulContent, Overreliance}
-}
 
 // Decision is a filter verdict.
 type Decision int

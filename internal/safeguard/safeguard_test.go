@@ -143,9 +143,3 @@ func BenchmarkPipelineCheck(b *testing.B) {
 		p.Check("an ordinary caption about ramen with no issues, ask alice@example.com")
 	}
 }
-
-func TestCategories(t *testing.T) {
-	if len(Categories()) != 4 {
-		t.Errorf("categories = %v", Categories())
-	}
-}

@@ -386,25 +386,3 @@ func BenchmarkKSStatistic(b *testing.B) {
 		KSStatistic(xs, ys)
 	}
 }
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(29)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestCDF(t *testing.T) {
-	v, f := CDF([]float64{3, 1, 2})
-	if v[0] != 1 || v[2] != 3 {
-		t.Errorf("CDF values not sorted: %v", v)
-	}
-	if f[2] != 1 {
-		t.Errorf("CDF last fraction = %v, want 1", f[2])
-	}
-}

@@ -2,7 +2,6 @@ package tracking
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Stage is a registered model version's deployment stage.
@@ -38,20 +37,6 @@ type ModelVersion struct {
 type RegisteredModel struct {
 	Name     string          `json:"name"`
 	Versions []*ModelVersion `json:"versions"`
-}
-
-// RegisterModel creates a named model; idempotent.
-//
-//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
-func (s *Store) RegisterModel(name string) *RegisteredModel {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m, ok := s.registry[name]; ok {
-		return m
-	}
-	m := &RegisteredModel{Name: name}
-	s.registry[name] = m
-	return m
 }
 
 // CreateModelVersion registers a run's artifact as the next version of
@@ -133,18 +118,4 @@ func (s *Store) LatestVersion(name string, stage Stage) (*ModelVersion, error) {
 // process does at startup.
 func (s *Store) LoadModel(v *ModelVersion) ([]byte, error) {
 	return s.GetArtifact(v.RunID, v.ArtifactPath)
-}
-
-// ListModels returns registered model names, sorted.
-//
-//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
-func (s *Store) ListModels() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.registry))
-	for n := range s.registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -25,19 +25,6 @@ var (
 		TFLOPS: map[Precision]float64{FP32: 15.7, FP16: 125, BF16: 0, INT8: 125}}
 )
 
-// GPUByName looks up the catalog by GPU type string (as used in
-// cloud.Flavor.GPUType).
-//
-//lint:ignore deadcode test-only API; ROADMAP item 6 schedules its deletion
-func GPUByName(name string) (GPUProfile, error) {
-	for _, g := range []GPUProfile{A100_80, V100} {
-		if g.Name == name {
-			return g, nil
-		}
-	}
-	return GPUProfile{}, fmt.Errorf("train: unknown GPU %q", name)
-}
-
 // Strategy selects the distributed-training paradigm for step-time
 // estimation.
 type Strategy int

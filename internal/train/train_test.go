@@ -1,7 +1,6 @@
 package train
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -220,20 +219,3 @@ func BenchmarkPlanMemory(b *testing.B) {
 
 // llama7b approximates a 7-billion-parameter decoder.
 var llama7b = ModelSpec{Name: "llama-7b", Params: 6.7e9, Layers: 32, Hidden: 4096, VocabSize: 32000}
-
-func TestPlanString(t *testing.T) {
-	s := PlanMemory(GPT2Small(), Config{Precision: FP32}).String()
-	if !strings.Contains(s, "GB") {
-		t.Errorf("plan string: %q", s)
-	}
-}
-
-func TestGPUByName(t *testing.T) {
-	g, err := GPUByName("A100-80GB")
-	if err != nil || g.MemGB != 80 {
-		t.Errorf("GPUByName(A100-80GB) = %+v, %v", g, err)
-	}
-	if _, err := GPUByName("H100"); err == nil {
-		t.Error("unknown GPU accepted")
-	}
-}

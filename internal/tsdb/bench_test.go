@@ -29,7 +29,7 @@ func scrapeFixture(delta, churn bool) (step func(i int)) {
 			hists[i].Observe(0.001 * float64(j+1))
 		}
 	}
-	coll := NewCollector(New(Options{Retention: 24, RawWindow: 6, DownsampleStep: 0.25}), bus, 0.25)
+	coll := NewCollector(New(Options{Retention: 24}), bus, 0.25)
 	coll.SetDelta(delta)
 	return func(i int) {
 		if churn {

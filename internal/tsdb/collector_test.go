@@ -185,7 +185,7 @@ func TestScrapeWhileEmit(t *testing.T) {
 func TestScrapeDeltaMatchesFullSnapshot(t *testing.T) {
 	run := func(delta bool) string {
 		bus := telemetry.New()
-		c := NewCollector(New(Options{Retention: 24, RawWindow: 2, DownsampleStep: 0.25}), bus, 0.25)
+		c := NewCollector(New(Options{Retention: 24}), bus, 0.25)
 		c.Base = NewLabels(L("site", "chi"))
 		c.SetDelta(delta)
 		ctr := bus.Counter(telemetry.Labeled("w.ops", telemetry.String("shard", "s0")))

@@ -86,10 +86,7 @@ func (db *DB) evalInstant(sel SelectorExpr, t float64) Vector {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out Vector
-	for _, key := range db.order {
-		if !keyHasName(key, sel.Name) {
-			continue
-		}
+	for _, key := range db.keysNamed(sel.Name) {
 		s := db.series[key]
 		if s.Name != sel.Name || !matchAll(sel.Matchers, s.Labels) {
 			continue
@@ -99,7 +96,7 @@ func (db *DB) evalInstant(sel SelectorExpr, t float64) Vector {
 			continue
 		}
 		p := s.Points[i-1]
-		if p.T < t-db.opts.Lookback {
+		if p.T < t-DefaultLookback {
 			continue
 		}
 		out = append(out, Sample{Name: s.Name, Labels: s.Labels, V: p.V})
@@ -114,11 +111,9 @@ func (db *DB) foldRange(fn string, sel SelectorExpr, t float64) Vector {
 	lo := t - sel.Range
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	var out Vector
-	for _, key := range db.order {
-		if !keyHasName(key, sel.Name) {
-			continue
-		}
+	keys := db.keysNamed(sel.Name)
+	out := make(Vector, 0, len(keys))
+	for _, key := range keys {
 		s := db.series[key]
 		if s.Name != sel.Name || !matchAll(sel.Matchers, s.Labels) {
 			continue
@@ -148,10 +143,7 @@ func (db *DB) CounterIncrease(sel SelectorExpr, now, window float64) float64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var sum float64
-	for _, key := range db.order {
-		if !keyHasName(key, sel.Name) {
-			continue
-		}
+	for _, key := range db.keysNamed(sel.Name) {
 		s := db.series[key]
 		if s.Name != sel.Name || !matchAll(sel.Matchers, s.Labels) {
 			continue

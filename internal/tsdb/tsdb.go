@@ -25,6 +25,7 @@ package tsdb
 
 import (
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -50,23 +51,15 @@ func (s *Series) ID() string {
 	return s.Name + s.Labels.Signature()
 }
 
-// Options configures retention and downsampling. Zero values disable the
-// corresponding behavior.
+// Options configures retention.
 type Options struct {
-	// Retention drops points older than now-Retention hours at Compact.
+	// Retention drops points older than now-Retention hours at Compact;
+	// zero keeps every point.
 	Retention float64
-	// RawWindow is how long full-resolution points are kept. Points
-	// older than now-RawWindow are downsampled to one point per
-	// DownsampleStep (the last sample in each step, keeping its original
-	// timestamp). Both must be set for downsampling to happen.
-	RawWindow      float64
-	DownsampleStep float64
-	// Lookback bounds how far back an instant-vector selector will reach
-	// for the latest sample (default 1.0 simulated hour).
-	Lookback float64
 }
 
-// DefaultLookback is the instant-selector staleness bound in hours.
+// DefaultLookback bounds, in hours, how far back an instant-vector
+// selector reaches for the latest sample.
 const DefaultLookback = 1.0
 
 // DB is the store. All methods are safe for concurrent use; the zero
@@ -82,9 +75,6 @@ type DB struct {
 
 // New returns an empty DB with the given options.
 func New(opts Options) *DB {
-	if opts.Lookback <= 0 {
-		opts.Lookback = DefaultLookback
-	}
 	return &DB{series: map[string]*Series{}, opts: opts}
 }
 
@@ -207,10 +197,7 @@ func (db *DB) Select(name string, ms []Matcher) []Series {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out []Series
-	for _, key := range db.order {
-		if !keyHasName(key, name) {
-			continue
-		}
+	for _, key := range db.keysNamed(name) {
 		s := db.series[key]
 		if s.Name != name || !matchAll(ms, s.Labels) {
 			continue
@@ -224,19 +211,36 @@ func (db *DB) Select(name string, ms []Matcher) []Series {
 	return out
 }
 
-// keyHasName reports whether a series key can belong to a series named
-// name. A key is the name followed by the label signature, which always
-// starts with '{', so this string test lets a scan skip the map lookup
-// for the other series; callers still compare Series.Name.
-func keyHasName(key, name string) bool {
-	return len(key) > len(name) && key[len(name)] == '{' && key[:len(name)] == name
+// keysNamed returns the run of db.order that can hold series named name,
+// found by two binary searches. A key is the name followed by the label
+// signature, which always starts with '{', so in sorted order the keys
+// of one name are contiguous. A name that itself holds '{' can put a
+// longer name's keys in the run, so callers still compare Series.Name.
+// Caller holds db.mu.
+func (db *DB) keysNamed(name string) []string {
+	lo := sort.Search(len(db.order), func(i int) bool { return cmpKeyName(db.order[i], name) >= 0 })
+	hi := sort.Search(len(db.order), func(i int) bool { return cmpKeyName(db.order[i], name) > 0 })
+	return db.order[lo:hi]
 }
 
-// Compact applies retention and downsampling relative to now. Retention
-// runs first (drop everything older than now-Retention), then points
-// older than now-RawWindow are reduced to the last sample per
-// DownsampleStep — step-aligned, so the same now always produces the
-// same surviving points. Series left empty are deleted.
+// cmpKeyName compares the first len(name)+1 bytes of key with name+"{",
+// without building that string: negative, zero or positive as key sorts
+// before, has the prefix, or sorts after.
+func cmpKeyName(key, name string) int {
+	if len(key) <= len(name) {
+		if c := strings.Compare(key, name[:len(key)]); c != 0 {
+			return c
+		}
+		return -1 // key is a prefix of name, so it sorts first
+	}
+	if c := strings.Compare(key[:len(name)], name); c != 0 {
+		return c
+	}
+	return int(key[len(name)]) - '{'
+}
+
+// Compact applies retention relative to now: it drops every point older
+// than now-Retention and deletes the series left empty.
 func (db *DB) Compact(now float64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -259,15 +263,11 @@ func (db *DB) compactLocked(now float64) {
 			}
 			pts = pts[i:]
 		}
-		if db.opts.RawWindow > 0 && db.opts.DownsampleStep > 0 {
-			pts = downsample(pts, now-db.opts.RawWindow, db.opts.DownsampleStep)
-		}
 		if len(pts) == 0 {
 			dead = append(dead, key)
 			continue
 		}
-		// No copy: retention advances the slice head in place and
-		// downsample returns the input when nothing merges, so the
+		// No copy: retention advances the slice head in place, so the
 		// steady-state Compact (nothing to drop) allocates nothing.
 		// Freed capacity is reclaimed when append growth reallocates.
 		s.Points = pts
@@ -280,47 +280,4 @@ func (db *DB) compactLocked(now float64) {
 	if len(dead) > 0 {
 		db.gen++ // cached SeriesRef pointers must re-resolve
 	}
-}
-
-// downsample keeps full resolution for points with T >= rawCut and
-// reduces older points to the last one per step bucket (bucket k covers
-// [k*step, (k+1)*step)). Survivors keep their original timestamps, so
-// time order is preserved by construction and repeated Compact calls
-// are idempotent for a fixed now.
-func downsample(pts []Point, rawCut, step float64) []Point {
-	split := sort.Search(len(pts), func(i int) bool { return pts[i].T >= rawCut })
-	if split == 0 {
-		return pts
-	}
-	old, recent := pts[:split], pts[split:]
-	merge := false
-	for i := 1; i < len(old); i++ {
-		if floorDiv(old[i].T, step) == floorDiv(old[i-1].T, step) {
-			merge = true
-			break
-		}
-	}
-	if !merge {
-		return pts
-	}
-	var out []Point
-	for i := 0; i < len(old); {
-		bucket := floorDiv(old[i].T, step)
-		j := i
-		for j+1 < len(old) && floorDiv(old[j+1].T, step) == bucket {
-			j++
-		}
-		out = append(out, old[j])
-		i = j + 1
-	}
-	return append(out, recent...)
-}
-
-func floorDiv(t, step float64) float64 {
-	k := t / step
-	f := float64(int64(k))
-	if k < f {
-		f--
-	}
-	return f
 }

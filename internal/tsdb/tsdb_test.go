@@ -91,33 +91,112 @@ func TestSelectMatchers(t *testing.T) {
 	}
 }
 
+// TestNamesSharingAPrefix: the keys of re, reqa and req_total sort
+// around req's, and the name `req{a="1"}` puts a key inside req's run. A
+// selector, a range function and CounterIncrease on req must each see
+// req's three series only, in key order.
+func TestNamesSharingAPrefix(t *testing.T) {
+	db := New(Options{})
+	a1, a2 := NewLabels(L("a", "1")), NewLabels(L("a", "2"))
+	for _, name := range []string{"re", "reqa", "req_total", `req{a="1"}`} {
+		db.AppendRef(db.Ref(name, a1), 1, 1000)
+		db.AppendRef(db.Ref(name, a1), 2, 5000)
+	}
+	for i, ls := range []Labels{a1, a2, nil} {
+		scale := []float64{1, 10, 100}[i]
+		db.AppendRef(db.Ref("req", ls), 1, scale)
+		db.AppendRef(db.Ref("req", ls), 2, 3*scale)
+	}
+	wantIDs := `req{a="1"} req{a="2"} req`
+	ids := func(v Vector) string {
+		var out []string
+		for _, s := range v {
+			out = append(out, (&Series{Name: "req", Labels: s.Labels}).ID())
+		}
+		return strings.Join(out, " ")
+	}
+
+	var sel []string
+	for _, s := range db.Select("req", nil) {
+		if s.Name != "req" {
+			t.Errorf("Select(req) returned a %s series", s.Name)
+		}
+		sel = append(sel, s.ID())
+	}
+	if got := strings.Join(sel, " "); got != wantIDs {
+		t.Errorf("Select(req) = %s, want %s", got, wantIDs)
+	}
+	for _, c := range []struct {
+		expr string
+		want []float64
+	}{
+		{"req", []float64{3, 30, 300}},
+		{"increase(req[1])", []float64{2, 20, 200}},
+	} {
+		v, err := db.Query(c.expr, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vec := v.(Vector)
+		if got := ids(vec); got != wantIDs {
+			t.Errorf("%s: series %s, want %s", c.expr, got, wantIDs)
+			continue
+		}
+		for i, s := range vec {
+			if s.V != c.want[i] {
+				t.Errorf("%s: %s = %v, want %v", c.expr, ids(vec[i:i+1]), s.V, c.want[i])
+			}
+		}
+	}
+	// Born inside the window, each series counts from zero.
+	if got := db.CounterIncrease(SelectorExpr{Name: "req"}, 2, 1); got != 333 {
+		t.Errorf("CounterIncrease(req) = %v, want 333", got)
+	}
+}
+
+// TestCmpKeyNameMatchesReference: cmpKeyName orders a key against
+// name+"{" as comparing with the built string does, for keys shorter
+// than, as long as and longer than the name.
+func TestCmpKeyNameMatchesReference(t *testing.T) {
+	keys := []string{"", "r", "re", "req", "req{", "req{}", `req{a="1"}`,
+		"req_total{}", "reqa{}", "re{}", "req|", "rez", "req{}x{}"}
+	names := []string{"", "r", "re", "req", "req{}x", "req_total", "zz"}
+	sign := func(c int) int {
+		switch {
+		case c < 0:
+			return -1
+		case c > 0:
+			return 1
+		}
+		return 0
+	}
+	for _, name := range names {
+		p := name + "{"
+		for _, key := range keys {
+			want := sign(strings.Compare(key, p))
+			if strings.HasPrefix(key, p) {
+				want = 0
+			}
+			if got := sign(cmpKeyName(key, name)); got != want {
+				t.Errorf("cmpKeyName(%q, %q) = %d, want %d", key, name, got, want)
+			}
+		}
+	}
+}
+
 func TestRetentionAndDownsampling(t *testing.T) {
-	db := New(Options{Retention: 10, RawWindow: 4, DownsampleStep: 1})
+	db := New(Options{Retention: 10})
 	for i := 0; i <= 48; i++ { // every 0.25h from 0 to 12
 		db.AppendRef(db.Ref("g", nil), float64(i)*0.25, float64(i))
 	}
 	db.Compact(12)
 	pts := db.Select("g", nil)[0].Points
-	// Retention: nothing older than 12-10 = 2.
-	if pts[0].T < 2 {
-		t.Errorf("retention failed: first point at %v", pts[0].T)
+	// Retention: nothing older than 12-10 = 2, everything since kept.
+	if pts[0].T != 2 {
+		t.Errorf("retention failed: first point at %v, want 2", pts[0].T)
 	}
-	// Points older than 12-4 = 8 are one per 1h step (last of each step);
-	// recent points keep full 0.25h resolution.
-	var olderCount, recentCount int
-	for _, p := range pts {
-		if p.T < 8 {
-			olderCount++
-		} else {
-			recentCount++
-		}
-	}
-	// Steps [2,3) [3,4) ... [7,8): survivors at 2.75, 3.75, ..., 7.75.
-	if olderCount != 6 {
-		t.Errorf("downsampled count = %d, want 6 (%+v)", olderCount, pts)
-	}
-	if recentCount != 17 { // 8.0 .. 12.0 inclusive at 0.25 steps
-		t.Errorf("recent count = %d, want 17", recentCount)
+	if len(pts) != 41 { // 2.0 .. 12.0 inclusive at 0.25 steps
+		t.Errorf("kept %d points, want 41", len(pts))
 	}
 	// Compact is idempotent for a fixed now.
 	before := dbState(db)
@@ -134,7 +213,7 @@ func TestRetentionAndDownsampling(t *testing.T) {
 }
 
 func TestInstantSelectorLookback(t *testing.T) {
-	db := New(Options{Lookback: 1})
+	db := New(Options{})
 	db.AppendRef(db.Ref("m", nil), 5, 42)
 	if v, _ := db.Query("m", 5.5); len(v.(Vector)) != 1 {
 		t.Error("sample within lookback not found")
