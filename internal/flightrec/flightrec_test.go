@@ -30,8 +30,6 @@ func buildRun(t *testing.T) (*Recorder, *alert.Engine) {
 		Logs:      logs,
 		Tracer:    tracer,
 		Dashboard: func(at float64) string { return "dash@" + tsdb.Labels{{Key: "t", Value: "x"}}.Signature() },
-		LeadHours: 0.5,
-		MaxTraces: 2,
 	})
 	rec.Arm()
 	rec.Arm() // idempotent
@@ -63,8 +61,8 @@ func TestCaptureOnFiring(t *testing.T) {
 	if inc.FiredAt <= inc.PendingAt {
 		t.Fatalf("FiredAt %v <= PendingAt %v", inc.FiredAt, inc.PendingAt)
 	}
-	// Window: PendingAt - range(1h) - lead(0.5h), clamped at 0.
-	wantFrom := inc.PendingAt - 1.0 - 0.5
+	// Window: PendingAt - range(1h) - lead(1h), clamped at 0.
+	wantFrom := inc.PendingAt - 1.0 - 1.0
 	if wantFrom < 0 {
 		wantFrom = 0
 	}
@@ -95,13 +93,13 @@ func TestCaptureOnFiring(t *testing.T) {
 			t.Fatalf("log at t=%v outside window", r.T)
 		}
 	}
-	// Traces: bounded by MaxTraces, ranked by cost descending, critical
+	// Traces: bounded by maxTraces, ranked by cost descending, critical
 	// paths attached.
-	if len(inc.Traces) != 2 {
-		t.Fatalf("embedded %d traces, want 2 (MaxTraces)", len(inc.Traces))
+	if len(inc.Traces) != 3 {
+		t.Fatalf("embedded %d traces, want 3 (maxTraces)", len(inc.Traces))
 	}
-	if inc.Traces[0].Cost < inc.Traces[1].Cost {
-		t.Fatalf("traces not cost-ranked: %v < %v", inc.Traces[0].Cost, inc.Traces[1].Cost)
+	if c := inc.Traces; c[0].Cost < c[1].Cost || c[1].Cost < c[2].Cost {
+		t.Fatalf("traces not cost-ranked: %v, %v, %v", c[0].Cost, c[1].Cost, c[2].Cost)
 	}
 	for _, it := range inc.Traces {
 		if len(it.Critical) == 0 {
@@ -192,9 +190,9 @@ func TestMaxIncidentsEvictsOldest(t *testing.T) {
 	db := tsdb.New(tsdb.Options{})
 	eng := alert.NewEngine(db)
 	eng.AddRule(alert.Rule{Name: "Flappy", Expr: "g > 5", For: 0})
-	rec := New(Config{Engine: eng, DB: db, MaxIncidents: 2})
+	rec := New(Config{Engine: eng, DB: db})
 	rec.Arm()
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 18; i++ {
 		at := float64(i)
 		db.AppendRef(db.Ref("g", nil), at, 10)
 		eng.Step(at)
@@ -202,14 +200,14 @@ func TestMaxIncidentsEvictsOldest(t *testing.T) {
 		eng.Step(at + 0.5)
 	}
 	incs := rec.Incidents()
-	if len(incs) != 2 {
-		t.Fatalf("retained %d incidents, want 2", len(incs))
+	if len(incs) != 16 {
+		t.Fatalf("retained %d incidents, want 16", len(incs))
 	}
-	if incs[0].ID != 3 || incs[1].ID != 4 {
-		t.Fatalf("retained IDs %d,%d — want the newest (3,4)", incs[0].ID, incs[1].ID)
+	if incs[0].ID != 3 || incs[15].ID != 18 {
+		t.Fatalf("retained IDs %d..%d — want the newest (3..18)", incs[0].ID, incs[15].ID)
 	}
-	if rec.Captures() != 4 {
-		t.Fatalf("Captures = %d, want 4", rec.Captures())
+	if rec.Captures() != 18 {
+		t.Fatalf("Captures = %d, want 18", rec.Captures())
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // Incident renders one flight-recorder bundle as the self-contained
 // post-mortem artifact: everything the system knew when the alert
 // fired, in a fixed section layout so same-seed bundles are
-// byte-identical (the `make logs` gate cmp's two exported bundles).
+// byte-identical (the scenario test pins two exported bundles).
 func Incident(inc flightrec.Incident) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Incident #%d: %s%s ==\n", inc.ID, inc.Rule, inc.Labels.Signature())

@@ -14,7 +14,7 @@ import (
 // stats.FormatMicro, and nothing geometry- or timing-dependent
 // (ShardSize, Workers, wall-clock) is printed, so the bytes are
 // identical for every shard size, worker count, and GOMAXPROCS — the
-// property `make sim` pins with cmp.
+// property the scenario test pins with one golden for two geometries.
 func Sharded(rep *shardsim.Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Sharded lab simulation: %d students, seed %d, %d weeks, %d events\n\n",

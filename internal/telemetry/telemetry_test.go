@@ -186,7 +186,7 @@ func TestInstrumentsListingAndGen(t *testing.T) {
 
 // The lock-striped registry must be safe under concurrent first-use
 // registration and updates while a reader snapshots it, and return one
-// canonical handle per name (run under -race via make slo).
+// canonical handle per name (run under -race via make race).
 func TestShardedRegistryConcurrentLabeled(t *testing.T) {
 	b := New()
 	const workers, names = 8, 32

@@ -54,7 +54,7 @@ func TestInternSignatureCollision(t *testing.T) {
 }
 
 // Concurrent interning of overlapping sets must be race-free (run under
-// -race via make slo) and must agree on one handle per distinct set.
+// -race via make race) and must agree on one handle per distinct set.
 func TestInternConcurrentScrapeSafe(t *testing.T) {
 	in := NewInterner()
 	const workers = 8
