@@ -139,6 +139,10 @@ func (e *Engine) AddRule(r Rule) { e.rules = append(e.rules, rule{r, parseQuery(
 // Errors and skips the SLO's burn rules, so it never pages.
 func (e *Engine) AddSLO(s SLO) {
 	s.sel = parseCounters(&s)
+	s.burnRules = make([]string, len(BurnWindows))
+	for i, w := range BurnWindows {
+		s.burnRules[i] = s.Name + ":burn:" + w.Severity
+	}
 	e.slos = append(e.slos, &s)
 }
 
@@ -157,7 +161,7 @@ func (e *Engine) SLOs() []SLO {
 	out := make([]SLO, len(e.slos))
 	for i, s := range e.slos {
 		out[i] = *s
-		out[i].sel = nil
+		out[i].sel, out[i].burnRules = nil, nil
 	}
 	return out
 }
@@ -196,9 +200,9 @@ func (e *Engine) Step(now float64) {
 			e.recordErr(s.Name, s.sel.err)
 			continue
 		}
-		for _, w := range BurnWindows {
+		for i, w := range BurnWindows {
 			vec := s.burnVector(e.db, now, w)
-			e.applyRule(s.Name+":burn:"+w.Severity, w.Severity, w.For, vec, now)
+			e.applyRule(s.burnRules[i], w.Severity, w.For, vec, now)
 		}
 	}
 }

@@ -28,6 +28,9 @@ type SLO struct {
 	// sel is Good and Total parsed by Engine.AddSLO into the engine's
 	// own copy. An SLO used on its own leaves it nil and parses on use.
 	sel *counters
+	// burnRules are the names of the engine's copy's burn rules,
+	// <Name>:burn:<severity> for each of BurnWindows, built by AddSLO.
+	burnRules []string
 }
 
 // counters is an SLO's Good and Total parsed, or the error that parsing

@@ -249,6 +249,16 @@ func stepCost(t *testing.T, hours float64) (mallocs, bytes uint64) {
 	return mallocs, bytes
 }
 
+// The allocation contract of a quiet step over the bench's rule set:
+// rule names are built at registration, literals are boxed at parse time
+// and quantile grouping reuses its working space, so what is left is the
+// range function's result.
+func TestStepAllocs(t *testing.T) {
+	if m, _ := stepCost(t, 24); m > 3 {
+		t.Errorf("a quiet Step allocates %d times, want <= 3", m)
+	}
+}
+
 // A step reads windows of at most 6 h, so what it allocates must not
 // grow with the retained history.
 func TestStepCostIndependentOfRetainedHistory(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/logging"
@@ -63,6 +64,7 @@ type Cloud struct {
 	tel    *telemetry.Bus     // nil disables instrumentation
 	logger *logging.Logger    // nil disables structured logs
 	log    *logging.Component // "cloud" stream; nil no-ops
+	names  map[nameKey]string // labeled instrument names built so far
 
 	nextID  int
 	nextFIP int
@@ -85,6 +87,7 @@ func New(name string, clock *simclock.Clock) *Cloud {
 		fipRecords: map[string]*UsageRecord{},
 		instRecs:   map[string]*UsageRecord{},
 		instSpans:  map[string]*trace.Span{},
+		names:      map[nameKey]string{},
 	}
 }
 
@@ -166,9 +169,47 @@ func (c *Cloud) GetProject(name string) (*Project, error) {
 	return p, nil
 }
 
+// id returns the next resource ID: the bytes of
+// fmt.Sprintf("%s-%06d", prefix, n), built with one allocation.
 func (c *Cloud) id(prefix string) string {
 	c.nextID++
-	return fmt.Sprintf("%s-%06d", prefix, c.nextID)
+	var buf [32]byte
+	var num [20]byte
+	digits := strconv.AppendInt(num[:0], int64(c.nextID), 10)
+	b := append(append(buf[:0], prefix...), '-')
+	for i := len(digits); i < 6; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, digits...))
+}
+
+// nameKey identifies a labeled instrument name by its base and label
+// values; project is set only for cloud.launches.
+type nameKey struct{ base, flavor, project string }
+
+// flavorName returns base{flavor=…}. Every launch, delete and failure
+// emits such names, so each is built on its first use and kept.
+func (c *Cloud) flavorName(base, flavor string) string {
+	k := nameKey{base: base, flavor: flavor}
+	name, ok := c.names[k]
+	if !ok {
+		name = telemetry.Labeled(base, telemetry.String("flavor", flavor))
+		c.names[k] = name
+	}
+	return name
+}
+
+// launchName returns cloud.launches{flavor=…,project=…}, built once per
+// flavor and project.
+func (c *Cloud) launchName(flavor, project string) string {
+	k := nameKey{"cloud.launches", flavor, project}
+	name, ok := c.names[k]
+	if !ok {
+		name = telemetry.Labeled("cloud.launches",
+			telemetry.String("flavor", flavor), telemetry.String("project", project))
+		c.names[k] = name
+	}
+	return name
 }
 
 // LaunchSpec describes an instance-creation request.
@@ -280,8 +321,13 @@ func (c *Cloud) Launch(spec LaunchSpec) (*Instance, error) {
 	boot := span.StartChild("cloud.boot", telemetry.String("id", inst.ID))
 	boot.Finish()
 	// Tag the usage record with the trace ID before opening it: the meter
-	// copies tags defensively, so report.CostByTrace sees the stamp.
-	if tid := spec.Span.TraceID(); tid != 0 {
+	// copies tags defensively, so report.CostByTrace sees the stamp. An
+	// untagged launch has nil tags until it gets a stamp.
+	tid := spec.Span.TraceID()
+	if inst.Tags == nil && (tid != 0 || spec.Spot) {
+		inst.Tags = map[string]string{}
+	}
+	if tid != 0 {
 		inst.Tags[trace.Tag] = tid.String()
 	}
 	// Spot launches are tagged so the bill can price their records off
@@ -306,13 +352,10 @@ func (c *Cloud) Launch(spec LaunchSpec) (*Instance, error) {
 	// attributes is not free: skip it all when no bus is attached.
 	if c.tel != nil {
 		c.tel.Counter("cloud.launches").Inc()
-		c.tel.Counter(telemetry.Labeled("cloud.launches",
-			telemetry.String("flavor", spec.Flavor.Name),
-			telemetry.String("project", spec.Project))).Inc()
+		c.tel.Counter(c.launchName(spec.Flavor.Name, spec.Project)).Inc()
 		c.tel.Counter("cloud.meter.opened").Inc()
 		c.tel.Gauge("cloud.instances_active").Add(1)
-		c.tel.Gauge(telemetry.Labeled("cloud.instances_active",
-			telemetry.String("flavor", spec.Flavor.Name))).Add(1)
+		c.tel.Gauge(c.flavorName("cloud.instances_active", spec.Flavor.Name)).Add(1)
 	}
 	c.log.InfoT(span, "instance active",
 		logging.Str("id", inst.ID),
@@ -381,12 +424,10 @@ func (c *Cloud) deleteLocked(instanceID string) error {
 		c.tel.Counter("cloud.deletes").Inc()
 		c.tel.Counter("cloud.meter.closed").Inc()
 		c.tel.Gauge("cloud.instances_active").Add(-1)
-		c.tel.Gauge(telemetry.Labeled("cloud.instances_active",
-			telemetry.String("flavor", inst.Flavor.Name))).Add(-1)
+		c.tel.Gauge(c.flavorName("cloud.instances_active", inst.Flavor.Name)).Add(-1)
 		c.tel.Histogram("cloud.instance_hours", instanceHourBuckets).
 			Observe(inst.DeletedAt - inst.LaunchedAt)
-		c.tel.Histogram(telemetry.Labeled("cloud.instance_hours",
-			telemetry.String("flavor", inst.Flavor.Name)), instanceHourBuckets).
+		c.tel.Histogram(c.flavorName("cloud.instance_hours", inst.Flavor.Name), instanceHourBuckets).
 			Observe(inst.DeletedAt - inst.LaunchedAt)
 	}
 	c.log.Info("instance deleted",
@@ -575,8 +616,13 @@ func (c *Cloud) CreateSecurityGroup(project, name string, rules []SecurityGroupR
 	return g, nil
 }
 
+// copyTags returns a copy of tags, or nil for none: most launches carry
+// no tags, and a nil map reads as an empty one.
 func copyTags(tags map[string]string) map[string]string {
-	out := map[string]string{}
+	if len(tags) == 0 {
+		return nil
+	}
+	out := make(map[string]string, len(tags))
 	for k, v := range tags {
 		out[k] = v
 	}

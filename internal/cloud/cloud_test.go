@@ -2,6 +2,8 @@ package cloud
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -349,6 +351,20 @@ func TestFlavorByNameAllocs(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("FlavorByName: %v allocs, want 0", got)
+	}
+}
+
+// id builds the bytes fmt.Sprintf("%s-%06d") gives, for every prefix in
+// use, at the edges of the six-digit padding and past it.
+func TestIDMatchesSprintf(t *testing.T) {
+	c, _ := newTestCloud()
+	for _, prefix := range []string{"inst", "net", "subnet", "router", "fip", "sg"} {
+		for _, n := range []int{1, 9, 10, 999_999, 1_000_000, math.MaxInt32 + 7} {
+			c.nextID = n - 1
+			if got, want := c.id(prefix), fmt.Sprintf("%s-%06d", prefix, n); got != want {
+				t.Errorf("id(%q) at %d = %q, want %q", prefix, n, got, want)
+			}
+		}
 	}
 }
 

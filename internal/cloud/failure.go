@@ -112,18 +112,17 @@ func (c *Cloud) failInstanceLocked(inst *Instance, reason string) {
 		sp.FinishAt(now)
 		delete(c.instSpans, inst.ID)
 	}
-	c.tel.Counter("cloud.instance_failures").Inc()
-	c.tel.Counter(telemetry.Labeled("cloud.instance_failures",
-		telemetry.String("flavor", inst.Flavor.Name))).Inc()
-	c.tel.Counter("cloud.meter.closed").Inc()
-	c.tel.Gauge("cloud.instances_active").Add(-1)
-	c.tel.Gauge(telemetry.Labeled("cloud.instances_active",
-		telemetry.String("flavor", inst.Flavor.Name))).Add(-1)
-	c.tel.Histogram("cloud.instance_hours", instanceHourBuckets).
-		Observe(inst.FailedAt - inst.LaunchedAt)
-	c.tel.Histogram(telemetry.Labeled("cloud.instance_hours",
-		telemetry.String("flavor", inst.Flavor.Name)), instanceHourBuckets).
-		Observe(inst.FailedAt - inst.LaunchedAt)
+	if c.tel != nil {
+		c.tel.Counter("cloud.instance_failures").Inc()
+		c.tel.Counter(c.flavorName("cloud.instance_failures", inst.Flavor.Name)).Inc()
+		c.tel.Counter("cloud.meter.closed").Inc()
+		c.tel.Gauge("cloud.instances_active").Add(-1)
+		c.tel.Gauge(c.flavorName("cloud.instances_active", inst.Flavor.Name)).Add(-1)
+		c.tel.Histogram("cloud.instance_hours", instanceHourBuckets).
+			Observe(inst.FailedAt - inst.LaunchedAt)
+		c.tel.Histogram(c.flavorName("cloud.instance_hours", inst.Flavor.Name), instanceHourBuckets).
+			Observe(inst.FailedAt - inst.LaunchedAt)
+	}
 	c.log.Warn("instance errored",
 		logging.Str("id", inst.ID),
 		logging.Str("flavor", inst.Flavor.Name),

@@ -124,11 +124,80 @@ func TestCloudTelemetryLifecycle(t *testing.T) {
 	}
 }
 
+// The labeled instrument names a Cloud keeps are those telemetry.Labeled
+// builds, one per flavor, and for launches one per flavor and project.
+func TestLabeledNamesPerFlavorAndProject(t *testing.T) {
+	bus := telemetry.New()
+	c, clk := newTestCloud()
+	c.SetTelemetry(bus)
+	c.CreateProject("other", CourseQuota())
+	var ids []string
+	for _, l := range []struct {
+		project string
+		flavor  Flavor
+	}{{"class", M1Medium}, {"class", M1Medium}, {"other", M1Medium}, {"class", M1Small}} {
+		inst, err := c.Launch(LaunchSpec{Project: l.project, Flavor: l.flavor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, inst.ID)
+	}
+	clk.RunUntil(2)
+	if err := c.Delete(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FailHost("kvm@test-hv-000"); err != nil {
+		t.Fatal(err)
+	}
+	snap := bus.Snapshot()
+	flavor := func(f Flavor) telemetry.Attr { return telemetry.String("flavor", f.Name) }
+	project := func(p string) telemetry.Attr { return telemetry.String("project", p) }
+	for name, want := range map[string]float64{
+		telemetry.Labeled("cloud.launches", flavor(M1Medium), project("class")): 2,
+		telemetry.Labeled("cloud.launches", flavor(M1Medium), project("other")): 1,
+		telemetry.Labeled("cloud.launches", flavor(M1Small), project("class")):  1,
+		telemetry.Labeled("cloud.instances_active", flavor(M1Medium)):           0,
+		telemetry.Labeled("cloud.instances_active", flavor(M1Small)):            0,
+		telemetry.Labeled("cloud.instance_failures", flavor(M1Medium)):          2,
+		telemetry.Labeled("cloud.instance_failures", flavor(M1Small)):           1,
+	} {
+		if m, ok := telemetry.Find(snap, name); !ok || m.Value != want {
+			t.Errorf("%s = %v (found=%v), want %v", name, m.Value, ok, want)
+		}
+	}
+	for f, want := range map[Flavor]int64{M1Medium: 3, M1Small: 1} {
+		name := telemetry.Labeled("cloud.instance_hours", flavor(f))
+		if m, ok := telemetry.Find(snap, name); !ok || m.Count != want {
+			t.Errorf("%s count = %v (found=%v), want %v", name, m.Count, ok, want)
+		}
+	}
+}
+
 // With no bus attached, Launch and Delete build no metric names,
-// attributes or bucket slices: what is left is the instance, its ID,
-// its tags, and its meter record with a copy of them.
+// attributes or bucket slices: what is left is the instance, its ID and
+// its meter record. A launch with no tags copies none.
 func TestLaunchDeleteWithoutBusAllocs(t *testing.T) {
 	c, _ := newTestCloud()
+	if got := launchDeleteAllocs(t, c); got > 3 {
+		t.Errorf("Launch+Delete without a bus: %v allocs, want <= 3", got)
+	}
+}
+
+// With a bus attached, a flavor's labeled instrument names are built on
+// its first launch and kept, so later launches allocate what they do
+// without a bus.
+func TestLaunchDeleteWithBusAllocs(t *testing.T) {
+	c, _ := newTestCloud()
+	c.SetTelemetry(telemetry.New())
+	if got := launchDeleteAllocs(t, c); got > 3 {
+		t.Errorf("Launch+Delete with a bus: %v allocs, want <= 3", got)
+	}
+}
+
+// launchDeleteAllocs returns the fewest allocations of one Launch and
+// Delete of a tagless m1.medium, after a first launch of that flavor.
+func launchDeleteAllocs(t *testing.T, c *Cloud) float64 {
+	t.Helper()
 	launchDelete := func() {
 		inst, err := c.Launch(LaunchSpec{Project: "class", Name: "lab", Flavor: M1Medium})
 		if err != nil {
@@ -138,14 +207,13 @@ func TestLaunchDeleteWithoutBusAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	launchDelete()
 	// The fewest over many single runs leaves out the amortized growth of
-	// the cloud's maps and the sync.Pool misses inside fmt, which the race
+	// the cloud's maps and slices, and the sync.Pool misses the race
 	// detector makes random.
 	fewest := math.Inf(1)
 	for i := 0; i < 50; i++ {
 		fewest = min(fewest, testing.AllocsPerRun(1, launchDelete))
 	}
-	if fewest > 6 {
-		t.Errorf("Launch+Delete without a bus: %v allocs, want <= 6", fewest)
-	}
+	return fewest
 }

@@ -103,7 +103,6 @@ type Recorder struct {
 	mu        sync.Mutex
 	incidents []*Incident
 	captures  int64
-	dropped   int64
 	armed     bool
 }
 
@@ -295,7 +294,6 @@ func (r *Recorder) capture(tr alert.Transition) {
 	if len(r.incidents) > maxIncidents {
 		over := len(r.incidents) - maxIncidents
 		r.incidents = append([]*Incident(nil), r.incidents[over:]...)
-		r.dropped += int64(over)
 	}
 	r.mu.Unlock()
 }

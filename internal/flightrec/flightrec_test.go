@@ -1,11 +1,15 @@
 package flightrec
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
 	"repro/internal/alert"
+	"repro/internal/cloud"
 	"repro/internal/logging"
+	"repro/internal/simclock"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/tsdb"
 )
@@ -137,6 +141,77 @@ func TestArmedButQuietCapturesNothing(t *testing.T) {
 	if rec.Captures() != 0 || len(rec.Incidents()) != 0 {
 		t.Fatalf("quiet recorder captured %d incidents", rec.Captures())
 	}
+}
+
+// An armed recorder whose alerts stay quiet leaves the log, trace and
+// metric streams exactly as an unarmed one does, not only the printed
+// output of a program that shows none of them.
+func TestArmedButQuietLeavesStreamsUnchanged(t *testing.T) {
+	offLogs, offTraces, offMetrics := quietRun(t, false)
+	onLogs, onTraces, onMetrics := quietRun(t, true)
+	if len(offLogs) == 0 || len(offMetrics) == 0 || !bytes.Contains(offTraces, []byte("cloud.launch")) {
+		t.Fatalf("the quiet run left empty streams: %d records, %d metrics, traces %q",
+			len(offLogs), len(offMetrics), offTraces)
+	}
+	if !reflect.DeepEqual(onLogs, offLogs) {
+		t.Errorf("arming changed the log stream:\narmed:\n%s\nunarmed:\n%s",
+			logging.Render(onLogs), logging.Render(offLogs))
+	}
+	if !bytes.Equal(onTraces, offTraces) {
+		t.Errorf("arming changed the trace export:\narmed:\n%s\nunarmed:\n%s", onTraces, offTraces)
+	}
+	if !reflect.DeepEqual(onMetrics, offMetrics) {
+		t.Errorf("arming changed the metrics:\narmed:   %+v\nunarmed: %+v", onMetrics, offMetrics)
+	}
+}
+
+// quietRun drives a watched site for 12 simulated hours: a cloud
+// launches and deletes a traced instance every half hour, its metrics
+// are scraped into a TSDB, and an alert engine evaluates a rule and an
+// SLO on every scrape, neither of which fires. armed arms a recorder on
+// all of it first. It returns the log records, the trace export and the
+// bus snapshot.
+func quietRun(t *testing.T, armed bool) ([]logging.Record, []byte, []telemetry.Metric) {
+	t.Helper()
+	clk := simclock.New()
+	bus := telemetry.New()
+	logs := logging.New(3, clk.Now)
+	logs.SetTelemetry(bus)
+	tracer := trace.New(3, clk.Now)
+	cl := cloud.New("kvm@quiet", clk)
+	cl.AddVMCapacity(2, 48, 192)
+	cl.CreateProject("class", cloud.CourseQuota())
+	cl.SetTelemetry(bus)
+	cl.SetLogging(logs)
+	coll := tsdb.NewCollector(tsdb.New(tsdb.Options{Retention: 6}), bus, 0.25)
+	eng := alert.NewEngine(coll.DB())
+	eng.AddRule(alert.Rule{Name: "Crowded", Expr: "cloud.instances_active > 100", For: 0.5, Severity: "page"})
+	eng.AddSLO(alert.SLO{Name: "launches", Objective: 0.9,
+		Good: "cloud.launches", Total: "cloud.launches", Window: 6})
+	coll.OnScrape(eng.Step)
+	rec := New(Config{Engine: eng, DB: coll.DB(), Logs: logs, Tracer: tracer,
+		Dashboard: func(float64) string { return "dashboard" }})
+	if armed {
+		rec.Arm()
+	}
+	coll.Start(clk, func() bool { return clk.Now() >= 12 })
+	for i := 0; i < 24; i++ {
+		clk.At(float64(i)*0.5, "lab", func() {
+			sp := tracer.StartTrace("lab")
+			inst, err := cl.Launch(cloud.LaunchSpec{Project: "class", Name: "lab", Flavor: cloud.M1Small, Span: sp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl.DeleteAt(inst.ID, clk.Now()+1.25)
+			sp.FinishAt(clk.Now() + 1.25)
+		})
+	}
+	clk.RunUntil(13)
+	if rec.Captures() != 0 || len(eng.Timeline()) != 0 || len(eng.Errors()) != 0 {
+		t.Fatalf("the run is not quiet: %d captures, timeline %v, errors %q",
+			rec.Captures(), eng.Timeline(), eng.Errors())
+	}
+	return logs.Records(0), trace.Chrome(tracer.Traces()), bus.Snapshot()
 }
 
 func TestSLOBurnRuleCapture(t *testing.T) {

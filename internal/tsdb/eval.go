@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -60,6 +61,9 @@ func (db *DB) Query(expr string, t float64) (Value, error) {
 func (db *DB) Eval(e Expr, t float64) (Value, error) {
 	switch e := e.(type) {
 	case NumberLit:
+		if e.val != nil {
+			return e.val, nil
+		}
 		return Scalar(e.V), nil
 	case SelectorExpr:
 		if e.Range > 0 {
@@ -285,6 +289,13 @@ func applyRangeFn(fn string, pts []Point, window float64) (float64, bool) {
 // scrapes them, and as increase() preserves), and interpolates the
 // q-quantile linearly inside the containing bucket — the same algorithm
 // as telemetry.Metric.Quantile, so the two observability layers agree.
+//
+// Alert rules evaluate it on every step, so it groups in pooled working
+// space: every bucket's group key (its signature minus `le`) goes into
+// one byte buffer, a stable sort by key brings each group's buckets
+// together in arrival order and the groups into key order, and a group's
+// labels are built only when it yields a sample. With a warm pool only
+// the result allocates.
 func histogramQuantile(q float64, vec Vector) Vector {
 	if q < 0 {
 		q = 0
@@ -292,60 +303,65 @@ func histogramQuantile(q float64, vec Vector) Vector {
 	if q > 1 {
 		q = 1
 	}
-	type group struct {
-		labels   Labels
-		bounds   []float64
-		cums     []float64
-		bp, cp   *[]float64
-		sortable boundSort
-	}
-	groups := map[string]*group{}
-	var order []string
-	// The group key, the signature minus `le`, is built in one reused
-	// buffer; only a new group allocates its key and its labels.
-	var keyBuf [128]byte
-	buf := keyBuf[:0]
-	for _, s := range vec {
+	w := quantilePool.Get().(*quantileWork)
+	byKey, bs := &w.byKey, &w.bounds
+	byKey.keys, byKey.buckets = byKey.keys[:0], byKey.buckets[:0]
+	for i, s := range vec {
 		le, ok := parseBound(s.Labels.Get("le"))
 		if !ok {
 			continue
 		}
-		buf = s.Labels.appendSignature(buf[:0], "le")
-		g, exists := groups[string(buf)]
-		if !exists {
-			key := string(buf)
-			g = &group{labels: s.Labels.Without("le")}
-			g.bp = floatSlicePool.Get().(*[]float64)
-			g.cp = floatSlicePool.Get().(*[]float64)
-			g.bounds, g.cums = (*g.bp)[:0], (*g.cp)[:0]
-			groups[key] = g
-			order = append(order, key)
-		}
-		g.bounds = append(g.bounds, le)
-		g.cums = append(g.cums, s.V)
+		lo := len(byKey.keys)
+		byKey.keys = s.Labels.appendSignature(byKey.keys, "le")
+		byKey.buckets = append(byKey.buckets, bucketRef{lo: lo, hi: len(byKey.keys), le: le, sample: i})
 	}
-	sort.Strings(order)
+	sort.Stable(byKey)
 	var out Vector
-	for _, key := range order {
-		g := groups[key]
-		g.sortable = boundSort{g.bounds, g.cums}
-		sort.Sort(&g.sortable)
-		v, ok := quantileFromCumulative(q, g.bounds, g.cums)
-		*g.bp, *g.cp = g.bounds[:0], g.cums[:0]
-		floatSlicePool.Put(g.bp)
-		floatSlicePool.Put(g.cp)
-		if !ok {
-			continue
+	for i, n := 0, len(byKey.buckets); i < n; {
+		first := i
+		bs.bounds, bs.cums = bs.bounds[:0], bs.cums[:0]
+		for ; i < n && bytes.Equal(byKey.key(i), byKey.key(first)); i++ {
+			b := byKey.buckets[i]
+			bs.bounds = append(bs.bounds, b.le)
+			bs.cums = append(bs.cums, vec[b.sample].V)
 		}
-		out = append(out, Sample{Labels: g.labels, V: v})
+		sort.Sort(bs)
+		if v, ok := quantileFromCumulative(q, bs.bounds, bs.cums); ok {
+			labels := vec[byKey.buckets[first].sample].Labels
+			out = append(out, Sample{Labels: labels.Without("le"), V: v})
+		}
 	}
+	quantilePool.Put(w)
 	return out
 }
 
-// floatSlicePool recycles histogram-quantile group buffers (bounds and
-// cumulative counts) across queries — alert rules evaluate quantile
-// expressions every scrape, so these were a steady allocation source.
-var floatSlicePool = sync.Pool{New: func() any { return new([]float64) }}
+// quantileWork is histogramQuantile's working space, pooled because
+// alert rules evaluate quantiles on every step.
+type quantileWork struct {
+	byKey  bucketsByKey
+	bounds boundSort
+}
+
+var quantilePool = sync.Pool{New: func() any { return new(quantileWork) }}
+
+// bucketRef is one bucket sample: its group key keys[lo:hi], its parsed
+// `le` bound and its index in the input vector.
+type bucketRef struct {
+	lo, hi int
+	le     float64
+	sample int
+}
+
+// bucketsByKey sorts bucket samples by group key.
+type bucketsByKey struct {
+	keys    []byte
+	buckets []bucketRef
+}
+
+func (b *bucketsByKey) key(i int) []byte   { return b.keys[b.buckets[i].lo:b.buckets[i].hi] }
+func (b *bucketsByKey) Len() int           { return len(b.buckets) }
+func (b *bucketsByKey) Less(i, j int) bool { return bytes.Compare(b.key(i), b.key(j)) < 0 }
+func (b *bucketsByKey) Swap(i, j int)      { b.buckets[i], b.buckets[j] = b.buckets[j], b.buckets[i] }
 
 type boundSort struct {
 	bounds []float64

@@ -27,8 +27,14 @@ type Expr interface {
 	String() string
 }
 
-// NumberLit is a scalar literal.
-type NumberLit struct{ V float64 }
+// NumberLit is a scalar literal. The parser boxes its value once, so
+// evaluating a parsed literal allocates nothing.
+type NumberLit struct {
+	V   float64
+	val Value // Scalar(V), set by the parser; nil in a literal built by hand
+}
+
+func numberLit(v float64) NumberLit { return NumberLit{V: v, val: Scalar(v)} }
 
 func (n NumberLit) String() string { return strconv.FormatFloat(n.V, 'g', -1, 64) }
 
@@ -226,9 +232,9 @@ func (p *parser) parseUnary() (Expr, error) {
 			return nil, err
 		}
 		if n, ok := e.(NumberLit); ok {
-			return NumberLit{V: -n.V}, nil
+			return numberLit(-n.V), nil
 		}
-		return BinExpr{Op: "*", LHS: NumberLit{V: -1}, RHS: e}, nil
+		return BinExpr{Op: "*", LHS: numberLit(-1), RHS: e}, nil
 	}
 	return p.parsePostfix()
 }
@@ -291,7 +297,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tsdb: bad number %q", t.text)
 		}
-		return NumberLit{V: v}, nil
+		return numberLit(v), nil
 	case tokLParen:
 		e, err := p.parseExpr()
 		if err != nil {

@@ -134,6 +134,16 @@ func TestHistogramQuantileMatchesReference(t *testing.T) {
 			bucket(0, "le", "1", "k", "a"), bucket(0, "le", "+Inf", "k", "a"),
 			bucket(7, "le", "1", "k", "b"), bucket(3, "le", "2", "k", "b"), bucket(5, "le", "+Inf", "k", "b"),
 		},
+		"groups in reverse key order": {
+			bucket(9, "le", "+Inf", "svc", "d"), bucket(4, "le", "1", "svc", "d"),
+			bucket(2, "le", "1", "svc", "c"), bucket(6, "le", "+Inf", "svc", "c"),
+			bucket(5, "le", "+Inf", "svc", "b"), bucket(5, "le", "0.5", "svc", "b"), bucket(1, "le", "0.1", "svc", "b"),
+			bucket(3, "le", "+Inf", "svc", "a"), bucket(1, "le", "2", "svc", "a"),
+		},
+		"a silent group between two that yield": {
+			bucket(0, "le", "+Inf", "svc", "b"), bucket(4, "le", "+Inf", "svc", "c"), bucket(8, "le", "+Inf", "svc", "a"),
+			bucket(0, "le", "1", "svc", "b"), bucket(1, "le", "1", "svc", "c"), bucket(2, "le", "1", "svc", "a"),
+		},
 	}
 	for name, vec := range table {
 		for _, q := range []float64{-1, 0, 0.25, 0.5, 0.95, 1, 2, math.NaN(), math.Inf(1)} {
@@ -161,10 +171,8 @@ func TestHistogramQuantileMatchesReference(t *testing.T) {
 }
 
 // TestHistogramQuantileAllocsFlat is the allocation contract of quantile
-// grouping: a group allocates its key and labels once, so an evaluation
-// over 64 buckets per group allocates what one over 4 buckets does. The
-// fewest over many single runs leaves out the pool misses that the race
-// detector makes random.
+// grouping: an evaluation over 64 buckets per group allocates what one
+// over 4 buckets does.
 func TestHistogramQuantileAllocsFlat(t *testing.T) {
 	vec := func(buckets int) Vector {
 		var out Vector
@@ -179,16 +187,45 @@ func TestHistogramQuantileAllocsFlat(t *testing.T) {
 		}
 		return out
 	}
-	fewest := func(v Vector) float64 {
-		histogramQuantile(0.95, v) // fills the pool
-		n := math.Inf(1)
-		for i := 0; i < 50; i++ {
-			n = min(n, testing.AllocsPerRun(1, func() { histogramQuantile(0.95, v) }))
-		}
-		return n
-	}
-	few, many := fewest(vec(4)), fewest(vec(64))
+	few, many := quantileAllocs(vec(4)), quantileAllocs(vec(64))
 	if many > few {
 		t.Errorf("histogram_quantile allocates %v over 64 buckets per group, %v over 4: want no growth", many, few)
 	}
+}
+
+// With a warm pool, histogram_quantile allocates only its result: eight
+// groups that yield nothing allocate nothing, and eight of which one
+// yields a sample allocate that sample's vector and labels.
+func TestHistogramQuantileAllocatesOnlyItsResult(t *testing.T) {
+	vec := func(yielding string) Vector {
+		var out Vector
+		for _, le := range []string{"0.5", "1", "+Inf"} {
+			for _, svc := range []string{"h", "g", "f", "e", "d", "c", "b", "a"} {
+				v := 0.0
+				if svc == yielding {
+					v = 4
+				}
+				out = append(out, Sample{Labels: NewLabels(L("le", le), L("svc", svc)), V: v})
+			}
+		}
+		return out
+	}
+	if got := quantileAllocs(vec("")); got != 0 {
+		t.Errorf("eight silent groups: %v allocs, want 0", got)
+	}
+	if got := quantileAllocs(vec("e")); got > 2 {
+		t.Errorf("eight groups, one yielding: %v allocs, want <= 2 (the vector and its labels)", got)
+	}
+}
+
+// quantileAllocs returns the fewest allocations of one histogram_quantile
+// evaluation of v after a warm-up. The fewest over many single runs
+// leaves out the pool misses that the race detector makes random.
+func quantileAllocs(v Vector) float64 {
+	histogramQuantile(0.95, v)
+	n := math.Inf(1)
+	for i := 0; i < 50; i++ {
+		n = min(n, testing.AllocsPerRun(1, func() { histogramQuantile(0.95, v) }))
+	}
+	return n
 }

@@ -24,6 +24,7 @@
 package tsdb
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -71,11 +72,16 @@ type DB struct {
 	opts    Options
 	dropped int64  // out-of-order appends rejected
 	gen     uint64 // bumped when Compact deletes series; invalidates SeriesRefs
+	// oldest is the earliest first point over all series as of the last
+	// walk, +Inf with none, and NaN once a series is created or starts at
+	// NaN: Compact walks the series only when it is not at or after the
+	// retention cut. Appends to a series never move its first point.
+	oldest float64
 }
 
 // New returns an empty DB with the given options.
 func New(opts Options) *DB {
-	return &DB{series: map[string]*Series{}, opts: opts}
+	return &DB{series: map[string]*Series{}, opts: opts, oldest: math.Inf(1)}
 }
 
 func (db *DB) getOrCreateLocked(key, name string, labels Labels) *Series {
@@ -83,6 +89,7 @@ func (db *DB) getOrCreateLocked(key, name string, labels Labels) *Series {
 	if !ok {
 		s = &Series{Name: name, Labels: labels}
 		db.series[key] = s
+		db.oldest = math.NaN() // an empty series counts as expired
 		i := sort.SearchStrings(db.order, key)
 		db.order = append(db.order, "")
 		copy(db.order[i+1:], db.order[i:])
@@ -249,6 +256,14 @@ func (db *DB) Compact(now float64) {
 
 // compactLocked is Compact with db.mu already held for writing.
 func (db *DB) compactLocked(now float64) {
+	cut := math.Inf(-1)
+	if db.opts.Retention > 0 {
+		cut = now - db.opts.Retention
+	}
+	if db.oldest >= cut {
+		return // no point has expired and no series is empty
+	}
+	db.oldest = math.Inf(1)
 	var dead []string
 	for key, s := range db.series {
 		pts := s.Points
@@ -256,7 +271,6 @@ func (db *DB) compactLocked(now float64) {
 			// Compact runs on every scrape, so usually no point or one
 			// has expired since the last call: a forward scan from the
 			// head costs what expires, where a search costs log n.
-			cut := now - db.opts.Retention
 			i := 0
 			for i < len(pts) && !(pts[i].T >= cut) {
 				i++
@@ -271,6 +285,7 @@ func (db *DB) compactLocked(now float64) {
 		// steady-state Compact (nothing to drop) allocates nothing.
 		// Freed capacity is reclaimed when append growth reallocates.
 		s.Points = pts
+		db.oldest = min(db.oldest, pts[0].T)
 	}
 	for _, key := range dead {
 		delete(db.series, key)

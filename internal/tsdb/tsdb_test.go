@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -212,6 +213,50 @@ func TestRetentionAndDownsampling(t *testing.T) {
 	}
 }
 
+// Compact walks the series only when a point can have expired. A DB
+// compacted after every append must end up holding what one compacted
+// once at the end holds, which is every point retention keeps: with
+// series that end, start late, restart, or begin at a NaN time.
+func TestCompactEveryAppendMatchesOnce(t *testing.T) {
+	const end = 10.0
+	live := map[string]func(at float64) bool{
+		"steady":   func(float64) bool { return true },
+		"ends":     func(at float64) bool { return at <= 3 },
+		"starts":   func(at float64) bool { return at >= 4 },
+		"restarts": func(at float64) bool { return at <= 1 || at >= 7 },
+	}
+	for _, retention := range []float64{0, 1, 2.5, 6, 100} {
+		every, once, want := New(Options{Retention: retention}), New(Options{Retention: retention}), New(Options{})
+		add := func(name string, at, v float64) {
+			for _, db := range []*DB{every, once} {
+				db.AppendRef(db.Ref(name, nil), at, v)
+			}
+			if retention == 0 || at >= end-retention {
+				want.AppendRef(want.Ref(name, nil), at, v)
+			}
+		}
+		add("nan", math.NaN(), -1)
+		every.Compact(0)
+		for i := 0; float64(i)*0.25 <= end; i++ {
+			at := float64(i) * 0.25
+			for name, on := range live {
+				if on(at) {
+					add(name, at, float64(i))
+				}
+			}
+			add("nan", at, float64(i))
+			every.Compact(at)
+		}
+		once.Compact(end)
+		if got, w := dbState(every), dbState(once); got != w {
+			t.Errorf("retention %v: compacted after every append:\n%s\ncompacted once:\n%s", retention, got, w)
+		}
+		if got, w := dbState(once), dbState(want); got != w {
+			t.Errorf("retention %v: compacted once:\n%s\nwant:\n%s", retention, got, w)
+		}
+	}
+}
+
 func TestInstantSelectorLookback(t *testing.T) {
 	db := New(Options{})
 	db.AppendRef(db.Ref("m", nil), 5, 42)
@@ -400,6 +445,31 @@ func TestParseErrors(t *testing.T) {
 				t.Errorf("no error for %q", src)
 			}
 		}
+	}
+}
+
+// A parsed number literal evaluates to the bits strconv.ParseFloat gives,
+// negated once per leading minus, and so does a literal built by hand.
+func TestNumberLiteralBits(t *testing.T) {
+	db := New(Options{})
+	for _, c := range []struct {
+		src  string
+		want float64
+	}{
+		{"0.95", 0.95}, {"0.1", 0.1}, {"1e-300", 1e-300}, {"1.7976931348623157e308", math.MaxFloat64},
+		{"-0.25", -0.25}, {"-0", math.Copysign(0, -1)}, {"--3", 3}, {"0", 0},
+	} {
+		for i := 0; i < 2; i++ { // the second evaluation reads the same boxed value
+			v, err := db.Query(c.src, 0)
+			s, ok := v.(Scalar)
+			if err != nil || !ok || math.Float64bits(float64(s)) != math.Float64bits(c.want) {
+				t.Errorf("%q = %#v, %v; want Scalar(%v)", c.src, v, err, c.want)
+			}
+		}
+	}
+	v, err := db.Eval(NumberLit{V: -2.5}, 0)
+	if s, ok := v.(Scalar); err != nil || !ok || math.Float64bits(float64(s)) != math.Float64bits(-2.5) {
+		t.Errorf("NumberLit{V: -2.5} = %#v, %v; want Scalar(-2.5)", v, err)
 	}
 }
 
