@@ -208,7 +208,7 @@ func main() {
 				fmt.Println("usage: fip <instance-id>")
 				break
 			}
-			fip, err := cl.AllocateFloatingIP("sandbox", nil)
+			fip, err := cl.AllocateFloatingIP("sandbox", cloud.Tags{})
 			if err != nil {
 				fmt.Println(err)
 				break

@@ -27,12 +27,12 @@ func main() {
 
 	inst, err := site.Launch(cloud.LaunchSpec{
 		Project: "demo", Name: "node-1", Flavor: cloud.M1Medium,
-		Tags: map[string]string{"lab": "quickstart"},
+		Tags: cloud.NewTags("lab", "quickstart"),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fip, err := site.AllocateFloatingIP("demo", nil)
+	fip, err := site.AllocateFloatingIP("demo", cloud.Tags{})
 	if err != nil {
 		log.Fatal(err)
 	}

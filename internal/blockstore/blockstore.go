@@ -95,7 +95,7 @@ func (s *Service) Create(project, name string, sizeGB int) (*Volume, error) {
 	s.vols[v.ID] = v
 	if s.cloud != nil {
 		s.cloud.Meter().Open(cloud.UsageBlockStorageGB, project, "volume",
-			map[string]string{"volume": name}, float64(sizeGB), s.clock.Now())
+			cloud.NewTags("volume", name), float64(sizeGB), s.clock.Now())
 	}
 	return v, nil
 }

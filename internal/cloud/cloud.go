@@ -217,7 +217,7 @@ type LaunchSpec struct {
 	Project string
 	Name    string
 	Flavor  Flavor
-	Tags    map[string]string
+	Tags    Tags
 	// Network to attach; empty uses no fixed network (bare metal nodes
 	// on Chameleon sit on a shared provider network).
 	NetworkID string
@@ -295,7 +295,7 @@ func (c *Cloud) Launch(spec LaunchSpec) (*Instance, error) {
 		Flavor:     spec.Flavor,
 		State:      StateActive,
 		Spot:       spec.Spot,
-		Tags:       copyTags(spec.Tags),
+		Tags:       spec.Tags,
 		LaunchedAt: c.clock.Now(),
 		DeletedAt:  -1,
 		FailedAt:   -1,
@@ -320,21 +320,16 @@ func (c *Cloud) Launch(spec LaunchSpec) (*Instance, error) {
 	place.Finish()
 	boot := span.StartChild("cloud.boot", telemetry.String("id", inst.ID))
 	boot.Finish()
-	// Tag the usage record with the trace ID before opening it: the meter
-	// copies tags defensively, so report.CostByTrace sees the stamp. An
-	// untagged launch has nil tags until it gets a stamp.
-	tid := spec.Span.TraceID()
-	if inst.Tags == nil && (tid != 0 || spec.Spot) {
-		inst.Tags = map[string]string{}
-	}
-	if tid != 0 {
-		inst.Tags[trace.Tag] = tid.String()
+	// Stamp the trace ID before the usage record opens with the
+	// instance's tags, so report.CostByTrace sees it. With leaves the
+	// caller's tags as they were.
+	if tid := spec.Span.TraceID(); tid != 0 {
+		inst.Tags = inst.Tags.With(trace.Tag, tid.String())
 	}
 	// Spot launches are tagged so the bill can price their records off
 	// the pool's price series instead of the on-demand rate.
 	if spec.Spot {
-		inst.Tags["pricing"] = "spot"
-		inst.Tags["pool"] = spec.Flavor.Name
+		inst.Tags = inst.Tags.With("pricing", "spot", "pool", spec.Flavor.Name)
 		spotPool.active++
 		c.spot.poolOf[inst.ID] = spec.Flavor.Name
 	}
@@ -440,7 +435,7 @@ func (c *Cloud) deleteLocked(instanceID string) error {
 // DeleteAt schedules automatic termination (used by the lease system for
 // reservation expiry). Deleting an already-deleted instance is a no-op.
 func (c *Cloud) DeleteAt(instanceID string, t float64) {
-	c.clock.At(t, "cloud.autodelete "+instanceID, func() {
+	c.clock.At(t, "cloud.autodelete", func() {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		if inst, ok := c.instances[instanceID]; ok && inst.State != StateDeleted {
@@ -529,8 +524,9 @@ func (c *Cloud) CreateRouter(project, name string, externalGW *Network) (*Router
 	return r, nil
 }
 
-// AllocateFloatingIP reserves a public address and starts metering it.
-func (c *Cloud) AllocateFloatingIP(project string, tags map[string]string) (*FloatingIP, error) {
+// AllocateFloatingIP reserves a public address and starts metering it
+// under tags.
+func (c *Cloud) AllocateFloatingIP(project string, tags Tags) (*FloatingIP, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p, ok := c.projects[project]
@@ -614,17 +610,4 @@ func (c *Cloud) CreateSecurityGroup(project, name string, rules []SecurityGroupR
 	c.secgroups[g.ID] = g
 	p.Usage.SecurityGroups++
 	return g, nil
-}
-
-// copyTags returns a copy of tags, or nil for none: most launches carry
-// no tags, and a nil map reads as an empty one.
-func copyTags(tags map[string]string) map[string]string {
-	if len(tags) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(tags))
-	for k, v := range tags {
-		out[k] = v
-	}
-	return out
 }

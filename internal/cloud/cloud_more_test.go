@@ -55,7 +55,7 @@ func TestMissingProjectPaths(t *testing.T) {
 	if _, err := c.CreateRouter("ghost", "r", nil); !errors.Is(err, ErrNotFound) {
 		t.Errorf("router err = %v", err)
 	}
-	if _, err := c.AllocateFloatingIP("ghost", nil); !errors.Is(err, ErrNotFound) {
+	if _, err := c.AllocateFloatingIP("ghost", Tags{}); !errors.Is(err, ErrNotFound) {
 		t.Errorf("fip err = %v", err)
 	}
 	if _, err := c.CreateSecurityGroup("ghost", "g", nil); !errors.Is(err, ErrNotFound) {
@@ -83,7 +83,7 @@ func TestNetworkAttachErrors(t *testing.T) {
 
 func TestAssociateMissingTargets(t *testing.T) {
 	c, _ := newTestCloud()
-	fip, _ := c.AllocateFloatingIP("class", nil)
+	fip, _ := c.AllocateFloatingIP("class", Tags{})
 	if err := c.AssociateFloatingIP(fip.ID, "ghost"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("associate to missing instance err = %v", err)
 	}
@@ -120,7 +120,7 @@ func TestSubnetIPAllocationUnique(t *testing.T) {
 
 func TestMeterOpenCloseIdempotent(t *testing.T) {
 	m := &Meter{}
-	r := m.Open(UsageInstance, "p", "f", nil, 1, 0)
+	r := m.Open(UsageInstance, "p", "f", Tags{}, 1, 0)
 	m.Close(r, 5)
 	m.Close(r, 99) // second close ignored
 	if r.Hours(100) != 5 {
@@ -128,7 +128,7 @@ func TestMeterOpenCloseIdempotent(t *testing.T) {
 	}
 	m.Close(nil, 1) // nil-safe
 	// Record with End before Start yields zero hours.
-	bad := m.Open(UsageInstance, "p", "f", nil, 1, 10)
+	bad := m.Open(UsageInstance, "p", "f", Tags{}, 1, 10)
 	m.Close(bad, 3)
 	if bad.Hours(100) != 0 {
 		t.Errorf("negative interval hours = %v", bad.Hours(100))

@@ -21,7 +21,7 @@ func newTestCloud() (*Cloud, *simclock.Clock) {
 func TestLaunchDeleteMetering(t *testing.T) {
 	c, clk := newTestCloud()
 	inst, err := c.Launch(LaunchSpec{Project: "class", Name: "node1", Flavor: M1Medium,
-		Tags: map[string]string{"lab": "lab2", "student": "s001"}})
+		Tags: NewTags("lab", "lab2", "student", "s001")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestLaunchDeleteMetering(t *testing.T) {
 	if h := inst.HoursAt(clk.Now()); h != 10 {
 		t.Errorf("hours after delete = %v, want frozen at 10", h)
 	}
-	total := c.Meter().TotalHours(clk.Now(), func(r *UsageRecord) bool { return r.Tags["lab"] == "lab2" })
+	total := c.Meter().TotalHours(clk.Now(), func(r *UsageRecord) bool { return r.Tags.Get("lab") == "lab2" })
 	if total != 10 {
 		t.Errorf("metered hours = %v, want 10", total)
 	}
@@ -165,7 +165,7 @@ func TestDeleteAtAutoTerminates(t *testing.T) {
 func TestFloatingIPLifecycle(t *testing.T) {
 	c, clk := newTestCloud()
 	inst, _ := c.Launch(LaunchSpec{Project: "class", Flavor: M1Small})
-	fip, err := c.AllocateFloatingIP("class", map[string]string{"lab": "lab1"})
+	fip, err := c.AllocateFloatingIP("class", NewTags("lab", "lab1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestFloatingIPLifecycle(t *testing.T) {
 func TestDeleteReleasesFloatingIPAssociation(t *testing.T) {
 	c, _ := newTestCloud()
 	inst, _ := c.Launch(LaunchSpec{Project: "class", Flavor: M1Small})
-	fip, _ := c.AllocateFloatingIP("class", nil)
+	fip, _ := c.AllocateFloatingIP("class", Tags{})
 	_ = c.AssociateFloatingIP(fip.ID, inst.ID)
 	if err := c.Delete(inst.ID); err != nil {
 		t.Fatal(err)
@@ -316,7 +316,7 @@ func TestMeterAggregations(t *testing.T) {
 	c, clk := newTestCloud()
 	for i, lab := range []string{"lab1", "lab1", "lab2"} {
 		inst, err := c.Launch(LaunchSpec{Project: "class", Flavor: M1Medium,
-			Tags: map[string]string{"lab": lab}})
+			Tags: NewTags("lab", lab)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -110,7 +110,7 @@ func TestFailInstanceReleasesFloatingIPAssociation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fip, err := c.AllocateFloatingIP("p", nil)
+	fip, err := c.AllocateFloatingIP("p", Tags{})
 	if err != nil {
 		t.Fatal(err)
 	}

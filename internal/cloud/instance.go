@@ -45,10 +45,8 @@ type Instance struct {
 	// and reclaimable by the market after an advance notice.
 	Spot bool
 
-	// Tags associate usage with course structure; the simulator sets
-	// "lab" and "student" tags so the meter can attribute hours the way
-	// the paper did via naming conventions.
-	Tags map[string]string
+	// Tags attribute the instance's usage; its meter record shares them.
+	Tags Tags
 
 	Host       string
 	FixedIP    string

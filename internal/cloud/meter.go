@@ -32,7 +32,7 @@ type UsageRecord struct {
 	Kind     UsageKind
 	Project  string
 	Resource string // flavor/node-type name, or "" for IPs/storage
-	Tags     map[string]string
+	Tags     Tags
 	Quantity float64
 	Start    float64
 	End      float64 // -1 while open
@@ -58,12 +58,12 @@ type Meter struct {
 }
 
 // Open starts a new metering interval and returns the record so the
-// caller can close it later. The tags map is defensively copied: a
-// caller mutating its map after Open must not retroactively change the
-// attribution of usage already metered.
-func (m *Meter) Open(kind UsageKind, project, resource string, tags map[string]string, qty, start float64) *UsageRecord {
+// caller can close it later. The record shares tags, which no caller
+// can change afterwards, so the attribution of usage already metered
+// stays as it was opened.
+func (m *Meter) Open(kind UsageKind, project, resource string, tags Tags, qty, start float64) *UsageRecord {
 	r := &UsageRecord{Kind: kind, Project: project, Resource: resource,
-		Tags: copyTags(tags), Quantity: qty, Start: start, End: -1}
+		Tags: tags, Quantity: qty, Start: start, End: -1}
 	m.records = append(m.records, r)
 	return r
 }
@@ -78,14 +78,17 @@ func (m *Meter) Close(r *UsageRecord, end float64) {
 
 // Records returns value copies of all records matching the filter (nil
 // filter = all). Copies keep aggregations stable: a record returned here
-// is a snapshot, unaffected by later Close calls on the live record.
+// is a snapshot, unaffected by later Close calls on the live record. The
+// filter runs once per record, so it may count; with no filter the
+// result is sized up front and is the one allocation.
 func (m *Meter) Records(filter func(*UsageRecord) bool) []UsageRecord {
 	var out []UsageRecord
+	if filter == nil {
+		out = make([]UsageRecord, 0, len(m.records))
+	}
 	for _, r := range m.records {
 		if filter == nil || filter(r) {
-			snap := *r
-			snap.Tags = copyTags(r.Tags)
-			out = append(out, snap)
+			out = append(out, *r)
 		}
 	}
 	return out

@@ -10,7 +10,7 @@ func TestListFilterMayReenter(t *testing.T) {
 	c, _ := newTestCloud()
 	for _, name := range []string{"a", "b", "c"} {
 		if _, err := c.Launch(LaunchSpec{Project: "class", Name: name, Flavor: M1Small,
-			Tags: map[string]string{"lab": "lab1"}}); err != nil {
+			Tags: NewTags("lab", "lab1")}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -56,7 +56,7 @@ func TestSpotLaunchRequiresPoolAndCapacity(t *testing.T) {
 	}
 	m.AddPool(ComputeLiqid, 1, flatSeries(1.212, 0.40))
 	inst := launchSpot(t, c, "a")
-	if !inst.Spot || inst.Tags["pricing"] != "spot" || inst.Tags["pool"] != "compute_liqid" {
+	if !inst.Spot || inst.Tags.Get("pricing") != "spot" || inst.Tags.Get("pool") != "compute_liqid" {
 		t.Fatalf("spot instance not tagged: %+v", inst.Tags)
 	}
 	_, err = c.Launch(LaunchSpec{Project: "lab", Name: "b", Flavor: ComputeLiqid, Spot: true})
@@ -114,7 +114,7 @@ func TestSpotPreemptNoticeThenReclaim(t *testing.T) {
 	recs := c.Meter().Records(nil)
 	found := false
 	for _, r := range recs {
-		if r.Tags["pricing"] == "spot" && r.End == n.ReclaimAt {
+		if r.Tags.Get("pricing") == "spot" && r.End == n.ReclaimAt {
 			found = true
 		}
 	}

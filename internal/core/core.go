@@ -125,7 +125,15 @@ func PeakConcurrency(labs *studentsim.Result) PeakUsage {
 		ram   int
 		fips  int
 	}
-	var events []event
+	// A counting pass sizes events once; the fill pass may skip a record
+	// of an unknown flavor.
+	n := 0
+	labs.Cloud.Meter().Each(func(rec *cloud.UsageRecord) {
+		if rec.Project == "course" && (rec.Kind == cloud.UsageInstance || rec.Kind == cloud.UsageFloatingIP) {
+			n += 2
+		}
+	})
+	events := make([]event, 0, n)
 	now := labs.Clock.Now()
 	labs.Cloud.Meter().Each(func(rec *cloud.UsageRecord) {
 		if rec.Project != "course" {
@@ -152,8 +160,10 @@ func PeakConcurrency(labs *studentsim.Result) PeakUsage {
 		if events[i].t != events[j].t {
 			return events[i].t < events[j].t
 		}
-		// Releases before acquisitions at the same instant.
-		return events[i].insts < events[j].insts
+		// Releases before acquisitions at the same instant. An event
+		// moves instances or floating IPs, never both, so the sum's sign
+		// tells them apart.
+		return events[i].insts+events[i].fips < events[j].insts+events[j].fips
 	})
 	var cur, peak PeakUsage
 	for _, e := range events {

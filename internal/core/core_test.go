@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/course"
+	"repro/internal/simclock"
+	"repro/internal/studentsim"
 )
 
 func TestPlannerRunHeadlines(t *testing.T) {
@@ -26,6 +28,21 @@ func TestPlannerRunHeadlines(t *testing.T) {
 	}
 	if s.Fig2AWS.Mean <= 0 || s.Fig2GCP.Mean <= 0 {
 		t.Error("Fig2 stats missing")
+	}
+}
+
+// Regression: same-instant releases sorted first only for instances, so
+// a floating IP released at the instant another was allocated could be
+// counted twice when the later record was metered first.
+func TestPeakConcurrencyReleasesFloatingIPsFirst(t *testing.T) {
+	clk := simclock.New()
+	cl := cloud.New("kvm@test", clk)
+	m := cl.Meter()
+	m.Open(cloud.UsageFloatingIP, "course", "", cloud.Tags{}, 1, 5).End = 10 // B
+	m.Open(cloud.UsageFloatingIP, "course", "", cloud.Tags{}, 1, 0).End = 5  // A
+	peak := PeakConcurrency(&studentsim.Result{Cloud: cl, Clock: clk})
+	if peak.FloatingIPs != 1 {
+		t.Errorf("peak floating IPs = %d, want 1: A's release and B's allocation share t=5", peak.FloatingIPs)
 	}
 }
 

@@ -63,7 +63,7 @@ func (p *CloudProvider) Create(r Resource, s *State) (string, error) {
 			Project: p.Project,
 			Name:    r.Attrs["name"],
 			Flavor:  flavor,
-			Tags:    map[string]string{"lab": r.Attrs["lab"], "student": r.Attrs["student"], "managed_by": "iac"},
+			Tags:    cloud.NewTags("lab", r.Attrs["lab"], "student", r.Attrs["student"], "managed_by", "iac"),
 		}
 		if netAddr := r.Attrs["network"]; netAddr != "" {
 			spec.NetworkID, err = p.resolve(s, netAddr)
@@ -78,7 +78,7 @@ func (p *CloudProvider) Create(r Resource, s *State) (string, error) {
 		return inst.ID, nil
 	case "floating_ip":
 		fip, err := p.Cloud.AllocateFloatingIP(p.Project,
-			map[string]string{"lab": r.Attrs["lab"], "student": r.Attrs["student"], "managed_by": "iac"})
+			cloud.NewTags("lab", r.Attrs["lab"], "student", r.Attrs["student"], "managed_by", "iac"))
 		if err != nil {
 			return "", err
 		}

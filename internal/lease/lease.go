@@ -44,7 +44,7 @@ type Reservation struct {
 	Node     string
 	Start    float64
 	End      float64
-	Tags     map[string]string
+	Tags     cloud.Tags
 
 	// InstanceID is set once the reservation activates with a cloud
 	// attached.
@@ -164,7 +164,7 @@ type Spec struct {
 	NodeType string
 	Start    float64
 	End      float64
-	Tags     map[string]string
+	Tags     cloud.Tags
 }
 
 // Book reserves any free node of the requested type for [Start, End).
@@ -230,15 +230,14 @@ func (s *Service) tryBookLocked(spec Spec) (*Reservation, error) {
 		return nil, fmt.Errorf("%w: %s [%.1f, %.1f)", ErrNoNodeFree, spec.NodeType, spec.Start, spec.End)
 	}
 	s.nextID++
-	// Copy the caller's tag map: reservations (and the usage records
-	// attributed from them) must not change retroactively if the caller
-	// reuses or mutates its map after booking.
+	// The reservation shares the caller's tags: they cannot change, so
+	// neither can its attribution or that of the usage metered from it.
 	r := &Reservation{
 		ID:      fmt.Sprintf("lease-%06d", s.nextID),
 		Project: spec.Project, User: spec.User,
 		NodeType: spec.NodeType, Node: node,
 		Start: spec.Start, End: spec.End,
-		Tags: copyTags(spec.Tags),
+		Tags: spec.Tags,
 	}
 	p.byNode[node] = insertSorted(p.byNode[node], r)
 	// The trace starts at booking: the paper's cost question ("why did
@@ -267,7 +266,7 @@ func (s *Service) scheduleLifecycleLocked(r *Reservation, flavor cloud.Flavor) {
 		s.mu.Unlock()
 		inst, err := s.cloud.Launch(cloud.LaunchSpec{
 			Project: r.Project,
-			Name:    fmt.Sprintf("%s-%s", r.User, r.NodeType),
+			Name:    r.User + "-" + r.NodeType,
 			Flavor:  flavor,
 			Tags:    r.Tags,
 			Span:    span,
@@ -277,7 +276,7 @@ func (s *Service) scheduleLifecycleLocked(r *Reservation, flavor cloud.Flavor) {
 			// predecessor's auto-delete event is queued at the same
 			// virtual time but may not have run yet. Requeue at the same
 			// timestamp; the delete (already enqueued) runs first.
-			s.clock.At(s.clock.Now(), "lease.retry "+r.ID, func() { start(retries - 1) })
+			s.clock.At(s.clock.Now(), "lease.retry", func() { start(retries - 1) })
 			return
 		}
 		if err != nil {
@@ -316,7 +315,7 @@ func (s *Service) scheduleLifecycleLocked(r *Reservation, flavor cloud.Flavor) {
 		// Automatic termination at reservation end: the defining
 		// difference from on-demand instances.
 		s.cloud.DeleteAt(inst.ID, r.End)
-		s.clock.At(r.End, "lease.expire "+r.ID, func() {
+		s.clock.At(r.End, "lease.expire", func() {
 			s.mu.Lock()
 			root, active := r.span, r.activeSpan
 			s.mu.Unlock()
@@ -328,7 +327,7 @@ func (s *Service) scheduleLifecycleLocked(r *Reservation, flavor cloud.Flavor) {
 			root.FinishAt(s.clock.Now())
 		})
 	}
-	s.clock.At(r.Start, "lease.start "+r.ID, func() { start(8) })
+	s.clock.At(r.Start, "lease.start", func() { start(8) })
 }
 
 // FindSlot returns the earliest start >= earliest at which some node of
@@ -434,14 +433,6 @@ func insideAnyHold(holds []window, start, end float64) bool {
 		}
 	}
 	return false
-}
-
-func copyTags(tags map[string]string) map[string]string {
-	out := map[string]string{}
-	for k, v := range tags {
-		out[k] = v
-	}
-	return out
 }
 
 func insertSorted(list []*Reservation, r *Reservation) []*Reservation {

@@ -21,7 +21,7 @@ func newSvc() (*Service, *cloud.Cloud, *simclock.Clock) {
 func TestBookAndAutoTerminate(t *testing.T) {
 	s, cl, clk := newSvc()
 	r, err := s.Book(Spec{Project: "class", User: "s001", NodeType: "gpu_a100_pcie",
-		Start: 2, End: 5, Tags: map[string]string{"lab": "lab4"}})
+		Start: 2, End: 5, Tags: cloud.NewTags("lab", "lab4")})
 	if err != nil {
 		t.Fatal(err)
 	}

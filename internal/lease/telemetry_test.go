@@ -12,26 +12,26 @@ import (
 
 // Regression: Book used to store the caller's tag map by reference, so
 // reusing one map across bookings (the studentsim pattern) retroactively
-// re-attributed earlier reservations and their metered usage.
+// re-attributed earlier reservations and their metered usage. A caller
+// that rewrites the pairs it built its tags from must not reach them.
 func TestBookCopiesTags(t *testing.T) {
 	s, cl, clk := newSvc()
-	tags := map[string]string{"lab": "lab4", "student": "s001"}
+	kv := []string{"lab", "lab4", "student", "s001"}
 	r, err := s.Book(Spec{Project: "class", User: "s001", NodeType: "gpu_a100_pcie",
-		Start: 1, End: 3, Tags: tags})
+		Start: 1, End: 3, Tags: cloud.NewTags(kv...)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Caller reuses its map for the next student.
-	tags["student"] = "s002"
-	tags["lab"] = "lab5"
-	if r.Tags["student"] != "s001" || r.Tags["lab"] != "lab4" {
-		t.Errorf("reservation tags mutated through caller's map: %v", r.Tags)
+	// Caller reuses its pairs for the next student.
+	kv[1], kv[3] = "lab5", "s002"
+	if r.Tags.Get("student") != "s001" || r.Tags.Get("lab") != "lab4" {
+		t.Errorf("reservation tags mutated through caller's pairs: %v", r.Tags)
 	}
 	// Attribution must hold through activation and metering too.
 	clk.RunUntil(4)
 	byLab := func(lab string) float64 {
 		return cl.Meter().TotalHours(clk.Now(), func(r *cloud.UsageRecord) bool {
-			return r.Kind == cloud.UsageInstance && r.Tags["lab"] == lab
+			return r.Kind == cloud.UsageInstance && r.Tags.Get("lab") == lab
 		})
 	}
 	if byLab("lab4") != 2 || byLab("lab5") != 0 {

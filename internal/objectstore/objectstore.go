@@ -124,7 +124,7 @@ func (s *Service) remeterLocked(b *Bucket) {
 		total += o.Size
 	}
 	s.bucketRecs[b.Name] = s.cloud.Meter().Open(cloud.UsageObjectStorageGB, b.Project, "bucket",
-		map[string]string{"bucket": b.Name}, float64(total)/(1<<30), s.clock.Now())
+		cloud.NewTags("bucket", b.Name), float64(total)/(1<<30), s.clock.Now())
 }
 
 // List returns keys in the bucket with the given prefix, sorted.

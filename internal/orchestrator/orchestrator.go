@@ -313,9 +313,10 @@ func (c *Cluster) Reconcile() int {
 
 		// 2. Rolling update: terminate at most one stale pod per pass so
 		// capacity is replaced incrementally.
-		for _, p := range live {
+		for i, p := range live {
 			if p.Spec != d.Spec {
 				c.terminateLocked(p)
+				live = slices.Delete(live, i, i+1)
 				c.tel.Counter("orchestrator.rolling_updates").Inc()
 				c.log.Info("rolling update",
 					logging.Str("pod", p.Name),
@@ -324,7 +325,6 @@ func (c *Cluster) Reconcile() int {
 				break
 			}
 		}
-		live = c.livePodsLocked(name)
 
 		// 3. Scale down extras.
 		for len(live) > d.Replicas {

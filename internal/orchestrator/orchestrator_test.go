@@ -121,6 +121,30 @@ func TestRollingUpdateIsIncremental(t *testing.T) {
 	if v1 != 2 {
 		t.Errorf("after one pass, %d v1 pods remain, want 2", v1)
 	}
+	// The same pass schedules the replaced pod's successor.
+	if len(pods) != 3 {
+		t.Errorf("after one pass, %d pods run, want 3", len(pods))
+	}
+}
+
+// TestReconcileQuietPassAllocs is Reconcile's allocation contract: a
+// pass with nothing to do lists the pod and deployment names and builds
+// each deployment's live pods once.
+func TestReconcileQuietPassAllocs(t *testing.T) {
+	c := threeNodeCluster()
+	c.Apply(Deployment{Name: "svc", Replicas: 3, Spec: webSpec()})
+	c.ReconcileToFixedPoint()
+	fewest := math.Inf(1)
+	for i := 0; i < 50; i++ {
+		fewest = min(fewest, testing.AllocsPerRun(1, func() {
+			if n := c.Reconcile(); n != 0 {
+				t.Fatalf("quiet pass took %d actions", n)
+			}
+		}))
+	}
+	if fewest > 3 {
+		t.Errorf("a quiet Reconcile pass allocates %v, want <= 3", fewest)
+	}
 }
 
 func TestServiceRoundRobin(t *testing.T) {

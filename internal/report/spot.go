@@ -39,10 +39,11 @@ type SpotBill struct {
 func GatherSpotBill(recs []cloud.UsageRecord, now float64, series func(pool string) (cost.SpotPriceSeries, bool)) SpotBill {
 	perPool := map[string]*SpotPoolBill{}
 	for _, r := range recs {
-		if r.Kind != cloud.UsageInstance || r.Tags["pricing"] != "spot" {
+		if r.Kind != cloud.UsageInstance || r.Tags.Get("pricing") != "spot" {
 			continue
 		}
-		s, ok := series(r.Tags["pool"])
+		pool := r.Tags.Get("pool")
+		s, ok := series(pool)
 		if !ok {
 			continue
 		}
@@ -50,10 +51,10 @@ func GatherSpotBill(recs []cloud.UsageRecord, now float64, series func(pool stri
 		if end < 0 {
 			end = now
 		}
-		b := perPool[r.Tags["pool"]]
+		b := perPool[pool]
 		if b == nil {
-			b = &SpotPoolBill{Pool: r.Tags["pool"]}
-			perPool[r.Tags["pool"]] = b
+			b = &SpotPoolBill{Pool: pool}
+			perPool[pool] = b
 		}
 		b.Hours += r.Hours(now)
 		b.SpotCents += s.Cents(r.Start, end)

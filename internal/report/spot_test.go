@@ -9,8 +9,8 @@ import (
 )
 
 func spotRecs() []cloud.UsageRecord {
-	tags := func(pool string) map[string]string {
-		return map[string]string{"pricing": "spot", "pool": pool}
+	tags := func(pool string) cloud.Tags {
+		return cloud.NewTags("pricing", "spot", "pool", pool)
 	}
 	return []cloud.UsageRecord{
 		// 2h across a price step: 1h @ $0.40 + 1h @ $0.60 = $1.00.
@@ -21,7 +21,7 @@ func spotRecs() []cloud.UsageRecord {
 			Quantity: 1, Start: 2, End: 3.5},
 		// On-demand record: not part of the spot bill.
 		{Kind: cloud.UsageInstance, Resource: "compute_liqid",
-			Tags: map[string]string{}, Quantity: 1, Start: 0, End: 10},
+			Quantity: 1, Start: 0, End: 10},
 		// Storage record: ignored even though spot-tagged.
 		{Kind: cloud.UsageObjectStorageGB, Tags: tags("compute_liqid"),
 			Quantity: 100, Start: 0, End: 10},

@@ -31,7 +31,7 @@ type TraceCostRow struct {
 func CostByTrace(recs []cloud.UsageRecord, now float64, rate func(cloud.UsageRecord) float64, tr *trace.Tracer) []TraceCostRow {
 	byID := map[string]*TraceCostRow{}
 	for _, r := range recs {
-		id := r.Tags[trace.Tag]
+		id := r.Tags.Get(trace.Tag)
 		if id == "" {
 			id = "(untraced)"
 		}

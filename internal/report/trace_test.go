@@ -37,7 +37,7 @@ func TestCostByTraceReconciles(t *testing.T) {
 	} {
 		if _, err := ls.Book(lease.Spec{Project: "mlops", User: bk.user,
 			NodeType: "gpu_a100_pcie", Start: bk.start, End: bk.end,
-			Tags: map[string]string{"user": bk.user}}); err != nil {
+			Tags: cloud.NewTags("user", bk.user)}); err != nil {
 			t.Fatal(err)
 		}
 	}

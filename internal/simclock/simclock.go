@@ -20,7 +20,7 @@ type Hours = float64
 // Event is a scheduled callback.
 type Event struct {
 	At        Hours
-	Name      string // for tracing and test assertions
+	Name      string // the kind ("lease.start"), read only by the past-time panic
 	Run       func()
 	seq       int64 // tie-break so equal-time events run FIFO
 	index     int32 // heap index; -1 once popped or cancelled
@@ -56,6 +56,9 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
+// eventChunk is how many events At carves from one allocation.
+const eventChunk = 64
+
 // Clock owns virtual time and the pending-event queue. The zero value is
 // not usable; call New.
 type Clock struct {
@@ -63,6 +66,10 @@ type Clock struct {
 	queue  eventHeap
 	seq    int64
 	events int64 // total executed, for diagnostics
+	// chunk holds the events At has not handed out yet. An event is
+	// never reused, since callers keep it to Cancel, so a chunk stays
+	// live while any of its events is pending or held.
+	chunk []Event
 }
 
 // New returns a clock at time 0 with an empty queue.
@@ -84,7 +91,12 @@ func (c *Clock) Pending() int { return len(c.queue) }
 // At schedules run at absolute time t. Scheduling in the past panics: that
 // is always a simulation bug, and silently clamping would corrupt results.
 func (c *Clock) At(t Hours, name string, run func()) *Event {
-	e := &Event{Name: name, Run: run}
+	if len(c.chunk) == 0 {
+		c.chunk = make([]Event, eventChunk)
+	}
+	e := &c.chunk[0]
+	c.chunk = c.chunk[1:]
+	e.Name, e.Run = name, run
 	c.push(e, t)
 	return e
 }

@@ -248,3 +248,42 @@ func TestAtRejectsNaN(t *testing.T) {
 	}()
 	New().At(math.NaN(), "nan", func() {})
 }
+
+// At carves events from chunks of eventChunk, so 1,000 events on a fresh
+// clock cost 16 chunks plus the queue's growth (one allocation per
+// event made it 1,012).
+func TestAtAllocatesByChunk(t *testing.T) {
+	run := func() {}
+	fewest := math.Inf(1)
+	for i := 0; i < 20; i++ {
+		fewest = min(fewest, testing.AllocsPerRun(1, func() {
+			c := New()
+			for j := 0; j < 1000; j++ {
+				c.At(float64(j%100), "e", run)
+			}
+		}))
+	}
+	if fewest > 30 {
+		t.Errorf("1,000 At calls allocate %v, want <= 30", fewest)
+	}
+}
+
+// An event is never handed out twice: each At returns its own, so a
+// caller that keeps one to Cancel cancels only its own, across chunks.
+func TestAtEventsAreDistinct(t *testing.T) {
+	c := New()
+	ran := make([]bool, 3*eventChunk)
+	events := make([]*Event, len(ran))
+	for i := range ran {
+		events[i] = c.At(1, "e", func() { ran[i] = true })
+	}
+	for i := 0; i < len(events); i += 2 {
+		c.Cancel(events[i])
+	}
+	c.Run()
+	for i, r := range ran {
+		if r != (i%2 == 1) {
+			t.Fatalf("event %d ran = %v, want %v", i, r, i%2 == 1)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/cloud"
 	"repro/internal/course"
@@ -335,8 +336,10 @@ func simulateVMRow(res *Result, cl *cloud.Cloud, clk *simclock.Clock,
 
 		// Drive the substrate: launch at start, auto-delete at end.
 		sid := student.ID
-		clk.At(start, "lab.start "+row.ID+" "+sid, func() {
-			tags := map[string]string{"lab": row.ID, "student": sid}
+		clk.At(start, "lab.start", func() {
+			// One value for the deployment: its VMs, their meter records
+			// and its floating IP share it.
+			tags := cloud.NewTags("lab", row.ID, "student", sid)
 			// The floating IP comes up only once there is an instance to
 			// associate it with. When every launch is quota-blocked into
 			// retryLaunch, the first successful retry allocates it; an
@@ -350,7 +353,7 @@ func simulateVMRow(res *Result, cl *cloud.Cloud, clk *simclock.Clock,
 				fipUp = true
 				if fip, err := cl.AllocateFloatingIP("course", tags); err == nil {
 					_ = cl.AssociateFloatingIP(fip.ID, instID)
-					clk.At(end, "lab.fip-release "+sid, func() {
+					clk.At(end, "lab.fip-release", func() {
 						_ = cl.ReleaseFloatingIP(fip.ID)
 					})
 				}
@@ -359,7 +362,7 @@ func simulateVMRow(res *Result, cl *cloud.Cloud, clk *simclock.Clock,
 			for v := 0; v < row.VMsPerStudent; v++ {
 				inst, err := cl.Launch(cloud.LaunchSpec{
 					Project: "course",
-					Name:    fmt.Sprintf("%s_%s_node%d", sid, row.ID, v),
+					Name:    nodeName(sid, row.ID, v),
 					Flavor:  row.Flavor,
 					Tags:    tags,
 				})
@@ -367,7 +370,7 @@ func simulateVMRow(res *Result, cl *cloud.Cloud, clk *simclock.Clock,
 					// Quota pressure: the student tries again later; the
 					// bookkeeping above is unchanged (they still used
 					// their planned hours, just shifted).
-					retryLaunch(cl, clk, row, sid, v, end, 12, ensureFIP)
+					retryLaunch(cl, clk, row, sid, tags, v, end, 12, ensureFIP)
 					continue
 				}
 				ids = append(ids, inst.ID)
@@ -381,23 +384,30 @@ func simulateVMRow(res *Result, cl *cloud.Cloud, clk *simclock.Clock,
 	return nil
 }
 
+// nodeName names a lab VM: the bytes of
+// fmt.Sprintf("%s_%s_node%d", sid, rowID, v).
+func nodeName(sid, rowID string, v int) string {
+	return sid + "_" + rowID + "_node" + strconv.Itoa(v)
+}
+
 // retryLaunch re-attempts a quota-blocked launch every 6 hours until the
-// deployment window has passed. onUp runs after a successful launch so
-// the caller can bring up resources (the floating IP) that must not be
-// metered while no instance exists.
-func retryLaunch(cl *cloud.Cloud, clk *simclock.Clock, row course.Row, sid string, v int, end float64, retries int, onUp func(instID string)) {
+// deployment window has passed. The retried VM carries its deployment's
+// tags. onUp runs after a successful launch so the caller can bring up
+// resources (the floating IP) that must not be metered while no instance
+// exists.
+func retryLaunch(cl *cloud.Cloud, clk *simclock.Clock, row course.Row, sid string, tags cloud.Tags, v int, end float64, retries int, onUp func(instID string)) {
 	if retries <= 0 || clk.Now()+6 >= end {
 		return
 	}
-	clk.After(6, "lab.retry "+sid, func() {
+	clk.After(6, "lab.retry", func() {
 		inst, err := cl.Launch(cloud.LaunchSpec{
 			Project: "course",
-			Name:    fmt.Sprintf("%s_%s_node%d", sid, row.ID, v),
+			Name:    nodeName(sid, row.ID, v),
 			Flavor:  row.Flavor,
-			Tags:    map[string]string{"lab": row.ID, "student": sid},
+			Tags:    tags,
 		})
 		if err != nil {
-			retryLaunch(cl, clk, row, sid, v, end, retries-1, onUp)
+			retryLaunch(cl, clk, row, sid, tags, v, end, retries-1, onUp)
 			return
 		}
 		cl.DeleteAt(inst.ID, end)
@@ -481,6 +491,9 @@ func simulateReservedAssignment(res *Result, cl *cloud.Cloud, ls *lease.Service,
 				slots = 1
 			}
 			student := &res.Students[si]
+			// Every slot's reservation and floating-IP record share one
+			// value.
+			tags := cloud.NewTags("lab", row.ID, "student", student.ID)
 			earliest := ws + brng.Uniform(0, 100)
 			for k := 0; k < slots; k++ {
 				r, err := ls.BookEarliest(lease.Spec{
@@ -488,7 +501,7 @@ func simulateReservedAssignment(res *Result, cl *cloud.Cloud, ls *lease.Service,
 					User:     student.ID,
 					NodeType: row.Flavor.Name,
 					Start:    earliest,
-					Tags:     map[string]string{"lab": row.ID, "student": student.ID},
+					Tags:     tags,
 				}, row.SlotHours, ws+course.HoursPerWeek)
 				if errors.Is(err, lease.ErrNoNodeFree) {
 					break // pool saturated this week; the student gives up
@@ -501,8 +514,7 @@ func simulateReservedAssignment(res *Result, cl *cloud.Cloud, ls *lease.Service,
 				res.RowInstanceHours[row.ID] += r.Hours()
 				res.RowFIPHours[row.ID] += r.Hours()
 				// A floating IP accompanies the reservation window.
-				cl.Meter().Open(cloud.UsageFloatingIP, "course-chi", "",
-					map[string]string{"lab": row.ID, "student": student.ID}, 1, r.Start).End = r.End
+				cl.Meter().Open(cloud.UsageFloatingIP, "course-chi", "", tags, 1, r.Start).End = r.End
 				earliest = r.End + brng.Uniform(2, 20)
 			}
 		}

@@ -133,7 +133,7 @@ func TestSubstrateMeterAgreesWithBookkeeping(t *testing.T) {
 	now := res.Clock.Now()
 	for _, row := range course.Rows() {
 		got := res.Cloud.Meter().TotalHours(now, func(r *cloud.UsageRecord) bool {
-			return r.Kind == cloud.UsageInstance && r.Tags["lab"] == row.ID
+			return r.Kind == cloud.UsageInstance && r.Tags.Get("lab") == row.ID
 		})
 		want := res.RowInstanceHours[row.ID]
 		// The meter can lag slightly when quota-blocked launches retried
