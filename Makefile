@@ -36,9 +36,18 @@ benchgate:
 # Default verification path: formatting, compile, static checks (go vet
 # plus the repo's own mlsyslint pass), unit tests with the scenario test
 # (scenario_test.go: every deterministic program's output against its
-# golden), the race-enabled suite (the concurrent batcher/telemetry tests
-# need it), then the benchmark module.
-check: fmt build vet lint test race benchgate
+# golden) and the EXPERIMENTS.md test, the race-enabled suite (the
+# concurrent batcher/telemetry tests need it), then the benchmark module.
+# The targets run in this order, and check ends by printing each one's
+# wall time.
+check:
+	@times=; for t in fmt build vet lint test race benchgate; do \
+		start=$$(date +%s%N); \
+		$(MAKE) --no-print-directory $$t || exit 1; \
+		times="$$times $$t $$start $$(date +%s%N)"; \
+	done; \
+	echo "$$times" | awk '{ for (i = 1; i < NF; i += 3) { d = ($$(i+2) - $$(i+1)) / 1e9; total += d; \
+		printf "%-10s %6.1f s\n", $$i, d } printf "%-10s %6.1f s\n", "check", total }'
 
 # Micro-benchmarks: every `go test -bench` in the module. End-to-end
 # numbers come from cmd/bench (see cmd/bench/README.md); allocation

@@ -1,8 +1,8 @@
-// Benchmark harness: one benchmark per table and figure in the paper's
-// evaluation (§5), plus ablations for the design choices DESIGN.md calls
-// out. Domain results (hours, dollars, fractions) are attached to each
-// benchmark via ReportMetric so `go test -bench=. -benchmem` regenerates
-// the paper's numbers alongside the performance data.
+// Wall-clock benchmarks of two design choices EXPERIMENTS.md names: the
+// goroutine collectives and the dynamic batcher. They print times, not the
+// paper's numbers; TestExperimentsDoc renders those. Run them with
+//
+//	go test -run '^$' -bench Ablation .
 package repro
 
 import (
@@ -11,144 +11,9 @@ import (
 	"time"
 
 	"repro/internal/collective"
-	"repro/internal/cost"
-	"repro/internal/course"
-	"repro/internal/mlcore"
-	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/stats"
-	"repro/internal/studentsim"
-	"repro/internal/train"
-	"repro/pkg/mlsysops"
 )
-
-// BenchmarkTable1 regenerates Table 1: the full guided-lab simulation on
-// the IaaS substrate plus its commercial pricing. Paper: 109,837 instance
-// hours, $23,698 AWS, $21,119 GCP.
-func BenchmarkTable1(b *testing.B) {
-	var hours, aws, gcp float64
-	for i := 0; i < b.N; i++ {
-		labs, err := studentsim.SimulateLabs(studentsim.Config{Seed: uint64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var usages []cost.LabUsage
-		for _, row := range course.Rows() {
-			usages = append(usages, cost.LabUsage{RowID: row.ID,
-				InstanceHours: labs.RowInstanceHours[row.ID], FIPHours: labs.RowFIPHours[row.ID]})
-		}
-		hours = labs.TotalInstanceHours()
-		if aws, err = cost.LabCost(usages, cost.AWS); err != nil {
-			b.Fatal(err)
-		}
-		if gcp, err = cost.LabCost(usages, cost.GCP); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(hours, "instance-hours")
-	b.ReportMetric(aws, "USD-AWS")
-	b.ReportMetric(gcp, "USD-GCP")
-}
-
-// BenchmarkFig1 regenerates Fig. 1: expected vs actual per-student hours
-// per lab. The reported metrics are the mean actual/expected ratios for
-// the two panels — VM labs run far over (paper: up to ~18x), reserved
-// labs track closely.
-func BenchmarkFig1(b *testing.B) {
-	var vmRatio, bmRatio float64
-	for i := 0; i < b.N; i++ {
-		labs, err := studentsim.SimulateLabs(studentsim.Config{Seed: uint64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := float64(labs.Config.Students)
-		var vmSum, bmSum float64
-		var vmCount, bmCount int
-		for _, row := range course.Rows() {
-			actual := labs.RowInstanceHours[row.ID] / n
-			expected := row.ExpectedHours * float64(row.VMsPerStudent) * row.Share
-			ratio := actual / expected
-			if row.Reserved() {
-				bmSum += ratio
-				bmCount++
-			} else {
-				vmSum += ratio
-				vmCount++
-			}
-		}
-		vmRatio = vmSum / float64(vmCount)
-		bmRatio = bmSum / float64(bmCount)
-	}
-	b.ReportMetric(vmRatio, "vm-actual/expected")
-	b.ReportMetric(bmRatio, "bm-actual/expected")
-}
-
-// BenchmarkFig2 regenerates Fig. 2: the per-student cost distribution.
-// Paper: mean $124 AWS, max $665, 75% exceed the $79.80 expected cost.
-func BenchmarkFig2(b *testing.B) {
-	var f studentsim.Fig2Stats
-	for i := 0; i < b.N; i++ {
-		labs, err := studentsim.SimulateLabs(studentsim.Config{Seed: uint64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if f, err = studentsim.Fig2(labs, cost.AWS, course.Paper().ExpectedLabCostAWS); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(f.Mean, "USD-mean")
-	b.ReportMetric(f.Max, "USD-max")
-	b.ReportMetric(100*f.ExceedFrac, "pct-exceed")
-}
-
-// BenchmarkFig3 regenerates Fig. 3: project usage by instance type.
-// Paper: 70,259 VM hours and 5,446 GPU hours.
-func BenchmarkFig3(b *testing.B) {
-	var vm, gpu float64
-	for i := 0; i < b.N; i++ {
-		proj := studentsim.SimulateProjects(studentsim.ProjectConfig{Seed: uint64(i + 1)})
-		vm = proj.Usage.TotalVMHours()
-		gpu = proj.Usage.TotalGPUHours()
-	}
-	b.ReportMetric(vm, "vm-hours")
-	b.ReportMetric(gpu, "gpu-hours")
-}
-
-// BenchmarkProjectCost regenerates §5's project estimate. Paper: $25,889
-// AWS, $26,218 GCP.
-func BenchmarkProjectCost(b *testing.B) {
-	var aws, gcp float64
-	for i := 0; i < b.N; i++ {
-		proj := studentsim.SimulateProjects(studentsim.ProjectConfig{Seed: uint64(i + 1)})
-		var err error
-		if aws, err = cost.ProjectCost(proj.Usage, cost.AWS); err != nil {
-			b.Fatal(err)
-		}
-		if gcp, err = cost.ProjectCost(proj.Usage, cost.GCP); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(aws, "USD-AWS")
-	b.ReportMetric(gcp, "USD-GCP")
-}
-
-// BenchmarkHeadline regenerates the abstract's numbers: 186,692 total
-// hours and ≈$250 per student (≈$50k for 191 students).
-func BenchmarkHeadline(b *testing.B) {
-	var perStudent, totalHours float64
-	for i := 0; i < b.N; i++ {
-		s, err := mlsysops.Planner{Seed: uint64(i + 1)}.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		perStudent = s.PerStudentAWS
-		totalHours = s.TotalHours()
-	}
-	b.ReportMetric(totalHours, "total-hours")
-	b.ReportMetric(perStudent, "USD-per-student")
-}
-
-// --- Ablations -----------------------------------------------------------
 
 // BenchmarkAblationAllReduce compares the ring, tree, and naive
 // collectives across worker counts and payloads — the Unit-4 lecture's
@@ -187,26 +52,6 @@ func BenchmarkAblationAllReduce(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationScheduler compares FIFO, EASY backfill, and fair-share
-// gang scheduling on the synthetic ML-cluster trace (Unit 5). Reported
-// metric: average queue wait in hours — backfill should win.
-func BenchmarkAblationScheduler(b *testing.B) {
-	jobs := sched.GenerateTrace(sched.DefaultTrace(600), stats.NewRNG(4))
-	for _, policy := range []string{sched.PolicyFIFO, sched.PolicyBackfill, sched.PolicyFairShare} {
-		b.Run(policy, func(b *testing.B) {
-			var res sched.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				if res, err = sched.Run(policy, jobs, 32); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.AvgWait, "avg-wait-hours")
-			b.ReportMetric(res.Utilization*100, "pct-utilization")
-		})
-	}
-}
-
 // BenchmarkAblationDynamicBatching measures the real batcher's throughput
 // across batch limits (Unit 6): larger windows amortize execution.
 func BenchmarkAblationDynamicBatching(b *testing.B) {
@@ -234,199 +79,4 @@ func BenchmarkAblationDynamicBatching(b *testing.B) {
 			})
 		})
 	}
-}
-
-// BenchmarkAblationReservationVsOnDemand quantifies the paper's central
-// takeaway: the same labs on auto-terminating reservations would cost a
-// fraction of what on-demand persistence produced. Reported metric: USD
-// per student if every VM lab had terminated at its expected duration,
-// vs the simulated actual.
-func BenchmarkAblationReservationVsOnDemand(b *testing.B) {
-	var actual, ifReserved float64
-	for i := 0; i < b.N; i++ {
-		labs, err := studentsim.SimulateLabs(studentsim.Config{Seed: uint64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := float64(labs.Config.Students)
-		var actUsage, resUsage []cost.LabUsage
-		for _, row := range course.Rows() {
-			actUsage = append(actUsage, cost.LabUsage{RowID: row.ID,
-				InstanceHours: labs.RowInstanceHours[row.ID], FIPHours: labs.RowFIPHours[row.ID]})
-			hours := labs.RowInstanceHours[row.ID]
-			fip := labs.RowFIPHours[row.ID]
-			if !row.Reserved() {
-				// Auto-termination at the expected duration.
-				hours = row.ExpectedHours * float64(row.VMsPerStudent) * n
-				fip = row.ExpectedHours * n
-			}
-			resUsage = append(resUsage, cost.LabUsage{RowID: row.ID, InstanceHours: hours, FIPHours: fip})
-		}
-		act, err := cost.LabCost(actUsage, cost.AWS)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := cost.LabCost(resUsage, cost.AWS)
-		if err != nil {
-			b.Fatal(err)
-		}
-		actual, ifReserved = act/n, res/n
-	}
-	b.ReportMetric(actual, "USD-on-demand")
-	b.ReportMetric(ifReserved, "USD-if-auto-terminated")
-}
-
-// BenchmarkAblationMemoryPlan sweeps the Unit-4 memory-planning space for
-// the 13B model; the reported metric is per-GPU GB for each strategy.
-func BenchmarkAblationMemoryPlan(b *testing.B) {
-	model := train.Llama13B()
-	cases := []struct {
-		name string
-		cfg  train.Config
-	}{
-		{"fp32-full", train.Config{Precision: train.FP32, Optimizer: train.AdamW, MicroBatch: 1, SeqLen: 2048}},
-		{"bf16-full", train.Config{Precision: train.BF16, Optimizer: train.AdamW, MicroBatch: 1, SeqLen: 2048}},
-		{"bf16-ckpt-accum", train.Config{Precision: train.BF16, Optimizer: train.AdamW, MicroBatch: 1,
-			SeqLen: 2048, GradAccumSteps: 16, GradCheckpoint: true}},
-		{"lora-r16", train.Config{Precision: train.BF16, Optimizer: train.AdamW, MicroBatch: 1, SeqLen: 2048,
-			GradCheckpoint: true, LoRA: &train.LoRAConfig{Rank: 16, AdaptedMatricesPerLayer: 2}}},
-		{"qlora-r16", train.Config{Precision: train.BF16, Optimizer: train.AdamW, MicroBatch: 1, SeqLen: 2048,
-			GradCheckpoint: true, LoRA: &train.LoRAConfig{Rank: 16, AdaptedMatricesPerLayer: 2, QuantizeBase: true}}},
-		{"fsdp4-bf16", train.Config{Precision: train.BF16, Optimizer: train.AdamW, MicroBatch: 1, SeqLen: 2048,
-			GradCheckpoint: true, ZeROStage: 3, DataParallel: 4}},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			var plan train.MemoryPlan
-			for i := 0; i < b.N; i++ {
-				plan = train.PlanMemory(model, c.cfg)
-			}
-			b.ReportMetric(plan.TotalGB, "GB-per-GPU")
-		})
-	}
-}
-
-// BenchmarkAblationNeglectSensitivity sweeps the prompt-deletion fraction
-// — the behavioral lever behind the paper's "teaching operational ML is
-// expensive" takeaway — and reports mean per-student AWS cost at each
-// setting (calibrated course ≈ $124 at 45% prompt deletion).
-func BenchmarkAblationNeglectSensitivity(b *testing.B) {
-	for _, frac := range []float64{0.25, 0.45, 0.65, 0.85} {
-		b.Run(fmt.Sprintf("promptDelete=%.0f%%", 100*frac), func(b *testing.B) {
-			var mean float64
-			for i := 0; i < b.N; i++ {
-				labs, err := studentsim.SimulateLabs(studentsim.Config{
-					Seed: uint64(i + 1), Behavior: &studentsim.Behavior{PromptDeleteFrac: frac}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				f, err := studentsim.Fig2(labs, cost.AWS, course.Paper().ExpectedLabCostAWS)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mean = f.Mean
-			}
-			b.ReportMetric(mean, "USD-mean-per-student")
-		})
-	}
-}
-
-// BenchmarkAblationDDPWorkers trains the real softmax classifier with
-// 1–8 data-parallel workers (gradients through the actual ring
-// all-reduce), measuring wall time and reporting final accuracy: the
-// laptop-scale version of the Unit-4 scaling experiment.
-func BenchmarkAblationDDPWorkers(b *testing.B) {
-	data := mlcore.Blobs(4000, 10, 4, 0.8, stats.NewRNG(2))
-	train, test := data.Split(0.9)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var acc float64
-			for i := 0; i < b.N; i++ {
-				m := mlcore.NewSoftmaxClassifier(train.Features(), train.Classes)
-				if _, err := mlcore.Train(m, train, mlcore.TrainConfig{
-					Epochs: 3, BatchSize: 50, LR: 0.2, Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-				acc = m.Accuracy(test)
-			}
-			b.ReportMetric(acc, "test-accuracy")
-		})
-	}
-}
-
-// BenchmarkAblationPreemption compares high-priority first-start wait
-// under non-preemptive backfill vs checkpoint-based priority preemption
-// (Unit 5's "swap hardware while jobs are running").
-func BenchmarkAblationPreemption(b *testing.B) {
-	jobs := sched.GenerateTrace(sched.DefaultTrace(400), stats.NewRNG(13))
-	for i, j := range jobs {
-		if i%10 == 0 {
-			j.Weight = 8
-		}
-	}
-	b.Run("backfill", func(b *testing.B) {
-		var hiWait float64
-		for i := 0; i < b.N; i++ {
-			res, err := sched.Run(sched.PolicyBackfill, jobs, 16)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var sum float64
-			n := 0
-			for _, a := range res.Assignments {
-				if a.Job.Weight > 1 {
-					sum += a.Wait()
-					n++
-				}
-			}
-			hiWait = sum / float64(n)
-		}
-		b.ReportMetric(hiWait, "hi-prio-wait-hours")
-	})
-	b.Run("preemptive", func(b *testing.B) {
-		var res sched.PreemptiveResult
-		for i := 0; i < b.N; i++ {
-			var err error
-			if res, err = sched.RunPreemptive(jobs, 16); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(res.AvgHighPriorityWait, "hi-prio-wait-hours")
-		b.ReportMetric(float64(res.TotalPreemptions), "preemptions")
-	})
-}
-
-// BenchmarkAblationAutoscaling compares statically peak-provisioned
-// serving against utilization-targeted autoscaling over a diurnal day
-// (Units 2/6 meet the paper's cost theme). Metric: daily instance-hours,
-// the billable quantity.
-func BenchmarkAblationAutoscaling(b *testing.B) {
-	cfg := serve.Config{Model: serve.FoodClassifier(), Device: serve.DeviceServer,
-		MaxBatch: 8, Instances: 1}
-	curve := serve.DiurnalCurve(200, 5)
-	peak := serve.PeakReplicasNeeded(cfg, curve)
-	b.Run("static-peak", func(b *testing.B) {
-		var out serve.ScalingOutcome
-		for i := 0; i < b.N; i++ {
-			var err error
-			if out, err = serve.SimulateStatic(cfg, curve, peak); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(out.InstanceHours, "instance-hours/day")
-		b.ReportMetric(100*out.MeanUtilization, "pct-utilization")
-	})
-	b.Run("autoscaled", func(b *testing.B) {
-		var out serve.ScalingOutcome
-		for i := 0; i < b.N; i++ {
-			var err error
-			if out, err = serve.SimulateAutoscaled(cfg, curve, serve.AutoscalePolicy{
-				Min: 1, Max: peak + 2, TargetUtilization: 0.7}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(out.InstanceHours, "instance-hours/day")
-		b.ReportMetric(100*out.MeanUtilization, "pct-utilization")
-		b.ReportMetric(out.OverloadHours, "overload-hours")
-	})
 }

@@ -5,9 +5,13 @@
 // Usage:
 //
 //	coursesim [-students N] [-seed S] [-table1] [-fig1] [-fig2] [-fig3]
-//	          [-summary] [-quota] [-reservations]
+//	          [-summary] [-quota] [-reservations] [-support] [-platforms]
+//	          [-seeds N] [-csv DIR]
+//	coursesim -sharded [-students N] [-seed S] [-shardsize N] [-workers N]
 //
-// With no selection flags, everything is printed.
+// With no selection flags, everything is printed. -seeds N, for N > 1,
+// also runs seeds 1..N and prints the headline's mean and spread; -csv
+// also writes the figures' data as CSV files.
 //
 // -sharded switches to the streaming parallel core (internal/shardsim)
 // and prints its report only: memory stays bounded in the population
@@ -59,7 +63,7 @@ func run(args []string, out io.Writer) int {
 		supp     = fs.Bool("support", false, "print forum/office-hour support load")
 		csvDir   = fs.String("csv", "", "also write table1/fig1/fig2/fig3 CSVs to this directory")
 		platf    = fs.Bool("platforms", false, "print the §4 platform capability matrix")
-		seeds    = fs.Int("seeds", 0, "run N extra seeds and print headline mean/std (robustness check)")
+		seeds    = fs.Int("seeds", 0, "for N > 1, also run seeds 1..N and print the headline's mean/std (robustness check)")
 		sharded  = fs.Bool("sharded", false, "run the sharded parallel core and print its report")
 		shardsz  = fs.Int("shardsize", 0, "students per shard (sharded mode; 0 = default 4096)")
 		workers  = fs.Int("workers", 0, "worker goroutines (sharded mode; 0 = GOMAXPROCS)")
@@ -73,6 +77,9 @@ func run(args []string, out io.Writer) int {
 	fail := func(err error) int {
 		log.Print(err)
 		return 1
+	}
+	if *seeds < 0 {
+		return fail(fmt.Errorf("negative -seeds %d", *seeds))
 	}
 	if *sharded {
 		rep, err := shardsim.Run(shardsim.Config{

@@ -9,14 +9,26 @@ import (
 
 // A bad flag value exits non-zero with the error and no report.
 func TestRunRejectsNegativeStudents(t *testing.T) {
-	var msgs, out strings.Builder
-	log.SetOutput(&msgs)
-	t.Cleanup(func() { log.SetOutput(os.Stderr) })
-	if code := run([]string{"-students", "-5"}, &out); code != 1 || out.Len() != 0 {
-		t.Errorf("exit %d, printed %q; want exit 1 and no report", code, out.String())
-	}
-	if !strings.Contains(msgs.String(), "negative Students -5") {
-		t.Errorf("message %q does not name the bad value", msgs.String())
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-students", "-5"}, "negative Students -5"},
+		{[]string{"-sharded", "-shardsize", "-1"}, "negative ShardSize -1"},
+		{[]string{"-sharded", "-workers", "-1"}, "negative Workers -1"},
+		{[]string{"-seeds", "-3"}, "negative -seeds -3"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			var msgs, out strings.Builder
+			log.SetOutput(&msgs)
+			t.Cleanup(func() { log.SetOutput(os.Stderr) })
+			if code := run(tc.args, &out); code != 1 || out.Len() != 0 {
+				t.Errorf("exit %d, printed %q; want exit 1 and no report", code, out.String())
+			}
+			if !strings.Contains(msgs.String(), tc.want) {
+				t.Errorf("message %q does not name the bad value: want %q", msgs.String(), tc.want)
+			}
+		})
 	}
 }
 

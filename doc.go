@@ -6,6 +6,7 @@
 //
 // Start with pkg/mlsysops (the public facade), cmd/coursesim (the
 // experiment runner), and DESIGN.md (the system inventory and experiment
-// index). The benchmark harness in bench_test.go regenerates every table
-// and figure; EXPERIMENTS.md records paper-vs-measured values.
+// index). EXPERIMENTS.md sets the simulated numbers beside the paper's;
+// TestExperimentsDoc renders them and fails when the document is stale,
+// and TestScenarios checks every program's output against its golden.
 package repro

@@ -18,7 +18,7 @@ type LoadCurve func(hour float64) float64
 // DiurnalCurve models a photo-sharing service's day: a base rate with an
 // evening peak of peakFactor times the base around hour 20.
 //
-//lint:ignore deadcode the root autoscaling ablation benchmark that EXPERIMENTS.md cites drives it
+//lint:ignore deadcode the autoscale block of EXPERIMENTS.md, which TestExperimentsDoc renders, drives it
 func DiurnalCurve(baseRPS, peakFactor float64) LoadCurve {
 	return func(hour float64) float64 {
 		// Cosine bump centered at 20:00 with ~6 h half-width.
@@ -60,7 +60,7 @@ func perInstanceRPS(cfg Config) float64 {
 
 // SimulateStatic provisions `replicas` instances all day.
 //
-//lint:ignore deadcode the root autoscaling ablation benchmark that EXPERIMENTS.md cites drives it
+//lint:ignore deadcode the autoscale block of EXPERIMENTS.md, which TestExperimentsDoc renders, drives it
 func SimulateStatic(cfg Config, curve LoadCurve, replicas int) (ScalingOutcome, error) {
 	if replicas < 1 {
 		return ScalingOutcome{}, errors.New("serve: need at least one replica")
@@ -72,7 +72,7 @@ func SimulateStatic(cfg Config, curve LoadCurve, replicas int) (ScalingOutcome, 
 // utilization target (scale-up immediate; scale-down one step at a time,
 // the conservative HPA default).
 //
-//lint:ignore deadcode the root autoscaling ablation benchmark that EXPERIMENTS.md cites drives it
+//lint:ignore deadcode the autoscale block of EXPERIMENTS.md, which TestExperimentsDoc renders, drives it
 func SimulateAutoscaled(cfg Config, curve LoadCurve, policy AutoscalePolicy) (ScalingOutcome, error) {
 	if policy.Min < 1 || policy.Max < policy.Min {
 		return ScalingOutcome{}, errors.New("serve: bad autoscale bounds")
@@ -133,7 +133,7 @@ func simulateDay(cfg Config, curve LoadCurve, replicasAt func(hour float64, curr
 // PeakReplicasNeeded returns the static replica count that never
 // overloads for the curve.
 //
-//lint:ignore deadcode the root autoscaling ablation benchmark that EXPERIMENTS.md cites drives it
+//lint:ignore deadcode the autoscale block of EXPERIMENTS.md, which TestExperimentsDoc renders, drives it
 func PeakReplicasNeeded(cfg Config, curve LoadCurve) int {
 	capOne := perInstanceRPS(cfg)
 	peak := 0.0

@@ -46,9 +46,10 @@ type Config struct {
 	// Seed feeds the root RNG (default 1).
 	Seed uint64
 	// ShardSize is students per shard (default 4096). It changes how
-	// work is chunked, never what is computed.
+	// work is chunked, never what is computed. Negative is an error.
 	ShardSize int
 	// Workers caps concurrent shard executions (default GOMAXPROCS).
+	// Negative is an error.
 	Workers int
 	// SemesterWeeks bounds instance lifetimes (default 15). It must
 	// reach the catalog's last lab week.
@@ -65,10 +66,10 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.ShardSize <= 0 {
+	if c.ShardSize == 0 {
 		c.ShardSize = 4096
 	}
-	if c.Workers <= 0 {
+	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.SemesterWeeks == 0 {
@@ -164,6 +165,12 @@ func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Students < 0 {
 		return nil, fmt.Errorf("shardsim: negative Students %d", cfg.Students)
+	}
+	if cfg.ShardSize < 0 {
+		return nil, fmt.Errorf("shardsim: negative ShardSize %d", cfg.ShardSize)
+	}
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("shardsim: negative Workers %d", cfg.Workers)
 	}
 	calib, err := newCalibration(cfg)
 	if err != nil {

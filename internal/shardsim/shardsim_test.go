@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/course"
@@ -46,11 +47,17 @@ func TestByteIdenticalAcrossGeometry(t *testing.T) {
 	}
 }
 
+// at200k runs the 200k-student, seed-1 report that the two scale tests
+// read, once per package; neither writes to it.
+var at200k = sync.OnceValues(func() (*shardsim.Report, error) {
+	return shardsim.Run(shardsim.Config{Students: 200_000, Seed: 1})
+})
+
 // TestTotalsConvergeToTable1 checks the law-of-large-numbers promise: at
 // 200k students, per-student row means land on the Table-1 targets and
 // the instance-hour total matches the paper's 109837/191.
 func TestTotalsConvergeToTable1(t *testing.T) {
-	rep, err := shardsim.Run(shardsim.Config{Students: 200_000, Seed: 1})
+	rep, err := at200k()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +97,7 @@ func TestTotalsConvergeToTable1(t *testing.T) {
 // students cost more than the expected-usage estimate — at both
 // providers.
 func TestCostDistributionAtScale(t *testing.T) {
-	rep, err := shardsim.Run(shardsim.Config{Students: 200_000, Seed: 1})
+	rep, err := at200k()
 	if err != nil {
 		t.Fatal(err)
 	}

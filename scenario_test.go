@@ -116,25 +116,27 @@ func TestScenarios(t *testing.T) {
 				if err != nil {
 					t.Fatalf("run %d: %v\n%s", run, err, stderr.Bytes())
 				}
-				checkGolden(t, run, "stdout", out, sc.stdout, sc.mask)
+				checkGolden(t, run, "stdout", out, "testdata/scenarios/"+sc.stdout, sc.mask)
 				for file, golden := range sc.files {
 					got, err := os.ReadFile(filepath.Join(dir, file))
 					if err != nil {
 						t.Fatalf("run %d: %v", run, err)
 					}
-					checkGolden(t, run, file, got, golden, sc.mask)
+					checkGolden(t, run, file, got, "testdata/scenarios/"+golden, sc.mask)
 				}
 			}
 		})
 	}
 }
 
-// checkGolden compares one output with testdata/scenarios/<golden>. On a
-// mismatch it reports the first differing line and writes the output to
-// out/scenarios/<golden>, to copy over the golden if that is intended.
+// checkGolden compares one output with the golden file at the slash-
+// separated path golden, relative to the module root. On a mismatch it
+// reports the first differing line and writes the output to the same path
+// under out/, less a leading testdata/, to copy over the golden if that is
+// intended.
 func checkGolden(t *testing.T, run int, what string, got []byte, golden, mask string) {
 	t.Helper()
-	want, err := os.ReadFile(filepath.Join("testdata", "scenarios", golden))
+	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,14 +154,14 @@ func checkGolden(t *testing.T, run int, what string, got []byte, golden, mask st
 		return
 	}
 	g, w = append(g, "(end of output)"), append(w, "(end of output)")
-	saved := filepath.Join("out", "scenarios", golden)
+	saved := path.Join("out", strings.TrimPrefix(golden, "testdata/"))
 	if err := os.MkdirAll(filepath.Dir(saved), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(saved, got, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Errorf("run %d: line %d of %s differs from testdata/scenarios/%s:\n got: %s\nwant: %s\nwrote the output to %s; if the change is intended, copy it over the golden",
+	t.Errorf("run %d: line %d of %s differs from %s:\n got: %s\nwant: %s\nwrote the output to %s; if the change is intended, copy it over the golden",
 		run, i+1, what, golden, g[i], w[i], saved)
 }
 
