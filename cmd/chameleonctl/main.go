@@ -1,53 +1,6 @@
 // Command chameleonctl drives the IaaS simulator interactively, mirroring
 // the OpenStack CLI workflow from the Unit-2 lab ("ClickOps" → CLI).
-// Commands are read from stdin, one per line:
-//
-//	launch <name> <flavor>          provision an instance
-//	delete <id>                     terminate an instance
-//	list                            list instances
-//	fip <instance-id>               allocate + associate a floating IP
-//	volume <name> <sizeGB>          create a block-storage volume
-//	attach <volume-id> <inst-id>    attach a volume
-//	reserve <start> <end>           book a GPU node lease for [start, end)
-//	sched <policy> <jobs> <gpus>    run a synthetic scheduling trace
-//	batch <n>                       push n requests through a dynamic batcher
-//	advance <hours>                 advance virtual time
-//	hosts                           list hypervisors/bare-metal hosts and state
-//	fail <host>                     crash a host (instances on it error out)
-//	recover <host>                  bring a failed host back
-//	resilience                      show the fault-injection scorecard
-//	usage                           show metered hours by flavor
-//	quota                           show project quota usage
-//	metrics [-json]                 show telemetry counters/gauges/histograms
-//	logs [n] [-component c] [-level l] [-trace id] [-since t]
-//	                                show the n most recent log records
-//	                                (default 20) from the structured-log
-//	                                ring buffers, optionally filtered to a
-//	                                component name, a minimum level, a
-//	                                trace-ID prefix, and a minimum sim time
-//	incidents list                  list flight-recorder incident bundles
-//	incidents show <id>             print one bundle (rule, dashboard,
-//	                                series, logs, traces, faults, spot)
-//	incidents export <id> <file>    write the rendered bundle to a file
-//	query <expr>                    evaluate a PromQL-lite expression against
-//	                                the metrics TSDB at the current sim time
-//	alerts                          show active alerts and the firing timeline
-//	slo                             show the error-budget scorecard
-//	dashboard                       fixed-layout text dashboard (capacity,
-//	                                queues, latency quantiles, burn rate)
-//	trace list                      list recorded traces (longest first)
-//	trace show <query>              print one trace's span tree
-//	trace critical [query]          critical path with per-span self-times
-//	                                (default: the longest trace)
-//	trace cost                      per-trace cost attribution vs the meter
-//	trace export <file>             write Chrome trace-event JSON (Perfetto)
-//	tsdb stats                      monitoring-pipeline self-metrics (scrape
-//	                                counters, series, interned label sets,
-//	                                wall-clock scrape cost)
-//	spot prices [-json]             spot pool occupancy and current prices
-//	spot preemptions [-json]        preemption notices and the vacate ledger
-//	spot preempt <pool>             reclaim one slot from a spot pool
-//	help / quit
+// Commands are read from stdin, one per line; `help` lists them.
 //
 // API commands run under a trace: launch, reserve, sched and batch each
 // record a span tree (placement/boot, queue wait, retries, batching)
@@ -57,7 +10,9 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -87,6 +42,51 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	run := newSession(os.Stdout)
+	fmt.Println("chameleonctl — OpenStack-style CLI over the cloud simulator (type 'help')")
+	sc := bufio.NewScanner(os.Stdin)
+	fmt.Print("openstack> ")
+	for sc.Scan() {
+		if run(sc.Text()) {
+			return
+		}
+		fmt.Print("openstack> ")
+	}
+}
+
+// command is one entry of the CLI's command table. The table is the only
+// statement of what chameleonctl accepts: help, every usage reply and
+// every argument-count check come from it.
+type command struct {
+	name     string // one word, or a group and a subcommand ("trace show")
+	synopsis string // the arguments, as help and usage replies print them
+	min, max int    // argument count bounds; max -1 means no limit
+	run      func(args []string) error
+}
+
+// String is the command's help line.
+func (c command) String() string {
+	if c.synopsis == "" {
+		return c.name
+	}
+	return c.name + " " + c.synopsis
+}
+
+var (
+	// errUsage makes the dispatcher reply with the command's usage line.
+	errUsage = errors.New("usage")
+	// errQuit ends the session.
+	errQuit = errors.New("quit")
+)
+
+// newSession builds the simulated site and returns a dispatcher that runs
+// one command line against it, writing every reply to out. The dispatcher
+// returns true when the line ends the session.
+//
+// sched keeps its telemetry and logging hooks at package level, so the
+// latest session's bus receives every scheduler run: run one session at
+// a time.
+func newSession(out io.Writer) func(line string) (quit bool) {
 	clk := simclock.New()
 	bus := telemetry.New()
 	// Structured logs: the third pillar. Same fixed seed as the tracer,
@@ -141,154 +141,102 @@ func main() {
 	})
 	rec.Arm()
 
-	fmt.Println("chameleonctl — OpenStack-style CLI over the cloud simulator (type 'help')")
-	sc := bufio.NewScanner(os.Stdin)
-	prompt := func() { fmt.Print("openstack> ") }
-	prompt()
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			prompt()
-			continue
+	// show replies with a rendered report; done replies with a
+	// confirmation once an action succeeded.
+	show := func(s string) error {
+		_, err := io.WriteString(out, s)
+		return err
+	}
+	done := func(err error, format string, args ...any) error {
+		if err != nil {
+			return err
 		}
-		switch cmd := fields[0]; cmd {
-		case "quit", "exit":
-			return
-		case "help":
-			fmt.Println("launch <name> <flavor> | delete <id> | list | fip <inst-id> |")
-			fmt.Println("volume <name> <GB> | attach <vol-id> <inst-id> |")
-			fmt.Println("reserve <start> <end> | sched <policy> <jobs> <gpus> | batch <n> |")
-			fmt.Println("hosts | fail <host> | recover <host> | resilience |")
-			fmt.Println("advance <hours> | usage | quota | metrics [-json] | quit |")
-			fmt.Println("logs [n] [-component c] [-level l] [-trace id] [-since t] |")
-			fmt.Println("incidents list | incidents show <id> | incidents export <id> <file> |")
-			fmt.Println("query <expr> | alerts | slo | dashboard | tsdb stats |")
-			fmt.Println("spot prices [-json] | spot preemptions [-json] | spot preempt <pool> |")
-			fmt.Println("trace list | trace show <query> | trace critical [query] |")
-			fmt.Println("trace cost | trace export <file>")
-		case "launch":
-			if len(fields) != 3 {
-				fmt.Println("usage: launch <name> <flavor>")
-				break
-			}
-			flavor, err := cloud.FlavorByName(fields[2])
+		_, err = fmt.Fprintf(out, format, args...)
+		return err
+	}
+	// incident renders the bundle an `incidents show|export` id names.
+	incident := func(arg string) (int, string, error) {
+		id, err := strconv.Atoi(arg)
+		if err != nil {
+			return 0, "", fmt.Errorf("bad incident id: %s", arg)
+		}
+		inc, ok := rec.Incident(id)
+		if !ok {
+			return 0, "", fmt.Errorf("no incident #%d (try 'incidents list')", id)
+		}
+		return id, report.Incident(inc), nil
+	}
+
+	var cmds []command
+	cmds = []command{
+		{"launch", "<name> <flavor>", 2, 2, func(a []string) error {
+			flavor, err := cloud.FlavorByName(a[1])
 			if err != nil {
-				fmt.Println(err)
-				break
+				return err
 			}
-			root := tracer.StartTrace("api.launch "+fields[1],
+			root := tracer.StartTrace("api.launch "+a[0],
 				telemetry.String("flavor", flavor.Name))
-			inst, err := cl.Launch(cloud.LaunchSpec{Project: "sandbox", Name: fields[1],
+			inst, err := cl.Launch(cloud.LaunchSpec{Project: "sandbox", Name: a[0],
 				Flavor: flavor, Span: root})
 			if err != nil {
 				root.Annotate(telemetry.String("error", err.Error()))
 				root.Finish()
-				fmt.Println(err)
-				break
+				return err
 			}
 			root.Finish()
-			fmt.Printf("%s ACTIVE on %s\n", inst.ID, inst.Host)
-		case "delete":
-			if len(fields) != 2 {
-				fmt.Println("usage: delete <id>")
-				break
-			}
-			if err := cl.Delete(fields[1]); err != nil {
-				fmt.Println(err)
-			} else {
-				fmt.Println("deleted")
-			}
-		case "list":
+			fmt.Fprintf(out, "%s ACTIVE on %s\n", inst.ID, inst.Host)
+			return nil
+		}},
+		{"delete", "<id>", 1, 1, func(a []string) error { return done(cl.Delete(a[0]), "deleted\n") }},
+		{"list", "", 0, 0, func([]string) error {
 			for _, inst := range cl.List(nil) {
-				fmt.Printf("%-14s %-16s %-14s %-8s fip=%-15s %.1fh\n",
+				fmt.Fprintf(out, "%-14s %-16s %-14s %-8s fip=%-15s %.1fh\n",
 					inst.ID, inst.Name, inst.Flavor.Name, inst.State, inst.FloatingIP, inst.HoursAt(clk.Now()))
 			}
-		case "fip":
-			if len(fields) != 2 {
-				fmt.Println("usage: fip <instance-id>")
-				break
-			}
+			return nil
+		}},
+		{"fip", "<instance-id>", 1, 1, func(a []string) error {
 			fip, err := cl.AllocateFloatingIP("sandbox", cloud.Tags{})
 			if err != nil {
-				fmt.Println(err)
-				break
+				return err
 			}
-			if err := cl.AssociateFloatingIP(fip.ID, fields[1]); err != nil {
-				fmt.Println(err)
-				break
-			}
-			fmt.Printf("associated %s\n", fip.Address)
-		case "volume":
-			if len(fields) != 3 {
-				fmt.Println("usage: volume <name> <sizeGB>")
-				break
-			}
-			size, err := strconv.Atoi(fields[2])
+			return done(cl.AssociateFloatingIP(fip.ID, a[0]), "associated %s\n", fip.Address)
+		}},
+		{"volume", "<name> <sizeGB>", 2, 2, func(a []string) error {
+			size, err := strconv.Atoi(a[1])
 			if err != nil {
-				fmt.Println("bad size:", fields[2])
-				break
+				return fmt.Errorf("bad size: %s", a[1])
 			}
-			v, err := bs.Create("sandbox", fields[1], size)
+			v, err := bs.Create("sandbox", a[0], size)
 			if err != nil {
-				fmt.Println(err)
-				break
+				return err
 			}
-			fmt.Printf("%s available (%d GB)\n", v.ID, v.SizeGB)
-		case "attach":
-			if len(fields) != 3 {
-				fmt.Println("usage: attach <volume-id> <instance-id>")
-				break
-			}
-			if err := bs.Attach(fields[1], fields[2]); err != nil {
-				fmt.Println(err)
-			} else {
-				fmt.Println("attached")
-			}
-		case "advance":
-			if len(fields) != 2 {
-				fmt.Println("usage: advance <hours>")
-				break
-			}
-			h, ok := parseAdvanceHours(fields[1])
-			if !ok {
-				fmt.Println("bad hours:", fields[1])
-				break
-			}
-			clk.RunUntil(clk.Now() + h)
-			fmt.Printf("virtual time is now %.1fh\n", clk.Now())
-		case "usage":
-			for _, line := range usageLines(cl.Meter().HoursByResource(clk.Now(), cloud.UsageInstance, nil)) {
-				fmt.Println(line)
-			}
-		case "reserve":
-			if len(fields) != 3 {
-				fmt.Println("usage: reserve <start> <end>")
-				break
-			}
-			start, err1 := strconv.ParseFloat(fields[1], 64)
-			end, err2 := strconv.ParseFloat(fields[2], 64)
+			fmt.Fprintf(out, "%s available (%d GB)\n", v.ID, v.SizeGB)
+			return nil
+		}},
+		{"attach", "<volume-id> <instance-id>", 2, 2, func(a []string) error {
+			return done(bs.Attach(a[0], a[1]), "attached\n")
+		}},
+		{"reserve", "<start> <end>", 2, 2, func(a []string) error {
+			start, err1 := strconv.ParseFloat(a[0], 64)
+			end, err2 := strconv.ParseFloat(a[1], 64)
 			if err1 != nil || err2 != nil {
-				fmt.Println("bad window:", fields[1], fields[2])
-				break
+				return fmt.Errorf("bad window: %s %s", a[0], a[1])
 			}
 			r, err := ls.Book(lease.Spec{Project: "sandbox", User: "operator",
 				NodeType: cloud.GPUA100PCIe.Name, Start: start, End: end})
 			if err != nil {
-				fmt.Println(err)
-				break
+				return err
 			}
-			fmt.Printf("%s on %s [%.1f, %.1f) — advance past %.1f to activate\n",
+			fmt.Fprintf(out, "%s on %s [%.1f, %.1f) — advance past %.1f to activate\n",
 				r.ID, r.Node, r.Start, r.End, r.Start)
-		case "sched":
-			if len(fields) != 4 {
-				fmt.Println("usage: sched <fifo|backfill|fairshare|preemptive> <jobs> <gpus>")
-				break
-			}
-			njobs, ok := parseCount(fields[2])
-			gpus, err := strconv.Atoi(fields[3])
+			return nil
+		}},
+		{"sched", "<fifo|backfill|fairshare|preemptive> <jobs> <gpus>", 3, 3, func(a []string) error {
+			njobs, ok := parseCount(a[1])
+			gpus, err := strconv.Atoi(a[2])
 			if !ok || err != nil || gpus < 1 {
-				fmt.Println("bad jobs/gpus:", fields[2], fields[3])
-				break
+				return fmt.Errorf("bad jobs/gpus: %s %s", a[1], a[2])
 			}
 			wl := sched.GenerateTrace(sched.DefaultTrace(njobs), stats.NewRNG(7))
 			// The default trace draws gangs up to 16 GPUs; clamp to the
@@ -298,7 +246,7 @@ func main() {
 					j.GPUs = gpus
 				}
 			}
-			if fields[1] == "preemptive" {
+			if a[0] == "preemptive" {
 				// Promote every fourth job so evictions actually happen.
 				for i, j := range wl {
 					if i%4 == 0 {
@@ -307,34 +255,29 @@ func main() {
 				}
 				res, err := sched.RunPreemptive(wl, gpus)
 				if err != nil {
-					fmt.Println(err)
-					break
+					return err
 				}
-				fmt.Printf("%d jobs, makespan %.1fh, %d preemptions, avg wait %.2fh\n",
+				fmt.Fprintf(out, "%d jobs, makespan %.1fh, %d preemptions, avg wait %.2fh\n",
 					len(res.Assignments), res.Makespan, res.TotalPreemptions, res.AvgWait)
-				break
+				return nil
 			}
-			root := tracer.StartTrace("api.sched " + fields[1])
-			res, err := sched.RunTraced(fields[1], wl, gpus, root)
+			root := tracer.StartTrace("api.sched " + a[0])
+			res, err := sched.RunTraced(a[0], wl, gpus, root)
 			if err != nil {
 				root.Finish()
-				fmt.Println(err)
-				break
+				return err
 			}
 			// The schedule runs on its own virtual axis anchored at the
 			// root's start; close the root at the makespan.
 			root.FinishAt(root.StartTime() + res.Makespan)
-			fmt.Printf("%d jobs, makespan %.1fh, avg wait %.2fh, utilization %.0f%%\n",
+			fmt.Fprintf(out, "%d jobs, makespan %.1fh, avg wait %.2fh, utilization %.0f%%\n",
 				len(res.Assignments), res.Makespan, res.AvgWait, 100*res.Utilization)
-		case "batch":
-			if len(fields) != 2 {
-				fmt.Println("usage: batch <n>")
-				break
-			}
-			n, ok := parseCount(fields[1])
+			return nil
+		}},
+		{"batch", "<n>", 1, 1, func(a []string) error {
+			n, ok := parseCount(a[0])
 			if !ok {
-				fmt.Println("bad count:", fields[1])
-				break
+				return fmt.Errorf("bad count: %s", a[0])
 			}
 			b := serve.NewBatcher(8, 2*time.Millisecond, 2, func(in [][]float64) ([][]float64, error) {
 				return in, nil
@@ -355,258 +298,263 @@ func main() {
 			b.Close()
 			root.Finish()
 			batches, requests, mean := b.Stats()
-			fmt.Printf("%d requests in %d batches (mean batch %.1f)\n", requests, batches, mean)
-		case "hosts":
+			fmt.Fprintf(out, "%d requests in %d batches (mean batch %.1f)\n", requests, batches, mean)
+			return nil
+		}},
+		{"advance", "<hours>", 1, 1, func(a []string) error {
+			h, ok := parseAdvanceHours(a[0])
+			if !ok {
+				return fmt.Errorf("bad hours: %s", a[0])
+			}
+			clk.RunUntil(clk.Now() + h)
+			fmt.Fprintf(out, "virtual time is now %.1fh\n", clk.Now())
+			return nil
+		}},
+		{"hosts", "", 0, 0, func([]string) error {
 			for _, h := range cl.Hosts() {
 				state := "up"
 				if h.Down {
 					state = "DOWN"
 				}
-				fmt.Printf("%-20s %-12s %-6s %2d vCPU %4d GB\n", h.Name, h.NodeType, state, h.VCPUs, h.RAMGB)
+				fmt.Fprintf(out, "%-20s %-12s %-6s %2d vCPU %4d GB\n", h.Name, h.NodeType, state, h.VCPUs, h.RAMGB)
 			}
-		case "fail":
-			if len(fields) != 2 {
-				fmt.Println("usage: fail <host>")
-				break
-			}
-			if err := cl.FailHost(fields[1]); err != nil {
-				fmt.Println(err)
-			} else {
-				fmt.Printf("%s is down; its instances are in error and stopped metering\n", fields[1])
-			}
-		case "recover":
-			if len(fields) != 2 {
-				fmt.Println("usage: recover <host>")
-				break
-			}
-			if err := cl.RecoverHost(fields[1]); err != nil {
-				fmt.Println(err)
-			} else {
-				fmt.Printf("%s is back; it accepts placements again\n", fields[1])
-			}
-		case "resilience":
-			fmt.Print(report.ResilienceSummary(bus))
-		case "metrics":
-			if len(fields) == 2 && fields[1] == "-json" {
-				out, err := report.MetricsJSON(bus.Snapshot())
-				if err != nil {
-					fmt.Println(err)
-					break
-				}
-				fmt.Print(out)
-				break
-			}
-			fmt.Print(report.Metrics(bus.Snapshot()))
-		case "query":
-			if len(fields) < 2 {
-				fmt.Println("usage: query <promql-lite expression>")
-				break
-			}
-			v, err := db.Query(strings.Join(fields[1:], " "), clk.Now())
+			return nil
+		}},
+		{"fail", "<host>", 1, 1, func(a []string) error {
+			return done(cl.FailHost(a[0]), "%s is down; its instances are in error and stopped metering\n", a[0])
+		}},
+		{"recover", "<host>", 1, 1, func(a []string) error {
+			return done(cl.RecoverHost(a[0]), "%s is back; it accepts placements again\n", a[0])
+		}},
+		{"resilience", "", 0, 0, func([]string) error { return show(report.ResilienceSummary(bus)) }},
+		{"usage", "", 0, 0, func([]string) error {
+			return printLines(out, usageLines(cl.Meter().HoursByResource(clk.Now(), cloud.UsageInstance, nil)))
+		}},
+		{"quota", "", 0, 0, func([]string) error {
+			p, err := cl.GetProject("sandbox")
 			if err != nil {
-				fmt.Println(err)
-				break
+				return err
 			}
-			fmt.Print(tsdb.FormatValue(v))
-		case "alerts":
-			fmt.Print(report.Alerts(eng.Active(), eng.Timeline()))
-			if errs := eng.Errors(); len(errs) > 0 {
-				fmt.Println("rule errors:")
-				for _, e := range errs {
-					fmt.Println(" ", e)
-				}
+			fmt.Fprintf(out, "instances %d/%d  cores %d/%d  ram %d/%d GB  fips %d/%d\n",
+				p.Usage.Instances, p.Quota.Instances, p.Usage.Cores, p.Quota.Cores,
+				p.Usage.RAMGB, p.Quota.RAMGB, p.Usage.FloatingIPs, p.Quota.FloatingIPs)
+			return nil
+		}},
+		{"metrics", "[-json]", 0, 1, func(a []string) error {
+			if len(a) == 0 {
+				return show(report.Metrics(bus.Snapshot()))
 			}
-		case "slo":
-			fmt.Print(report.SLOSummary(eng.Statuses(clk.Now())))
-		case "dashboard":
-			fmt.Print(report.Dashboard(db, eng, clk.Now()))
-		case "tsdb":
-			if len(fields) != 2 || fields[1] != "stats" {
-				fmt.Println("usage: tsdb stats")
-				break
+			if a[0] != "-json" {
+				return errUsage
 			}
-			scrapes, samples := coll.Stats()
-			for _, line := range tsdbStatsLines(scrapes, samples, db.SeriesCount(),
-				db.Dropped(), coll.Interner().Len(), coll.LastScrapeDuration()) {
-				fmt.Println(line)
+			s, err := report.MetricsJSON(bus.Snapshot())
+			if err != nil {
+				return err
 			}
-		case "logs":
-			n, component, level, tracePrefix, since, bad := parseLogsArgs(fields[1:])
+			return show(s)
+		}},
+		{"logs", "[n] [-component c] [-level l] [-trace id] [-since t]", 0, -1, func(a []string) error {
+			n, component, level, tracePrefix, since, bad := parseLogsArgs(a)
 			if bad != "" {
-				fmt.Println(bad)
-				break
+				return errors.New(bad)
 			}
 			recs := logging.Filter(logger.Records(0), component, level, tracePrefix, since)
 			if len(recs) > n {
 				recs = recs[len(recs)-n:]
 			}
 			if len(recs) == 0 {
-				fmt.Println("no log records match")
-				break
+				return show("no log records match\n")
 			}
-			fmt.Print(logging.Render(recs))
-		case "incidents":
-			if len(fields) < 2 {
-				fmt.Println("usage: incidents list | show <id> | export <id> <file>")
-				break
-			}
-			switch fields[1] {
-			case "list":
-				fmt.Print(report.IncidentList(rec.Incidents()))
-			case "show", "export":
-				if (fields[1] == "show" && len(fields) != 3) || (fields[1] == "export" && len(fields) != 4) {
-					fmt.Println("usage: incidents show <id> | export <id> <file>")
-					break
-				}
-				id, err := strconv.Atoi(fields[2])
-				if err != nil {
-					fmt.Println("bad incident id:", fields[2])
-					break
-				}
-				inc, ok := rec.Incident(id)
-				if !ok {
-					fmt.Printf("no incident #%d (try 'incidents list')\n", id)
-					break
-				}
-				rendered := report.Incident(inc)
-				if fields[1] == "show" {
-					fmt.Print(rendered)
-					break
-				}
-				if err := os.WriteFile(fields[3], []byte(rendered), 0o644); err != nil {
-					fmt.Println(err)
-					break
-				}
-				fmt.Printf("wrote incident #%d (%d bytes) to %s\n", id, len(rendered), fields[3])
-			default:
-				fmt.Printf("unknown incidents subcommand %q\n", fields[1])
-			}
-		case "trace":
-			if len(fields) < 2 {
-				fmt.Println("usage: trace list | show <query> | critical [query] | cost | export <file>")
-				break
-			}
-			switch fields[1] {
-			case "list":
-				fmt.Print(report.TraceSummary(tracer, 0))
-			case "show":
-				if len(fields) != 3 {
-					fmt.Println("usage: trace show <name-or-id-prefix>")
-					break
-				}
-				td, ok := tracer.Find(fields[2])
-				if !ok {
-					fmt.Printf("no trace matches %q\n", fields[2])
-					break
-				}
-				fmt.Print(trace.Tree(td))
-			case "critical":
-				var td trace.TraceData
-				var ok bool
-				if len(fields) == 3 {
-					td, ok = tracer.Find(fields[2])
-				} else {
-					td, ok = tracer.Longest()
-				}
-				if !ok {
-					fmt.Println("no traces recorded yet")
-					break
-				}
-				fmt.Print(trace.RenderCriticalPath(td))
-			case "cost":
-				recs := cl.Meter().Records(func(*cloud.UsageRecord) bool { return true })
-				rows := report.CostByTrace(recs, clk.Now(), report.TraceRate(cost.AWS), tracer)
-				if len(rows) == 0 {
-					fmt.Println("no metered usage yet")
-					break
-				}
-				fmt.Print(report.TraceCostTable(rows))
-			case "export":
-				if len(fields) != 3 {
-					fmt.Println("usage: trace export <file.json>")
-					break
-				}
-				data := trace.Chrome(tracer.Traces())
-				if err := os.WriteFile(fields[2], data, 0o644); err != nil {
-					fmt.Println(err)
-					break
-				}
-				fmt.Printf("wrote %d bytes (%d traces) — open in Perfetto / chrome://tracing\n",
-					len(data), tracer.Len())
-			default:
-				fmt.Printf("unknown trace subcommand %q\n", fields[1])
-			}
-		case "spot":
-			if len(fields) < 2 {
-				fmt.Println("usage: spot prices [-json] | preemptions [-json] | preempt <pool>")
-				break
-			}
-			asJSON := len(fields) == 3 && fields[2] == "-json"
-			if len(fields) > 3 || (len(fields) == 3 && !asJSON && fields[1] != "preempt") {
-				fmt.Println("usage: spot prices [-json] | preemptions [-json] | preempt <pool>")
-				break
-			}
-			switch fields[1] {
-			case "prices":
-				if asJSON {
-					out, err := json.MarshalIndent(market.Pools(), "", "  ")
-					if err != nil {
-						fmt.Println(err)
-						break
-					}
-					fmt.Println(string(out))
-					break
-				}
-				for _, line := range spotPriceLines(market.Pools()) {
-					fmt.Println(line)
-				}
-			case "preemptions":
-				preempts, reclaims, vacated := market.Stats()
-				if asJSON {
-					out, err := json.MarshalIndent(struct {
-						Preemptions int64              `json:"preemptions"`
-						Reclaims    int64              `json:"reclaims"`
-						Vacated     int64              `json:"vacated"`
-						Notices     []cloud.SpotNotice `json:"notices"`
-					}{preempts, reclaims, vacated, market.Notices()}, "", "  ")
-					if err != nil {
-						fmt.Println(err)
-						break
-					}
-					fmt.Println(string(out))
-					break
-				}
-				for _, line := range spotNoticeLines(market.Notices(), preempts, reclaims, vacated) {
-					fmt.Println(line)
-				}
-			case "preempt":
-				if len(fields) != 3 {
-					fmt.Println("usage: spot preempt <pool>")
-					break
-				}
-				if err := market.Preempt(fields[2]); err != nil {
-					fmt.Println(err)
-					break
-				}
-				free, _ := market.FreeCapacity(fields[2])
-				fmt.Printf("pool %s preempted; free capacity now %d\n", fields[2], free)
-			default:
-				fmt.Printf("unknown spot subcommand %q\n", fields[1])
-			}
-		case "quota":
-			p, err := cl.GetProject("sandbox")
+			return show(logging.Render(recs))
+		}},
+		{"incidents list", "", 0, 0, func([]string) error { return show(report.IncidentList(rec.Incidents())) }},
+		{"incidents show", "<id>", 1, 1, func(a []string) error {
+			_, rendered, err := incident(a[0])
 			if err != nil {
-				fmt.Println(err)
-				break
+				return err
 			}
-			fmt.Printf("instances %d/%d  cores %d/%d  ram %d/%d GB  fips %d/%d\n",
-				p.Usage.Instances, p.Quota.Instances, p.Usage.Cores, p.Quota.Cores,
-				p.Usage.RAMGB, p.Quota.RAMGB, p.Usage.FloatingIPs, p.Quota.FloatingIPs)
-		default:
-			fmt.Printf("unknown command %q (try 'help')\n", cmd)
-		}
-		prompt()
+			return show(rendered)
+		}},
+		{"incidents export", "<id> <file>", 2, 2, func(a []string) error {
+			id, rendered, err := incident(a[0])
+			if err != nil {
+				return err
+			}
+			return done(os.WriteFile(a[1], []byte(rendered), 0o644),
+				"wrote incident #%d (%d bytes) to %s\n", id, len(rendered), a[1])
+		}},
+		{"query", "<promql-lite expression>", 1, -1, func(a []string) error {
+			v, err := db.Query(strings.Join(a, " "), clk.Now())
+			if err != nil {
+				return err
+			}
+			return show(tsdb.FormatValue(v))
+		}},
+		{"alerts", "", 0, 0, func([]string) error {
+			fmt.Fprint(out, report.Alerts(eng.Active(), eng.Timeline()))
+			if errs := eng.Errors(); len(errs) > 0 {
+				fmt.Fprintln(out, "rule errors:")
+				for _, e := range errs {
+					fmt.Fprintln(out, " ", e)
+				}
+			}
+			return nil
+		}},
+		{"slo", "", 0, 0, func([]string) error { return show(report.SLOSummary(eng.Statuses(clk.Now()))) }},
+		{"dashboard", "", 0, 0, func([]string) error { return show(report.Dashboard(db, eng, clk.Now())) }},
+		{"tsdb stats", "", 0, 0, func([]string) error {
+			scrapes, samples := coll.Stats()
+			return printLines(out, tsdbStatsLines(scrapes, samples, db.SeriesCount(),
+				db.Dropped(), coll.Interner().Len(), coll.LastScrapeDuration()))
+		}},
+		{"trace list", "", 0, 0, func([]string) error { return show(report.TraceSummary(tracer, 0)) }},
+		{"trace show", "<query>", 1, 1, func(a []string) error {
+			td, ok := tracer.Find(a[0])
+			if !ok {
+				return fmt.Errorf("no trace matches %q", a[0])
+			}
+			return show(trace.Tree(td))
+		}},
+		{"trace critical", "[query]", 0, 1, func(a []string) error {
+			var td trace.TraceData
+			var ok bool
+			if len(a) == 1 {
+				td, ok = tracer.Find(a[0])
+			} else {
+				td, ok = tracer.Longest()
+			}
+			if !ok {
+				return show("no traces recorded yet\n")
+			}
+			return show(trace.RenderCriticalPath(td))
+		}},
+		{"trace cost", "", 0, 0, func([]string) error {
+			recs := cl.Meter().Records(func(*cloud.UsageRecord) bool { return true })
+			rows := report.CostByTrace(recs, clk.Now(), report.TraceRate(cost.AWS), tracer)
+			if len(rows) == 0 {
+				return show("no metered usage yet\n")
+			}
+			return show(report.TraceCostTable(rows))
+		}},
+		{"trace export", "<file>", 1, 1, func(a []string) error {
+			data := trace.Chrome(tracer.Traces())
+			return done(os.WriteFile(a[0], data, 0o644),
+				"wrote %d bytes (%d traces) — open in Perfetto / chrome://tracing\n", len(data), tracer.Len())
+		}},
+		{"spot prices", "[-json]", 0, 1, func(a []string) error {
+			if len(a) == 0 {
+				return printLines(out, spotPriceLines(market.Pools()))
+			}
+			if a[0] != "-json" {
+				return errUsage
+			}
+			return printJSON(out, market.Pools())
+		}},
+		{"spot preemptions", "[-json]", 0, 1, func(a []string) error {
+			preempts, reclaims, vacated := market.Stats()
+			if len(a) == 0 {
+				return printLines(out, spotNoticeLines(market.Notices(), preempts, reclaims, vacated))
+			}
+			if a[0] != "-json" {
+				return errUsage
+			}
+			return printJSON(out, struct {
+				Preemptions int64              `json:"preemptions"`
+				Reclaims    int64              `json:"reclaims"`
+				Vacated     int64              `json:"vacated"`
+				Notices     []cloud.SpotNotice `json:"notices"`
+			}{preempts, reclaims, vacated, market.Notices()})
+		}},
+		{"spot preempt", "<pool>", 1, 1, func(a []string) error {
+			if err := market.Preempt(a[0]); err != nil {
+				return err
+			}
+			free, _ := market.FreeCapacity(a[0])
+			fmt.Fprintf(out, "pool %s preempted; free capacity now %d\n", a[0], free)
+			return nil
+		}},
+		{"help", "", 0, 0, func([]string) error {
+			for _, c := range cmds {
+				if _, err := fmt.Fprintln(out, c); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"quit", "", 0, -1, func([]string) error { return errQuit }},
+		{"exit", "", 0, -1, func([]string) error { return errQuit }},
 	}
+
+	return func(line string) bool {
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			return false
+		}
+		c, args, reply := lookup(cmds, fields)
+		if c == nil {
+			fmt.Fprintln(out, reply)
+			return false
+		}
+		err := errUsage
+		if len(args) >= c.min && (c.max < 0 || len(args) <= c.max) {
+			err = c.run(args)
+		}
+		switch {
+		case errors.Is(err, errQuit):
+			return true
+		case errors.Is(err, errUsage):
+			fmt.Fprintln(out, "usage:", c)
+		case err != nil:
+			fmt.Fprintln(out, err)
+		}
+		return false
+	}
+}
+
+// lookup finds the table entry a command line names and its arguments.
+// When none matches, it returns the reply to print instead: the group's
+// synopses for a group word alone, or an unknown-command message.
+func lookup(cmds []command, fields []string) (*command, []string, string) {
+	var group []string
+	for i := range cmds {
+		word, sub, isSub := strings.Cut(cmds[i].name, " ")
+		switch {
+		case word != fields[0]:
+			continue
+		case !isSub:
+			return &cmds[i], fields[1:], ""
+		case len(fields) > 1 && sub == fields[1]:
+			return &cmds[i], fields[2:], ""
+		}
+		group = append(group, strings.TrimPrefix(cmds[i].String(), word+" "))
+	}
+	switch {
+	case group == nil:
+		return nil, nil, fmt.Sprintf("unknown command %q (try 'help')", fields[0])
+	case len(fields) == 1:
+		return nil, nil, "usage: " + fields[0] + " " + strings.Join(group, " | ")
+	}
+	return nil, nil, fmt.Sprintf("unknown %s subcommand %q", fields[0], fields[1])
+}
+
+// printJSON writes v as indented JSON and a newline.
+func printJSON(out io.Writer, v any) error {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintln(out, string(b))
+	return err
+}
+
+// printLines writes each line and a newline.
+func printLines(out io.Writer, lines []string) error {
+	for _, l := range lines {
+		if _, err := fmt.Fprintln(out, l); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // maxAdvanceHours caps one `advance` at a simulated year. Every hour

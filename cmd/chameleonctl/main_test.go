@@ -2,6 +2,7 @@ package main
 
 import (
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -189,4 +190,103 @@ func TestParseCount(t *testing.T) {
 			t.Errorf("parseCount(%q) = %v, %v; want %v, %v", tc.arg, got, ok, tc.want, tc.ok)
 		}
 	}
+}
+
+// Every reply that is not a command's output comes from the command
+// table or from a command's own argument check; quit, exit and a blank
+// line reach no command.
+func TestSessionErrorReplies(t *testing.T) {
+	for _, tc := range []struct {
+		line, want string
+		quit       bool
+	}{
+		{"frobnicate", "unknown command \"frobnicate\" (try 'help')\n", false},
+		{"trace", "usage: trace list | show <query> | critical [query] | cost | export <file>\n", false},
+		{"spot", "usage: spot prices [-json] | preemptions [-json] | preempt <pool>\n", false},
+		{"trace frob", "unknown trace subcommand \"frob\"\n", false},
+		{"tsdb frob", "unknown tsdb subcommand \"frob\"\n", false},
+		{"launch web", "usage: launch <name> <flavor>\n", false},
+		{"sched fifo 4", "usage: sched <fifo|backfill|fairshare|preemptive> <jobs> <gpus>\n", false},
+		{"incidents show", "usage: incidents show <id>\n", false},
+		{"query", "usage: query <promql-lite expression>\n", false},
+		{"launch web m1.small now", "usage: launch <name> <flavor>\n", false},
+		{"list x", "usage: list\n", false},
+		{"incidents list x", "usage: incidents list\n", false},
+		{"trace list x", "usage: trace list\n", false},
+		{"trace critical a b", "usage: trace critical [query]\n", false},
+		{"tsdb stats x", "usage: tsdb stats\n", false},
+		{"help x", "usage: help\n", false},
+		{"metrics foo", "usage: metrics [-json]\n", false},
+		{"metrics -json x", "usage: metrics [-json]\n", false},
+		{"spot prices foo", "usage: spot prices [-json]\n", false},
+		{"spot preemptions foo", "usage: spot preemptions [-json]\n", false},
+		{"advance nan", "bad hours: nan\n", false},
+		{"logs -since nan", "bad time: nan\n", false},
+		{"sched fifo 0 4", "bad jobs/gpus: 0 4\n", false},
+		{"incidents show 1", "no incident #1 (try 'incidents list')\n", false},
+		{"quit", "", true},
+		{"exit", "", true},
+		{"quit now", "", true},
+		{"", "", false},
+		{" \t ", "", false},
+	} {
+		var out strings.Builder
+		quit := newSession(&out)(tc.line)
+		if got := out.String(); got != tc.want || quit != tc.quit {
+			t.Errorf("%q: replied %q, quit %v; want %q, %v", tc.line, got, quit, tc.want, tc.quit)
+		}
+	}
+}
+
+// FuzzSession runs each script, cut to its first eight lines, through
+// two fresh sessions one after the other: no line may panic, and both
+// sessions must print the same bytes. sched's package-level hooks follow
+// the latest session, so sessions never run in parallel here.
+func FuzzSession(f *testing.F) {
+	f.Fuzz(func(t *testing.T, script string) {
+		lines := strings.Split(script, "\n")
+		if len(lines) > 8 {
+			lines = lines[:8]
+		}
+		if first, second := runScript(lines), runScript(lines); first != second {
+			t.Fatalf("two sessions disagree on %q:\n%s\n---\n%s", script, first, second)
+		}
+	})
+}
+
+// runScript feeds lines to a fresh session until one ends it, leaving
+// out the lines fuzzSkips names, and returns everything it printed.
+func runScript(lines []string) string {
+	var out strings.Builder
+	run := newSession(&out)
+	for _, line := range lines {
+		if !fuzzSkips(strings.Fields(line)) && run(line) {
+			break
+		}
+	}
+	return out.String()
+}
+
+// fuzzSkips reports whether FuzzSession leaves a line out. batch runs
+// real goroutines against a wall-clock timer and tsdb stats prints wall
+// time, so neither replays; the export commands write to paths taken
+// from the input; and an advance past 200 h or a schedule of more than
+// 1,000 jobs would let one input run for seconds.
+func fuzzSkips(f []string) bool {
+	switch {
+	case len(f) == 0:
+		return false
+	case f[0] == "batch":
+		return true
+	case len(f) > 1 && (f[0] == "tsdb" && f[1] == "stats" ||
+		(f[0] == "trace" || f[0] == "incidents") && f[1] == "export"):
+		return true
+	case len(f) > 1 && f[0] == "advance":
+		h, err := strconv.ParseFloat(f[1], 64)
+		return err == nil && h > 200
+	case len(f) > 2 && f[0] == "sched":
+		n, err := strconv.Atoi(f[2])
+		return err == nil && n > 1000
+	}
+	return false
 }

@@ -44,8 +44,8 @@ type Config struct {
 	Forcing safeguard.CognitiveForcing
 	// Clock supplies request timestamps for latency metrics. nil means
 	// the machine clock (the right default for cmd/ entry points);
-	// simulations inject clock.Sim and tests clock.Manual so the
-	// /metrics latencies are virtual-time-consistent.
+	// tests inject clock.Manual so the /metrics latencies are
+	// deterministic.
 	Clock clock.Clock
 }
 

@@ -1,5 +1,5 @@
 // Package clock abstracts "what time is it?" behind an interface so that
-// every latency measurement in the platform can run on virtual time.
+// every latency measurement in the platform can run on an injected clock.
 //
 // The simulation kernel (internal/simclock) advances virtual hours
 // deterministically; components that measure wall-clock latencies (the
@@ -9,21 +9,17 @@
 // and internal/simclock are the only places outside cmd/ entry points
 // allowed to touch the real clock.
 //
-// Three implementations cover the three deployment contexts:
+// Two implementations cover the two deployment contexts:
 //
 //   - System: the machine clock, for cmd/ entry points serving real
 //     traffic.
 //   - Manual: an explicitly advanced clock, for tests that want
 //     deterministic latency telemetry.
-//   - Sim: an adapter over *simclock.Clock, so components embedded in a
-//     discrete-event simulation observe virtual time.
 package clock
 
 import (
 	"sync"
 	"time"
-
-	"repro/internal/simclock"
 )
 
 // Clock supplies the current time. Implementations must be safe for
@@ -82,24 +78,4 @@ func (m *Manual) Set(t time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.t = t
-}
-
-// Sim exposes a discrete-event simulation clock as a Clock: virtual hour
-// h maps to Epoch + h hours. Reads are only meaningful on the simulation
-// goroutine (simclock is single-threaded by design).
-type Sim struct {
-	C     *simclock.Clock
-	Epoch time.Time
-}
-
-// NewSim wraps c with the given epoch for hour 0.
-//
-//lint:ignore deadcode test fake kept with Manual: it runs a wall-clock component on simulated hours, and no binary does that yet
-func NewSim(c *simclock.Clock, epoch time.Time) Sim {
-	return Sim{C: c, Epoch: epoch}
-}
-
-// Now converts the simulation's virtual hours to a time.Time.
-func (s Sim) Now() time.Time {
-	return s.Epoch.Add(time.Duration(s.C.Now() * float64(time.Hour)))
 }

@@ -3,8 +3,6 @@ package clock
 import (
 	"testing"
 	"time"
-
-	"repro/internal/simclock"
 )
 
 func TestManual(t *testing.T) {
@@ -20,21 +18,6 @@ func TestManual(t *testing.T) {
 	m.Set(epoch)
 	if got := Since(m, epoch); got != 0 {
 		t.Errorf("after Set, Since = %v, want 0", got)
-	}
-}
-
-func TestSimMapsVirtualHours(t *testing.T) {
-	c := simclock.New()
-	epoch := time.Date(2025, 1, 6, 0, 0, 0, 0, time.UTC)
-	s := NewSim(c, epoch)
-	if !s.Now().Equal(epoch) {
-		t.Fatalf("hour 0 = %v, want %v", s.Now(), epoch)
-	}
-	c.At(2.5, "tick", func() {})
-	c.Run()
-	want := epoch.Add(2*time.Hour + 30*time.Minute)
-	if !s.Now().Equal(want) {
-		t.Errorf("hour 2.5 = %v, want %v", s.Now(), want)
 	}
 }
 

@@ -95,11 +95,17 @@ var labEquivalents = map[string]Equivalent{
 	"8":               {AWS: Rate{"t3.xlarge", 0.1664}, GCP: Rate{"e2-standard-2", 0.067}},
 }
 
+// errEdgeRow is the Raspberry Pi row's ErrNoEquivalent, built once:
+// LabRowCost asks for it every time it prices that row and must not
+// allocate.
+var errEdgeRow = fmt.Errorf("%w: raspberrypi5 (row 6-edge)", ErrNoEquivalent)
+
 // LabEquivalent returns the commercial equivalent for a course row.
-// "6-edge" (Raspberry Pi 5) has none.
+// "6-edge" (Raspberry Pi 5) has none, and this is the one place that
+// says so: every price, table and report asks for ErrNoEquivalent.
 func LabEquivalent(rowID string) (Equivalent, error) {
 	if rowID == "6-edge" {
-		return Equivalent{}, fmt.Errorf("%w: raspberrypi5 (row %s)", ErrNoEquivalent, rowID)
+		return Equivalent{}, errEdgeRow
 	}
 	e, ok := labEquivalents[rowID]
 	if !ok {
@@ -116,13 +122,13 @@ type LabUsage struct {
 }
 
 // LabRowCost prices one row on a provider: instance hours × equivalent
-// rate + floating-IP hours. Edge rows price at zero (excluded, per the
-// paper).
+// rate + floating-IP hours. A row with no commercial equivalent prices
+// at zero (excluded, per the paper).
 func LabRowCost(u LabUsage, p Provider) (float64, error) {
-	if u.RowID == "6-edge" {
+	e, err := LabEquivalent(u.RowID)
+	if errors.Is(err, ErrNoEquivalent) {
 		return 0, nil
 	}
-	e, err := LabEquivalent(u.RowID)
 	if err != nil {
 		return 0, err
 	}

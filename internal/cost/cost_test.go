@@ -87,6 +87,25 @@ func TestEdgeRowExcluded(t *testing.T) {
 	}
 }
 
+// Table 1 and the lab sims price every student's rows several times per
+// run, the edge row included, so pricing a row allocates nothing, not
+// even on the row that prices at zero.
+func TestLabRowCostAllocatesNothing(t *testing.T) {
+	rows := course.Rows()
+	for _, p := range []cost.Provider{cost.AWS, cost.GCP} {
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, r := range rows {
+				if _, err := cost.LabRowCost(cost.LabUsage{RowID: r.ID, InstanceHours: 10, FIPHours: 5}, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: pricing every course row allocates %v times, want 0", p, allocs)
+		}
+	}
+}
+
 func TestUnknownRow(t *testing.T) {
 	if _, err := cost.LabRowCost(cost.LabUsage{RowID: "99"}, cost.AWS); err == nil {
 		t.Error("unknown row accepted")

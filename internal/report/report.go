@@ -6,6 +6,7 @@
 package report
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -89,7 +90,7 @@ func Table1(res *studentsim.Result) (string, error) {
 			return "", err
 		}
 		awsCell, gcpCell := money(aws, n), money(gcp, n)
-		if row.ID == "6-edge" {
+		if _, err := cost.LabEquivalent(row.ID); errors.Is(err, cost.ErrNoEquivalent) {
 			awsCell, gcpCell = "NA", "NA"
 		}
 		rows = append(rows, []string{

@@ -1,6 +1,7 @@
 package shardsim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -103,15 +104,15 @@ func newCalibration(cfg Config) (*calibration, error) {
 			fipRate:  cost.FloatingIPRate,
 			weekHour: float64(row.Week-1) * course.HoursPerWeek,
 		}
-		if row.ID == "6-edge" {
-			// No commercial equivalent: the paper excludes the row from
-			// all dollar figures, floating IPs included.
+		eq, err := cost.LabEquivalent(row.ID)
+		switch {
+		case errors.Is(err, cost.ErrNoEquivalent):
+			// The paper excludes the row from all dollar figures,
+			// floating IPs included.
 			rc.fipRate = 0
-		} else {
-			eq, err := cost.LabEquivalent(row.ID)
-			if err != nil {
-				return nil, fmt.Errorf("shardsim: %w", err)
-			}
+		case err != nil:
+			return nil, fmt.Errorf("shardsim: %w", err)
+		default:
 			rc.awsRate = eq.Rate(cost.AWS).PerHour
 			rc.gcpRate = eq.Rate(cost.GCP).PerHour
 		}

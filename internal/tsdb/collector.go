@@ -70,17 +70,14 @@ type Collector struct {
 	// Self-observation. The deterministic pipeline metrics
 	// (tsdb.scrapes, tsdb.scrape_samples, tsdb.series_count,
 	// tsdb.dropped_samples) go into the main DB so dashboards and rules
-	// can query them; the nondeterministic one (wall-clock
-	// tsdb.scrape_duration) goes into a separate self store that never
-	// feeds cmp-gated output.
-	self        *DB
-	wall        clock.Clock // nil: scrape_duration reads 0
+	// can query them; the nondeterministic wall-clock cost of the last
+	// scrape is only kept in lastDur, so it never feeds cmp-gated output.
+	wall        clock.Clock // nil: lastDur stays 0
 	lastDur     time.Duration
 	selfScrapes *SeriesRef
 	selfSamples *SeriesRef
 	selfSeries  *SeriesRef
 	selfDropped *SeriesRef
-	selfDur     *SeriesRef
 }
 
 // scrapePlan is the precomputed per-instrument scrape recipe: all
@@ -118,7 +115,6 @@ func NewCollector(db *DB, bus *telemetry.Bus, interval float64) *Collector {
 		delta:    true,
 		interner: NewInterner(),
 		plans:    map[string]*scrapePlan{},
-		self:     New(db.opts),
 	}
 	return c
 }
@@ -137,7 +133,7 @@ func (c *Collector) SetDelta(on bool) {
 }
 
 // SetWallClock injects the clock used to measure real scrape cost for
-// tsdb.scrape_duration. Leave unset (the default) in deterministic
+// LastScrapeDuration. Leave unset (the default) in deterministic
 // simulations; cmd binaries inject clock.System.
 func (c *Collector) SetWallClock(w clock.Clock) {
 	c.mu.Lock()
@@ -348,7 +344,6 @@ func (c *Collector) selfRefsLocked() {
 	c.selfSamples = c.db.Ref("tsdb.scrape_samples", base)
 	c.selfSeries = c.db.Ref("tsdb.series_count", base)
 	c.selfDropped = c.db.Ref("tsdb.dropped_samples", base)
-	c.selfDur = c.self.Ref("tsdb.scrape_duration", base)
 }
 
 // Scrape ingests one pass over the bus at time now, compacts the DB,
@@ -391,8 +386,6 @@ func (c *Collector) Scrape(now float64) {
 	if c.wall != nil {
 		c.lastDur = clock.Since(c.wall, start)
 	}
-	c.self.AppendRef(c.selfDur, now, c.lastDur.Seconds())
-	c.self.Compact(now)
 
 	hooks := c.hooksCache
 	c.mu.Unlock()

@@ -223,7 +223,7 @@ func TestScrapeDeltaMatchesFullSnapshot(t *testing.T) {
 
 // The collector's deterministic self-metrics land in the main DB (so
 // dashboards can query them); the nondeterministic scrape duration
-// lands in the separate self store.
+// never does.
 func TestScrapeSelfMetrics(t *testing.T) {
 	bus := telemetry.New()
 	bus.Counter("c").Add(2)
@@ -250,9 +250,6 @@ func TestScrapeSelfMetrics(t *testing.T) {
 		if err != nil || len(v.(Vector)) != 1 {
 			t.Errorf("%s missing from main DB: %+v %v", name, v, err)
 		}
-	}
-	if got := c.self.Select("tsdb.scrape_duration", nil); len(got) != 1 || len(got[0].Points) != 3 {
-		t.Errorf("tsdb.scrape_duration: self store has %+v", got)
 	}
 	if got := c.DB().Select("tsdb.scrape_duration", nil); len(got) != 0 {
 		t.Error("nondeterministic scrape_duration leaked into the main DB")

@@ -146,6 +146,8 @@ func (db *DB) RefSet(name string, set *LabelSet) *SeriesRef {
 // cached series pointer is revalidated whenever Compact has deleted any
 // series since it was resolved (the DB generation counter), so a ref
 // survives retention deleting and later recreating its series.
+//
+//lint:ignore deadcode the tsdb, alert, flightrec and report tests build their series with it; the collector appends under its own lock
 func (db *DB) AppendRef(ref *SeriesRef, t, v float64) {
 	if db == nil || ref == nil {
 		return
@@ -248,6 +250,8 @@ func cmpKeyName(key, name string) int {
 
 // Compact applies retention relative to now: it drops every point older
 // than now-Retention and deletes the series left empty.
+//
+//lint:ignore deadcode the tsdb and alert tests apply retention with it; the collector compacts under its own lock
 func (db *DB) Compact(now float64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
