@@ -196,6 +196,15 @@ func newSession(out io.Writer) func(line string) (quit bool) {
 			return nil
 		}},
 		{"fip", "<instance-id>", 1, 1, func(a []string) error {
+			// Find the instance first: an address allocated for a failed
+			// association would stay allocated and metered.
+			inst, err := cl.Get(a[0])
+			if err == nil && inst.State == cloud.StateDeleted {
+				err = fmt.Errorf("%w: instance %q", cloud.ErrNotFound, a[0])
+			}
+			if err != nil {
+				return err
+			}
 			fip, err := cl.AllocateFloatingIP("sandbox", cloud.Tags{})
 			if err != nil {
 				return err

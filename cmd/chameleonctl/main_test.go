@@ -238,6 +238,32 @@ func TestSessionErrorReplies(t *testing.T) {
 	}
 }
 
+// A command that fails leaves the project's books as they were: a
+// floating IP for a missing or deleted instance is never allocated, and a
+// volume too large to add to the usage is refused on quota.
+func TestFailedCommandsKeepTheBooks(t *testing.T) {
+	for _, tc := range []struct {
+		lines []string
+		want  string
+	}{
+		{[]string{"fip nobody", "quota"},
+			"cloud: resource not found: instance \"nobody\"\n" +
+				"instances 0/600  cores 0/1200  ram 0/2560 GB  fips 0/300\n"},
+		{[]string{"launch web m1.small", "delete inst-000001", "fip inst-000001", "quota"},
+			"inst-000001 ACTIVE on kvm@ctl-hv-000\ndeleted\n" +
+				"cloud: resource not found: instance \"inst-000001\"\n" +
+				"instances 0/600  cores 0/1200  ram 0/2560 GB  fips 0/300\n"},
+		{[]string{"volume b 10", "volume a 9223372036854775807", "volume c 10240"},
+			"vol-000001 available (10 GB)\n" +
+				"blockstore: block storage quota exceeded: 10 GB in use, 9223372036854775807 requested, limit 10240\n" +
+				"blockstore: block storage quota exceeded: 10 GB in use, 10240 requested, limit 10240\n"},
+	} {
+		if got := runScript(tc.lines); got != tc.want {
+			t.Errorf("%q: replied\n%s\nwant\n%s", tc.lines, got, tc.want)
+		}
+	}
+}
+
 // FuzzSession runs each script, cut to its first eight lines, through
 // two fresh sessions one after the other: no line may panic, and both
 // sessions must print the same bytes. sched's package-level hooks follow

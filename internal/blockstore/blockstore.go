@@ -81,7 +81,8 @@ func (s *Service) Create(project, name string, sizeGB int) (*Volume, error) {
 		if p.Quota.Volumes != cloud.Unlimited && p.Usage.Volumes+1 > p.Quota.Volumes {
 			return nil, fmt.Errorf("%w: volumes %d/%d", ErrQuota, p.Usage.Volumes, p.Quota.Volumes)
 		}
-		if p.Quota.BlockStorageGB != cloud.Unlimited && p.Usage.BlockStorageGB+sizeGB > p.Quota.BlockStorageGB {
+		// Against the headroom: usage+size can wrap.
+		if p.Quota.BlockStorageGB != cloud.Unlimited && sizeGB > p.Quota.BlockStorageGB-p.Usage.BlockStorageGB {
 			return nil, fmt.Errorf("%w: %d GB in use, %d requested, limit %d",
 				ErrQuota, p.Usage.BlockStorageGB, sizeGB, p.Quota.BlockStorageGB)
 		}

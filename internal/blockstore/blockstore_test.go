@@ -2,6 +2,7 @@ package blockstore
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/cloud"
@@ -58,6 +59,22 @@ func TestQuotaEnforcement(t *testing.T) {
 	}
 	p, _ := cl.GetProject("p")
 	if p.Usage.BlockStorageGB != 6 || p.Usage.Volumes != 1 {
+		t.Errorf("usage after rejected create: %+v", p.Usage)
+	}
+}
+
+// TestQuotaCheckDoesNotWrap creates a volume so large that usage plus
+// size wraps past the largest int: it must fail on quota and leave usage
+// as it was.
+func TestQuotaCheckDoesNotWrap(t *testing.T) {
+	s, cl, _ := newSvc()
+	if _, err := s.Create("p", "b", 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Create("p", "a", math.MaxInt); !errors.Is(err, ErrQuota) {
+		t.Errorf("create of MaxInt GB err = %v, want ErrQuota", err)
+	}
+	if p, _ := cl.GetProject("p"); p.Usage.BlockStorageGB != 5 || p.Usage.Volumes != 1 {
 		t.Errorf("usage after rejected create: %+v", p.Usage)
 	}
 }

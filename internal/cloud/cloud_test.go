@@ -81,6 +81,17 @@ func TestQuotaEnforcement(t *testing.T) {
 	}
 }
 
+// TestQuotaCheckDoesNotWrap asks for so much that usage plus request
+// wraps past the largest int: the check must still refuse it.
+func TestQuotaCheckDoesNotWrap(t *testing.T) {
+	q := Quota{Instances: 10, Cores: 100, RAMGB: 100}
+	err := q.CanLaunch(Usage{Instances: 1, Cores: 10, RAMGB: 10}, Flavor{VCPUs: math.MaxInt, RAMGB: 1})
+	var qe *QuotaError
+	if !errors.As(err, &qe) || qe.Dimension != "cores" {
+		t.Errorf("CanLaunch of MaxInt cores err = %v, want a cores QuotaError", err)
+	}
+}
+
 func TestQuotaReleasedOnDelete(t *testing.T) {
 	clk := simclock.New()
 	c := New("kvm@test", clk)

@@ -81,12 +81,13 @@ func (e *QuotaError) Error() string {
 		e.Dimension, e.Requested, e.InUse, e.Limit)
 }
 
-// check validates that adding delta to inUse stays within limit.
+// check validates that adding delta to inUse stays within limit. It
+// compares delta with the headroom, since inUse+delta can wrap.
 func check(dim string, inUse, delta, limit int) error {
 	if limit == Unlimited {
 		return nil
 	}
-	if inUse+delta > limit {
+	if delta > limit-inUse {
 		return &QuotaError{Dimension: dim, Requested: delta, InUse: inUse, Limit: limit}
 	}
 	return nil

@@ -197,17 +197,14 @@ func Fig2(res *studentsim.Result, p cost.Provider) (string, error) {
 	if p == cost.GCP {
 		expected = paper.ExpectedLabCostGCP
 	}
-	f, err := studentsim.Fig2(res, p, expected)
-	if err != nil {
-		return "", err
-	}
 	costs, err := studentsim.StudentCosts(res, p)
 	if err != nil {
 		return "", err
 	}
+	sum := stats.Summarize(costs)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 2 (%s): per-student lab cost  mean=$%.0f  max=$%.0f  expected=$%.2f  %.0f%% exceed expected\n",
-		p, f.Mean, f.Max, expected, 100*f.ExceedFrac)
+		p, sum.Mean, sum.Max, expected, 100*stats.FractionAbove(costs, expected))
 	b.WriteString(stats.ASCIIHistogram(costs, 12, 44, func(e float64) string {
 		return fmt.Sprintf("$%.0f", e)
 	}))

@@ -1,14 +1,15 @@
 // Package shardsim is the sharded, parallel simulation core for
 // million-student runs of the course usage model.
 //
-// A run is partitioned into fixed-size student shards. Each shard is an
-// independent fold: its own RNG streams and a private set of streaming
-// aggregates (stats.Acc, stats.Hist, cloud.Occupancy) — never
-// per-instance records, so memory is bounded by the aggregates
-// regardless of the population. Every session's [start, end) is known
-// when it is drawn and the folds are order-free, so sessions go straight
-// into the aggregates with no event queue. Shards execute concurrently
-// on a worker pool and the partial aggregates merge in shard order.
+// A run is partitioned into fixed-size student shards, which a worker
+// pool executes concurrently. Each worker folds every shard it runs into
+// one private set of streaming aggregates (stats.Acc, stats.Hist,
+// cloud.Occupancy; ≈86 KB) — never per-instance records — so memory is
+// one aggregate per worker, whatever the population or the shard size.
+// Every session's [start, end) is known when it is drawn and the folds
+// are order-free, so sessions go straight into the aggregates with no
+// event queue. When the workers are done, their aggregates merge into
+// the report.
 //
 // # Determinism (DESIGN.md §11)
 //
@@ -22,8 +23,9 @@
 //     (model.go) has no cross-student coupling for a shard boundary to
 //     cut.
 //  3. Aggregates are integral. Sums accumulate in 1e-6 fixed point and
-//     counts/occupancy deltas are int64, so merging is associative and
-//     commutative; min/max are order-free already.
+//     counts/occupancy deltas are int64, so folding and merging are
+//     associative and commutative; min/max are order-free already.
+//     Which worker folded which shard never reaches the report.
 package shardsim
 
 import (
@@ -138,8 +140,8 @@ type Report struct {
 // [1, sqrt(2)) ... covering $1 to ~$16M.
 func costHist() *stats.Hist { return stats.NewHist(1, math.Sqrt2, 48) }
 
-// shardAgg is one shard's private partial aggregates.
-type shardAgg struct {
+// workerAgg holds one worker's aggregates; every shard it runs folds in.
+type workerAgg struct {
 	rows   []RowTotals
 	aws    CostTotals
 	gcp    CostTotals
@@ -147,8 +149,8 @@ type shardAgg struct {
 	events int64
 }
 
-func newShardAgg(c *calibration) *shardAgg {
-	a := &shardAgg{
+func newWorkerAgg(c *calibration) *workerAgg {
+	a := &workerAgg{
 		rows: make([]RowTotals, len(c.rows)),
 		aws:  CostTotals{Expected: c.expectedAWS, Hist: costHist()},
 		gcp:  CostTotals{Expected: c.expectedGCP, Hist: costHist()},
@@ -178,19 +180,18 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	shards := (cfg.Students + cfg.ShardSize - 1) / cfg.ShardSize
-	parts := make([]*shardAgg, shards)
+	workers := min(cfg.Workers, shards)
+	aggs := make([]*workerAgg, workers)
 
-	// Workers pull shard indexes from an atomic counter: scheduling
-	// order is racy, but each result lands in its own slot and the merge
-	// below walks slots in shard order, so the race never reaches the
-	// output.
+	// Workers pull shard indexes from an atomic counter and fold every
+	// shard they run into their own aggregate. Which worker ran which
+	// shard is racy, but the aggregates are integral, so the merge below
+	// gives the same bytes for any split of the shards.
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	workers := cfg.Workers
-	if workers > shards {
-		workers = shards
-	}
-	for w := 0; w < workers; w++ {
+	for w := range aggs {
+		agg := newWorkerAgg(calib)
+		aggs[w] = agg
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -199,12 +200,15 @@ func Run(cfg Config) (*Report, error) {
 				if s >= shards {
 					return
 				}
-				parts[s] = runShard(calib, cfg, s)
+				runShard(calib, cfg, s, agg)
 			}
 		}()
 	}
 	wg.Wait()
 
+	// The report takes over the first worker's aggregate instead of
+	// allocating its own.
+	first := aggs[0]
 	rep := &Report{
 		Students:      cfg.Students,
 		Seed:          cfg.Seed,
@@ -212,26 +216,24 @@ func Run(cfg Config) (*Report, error) {
 		ShardSize:     cfg.ShardSize,
 		Shards:        shards,
 		Workers:       cfg.Workers,
-		Rows:          make([]RowTotals, len(calib.rows)),
-		AWS:           CostTotals{Expected: calib.expectedAWS, Hist: costHist()},
-		GCP:           CostTotals{Expected: calib.expectedGCP, Hist: costHist()},
-		Occupancy:     cloud.NewOccupancy(int(math.Ceil(calib.teardown))),
+		Rows:          first.rows,
+		AWS:           first.aws,
+		GCP:           first.gcp,
+		Occupancy:     first.occ,
+		Events:        first.events,
 	}
-	for i := range rep.Rows {
-		rep.Rows[i].Row = calib.rows[i].row
-	}
-	for _, p := range parts {
-		rep.mergeShard(p)
+	for _, a := range aggs[1:] {
+		rep.mergeWorker(a)
 	}
 	return rep, nil
 }
 
-// mergeShard folds one shard's aggregates into the report. Everything
+// mergeWorker folds one worker's aggregates into the report. Everything
 // merged here is integer micro-units or counters (DESIGN §11): the
 // floatmerge lint check walks this function's call tree to prove no
 // float arithmetic can reach the merge, which is what keeps the final
 // report independent of shard geometry and worker interleaving.
-func (rep *Report) mergeShard(p *shardAgg) {
+func (rep *Report) mergeWorker(p *workerAgg) {
 	for i := range rep.Rows {
 		rep.Rows[i].Instances.Merge(p.rows[i].Instances)
 		rep.Rows[i].FIPs.Merge(p.rows[i].FIPs)
@@ -247,10 +249,9 @@ func (rep *Report) mergeShard(p *shardAgg) {
 	rep.Events += p.events
 }
 
-// runShard simulates students [shard*ShardSize, ...) and returns the
-// shard's aggregates.
-func runShard(c *calibration, cfg Config, shard int) *shardAgg {
-	agg := newShardAgg(c)
+// runShard simulates students [shard*ShardSize, ...) into the running
+// worker's aggregates.
+func runShard(c *calibration, cfg Config, shard int, agg *workerAgg) {
 	root := stats.NewRNG(cfg.Seed)
 
 	lo := shard * cfg.ShardSize
@@ -265,12 +266,11 @@ func runShard(c *calibration, cfg Config, shard int) *shardAgg {
 		stu := block.Split(uint64(g))
 		simulateStudent(c, stu, agg)
 	}
-	return agg
 }
 
 // addSession folds one resource-holding window [start, end) of a row
-// into the shard aggregates and counts its launch and delete events.
-func addSession(c *calibration, agg *shardAgg, ri int, start, end float64) {
+// into the worker's aggregates and counts its launch and delete events.
+func addSession(c *calibration, agg *workerAgg, ri int, start, end float64) {
 	rc := &c.rows[ri]
 	vms := rc.row.VMsPerStudent
 	agg.occ.AddInstances(start, end, rc.row.Flavor, vms)
@@ -289,8 +289,8 @@ func sessionCost(rc *rowCalib, dur float64) (aws, gcp float64) {
 
 // simulateStudent generates one student's semester: every on-demand VM
 // row plus one reserved pick per lease-backed assignment. Sessions and
-// the student's bill fold into the shard aggregates as they are drawn.
-func simulateStudent(c *calibration, stu *stats.RNG, agg *shardAgg) {
+// the student's bill fold into the worker's aggregates as they are drawn.
+func simulateStudent(c *calibration, stu *stats.RNG, agg *workerAgg) {
 	var costAWS, costGCP float64
 
 	// Shared negligence factor: the Fig. 2 long tail.

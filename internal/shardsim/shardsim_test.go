@@ -26,6 +26,7 @@ func TestByteIdenticalAcrossGeometry(t *testing.T) {
 		{1000, 3},
 		{37, 16},
 		{20_000, 2},
+		{1, 2},
 	}
 	var want string
 	for i, g := range geoms {
@@ -165,18 +166,44 @@ func TestShortSemesterRejected(t *testing.T) {
 }
 
 // TestRunAllocsPerStudent pins the allocation contract of the fold: a
-// run allocates per shard and per run, never per student or per
-// session.
+// run allocates per worker and per run, never per shard, per student or
+// per session. 2,000 students in 10-student shards are 200 shards.
 func TestRunAllocsPerStudent(t *testing.T) {
-	const students = 20_000
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := shardsim.Run(shardsim.Config{Students: students, Seed: 1, Workers: 1}); err != nil {
+	for _, workers := range []int{1, 2} {
+		allocs := testing.AllocsPerRun(3, func() {
+			cfg := shardsim.Config{Students: 2_000, Seed: 1, ShardSize: 10, Workers: workers}
+			if _, err := shardsim.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// A run's fixed cost is 42 objects and a worker's aggregate 12.
+		if want := 48 + 16*float64(workers); allocs > want {
+			t.Errorf("Run on %d workers allocates %.0f objects for 200 shards, want <= %.0f",
+				workers, allocs, want)
+		}
+	}
+}
+
+// TestRunBytesIndependentOfPopulation pins what bounds a run's memory:
+// one aggregate per worker. On one worker, the bytes a Run allocates do
+// not depend on the shard size or on the population.
+func TestRunBytesIndependentOfPopulation(t *testing.T) {
+	runBytes := func(students, shardSize int) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cfg := shardsim.Config{Students: students, Seed: 1, ShardSize: shardSize, Workers: 1}
+		if _, err := shardsim.Run(cfg); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if per := allocs / students; per >= 0.1 {
-		t.Errorf("Run allocates %.0f objects for %d students (%.3f per student), want < 0.1",
-			allocs, students, per)
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	base := runBytes(20_000, 4096)
+	for _, g := range []struct{ students, shardSize int }{{20_000, 37}, {2_000, 4096}} {
+		if got := runBytes(g.students, g.shardSize); math.Abs(got-base) > 0.1*base {
+			t.Errorf("%d students in %d-student shards allocate %.0f B, want within 10%% of %.0f B (20,000 in 4,096)",
+				g.students, g.shardSize, got, base)
+		}
 	}
 }
 

@@ -2,21 +2,33 @@ package studentsim
 
 import (
 	"repro/internal/cost"
+	"repro/internal/course"
 	"repro/internal/stats"
 	"sort"
 )
 
+// rowIDs holds the catalog's row IDs, sorted.
+var rowIDs = func() []string {
+	var ids []string
+	for _, r := range course.Rows() {
+		ids = append(ids, r.ID)
+	}
+	sort.Strings(ids)
+	return ids
+}()
+
 // StudentCost prices one student's lab usage on a provider (edge rows
-// excluded, matching the paper's Fig. 2 note).
+// excluded, matching the paper's Fig. 2 note). Rows add up in sorted-ID
+// order, so the float sum never depends on map order.
 func StudentCost(s StudentUsage, p cost.Provider) (float64, error) {
 	var total float64
-	keys := make([]string, 0, len(s.InstHours))
-	for rowID := range s.InstHours {
-		keys = append(keys, rowID)
-	}
-	sort.Strings(keys)
-	for _, rowID := range keys {
-		hours := s.InstHours[rowID]
+	priced := 0
+	for _, rowID := range rowIDs {
+		hours, ok := s.InstHours[rowID]
+		if !ok {
+			continue
+		}
+		priced++
 		c, err := cost.LabRowCost(cost.LabUsage{
 			RowID:         rowID,
 			InstanceHours: hours,
@@ -27,7 +39,20 @@ func StudentCost(s StudentUsage, p cost.Provider) (float64, error) {
 		}
 		total += c
 	}
-	return total, nil
+	if priced == len(s.InstHours) {
+		return total, nil
+	}
+	// A row outside the catalog: fail on the lowest such ID, the first
+	// one a walk over the student's sorted rows would price.
+	lowest, found := "", false
+	for rowID := range s.InstHours {
+		i := sort.SearchStrings(rowIDs, rowID)
+		if known := i < len(rowIDs) && rowIDs[i] == rowID; !known && (!found || rowID < lowest) {
+			lowest, found = rowID, true
+		}
+	}
+	_, err := cost.LabRowCost(cost.LabUsage{RowID: lowest}, p)
+	return 0, err
 }
 
 // StudentCosts prices every student, returning the per-student vector

@@ -35,6 +35,9 @@ var scenarios = []scenario{
 		args: []string{"-sharded", "-students", "20000", "-shardsize", "4096", "-workers", "4"}},
 	{name: "sharded-gomaxprocs8", prog: "cmd/coursesim", env: []string{"GOMAXPROCS=8"}, stdout: "sharded-20000-seed1.golden",
 		args: []string{"-sharded", "-students", "20000", "-shardsize", "1777", "-workers", "8"}},
+	// 2,858 shards folded into 3 worker aggregates.
+	{name: "sharded-shardsize7", prog: "cmd/coursesim", env: []string{"GOMAXPROCS=2"}, stdout: "sharded-20000-seed1.golden",
+		args: []string{"-sharded", "-students", "20000", "-shardsize", "7", "-workers", "3"}},
 	{name: "distributed-training", prog: "examples/distributed-training", args: []string{"-incident", "incident.txt"},
 		stdout: "distributed-training.golden", files: map[string]string{"incident.txt": "distributed-training-incident.golden"}},
 	// An armed recorder that captures nothing must not change a byte.
