@@ -196,20 +196,12 @@ func newSession(out io.Writer) func(line string) (quit bool) {
 			return nil
 		}},
 		{"fip", "<instance-id>", 1, 1, func(a []string) error {
-			// Find the instance first: an address allocated for a failed
-			// association would stay allocated and metered.
-			inst, err := cl.Get(a[0])
-			if err == nil && inst.State == cloud.StateDeleted {
-				err = fmt.Errorf("%w: instance %q", cloud.ErrNotFound, a[0])
-			}
+			fip, err := cl.AllocateFloatingIPFor("sandbox", a[0], cloud.Tags{})
 			if err != nil {
 				return err
 			}
-			fip, err := cl.AllocateFloatingIP("sandbox", cloud.Tags{})
-			if err != nil {
-				return err
-			}
-			return done(cl.AssociateFloatingIP(fip.ID, a[0]), "associated %s\n", fip.Address)
+			fmt.Fprintf(out, "associated %s\n", fip.Address)
+			return nil
 		}},
 		{"volume", "<name> <sizeGB>", 2, 2, func(a []string) error {
 			size, err := strconv.Atoi(a[1])

@@ -239,8 +239,9 @@ func TestSessionErrorReplies(t *testing.T) {
 }
 
 // A command that fails leaves the project's books as they were: a
-// floating IP for a missing or deleted instance is never allocated, and a
-// volume too large to add to the usage is refused on quota.
+// floating IP for a missing or deleted instance, or for one that already
+// holds an address, is never allocated, and a volume too large to add to
+// the usage is refused on quota.
 func TestFailedCommandsKeepTheBooks(t *testing.T) {
 	for _, tc := range []struct {
 		lines []string
@@ -253,6 +254,10 @@ func TestFailedCommandsKeepTheBooks(t *testing.T) {
 			"inst-000001 ACTIVE on kvm@ctl-hv-000\ndeleted\n" +
 				"cloud: resource not found: instance \"inst-000001\"\n" +
 				"instances 0/600  cores 0/1200  ram 0/2560 GB  fips 0/300\n"},
+		{[]string{"launch web m1.small", "fip inst-000001", "fip inst-000001", "quota"},
+			"inst-000001 ACTIVE on kvm@ctl-hv-000\nassociated 129.114.0.3\n" +
+				"cloud: floating IP already associated: instance \"inst-000001\" holds 129.114.0.3\n" +
+				"instances 1/600  cores 1/1200  ram 2/2560 GB  fips 1/300\n"},
 		{[]string{"volume b 10", "volume a 9223372036854775807", "volume c 10240"},
 			"vol-000001 available (10 GB)\n" +
 				"blockstore: block storage quota exceeded: 10 GB in use, 9223372036854775807 requested, limit 10240\n" +

@@ -116,7 +116,7 @@ func run(args []string, out io.Writer) int {
 			s.PerStudentAWS, s.PerStudentGCP)
 	}
 	if *seeds > 1 {
-		if err := printSeedSweep(out, *students, *seeds); err != nil {
+		if err := printSeedSweep(out, s, *seeds); err != nil {
 			return fail(err)
 		}
 	}
@@ -214,13 +214,18 @@ func writeCSVs(dir string, s *core.Summary) error {
 	return nil
 }
 
-// printSeedSweep reports headline stability across seeds.
-func printSeedSweep(out io.Writer, students, n int) error {
+// printSeedSweep reports headline stability across seeds 1..n at the
+// enrollment of ran, reusing ran for its own seed.
+func printSeedSweep(out io.Writer, ran *core.Summary, n int) error {
 	var hours, aws []float64
-	for seed := 1; seed <= n; seed++ {
-		s, err := core.Planner{Students: students, Seed: uint64(seed)}.Run()
-		if err != nil {
-			return err
+	for seed := uint64(1); seed <= uint64(n); seed++ {
+		s := ran
+		if seed != ran.Labs.Config.Seed {
+			var err error
+			s, err = core.Planner{Students: ran.Labs.Config.Students, Seed: seed}.Run()
+			if err != nil {
+				return err
+			}
 		}
 		hours = append(hours, s.LabInstanceHours)
 		aws = append(aws, s.LabCostAWS)

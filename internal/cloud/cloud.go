@@ -375,23 +375,17 @@ func (c *Cloud) deleteLocked(instanceID string) error {
 	if inst.State == StateDeleted {
 		return ErrAlreadyDeleted
 	}
+	// Before the ERROR branch: an address may be bound to the wreck after
+	// its failure released the first one.
+	c.unbindFIPLocked(inst)
 	if inst.State == StateError {
-		// Capacity, quota, floating IP and the meter record were all
-		// released when the instance failed; deleting the wreck (e.g. a
-		// lease expiry racing a host crash) must not free them twice.
+		// Capacity, quota and the meter record were all released when
+		// the instance failed; deleting the wreck (e.g. a lease expiry
+		// racing a host crash) must not free them twice.
 		inst.State = StateDeleted
 		inst.DeletedAt = c.clock.Now()
 		c.tel.Counter("cloud.deletes").Inc()
 		return nil
-	}
-	if inst.FloatingIP != "" {
-		for _, f := range c.fips {
-			if f.InstanceID == inst.ID {
-				f.InstanceID = ""
-				break
-			}
-		}
-		inst.FloatingIP = ""
 	}
 	for _, h := range c.hosts {
 		if h.Name == inst.Host {
@@ -529,6 +523,29 @@ func (c *Cloud) CreateRouter(project, name string, externalGW *Network) (*Router
 func (c *Cloud) AllocateFloatingIP(project string, tags Tags) (*FloatingIP, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.allocateFIPLocked(project, tags)
+}
+
+// AllocateFloatingIPFor allocates an address and binds it to an instance
+// in one step. It checks the instance first, by the rule
+// AssociateFloatingIP applies, so a refused binding allocates and meters
+// nothing.
+func (c *Cloud) AllocateFloatingIPFor(project, instanceID string, tags Tags) (*FloatingIP, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	inst, err := c.associableLocked(instanceID)
+	if err != nil {
+		return nil, err
+	}
+	f, err := c.allocateFIPLocked(project, tags)
+	if err != nil {
+		return nil, err
+	}
+	f.InstanceID, inst.FloatingIP = inst.ID, f.Address
+	return f, nil
+}
+
+func (c *Cloud) allocateFIPLocked(project string, tags Tags) (*FloatingIP, error) {
 	p, ok := c.projects[project]
 	if !ok {
 		return nil, fmt.Errorf("%w: project %q", ErrNotFound, project)
@@ -552,7 +569,8 @@ func (c *Cloud) AllocateFloatingIP(project string, tags Tags) (*FloatingIP, erro
 	return f, nil
 }
 
-// AssociateFloatingIP binds an address to an instance.
+// AssociateFloatingIP binds an address to an instance. An instance holds
+// at most one address.
 func (c *Cloud) AssociateFloatingIP(fipID, instanceID string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -563,13 +581,40 @@ func (c *Cloud) AssociateFloatingIP(fipID, instanceID string) error {
 	if f.InstanceID != "" {
 		return ErrIPInUse
 	}
-	inst, ok := c.instances[instanceID]
-	if !ok || inst.State == StateDeleted {
-		return fmt.Errorf("%w: instance %q", ErrNotFound, instanceID)
+	inst, err := c.associableLocked(instanceID)
+	if err != nil {
+		return err
 	}
 	f.InstanceID = instanceID
 	inst.FloatingIP = f.Address
 	return nil
+}
+
+// associableLocked returns the instance if an address may be bound to it:
+// it exists, is not deleted, and holds no address yet.
+func (c *Cloud) associableLocked(instanceID string) (*Instance, error) {
+	inst, ok := c.instances[instanceID]
+	if !ok || inst.State == StateDeleted {
+		return nil, fmt.Errorf("%w: instance %q", ErrNotFound, instanceID)
+	}
+	if inst.FloatingIP != "" {
+		return nil, fmt.Errorf("%w: instance %q holds %s", ErrIPInUse, instanceID, inst.FloatingIP)
+	}
+	return inst, nil
+}
+
+// unbindFIPLocked clears the binding of the one address inst holds.
+func (c *Cloud) unbindFIPLocked(inst *Instance) {
+	if inst.FloatingIP == "" {
+		return
+	}
+	for _, f := range c.fips {
+		if f.InstanceID == inst.ID {
+			f.InstanceID = ""
+			break
+		}
+	}
+	inst.FloatingIP = ""
 }
 
 // ReleaseFloatingIP returns the address to the pool and closes metering.

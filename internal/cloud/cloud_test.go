@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -222,6 +223,34 @@ func TestDeleteReleasesFloatingIPAssociation(t *testing.T) {
 	inst2, _ := c.Launch(LaunchSpec{Project: "class", Flavor: M1Small})
 	if err := c.AssociateFloatingIP(fip.ID, inst2.ID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An instance holds one address: a second binding is refused, naming the
+// instance, and deleting the instance leaves no address bound to it.
+func TestOneFloatingIPPerInstance(t *testing.T) {
+	c, _ := newTestCloud()
+	inst, _ := c.Launch(LaunchSpec{Project: "class", Flavor: M1Small})
+	first, _ := c.AllocateFloatingIP("class", Tags{})
+	second, _ := c.AllocateFloatingIP("class", Tags{})
+	if err := c.AssociateFloatingIP(first.ID, inst.ID); err != nil {
+		t.Fatal(err)
+	}
+	err := c.AssociateFloatingIP(second.ID, inst.ID)
+	if !errors.Is(err, ErrIPInUse) || !strings.Contains(err.Error(), inst.ID) {
+		t.Errorf("second associate err = %v, want ErrIPInUse naming %s", err, inst.ID)
+	}
+	if inst.FloatingIP != first.Address {
+		t.Errorf("instance holds %q, want the first address %q", inst.FloatingIP, first.Address)
+	}
+	if err := c.Delete(inst.ID); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*FloatingIP{first, second} {
+		next, _ := c.Launch(LaunchSpec{Project: "class", Flavor: M1Small})
+		if err := c.AssociateFloatingIP(f.ID, next.ID); err != nil {
+			t.Errorf("associate %s after the delete: %v", f.Address, err)
+		}
 	}
 }
 

@@ -78,15 +78,7 @@ func (c *Cloud) failInstanceLocked(inst *Instance, reason string) {
 		return
 	}
 	now := c.clock.Now()
-	if inst.FloatingIP != "" {
-		for _, f := range c.fips {
-			if f.InstanceID == inst.ID {
-				f.InstanceID = ""
-				break
-			}
-		}
-		inst.FloatingIP = ""
-	}
+	c.unbindFIPLocked(inst)
 	for _, h := range c.hosts {
 		if h.Name == inst.Host {
 			h.evict(inst)

@@ -134,6 +134,33 @@ func TestFailInstanceReleasesFloatingIPAssociation(t *testing.T) {
 	}
 }
 
+// An address bound to an instance after its host failed is free again
+// once the errored instance is deleted.
+func TestDeleteErroredInstanceUnbindsFloatingIP(t *testing.T) {
+	c, _ := failTestCloud(t)
+	inst, err := c.Launch(LaunchSpec{Project: "p", Name: "a", Flavor: M1Small})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FailHost(inst.Host); err != nil {
+		t.Fatal(err)
+	}
+	fip, _ := c.AllocateFloatingIP("p", Tags{})
+	if err := c.AssociateFloatingIP(fip.ID, inst.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Delete(inst.ID); err != nil {
+		t.Fatal(err)
+	}
+	next, err := c.Launch(LaunchSpec{Project: "p", Name: "b", Flavor: M1Small})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AssociateFloatingIP(fip.ID, next.ID); err != nil {
+		t.Errorf("associate the deleted instance's address: %v", err)
+	}
+}
+
 func TestDeleteErroredInstanceDoesNotDoubleFree(t *testing.T) {
 	c, clk := failTestCloud(t)
 	inst, err := c.Launch(LaunchSpec{Project: "p", Name: "a", Flavor: M1Medium})

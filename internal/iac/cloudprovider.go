@@ -77,19 +77,25 @@ func (p *CloudProvider) Create(r Resource, s *State) (string, error) {
 		}
 		return inst.ID, nil
 	case "floating_ip":
-		fip, err := p.Cloud.AllocateFloatingIP(p.Project,
-			cloud.NewTags("lab", r.Attrs["lab"], "student", r.Attrs["student"], "managed_by", "iac"))
-		if err != nil {
-			return "", err
-		}
-		if instAddr := r.Attrs["instance"]; instAddr != "" {
-			instID, err := p.resolve(s, instAddr)
+		tags := cloud.NewTags("lab", r.Attrs["lab"], "student", r.Attrs["student"], "managed_by", "iac")
+		instAddr := r.Attrs["instance"]
+		if instAddr == "" {
+			fip, err := p.Cloud.AllocateFloatingIP(p.Project, tags)
 			if err != nil {
 				return "", err
 			}
-			if err := p.Cloud.AssociateFloatingIP(fip.ID, instID); err != nil {
-				return "", err
-			}
+			return fip.ID, nil
+		}
+		// Resolve the instance before anything is allocated: a failed
+		// create leaves no state entry, so Destroy could not free an
+		// address allocated here.
+		instID, err := p.resolve(s, instAddr)
+		if err != nil {
+			return "", err
+		}
+		fip, err := p.Cloud.AllocateFloatingIPFor(p.Project, instID, tags)
+		if err != nil {
+			return "", err
 		}
 		return fip.ID, nil
 	default:

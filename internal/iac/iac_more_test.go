@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"repro/internal/cloud"
 )
 
 func TestMustAddPanicsOnDuplicate(t *testing.T) {
@@ -117,6 +119,43 @@ func TestCloudProviderUnknownType(t *testing.T) {
 	// Deleting unknown types is a no-op.
 	if err := p.Delete(Resource{Type: "network", Name: "n"}, "id", nil); err != nil {
 		t.Errorf("network delete err = %v", err)
+	}
+}
+
+// A floating_ip create that fails leaves the project's addresses and the
+// meter as they were: an address allocated before the failure would have
+// no state entry, so Destroy could never free it.
+func TestFailedFloatingIPCreateAllocatesNothing(t *testing.T) {
+	p, cl, _ := newProvider()
+	m := NewModule()
+	m.MustAdd(Resource{Type: "instance", Name: "node1", Attrs: map[string]string{"name": "node1", "flavor": "m1.small"}})
+	m.MustAdd(Resource{Type: "floating_ip", Name: "a", DependsOn: []string{"instance.node1"},
+		Attrs: map[string]string{"instance": "instance.node1"}})
+	s := NewState()
+	plan, err := PlanChanges(m, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Apply(plan, p, s); err != nil {
+		t.Fatal(err)
+	}
+	proj, _ := cl.GetProject("class")
+	for _, tc := range []struct {
+		instance string
+		want     error
+	}{
+		{"instance.nope", ErrUnknown},        // undeclared
+		{"instance.node1", cloud.ErrIPInUse}, // already holds address a
+	} {
+		fips, records := proj.Usage.FloatingIPs, len(cl.Meter().Records(nil))
+		_, err := p.Create(Resource{Type: "floating_ip", Name: "b", Attrs: map[string]string{"instance": tc.instance}}, s)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: create err = %v, want %v", tc.instance, err, tc.want)
+		}
+		if got := len(cl.Meter().Records(nil)); proj.Usage.FloatingIPs != fips || got != records {
+			t.Errorf("%s: failed create left %d floating IPs and %d meter records, want %d and %d",
+				tc.instance, proj.Usage.FloatingIPs, got, fips, records)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package studentsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -18,27 +19,47 @@ import (
 // draws, so (hours@S + clipped@S - working) must equal S x (hours@1 -
 // working) per row — including under an extreme scale where every
 // non-prompt student pins at maxOverhangHours and the old code leaked
-// the remainder.
+// the remainder. The invariant belongs to the model, not to the quota:
+// at scale 50 the course quota refuses launches, and the book holds only
+// what ran. So the passes run the VM rows on a platform that refuses
+// nothing; TestSubstrateMeterAgreesWithBookkeeping covers the refusals.
 func TestOverhangMassConserved(t *testing.T) {
 	const seed = 11
-	run := func(b *Behavior) *Result {
-		res, err := SimulateLabs(Config{Seed: seed, Behavior: b})
-		if err != nil {
-			t.Fatal(err)
+	// At the calibrated scale the cap redistributes fully: nothing to clip.
+	calibrated, err := SimulateLabs(Config{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for row, c := range calibrated.ClippedOverhangHours {
+		if c > 1e-6 {
+			t.Errorf("row %s: clipped %.3f h at calibrated scale, want 0", row, c)
 		}
+	}
+
+	n, teardown := course.Enrollment, 15*course.HoursPerWeek
+	negligence := stratifiedLogNormal(n, 1, negligenceSigma, stats.NewRNG(seed).Split(1))
+	run := func(b *Behavior) *Result {
+		clk := simclock.New()
+		cl := cloud.New("test@sim", clk)
+		cl.AddVMCapacity(100, 100, 400)
+		cl.CreateProject("course", unlimited)
+		res, rng := harness(n, cl, nil, clk), stats.NewRNG(seed)
+		for i, row := range course.Rows() {
+			if row.Reserved() {
+				continue
+			}
+			if err := simulateVMRow(res, cl, clk, row, negligence, b.effective(), teardown, rng.Split(uint64(100+i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clk.RunUntil(teardown + 1)
+		res.book(course.Rows())
 		return res
 	}
 	working := run(&Behavior{DisableOverhang: true})
 	base := run(nil)
 	const scale = 50.0
 	extreme := run(&Behavior{OverhangScale: scale})
-
-	// At the calibrated scale the cap redistributes fully: nothing to clip.
-	for row, c := range base.ClippedOverhangHours {
-		if c > 1e-6 {
-			t.Errorf("row %s: clipped %.3f h at calibrated scale, want 0", row, c)
-		}
-	}
 
 	sawClipped := false
 	for _, row := range course.Rows() {
@@ -65,19 +86,16 @@ func TestOverhangMassConserved(t *testing.T) {
 	}
 }
 
-// reservedHarness builds the minimal substrate simulateReservedAssignment
-// needs: n students, one lease pool for the rows' flavor, no staff holds.
-func reservedHarness(t *testing.T, n, nodes int, flavor cloud.Flavor) (*Result, *cloud.Cloud, *lease.Service) {
-	t.Helper()
-	clk := simclock.New()
-	cl := cloud.New("test@sim", clk)
-	cl.CreateProject("course-chi", cloud.Quota{
-		Instances: cloud.Unlimited, Cores: cloud.Unlimited, RAMGB: cloud.Unlimited,
-		Networks: cloud.Unlimited, Routers: cloud.Unlimited, FloatingIPs: cloud.Unlimited,
-		SecurityGroups: cloud.Unlimited, Volumes: cloud.Unlimited, BlockStorageGB: cloud.Unlimited,
-	})
-	ls := lease.New(clk, cl)
-	ls.AddPool(flavor, nodes)
+// unlimited is a quota that refuses nothing.
+var unlimited = cloud.Quota{
+	Instances: cloud.Unlimited, Cores: cloud.Unlimited, RAMGB: cloud.Unlimited,
+	Networks: cloud.Unlimited, Routers: cloud.Unlimited, FloatingIPs: cloud.Unlimited,
+	SecurityGroups: cloud.Unlimited, Volumes: cloud.Unlimited, BlockStorageGB: cloud.Unlimited,
+}
+
+// harness returns the empty Result that the simulate functions drive
+// and book fills, for n students on the given substrate.
+func harness(n int, cl *cloud.Cloud, ls *lease.Service, clk *simclock.Clock) *Result {
 	res := &Result{
 		Config:               Config{Students: n},
 		RowInstanceHours:     map[string]float64{},
@@ -88,12 +106,24 @@ func reservedHarness(t *testing.T, n, nodes int, flavor cloud.Flavor) (*Result, 
 	res.Students = make([]StudentUsage, n)
 	for i := range res.Students {
 		res.Students[i] = StudentUsage{
-			ID:        string(rune('a' + i)),
+			ID:        fmt.Sprintf("s%03d", i),
 			InstHours: map[string]float64{},
 			FIPHours:  map[string]float64{},
 		}
 	}
-	return res, cl, ls
+	return res
+}
+
+// reservedHarness builds the minimal substrate simulateReservedAssignment
+// needs: n students, one lease pool for the rows' flavor, no staff holds.
+func reservedHarness(t *testing.T, n, nodes int, flavor cloud.Flavor) (*Result, *cloud.Cloud, *lease.Service) {
+	t.Helper()
+	clk := simclock.New()
+	cl := cloud.New("test@sim", clk)
+	cl.CreateProject("course-chi", unlimited)
+	ls := lease.New(clk, cl)
+	ls.AddPool(flavor, nodes)
+	return harness(n, cl, ls, clk), cl, ls
 }
 
 func reservedRow(id string, share float64) course.Row {
@@ -127,6 +157,7 @@ func TestReservedShareRoundingSmallN(t *testing.T) {
 				t.Fatalf("shares %v n=%d: %v", shares, n, err)
 			}
 			res.Clock.Run()
+			res.book(rows)
 			// Every student is assigned exactly once: per-student hours
 			// appear under exactly the rows they were placed in, and
 			// total placements match bookings (no row-0 dumping).
@@ -137,6 +168,9 @@ func TestReservedShareRoundingSmallN(t *testing.T) {
 			var studentHours float64
 			for _, s := range res.Students {
 				studentHours += sumSorted(s.InstHours)
+			}
+			if totalHours <= 0 {
+				t.Errorf("shares %v n=%d: booked %.2f h, want some", shares, n, totalHours)
 			}
 			if math.Abs(totalHours-studentHours) > 1e-9 {
 				t.Errorf("shares %v n=%d: row hours %.2f != student hours %.2f",
@@ -149,63 +183,41 @@ func TestReservedShareRoundingSmallN(t *testing.T) {
 // TestNoFIPHoursWhenAllLaunchesBlocked pins the floating-IP retry fix: a
 // student whose every launch is quota-blocked (and whose retries never
 // succeed) must not bill floating-IP hours, because the IP was never
-// associated with anything.
+// associated with anything. The book bills such a student nothing.
 func TestNoFIPHoursWhenAllLaunchesBlocked(t *testing.T) {
-	clk := simclock.New()
-	cl := cloud.New("kvm@sim", clk)
-	cl.AddVMCapacity(10, 100, 400)
+	row := course.Rows()[0] // on-demand VM row
+	behavior := (*Behavior)(nil).effective()
+	run := func(q cloud.Quota) *Result {
+		clk := simclock.New()
+		cl := cloud.New("kvm@sim", clk)
+		cl.AddVMCapacity(10, 100, 400)
+		cl.CreateProject("course", q)
+		res := harness(1, cl, nil, clk)
+		if err := simulateVMRow(res, cl, clk, row, []float64{1}, behavior, 15*course.HoursPerWeek, stats.NewRNG(3)); err != nil {
+			t.Fatal(err)
+		}
+		clk.Run()
+		res.book(course.Rows())
+		return res
+	}
 	// Zero instance quota: every Launch and every retry fails; floating
 	// IPs themselves are allowed, so only the association rule prevents
 	// allocation.
-	cl.CreateProject("course", cloud.Quota{
-		Instances: 0, Cores: cloud.Unlimited, RAMGB: cloud.Unlimited,
-		Networks: cloud.Unlimited, Routers: cloud.Unlimited, FloatingIPs: cloud.Unlimited,
-		SecurityGroups: cloud.Unlimited, Volumes: cloud.Unlimited, BlockStorageGB: cloud.Unlimited,
-	})
-	res := &Result{
-		Config:               Config{Students: 1},
-		RowInstanceHours:     map[string]float64{},
-		RowFIPHours:          map[string]float64{},
-		ClippedOverhangHours: map[string]float64{},
-		Cloud:                cl, Clock: clk,
-	}
-	res.Students = []StudentUsage{{ID: "s000", InstHours: map[string]float64{}, FIPHours: map[string]float64{}}}
-
-	row := course.Rows()[0] // on-demand VM row
-	behavior := (*Behavior)(nil).effective()
-	if err := simulateVMRow(res, cl, clk, row, []float64{1}, behavior, 15*course.HoursPerWeek, stats.NewRNG(3)); err != nil {
-		t.Fatal(err)
-	}
-	clk.Run()
-	now := clk.Now()
-	fipHours := cl.Meter().TotalHours(now, func(r *cloud.UsageRecord) bool {
+	blocked := unlimited
+	blocked.Instances = 0
+	res := run(blocked)
+	fipHours := res.Cloud.Meter().TotalHours(res.Clock.Now(), func(r *cloud.UsageRecord) bool {
 		return r.Kind == cloud.UsageFloatingIP
 	})
 	if fipHours != 0 {
 		t.Fatalf("metered %.2f floating-IP hours with zero successful launches, want 0", fipHours)
 	}
+	if inst, fip := res.TotalInstanceHours(), res.TotalFIPHours(); inst != 0 || fip != 0 {
+		t.Errorf("booked %.2f instance and %.2f floating-IP hours with zero successful launches, want 0", inst, fip)
+	}
 
 	// Control: with quota available the same row does bill FIP hours.
-	clk2 := simclock.New()
-	cl2 := cloud.New("kvm@sim", clk2)
-	cl2.AddVMCapacity(10, 100, 400)
-	cl2.CreateProject("course", cloud.DefaultProjectQuota())
-	res2 := &Result{
-		Config:               Config{Students: 1},
-		RowInstanceHours:     map[string]float64{},
-		RowFIPHours:          map[string]float64{},
-		ClippedOverhangHours: map[string]float64{},
-		Cloud:                cl2, Clock: clk2,
-	}
-	res2.Students = []StudentUsage{{ID: "s000", InstHours: map[string]float64{}, FIPHours: map[string]float64{}}}
-	if err := simulateVMRow(res2, cl2, clk2, row, []float64{1}, behavior, 15*course.HoursPerWeek, stats.NewRNG(3)); err != nil {
-		t.Fatal(err)
-	}
-	clk2.Run()
-	got := cl2.Meter().TotalHours(clk2.Now(), func(r *cloud.UsageRecord) bool {
-		return r.Kind == cloud.UsageFloatingIP
-	})
-	if got <= 0 {
-		t.Fatalf("control run metered no floating-IP hours, want > 0")
+	if got := run(cloud.DefaultProjectQuota()).TotalFIPHours(); got <= 0 {
+		t.Fatalf("control run booked no floating-IP hours, want > 0")
 	}
 }

@@ -100,7 +100,8 @@ func sumSorted(m map[string]float64) float64 {
 	return t
 }
 
-// Result is a finished lab-phase simulation.
+// Result is a finished lab-phase simulation. Its hours are the platform
+// meter's (DESIGN §4).
 type Result struct {
 	Config   Config
 	Students []StudentUsage
@@ -109,10 +110,8 @@ type Result struct {
 	RowFIPHours      map[string]float64
 	// ClippedOverhangHours records, per row, overhang mass (in instance
 	// hours) that could not be redistributed because every non-prompt
-	// student hit maxOverhangHours — it is the explicit remainder of the
-	// "row total survives" invariant under extreme what-if configs, so
-	// RowInstanceHours[row] + ClippedOverhangHours[row] conserves the
-	// configured mass instead of silently dropping it.
+	// student hit maxOverhangHours, so extreme what-if configs report the
+	// mass the cap left unplaced instead of silently dropping it.
 	ClippedOverhangHours map[string]float64
 	// Cloud and Lease expose the substrate for meter cross-checks.
 	Cloud *cloud.Cloud
@@ -240,7 +239,38 @@ func SimulateLabs(cfg Config) (*Result, error) {
 		}
 	}
 	clk.RunUntil(teardown + 1)
+	res.book(rows)
 	return res, nil
+}
+
+// book fills the per-student and per-row hours from the platform's meter,
+// the lab phase's one book. A student-row adds its records in metering
+// order; a row total adds its students in student order, so no total
+// depends on the order the platform metered in.
+func (r *Result) book(rows []course.Row) {
+	index := make(map[string]int, len(r.Students))
+	for i, s := range r.Students {
+		index[s.ID] = i
+	}
+	now := r.Clock.Now()
+	r.Cloud.Meter().Each(func(rec *cloud.UsageRecord) {
+		i, ok := index[rec.Tags.Get("student")]
+		if !ok {
+			return
+		}
+		switch rec.Kind {
+		case cloud.UsageInstance:
+			r.Students[i].InstHours[rec.Tags.Get("lab")] += rec.Hours(now)
+		case cloud.UsageFloatingIP:
+			r.Students[i].FIPHours[rec.Tags.Get("lab")] += rec.Hours(now)
+		}
+	})
+	for _, row := range rows {
+		for _, s := range r.Students {
+			r.RowInstanceHours[row.ID] += s.InstHours[row.ID]
+			r.RowFIPHours[row.ID] += s.FIPHours[row.ID]
+		}
+	}
 }
 
 // simulateVMRow schedules one on-demand lab for every student: launch
@@ -327,15 +357,9 @@ func simulateVMRow(res *Result, cl *cloud.Cloud, clk *simclock.Clock,
 		if end > teardown {
 			end = teardown
 		}
-		duration := end - start
-		student := &res.Students[i]
-		student.InstHours[row.ID] += duration * float64(row.VMsPerStudent)
-		student.FIPHours[row.ID] += duration
-		res.RowInstanceHours[row.ID] += duration * float64(row.VMsPerStudent)
-		res.RowFIPHours[row.ID] += duration
 
 		// Drive the substrate: launch at start, auto-delete at end.
-		sid := student.ID
+		sid := res.Students[i].ID
 		clk.At(start, "lab.start", func() {
 			// One value for the deployment: its VMs, their meter records
 			// and its floating IP share it.
@@ -351,8 +375,7 @@ func simulateVMRow(res *Result, cl *cloud.Cloud, clk *simclock.Clock,
 					return
 				}
 				fipUp = true
-				if fip, err := cl.AllocateFloatingIP("course", tags); err == nil {
-					_ = cl.AssociateFloatingIP(fip.ID, instID)
+				if fip, err := cl.AllocateFloatingIPFor("course", instID, tags); err == nil {
 					clk.At(end, "lab.fip-release", func() {
 						_ = cl.ReleaseFloatingIP(fip.ID)
 					})
@@ -367,9 +390,8 @@ func simulateVMRow(res *Result, cl *cloud.Cloud, clk *simclock.Clock,
 					Tags:    tags,
 				})
 				if err != nil {
-					// Quota pressure: the student tries again later; the
-					// bookkeeping above is unchanged (they still used
-					// their planned hours, just shifted).
+					// Quota pressure: the student tries again later and
+					// bills only what the meter records (DESIGN §4).
 					retryLaunch(cl, clk, row, sid, tags, v, end, 12, ensureFIP)
 					continue
 				}
@@ -509,10 +531,6 @@ func simulateReservedAssignment(res *Result, cl *cloud.Cloud, ls *lease.Service,
 				if err != nil {
 					return err
 				}
-				student.InstHours[row.ID] += r.Hours()
-				student.FIPHours[row.ID] += r.Hours()
-				res.RowInstanceHours[row.ID] += r.Hours()
-				res.RowFIPHours[row.ID] += r.Hours()
 				// A floating IP accompanies the reservation window.
 				cl.Meter().Open(cloud.UsageFloatingIP, "course-chi", "", tags, 1, r.Start).End = r.End
 				earliest = r.End + brng.Uniform(2, 20)

@@ -125,21 +125,63 @@ func TestVMRowsExceedExpected(t *testing.T) {
 	}
 }
 
+// TestSubstrateMeterAgreesWithBookkeeping runs the course where the
+// 600-instance course quota binds (600 students, seed 1): launches wait
+// in retryLaunch, so deployments run shorter than planned. Result's hours
+// must be the meter's, every student-row bit for bit and every row total
+// to float rounding, so a book of planned hours fails here.
 func TestSubstrateMeterAgreesWithBookkeeping(t *testing.T) {
-	// The discrete-event substrate (cloud + lease) must account the same
-	// hours as the simulator's own records: instances were really
-	// launched and deleted at the right virtual times.
-	res := simOnce(t, 3)
+	res, err := SimulateLabs(Config{Students: 600, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type key struct {
+		student, row string
+		kind         cloud.UsageKind
+	}
+	metered, launched := map[key]float64{}, map[key]float64{}
+	retried := 0
 	now := res.Clock.Now()
+	res.Cloud.Meter().Each(func(r *cloud.UsageRecord) {
+		k := key{r.Tags.Get("student"), r.Tags.Get("lab"), r.Kind}
+		metered[k] += r.Hours(now)
+		// A deployment's VMs launch together unless the quota refuses
+		// some, which start on a later retry.
+		if r.Project == "course" && r.Kind == cloud.UsageInstance {
+			if start, ok := launched[k]; !ok {
+				launched[k] = r.Start
+			} else if start != r.Start {
+				retried++
+			}
+		}
+	})
+	if retried == 0 {
+		t.Fatal("no VM launch waited for the quota; the test no longer exercises refused launches")
+	}
+	booked := 0
+	for _, s := range res.Students {
+		for kind, hours := range map[cloud.UsageKind]map[string]float64{
+			cloud.UsageInstance: s.InstHours, cloud.UsageFloatingIP: s.FIPHours} {
+			for row, h := range hours {
+				booked++
+				if want := metered[key{s.ID, row, kind}]; math.Float64bits(h) != math.Float64bits(want) {
+					t.Errorf("student %s row %s: booked %v %s hours, metered %v", s.ID, row, h, kind, want)
+				}
+			}
+		}
+	}
+	if booked != len(metered) {
+		t.Errorf("the book has %d student-rows, the meter %d", booked, len(metered))
+	}
 	for _, row := range course.Rows() {
-		got := res.Cloud.Meter().TotalHours(now, func(r *cloud.UsageRecord) bool {
-			return r.Kind == cloud.UsageInstance && r.Tags.Get("lab") == row.ID
-		})
-		want := res.RowInstanceHours[row.ID]
-		// The meter can lag slightly when quota-blocked launches retried
-		// (delayed starts shorten metered windows).
-		if math.Abs(got-want)/want > 0.02 {
-			t.Errorf("row %s: meter %.0f vs bookkeeping %.0f", row.ID, got, want)
+		for kind, total := range map[cloud.UsageKind]float64{
+			cloud.UsageInstance: res.RowInstanceHours[row.ID], cloud.UsageFloatingIP: res.RowFIPHours[row.ID]} {
+			want := res.Cloud.Meter().TotalHours(now, func(r *cloud.UsageRecord) bool {
+				return r.Kind == kind && r.Tags.Get("lab") == row.ID
+			})
+			if math.Abs(total-want) > 1e-9*want {
+				t.Errorf("row %s: booked %.1f %s hours, metered %.1f", row.ID, total, kind, want)
+			}
 		}
 	}
 	// No instances survive teardown.

@@ -29,6 +29,10 @@ type scenario struct {
 var scenarios = []scenario{
 	{name: "coursesim", prog: "cmd/coursesim", stdout: "coursesim.golden"},
 	{name: "coursesim-seeds5-summary", prog: "cmd/coursesim", args: []string{"-seeds", "5", "-summary"}, stdout: "coursesim-seeds5-summary.golden"},
+	// At 600 students the 600-instance course quota binds: the book holds
+	// what the platform ran, not what the students planned.
+	{name: "coursesim-600-summary-quota", prog: "cmd/coursesim", args: []string{"-students", "600", "-summary", "-quota"},
+		stdout: "coursesim-600-summary-quota.golden"},
 	// The sharded report must not depend on GOMAXPROCS, the shard size or
 	// the worker count.
 	{name: "sharded-gomaxprocs1", prog: "cmd/coursesim", env: []string{"GOMAXPROCS=1"}, stdout: "sharded-20000-seed1.golden",
