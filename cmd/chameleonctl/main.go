@@ -595,7 +595,7 @@ func parseCount(arg string) (int, bool) {
 // positional count plus -component, -level, -trace, and -since flags.
 // A non-empty bad string is the usage error to print.
 func parseLogsArgs(args []string) (n int, component string, level logging.Level, tracePrefix string, since float64, bad string) {
-	n, level, since = 20, logging.LevelDebug, -1
+	n, level, since = 20, logging.LevelInfo, -1
 	for i := 0; i < len(args); i++ {
 		switch args[i] {
 		case "-component":
@@ -606,7 +606,7 @@ func parseLogsArgs(args []string) (n int, component string, level logging.Level,
 			component = args[i]
 		case "-level":
 			if i+1 >= len(args) {
-				return 0, "", 0, "", 0, "usage: -level <debug|info|warn|error>"
+				return 0, "", 0, "", 0, "usage: -level <info|warn|error>"
 			}
 			i++
 			lv, ok := logging.ParseLevel(args[i])

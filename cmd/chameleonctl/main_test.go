@@ -110,7 +110,7 @@ func TestTsdbStatsLines(t *testing.T) {
 
 func TestParseLogsArgs(t *testing.T) {
 	n, comp, level, tr, since, bad := parseLogsArgs(nil)
-	if bad != "" || n != 20 || comp != "" || level != logging.LevelDebug || tr != "" || since != -1 {
+	if bad != "" || n != 20 || comp != "" || level != logging.LevelInfo || tr != "" || since != -1 {
 		t.Fatalf("defaults = (%d,%q,%v,%q,%g,%q)", n, comp, level, tr, since, bad)
 	}
 	n, comp, level, tr, since, bad = parseLogsArgs([]string{
@@ -222,6 +222,7 @@ func TestSessionErrorReplies(t *testing.T) {
 		{"spot preemptions foo", "usage: spot preemptions [-json]\n", false},
 		{"advance nan", "bad hours: nan\n", false},
 		{"logs -since nan", "bad time: nan\n", false},
+		{"logs -level debug", "bad level: debug\n", false},
 		{"sched fifo 0 4", "bad jobs/gpus: 0 4\n", false},
 		{"incidents show 1", "no incident #1 (try 'incidents list')\n", false},
 		{"quit", "", true},

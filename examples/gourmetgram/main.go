@@ -139,7 +139,6 @@ func main() {
 	served, err := mlcore.Unmarshal(prodBlob)
 	check(err)
 
-	tsdb := monitor.NewTSDB()
 	batcher := serveModel(served)
 	defer batcher.close()
 
@@ -147,16 +146,15 @@ func main() {
 	refConf := confidences(served, testSet)
 	drift := monitor.NewDriftDetector(refConf)
 
-	week1 := confidencesVia(batcher, testSet, tsdb)
+	week1, week1Lat := confidencesVia(batcher, testSet)
 	r1 := drift.Check(week1)
 	fmt.Printf("week 1: drift=%v (KS p=%.3f), accuracy=%.4f\n", r1.Drifted, r1.KSPValue, served.Accuracy(testSet))
-	lat, err := tsdb.WindowStats("latency_ms", 0, 1e9)
-	check(err)
+	lat := stats.Summarize(week1Lat)
 	fmt.Printf("serving p95 latency: %.2f ms over %d requests\n", lat.P95, lat.N)
 
 	// --- 5. Drift -> automated retraining workflow ----------------------
 	driftedWorld := testSet.Drifted(2.0) // the food distribution moved
-	week6 := confidencesVia(batcher, driftedWorld, tsdb)
+	week6, _ := confidencesVia(batcher, driftedWorld)
 	r6 := drift.Check(week6)
 	accDrifted := served.Accuracy(driftedWorld)
 	fmt.Printf("week 6: drift=%v (%s), accuracy dropped to %.4f\n", r6.Drifted, r6.Reason, accDrifted)
@@ -292,18 +290,19 @@ func confidences(m *mlcore.SoftmaxClassifier, d *mlcore.Dataset) []float64 {
 	return out
 }
 
-// confidencesVia routes every example through the dynamic batcher,
-// recording latency, and returns the confidence stream.
-func confidencesVia(b *batcherHandle, d *mlcore.Dataset, tsdb *monitor.TSDB) []float64 {
-	out := make([]float64, d.Len())
+// confidencesVia routes every example through the dynamic batcher and
+// returns the confidence stream and each request's latency in ms.
+func confidencesVia(b *batcherHandle, d *mlcore.Dataset) (conf, latencyMS []float64) {
+	conf = make([]float64, d.Len())
+	latencyMS = make([]float64, d.Len())
 	for i, x := range d.X {
 		start := time.Now()
-		conf, err := b.submit(x)
+		c, err := b.submit(x)
 		if err != nil {
 			log.Fatal(err)
 		}
-		tsdb.Add("latency_ms", float64(i), float64(time.Since(start).Microseconds())/1000)
-		out[i] = conf
+		latencyMS[i] = float64(time.Since(start).Microseconds()) / 1000
+		conf[i] = c
 	}
-	return out
+	return conf, latencyMS
 }

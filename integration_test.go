@@ -135,8 +135,7 @@ func TestIntegrationGourmetGramLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// --- Serve with a real batcher; record metrics; detect drift.
-	tsdb := monitor.NewTSDB()
+	// --- Serve with a real batcher; detect drift.
 	batcher := serve.NewBatcher(8, time.Millisecond, 2, func(in [][]float64) ([][]float64, error) {
 		out := make([][]float64, len(in))
 		for i := range in {
@@ -156,7 +155,6 @@ func TestIntegrationGourmetGramLifecycle(t *testing.T) {
 		if _, err := batcher.Submit([]float64{1}); err != nil {
 			t.Fatal(err)
 		}
-		tsdb.Add("latency_ms", float64(i), 8+rng.Uniform(0, 4))
 		shifted[i] = rng.Normal() + 1.5
 	}
 	rep := drift.Check(shifted)
@@ -165,9 +163,6 @@ func TestIntegrationGourmetGramLifecycle(t *testing.T) {
 	}
 	if _, _, mean := batcher.Stats(); mean < 1 {
 		t.Fatal("batcher stats empty")
-	}
-	if s, err := tsdb.WindowStats("latency_ms", 0, 500); err != nil || s.N != 500 {
-		t.Fatalf("latency stats: %+v, %v", s, err)
 	}
 
 	// --- Automated retraining workflow triggered by the drift signal.

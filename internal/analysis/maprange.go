@@ -19,7 +19,7 @@ import (
 //
 //   - calls a rendered-output / log-record / mergeable-aggregate sink
 //     primitive directly (fmt.Fprint*, Write*, the (Component) record
-//     methods Debug/Info/Warn/Error and their T variants,
+//     methods Info/Warn/Error and their T variants,
 //     (Acc|Hist|Occupancy).Add*/Merge/Observe), or
 //   - calls a function from which such a sink is reachable in the call
 //     graph (the interprocedural part), or
@@ -162,8 +162,8 @@ var writerMethods = map[string]bool{
 // record order is the log stream's sequence, which `logs` and incident
 // bundles render.
 var logMethods = map[string]bool{
-	"Debug": true, "Info": true, "Warn": true, "Error": true,
-	"DebugT": true, "InfoT": true, "WarnT": true, "ErrorT": true,
+	"Info": true, "Warn": true, "Error": true,
+	"InfoT": true, "WarnT": true, "ErrorT": true,
 }
 
 // fmtRenderFuncs are the fmt functions that emit to a writer or stdout

@@ -116,10 +116,6 @@ func (m *SpotMarket) AddPool(f Flavor, capacity int, series cost.SpotPriceSeries
 	c.tel.Gauge(priceGauge).Set(series.RateAt(now))
 	c.tel.Gauge(telemetry.Labeled("cloud.spot_capacity",
 		telemetry.String("pool", f.Name))).Set(float64(capacity))
-	// Price re-sets are the market's highest-rate path (one clock event
-	// per segment across the whole horizon); the debug log line is
-	// seeded-sampled so the stream stays readable and deterministic.
-	priceSampler := c.logger.Sampler("spot/price "+f.Name, 0.25)
 	for _, seg := range series.Segments {
 		if seg.Start <= now {
 			continue
@@ -129,11 +125,6 @@ func (m *SpotMarket) AddPool(f Flavor, capacity int, series cost.SpotPriceSeries
 			c.mu.Lock()
 			defer c.mu.Unlock()
 			c.tel.Gauge(priceGauge).Set(seg.PerHour)
-			if priceSampler.Keep() {
-				m.log.Debug("spot price change",
-					logging.Str("pool", f.Name),
-					logging.Float("per_hour", seg.PerHour))
-			}
 		})
 	}
 	m.log.Info("spot pool added",

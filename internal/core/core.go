@@ -188,15 +188,22 @@ func PeakConcurrency(labs *studentsim.Result) PeakUsage {
 }
 
 // QuotaCheck compares peak concurrency against a quota and returns a
-// human-readable verdict per dimension.
+// human-readable verdict per dimension. The platform enforces the quota,
+// so a run checked against the quota it ran under can reach a limit but
+// never pass it: a peak equal to the limit reads AT LIMIT (the quota
+// was binding, and launches past it waited), and EXCEEDED is left for a
+// run checked against another quota.
 func QuotaCheck(peak PeakUsage, q cloud.Quota) []string {
 	dim := func(name string, used, limit int) string {
 		if limit == cloud.Unlimited {
 			return fmt.Sprintf("%-13s peak %5d / unlimited", name, used)
 		}
 		verdict := "OK"
-		if used > limit {
+		switch {
+		case used > limit:
 			verdict = "EXCEEDED"
+		case used == limit:
+			verdict = "AT LIMIT"
 		}
 		return fmt.Sprintf("%-13s peak %5d / %5d  %s (%.0f%%)",
 			name, used, limit, verdict, 100*float64(used)/float64(limit))

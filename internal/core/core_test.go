@@ -90,6 +90,14 @@ func TestQuotaCheckFlagsExceeded(t *testing.T) {
 	if strings.Contains(lines[1], "EXCEEDED") {
 		t.Errorf("cores wrongly flagged: %q", lines[1])
 	}
+	q := cloud.CourseQuota()
+	lines = QuotaCheck(PeakUsage{Instances: q.Instances, Cores: q.Cores - 1}, q)
+	if want := "AT LIMIT (100%)"; !strings.HasSuffix(lines[0], want) {
+		t.Errorf("peak at the limit: line = %q, want suffix %q", lines[0], want)
+	}
+	if !strings.HasSuffix(lines[1], " OK (100%)") {
+		t.Errorf("peak one below the limit: line = %q, want OK", lines[1])
+	}
 }
 
 func TestPlanReservations(t *testing.T) {

@@ -38,12 +38,6 @@ func emitRetained(c *Component) {
 		Int("attempt", 1))
 }
 
-// emitFiltered is a record dropped by the level gate: the price of
-// leaving Debug lines in hot code.
-func emitFiltered(c *Component) {
-	c.Debug("spot price change", Float("per_hour", 1.25))
-}
-
 // emitTraced is the correlated path: emit plus trace and span ID
 // capture from an open span.
 func emitTraced(c *Component, sp *trace.Span) {
@@ -61,15 +55,6 @@ func BenchmarkEmitRetained(b *testing.B) {
 	}
 }
 
-func BenchmarkEmitFiltered(b *testing.B) {
-	c := New(1, func() float64 { return 0 }).Component("bench")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		emitFiltered(c)
-	}
-}
-
 func BenchmarkEmitTraced(b *testing.B) {
 	now := func() float64 { return 0 }
 	c := New(1, now).Component("bench")
@@ -80,21 +65,6 @@ func BenchmarkEmitTraced(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		emitTraced(c, sp)
 	}
-}
-
-// BenchmarkSamplerKeep measures the seeded sampling decision guarding
-// high-rate paths.
-func BenchmarkSamplerKeep(b *testing.B) {
-	s := New(1, nil).Sampler("bench/price", 0.25)
-	b.ReportAllocs()
-	b.ResetTimer()
-	kept := 0
-	for i := 0; i < b.N; i++ {
-		if s.Keep() {
-			kept++
-		}
-	}
-	_ = kept
 }
 
 // BenchmarkRecordsMerge measures merging the per-component rings into

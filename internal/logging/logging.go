@@ -26,11 +26,7 @@
 //   - Trace correlation is first-class: the *T method variants stamp the
 //     span's trace and span IDs into the record, so an incident window
 //     of logs joins against the trace store without parsing.
-//   - High-rate paths use a seeded Sampler: the keep/drop sequence
-//     derives from the logger seed and the sampler name, never from
-//     math/rand's global source, so sampled logs are byte-identical per
-//     seed.
-//   - Every kept record bumps a labeled bus counter
+//   - Every record bumps a labeled bus counter
 //     log.records{component,level} (registered once per component, so
 //     the bump is a lock-free atomic add). The TSDB scrapes those
 //     through the ordinary zero-alloc plan machinery, which is what
@@ -56,18 +52,15 @@ import (
 type Level int32
 
 const (
-	LevelDebug Level = iota
-	LevelInfo
+	LevelInfo Level = iota
 	LevelWarn
 	LevelError
 )
 
 // String renders the level in the fixed-width uppercase form used by
-// Render ("DEBUG", "INFO ", ...). Widths match so rendered logs align.
+// Render ("INFO ", "WARN ", "ERROR"). Widths match so rendered logs align.
 func (l Level) String() string {
 	switch l {
-	case LevelDebug:
-		return "DEBUG"
 	case LevelInfo:
 		return "INFO "
 	case LevelWarn:
@@ -82,8 +75,6 @@ func (l Level) String() string {
 // log.records counter.
 func (l Level) labelValue() string {
 	switch l {
-	case LevelDebug:
-		return "debug"
 	case LevelInfo:
 		return "info"
 	case LevelWarn:
@@ -93,11 +84,9 @@ func (l Level) labelValue() string {
 	}
 }
 
-// ParseLevel maps a level name ("debug", "INFO", "warn ") to its Level.
+// ParseLevel maps a level name ("INFO", "warn ", "error") to its Level.
 func ParseLevel(s string) (Level, bool) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "debug":
-		return LevelDebug, true
 	case "info":
 		return LevelInfo, true
 	case "warn", "warning":
@@ -249,17 +238,12 @@ func Filter(recs []Record, component string, min Level, tracePrefix string, sinc
 // DefaultRingSize is the per-component ring capacity.
 const DefaultRingSize = 512
 
-// minLevel is the lowest level a component records: Debug records are
-// dropped before they reach a ring.
-const minLevel = LevelInfo
-
 // Logger owns the component registry and the global record sequence.
 // All methods are safe for concurrent use; a nil *Logger is a valid
 // "logging disabled" logger.
 type Logger struct {
-	seed uint64
-	now  func() float64
-	seq  atomic.Uint64
+	now func() float64
+	seq atomic.Uint64
 
 	mu    sync.Mutex
 	bus   *telemetry.Bus
@@ -268,10 +252,10 @@ type Logger struct {
 }
 
 // New returns a logger whose timestamps read now (normally
-// simclock.Clock.Now; nil pins time at 0) and whose samplers derive
-// their keep/drop sequences from seed. The minimum level is Info.
+// simclock.Clock.Now; nil pins time at 0). The seed is unused: no
+// record depends on it.
 func New(seed uint64, now func() float64) *Logger {
-	return &Logger{seed: seed, now: now, comps: map[string]*Component{}}
+	return &Logger{now: now, comps: map[string]*Component{}}
 }
 
 // SetTelemetry attaches a bus: every component registered *after* this
@@ -298,7 +282,7 @@ func (l *Logger) Component(name string) *Component {
 	if !ok {
 		c = &Component{l: l, name: name, ring: make([]Record, DefaultRingSize)}
 		if l.bus != nil {
-			for lv := LevelDebug; lv <= LevelError; lv++ {
+			for lv := LevelInfo; lv <= LevelError; lv++ {
 				c.counters[lv] = l.bus.Counter(telemetry.Labeled("log.records",
 					telemetry.String("component", name),
 					telemetry.String("level", lv.labelValue())))
@@ -379,35 +363,13 @@ func (l *Logger) Dropped() uint64 {
 	return n
 }
 
-// Sampler returns a deterministic sampler for a high-rate call site.
-// name identifies the site (one sampler per site — two samplers with the
-// same component, name, and keep produce the same keep/drop sequence).
-// keep is the fraction of calls kept, clamped to [0, 1].
-func (l *Logger) Sampler(name string, keep float64) *Sampler {
-	if l == nil {
-		return nil
-	}
-	if keep < 0 {
-		keep = 0
-	}
-	if keep > 1 {
-		keep = 1
-	}
-	return &Sampler{
-		state: mix64(l.seed ^ fnv64(name)),
-		// Threshold in fixed point: a draw below keeps the record.
-		threshold: uint64(keep * float64(1<<63) * 2),
-		keepAll:   keep >= 1,
-	}
-}
-
 // Component is a named log stream with its own bounded ring. Handles are
 // cheap and nil-safe.
 type Component struct {
 	l    *Logger
 	name string
 
-	counters [4]*telemetry.Counter // per level; nil without a bus
+	counters [LevelError + 1]*telemetry.Counter // per level; nil without a bus
 
 	mu      sync.Mutex
 	ring    []Record
@@ -423,9 +385,6 @@ func (c *Component) Name() string {
 	}
 	return c.name
 }
-
-// Debug emits a debug record.
-func (c *Component) Debug(msg string, attrs ...Attr) { c.log(LevelDebug, nil, msg, attrs) }
 
 // Info emits an info record.
 func (c *Component) Info(msg string, attrs ...Attr) { c.log(LevelInfo, nil, msg, attrs) }
@@ -451,13 +410,13 @@ func (c *Component) ErrorT(sp *trace.Span, msg string, attrs ...Attr) {
 	c.log(LevelError, sp, msg, attrs)
 }
 
-// log is the single emit path: level filter, ring write under the
-// component lock, counter bump. It never allocates on the steady-state
-// path — the record is written into a preallocated ring slot, attrs are
-// copied into the slot's inline array, and the counter handle was
-// registered at component creation.
+// log is the single emit path: ring write under the component lock,
+// counter bump. It never allocates on the steady-state path — the
+// record is written into a preallocated ring slot, attrs are copied into
+// the slot's inline array, and the counter handle was registered at
+// component creation.
 func (c *Component) log(lv Level, sp *trace.Span, msg string, attrs []Attr) {
-	if c == nil || lv < minLevel {
+	if c == nil {
 		return
 	}
 	seq := c.l.seq.Add(1)
@@ -536,48 +495,4 @@ func (c *Component) Dropped() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.dropped
-}
-
-// Sampler decides keep/drop for a high-rate log site. The decision
-// sequence is a pure function of (logger seed, sampler name), so the
-// same seeded run logs the same sampled lines. Not safe for concurrent
-// use from multiple goroutines on one sampler — give each goroutine (or
-// each call site) its own.
-type Sampler struct {
-	state     uint64
-	threshold uint64
-	keepAll   bool
-}
-
-// Keep advances the sequence and reports whether this call's record
-// should be logged. Nil samplers drop everything.
-func (s *Sampler) Keep() bool {
-	if s == nil {
-		return false
-	}
-	if s.keepAll {
-		return true
-	}
-	s.state += 0x9e3779b97f4a7c15
-	return mix64(s.state) < s.threshold
-}
-
-// mix64 is the SplitMix64 finalizer — the same mixer the tracer and
-// stats.RNG use.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-func fnv64(s string) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
-	}
-	return h
 }

@@ -17,7 +17,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil logger Component = %v, want nil", c)
 	}
 	// Every method on a nil component must no-op without panicking.
-	c.Debug("a")
 	c.Info("b", Str("k", "v"))
 	c.Warn("c")
 	c.Error("d")
@@ -32,21 +31,16 @@ func TestNilSafety(t *testing.T) {
 	if l.Records(0) != nil || l.Dropped() != 0 {
 		t.Fatal("nil logger queries not empty")
 	}
-	var s *Sampler
-	if s.Keep() {
-		t.Fatal("nil sampler kept a record")
-	}
 }
 
 func TestLevelsAndFiltering(t *testing.T) {
 	l := New(1, nil)
 	c := l.Component("sched")
-	c.Debug("dropped: below min level")
 	c.Info("kept info")
 	c.Warn("kept warn")
 	recs := c.Records()
 	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2 (debug filtered at Info level)", len(recs))
+		t.Fatalf("got %d records, want 2", len(recs))
 	}
 }
 
@@ -56,7 +50,7 @@ func TestParseLevel(t *testing.T) {
 		want Level
 		ok   bool
 	}{
-		{"debug", LevelDebug, true},
+		{"debug", LevelInfo, false},
 		{"INFO", LevelInfo, true},
 		{" warn ", LevelWarn, true},
 		{"warning", LevelWarn, true},
@@ -195,7 +189,7 @@ func TestTraceCorrelation(t *testing.T) {
 		t.Fatalf("untraced render has trace ID: %q", recs[1].String())
 	}
 	// Filter by trace prefix.
-	got := Filter(recs, "", LevelDebug, sp.TraceID().String()[:6], -1)
+	got := Filter(recs, "", LevelInfo, sp.TraceID().String()[:6], -1)
 	if len(got) != 1 || got[0].Msg != "acquired" {
 		t.Fatalf("trace filter = %v, want just the correlated record", got)
 	}
@@ -211,59 +205,17 @@ func TestFilter(t *testing.T) {
 	a.Warn("a-warn")
 	b.Error("b-error")
 	all := l.Records(0)
-	if got := Filter(all, "a", LevelDebug, "", -1); len(got) != 2 {
+	if got := Filter(all, "a", LevelInfo, "", -1); len(got) != 2 {
 		t.Fatalf("component filter kept %d, want 2", len(got))
 	}
 	if got := Filter(all, "", LevelWarn, "", -1); len(got) != 2 {
 		t.Fatalf("level filter kept %d, want 2", len(got))
 	}
-	if got := Filter(all, "", LevelDebug, "", 1.0); len(got) != 2 {
+	if got := Filter(all, "", LevelInfo, "", 1.0); len(got) != 2 {
 		t.Fatalf("since filter kept %d, want 2", len(got))
 	}
 	if got := Filter(all, "a", LevelWarn, "", 1.0); len(got) != 1 || got[0].Msg != "a-warn" {
 		t.Fatalf("combined filter = %v, want [a-warn]", got)
-	}
-}
-
-func TestSamplerDeterminism(t *testing.T) {
-	l1 := New(42, nil)
-	l2 := New(42, nil)
-	s1 := l1.Sampler("serve/request", 0.25)
-	s2 := l2.Sampler("serve/request", 0.25)
-	kept := 0
-	for i := 0; i < 1000; i++ {
-		k1, k2 := s1.Keep(), s2.Keep()
-		if k1 != k2 {
-			t.Fatalf("same-seed samplers diverged at draw %d", i)
-		}
-		if k1 {
-			kept++
-		}
-	}
-	// Keep rate should be near 25%: the exact count is deterministic but
-	// the bound guards against a broken threshold.
-	if kept < 150 || kept > 350 {
-		t.Fatalf("kept %d/1000 at keep=0.25, want ~250", kept)
-	}
-	// Different seed ⇒ different sequence (overwhelmingly likely to
-	// diverge inside 64 draws).
-	s3 := New(43, nil).Sampler("serve/request", 0.25)
-	s4 := New(42, nil).Sampler("serve/request", 0.25)
-	diverged := false
-	for i := 0; i < 64; i++ {
-		if s3.Keep() != s4.Keep() {
-			diverged = true
-			break
-		}
-	}
-	if !diverged {
-		t.Fatal("different-seed samplers produced identical 64-draw prefix")
-	}
-	if !New(1, nil).Sampler("x", 1.0).Keep() {
-		t.Fatal("keep=1 sampler dropped")
-	}
-	if New(1, nil).Sampler("x", 0).Keep() {
-		t.Fatal("keep=0 sampler kept")
 	}
 }
 
@@ -275,7 +227,6 @@ func TestLogRecordCounters(t *testing.T) {
 	c.Info("a")
 	c.Info("b")
 	c.Warn("c")
-	c.Debug("filtered: must not count")
 	snap := bus.Snapshot()
 	got := map[string]float64{}
 	for _, inst := range snap {
@@ -293,9 +244,9 @@ func TestLogRecordCounters(t *testing.T) {
 	if got[wantWarn] != 1 {
 		t.Errorf("%s = %v, want 1", wantWarn, got[wantWarn])
 	}
-	for name, v := range got {
-		if strings.Contains(name, "level=debug") && v != 0 {
-			t.Errorf("%s = %v, want 0 (filtered records must not count)", name, v)
+	for name := range got {
+		if strings.Contains(name, "level=debug") {
+			t.Errorf("%s is registered; there is no debug level", name)
 		}
 	}
 }
@@ -307,12 +258,11 @@ func TestDeterministicRecordsAcrossRuns(t *testing.T) {
 		tr := trace.New(99, func() float64 { return now })
 		a := l.Component("cloud")
 		b := l.Component("sched")
-		s := l.Sampler("hot", 0.5)
 		for i := 0; i < 40; i++ {
 			now = float64(i) * 0.25
 			sp := tr.StartTrace("op")
-			if s.Keep() {
-				a.InfoT(sp, "sampled op", Int("i", i))
+			if i%2 == 0 {
+				a.InfoT(sp, "even op", Int("i", i))
 			}
 			if i%7 == 0 {
 				b.Warn("periodic", Float("t", now))
@@ -326,17 +276,16 @@ func TestDeterministicRecordsAcrossRuns(t *testing.T) {
 		t.Fatalf("same-seed renders differ:\n--- a ---\n%s--- b ---\n%s", a, b)
 	}
 	if a == "" {
-		t.Fatal("render empty — sampler dropped everything?")
+		t.Fatal("render empty")
 	}
 }
 
 // TestEmitAllocs is the hot-path allocation contract: a steady-state
-// emit (level check, ring write, counter bump), plain or traced, must
-// cost at most 1 alloc/op. The variadic attr array is the one allowed
-// allocation; everything else lands in preallocated ring slots. A
-// filtered emit must not even build that array, so it and a sampling
-// decision are free, and merging 2,048 records stays within 14
-// allocations. The emits are the benchmark bodies, attrs as literals.
+// emit (ring write, counter bump), plain or traced, must cost at most
+// 1 alloc/op. The variadic attr array is the one allowed allocation;
+// everything else lands in preallocated ring slots. Merging 2,048
+// records stays within 14 allocations. The emits are the benchmark
+// bodies, attrs as literals.
 func TestEmitAllocs(t *testing.T) {
 	bus := telemetry.New()
 	now := 0.0
@@ -346,17 +295,10 @@ func TestEmitAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(1000, func() { emitRetained(c) }); got > 1 {
 		t.Fatalf("log emit = %v allocs/op, want <= 1", got)
 	}
-	if got := testing.AllocsPerRun(1000, func() { emitFiltered(c) }); got != 0 {
-		t.Fatalf("filtered emit = %v allocs/op, want 0", got)
-	}
 	sp := trace.New(1, func() float64 { return now }).StartTrace("serve")
 	defer sp.FinishAt(1)
 	if got := testing.AllocsPerRun(1000, func() { emitTraced(c, sp) }); got > 1 {
 		t.Fatalf("traced emit = %v allocs/op, want <= 1", got)
-	}
-	s := l.Sampler("serve/batch", 0.25)
-	if got := testing.AllocsPerRun(1000, func() { s.Keep() }); got != 0 {
-		t.Fatalf("Sampler.Keep = %v allocs/op, want 0", got)
 	}
 	merged := mergeFixture()
 	if got := testing.AllocsPerRun(10, func() { merged.Records(0) }); got > 14 {

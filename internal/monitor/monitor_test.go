@@ -1,58 +1,10 @@
 package monitor
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/stats"
 )
-
-func TestTSDBQueryWindow(t *testing.T) {
-	db := NewTSDB()
-	for i := 0; i < 10; i++ {
-		db.Add("latency_ms", float64(i), float64(100+i))
-	}
-	pts := db.Query("latency_ms", 3, 6)
-	if len(pts) != 4 {
-		t.Fatalf("window returned %d points, want 4", len(pts))
-	}
-	if pts[0].V != 103 || pts[3].V != 106 {
-		t.Errorf("window edges wrong: %+v", pts)
-	}
-	if got := db.Query("missing", 0, 10); got != nil {
-		t.Errorf("missing series returned %v", got)
-	}
-}
-
-func TestTSDBOutOfOrderSorted(t *testing.T) {
-	db := NewTSDB()
-	db.Add("m", 5, 50)
-	db.Add("m", 1, 10)
-	db.Add("m", 3, 30)
-	pts := db.Query("m", 0, 10)
-	for i := 1; i < len(pts); i++ {
-		if pts[i-1].T > pts[i].T {
-			t.Fatal("query result not time-ordered")
-		}
-	}
-}
-
-func TestWindowStats(t *testing.T) {
-	db := NewTSDB()
-	for i := 1; i <= 5; i++ {
-		db.Add("m", float64(i), float64(i))
-	}
-	s, err := db.WindowStats("m", 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Mean != 3 {
-		t.Errorf("mean = %v", s.Mean)
-	}
-	if _, err := db.WindowStats("m", 100, 200); err == nil {
-		t.Error("empty window should error")
-	}
-}
 
 func TestDriftDetectorNoDriftOnSameDistribution(t *testing.T) {
 	rng := stats.NewRNG(5)
@@ -117,25 +69,6 @@ func TestCanaryVerdicts(t *testing.T) {
 	// No traffic: refuse to judge.
 	if err := NewCanaryComparison().Verdict(); err == nil {
 		t.Error("verdict with no canary traffic should fail")
-	}
-}
-
-func TestTSDBConcurrent(t *testing.T) {
-	db := NewTSDB()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				db.Add("m", float64(i), float64(g))
-				db.Query("m", 0, float64(i))
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := len(db.Query("m", -1, 1e9)); got != 1600 {
-		t.Errorf("points = %d, want 1600", got)
 	}
 }
 

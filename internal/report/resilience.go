@@ -26,9 +26,7 @@ type ResilienceStats struct {
 	MTTRCount   int64   // reschedules with a measured repair time
 	MeanMTTRHrs float64 // mean crash→replacement latency (backdated to the fault)
 
-	JobRetries     int64 // jobs.retries
 	RequestsShed   int64 // serve.shed
-	BreakerOpens   int64 // serve.breaker_opens
 	LaunchFailures int64 // lease.launch_failures
 }
 
@@ -52,9 +50,7 @@ func GatherResilience(bus *telemetry.Bus) ResilienceStats {
 		Evictions:       counter("orchestrator.evictions"),
 		Reschedules:     counter("orchestrator.reschedules"),
 		Unschedulable:   counter("orchestrator.unschedulable"),
-		JobRetries:      counter("jobs.retries"),
 		RequestsShed:    counter("serve.shed"),
-		BreakerOpens:    counter("serve.breaker_opens"),
 		LaunchFailures:  counter("lease.launch_failures"),
 	}
 	if m, ok := telemetry.Find(snap, "orchestrator.reschedule_latency_hours"); ok && m.Count > 0 {
@@ -86,8 +82,7 @@ func Resilience(s ResilienceStats) string {
 	} else {
 		b.WriteString("mean MTTR:          n/a (no repairs measured)\n")
 	}
-	fmt.Fprintf(&b, "job retries:        %d\n", s.JobRetries)
-	fmt.Fprintf(&b, "requests shed:      %d  breaker opens %d\n", s.RequestsShed, s.BreakerOpens)
+	fmt.Fprintf(&b, "requests shed:      %d\n", s.RequestsShed)
 	fmt.Fprintf(&b, "lease launch fails: %d\n", s.LaunchFailures)
 	return b.String()
 }

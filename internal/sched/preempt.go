@@ -117,7 +117,6 @@ func RunPreemptive(jobs []*Job, capacity int) (PreemptiveResult, error) {
 		if preempted {
 			s.asg.Preemptions++
 			res.TotalPreemptions++
-			recordPreemption(s.job.ID, at)
 		}
 	}
 	start := func(s *state, at float64) {

@@ -74,9 +74,3 @@ func recordPreemptiveRun(res PreemptiveResult) {
 		h.Observe(a.FirstStartWait())
 	}
 }
-
-func recordPreemption(jobID string, at float64) {
-	logStream().Debug("job preempted",
-		logging.Str("job", jobID),
-		logging.Float("t", at))
-}

@@ -70,7 +70,6 @@ type Batcher struct {
 	telBatchSize  *telemetry.Histogram
 	telBatchForm  *telemetry.Histogram
 	log           *logging.Component // "serve" stream; nil no-ops
-	logBatch      *logging.Sampler   // keeps ~10% of batch-execute lines
 	clk           clock.Clock
 
 	mu          sync.Mutex
@@ -135,12 +134,10 @@ func (b *Batcher) SetTelemetry(bus *telemetry.Bus) {
 	b.telBatchForm = bus.Histogram("serve.batch_form_seconds", telemetry.LatencyBuckets())
 }
 
-// SetLogging attaches the structured logger; batch executions (sampled
-// — they are the batcher's hottest path), sheds, and shutdown leave
-// "serve" log lines. Call before Submit.
+// SetLogging attaches the structured logger; failed batches and
+// shutdown leave "serve" log lines. Call before Submit.
 func (b *Batcher) SetLogging(lg *logging.Logger) {
 	b.log = lg.Component("serve")
-	b.logBatch = lg.Sampler("serve/batch", 0.1)
 }
 
 // instance collects one batch at a time and executes it.
@@ -238,10 +235,6 @@ func (b *Batcher) run(batch []*Request) {
 		b.log.Error("batch execution failed",
 			logging.Int("size", len(batch)),
 			logging.Str("error", err.Error()))
-	} else if b.logBatch.Keep() {
-		b.log.Debug("batch executed",
-			logging.Int("size", len(batch)),
-			logging.Float("form_ms", float64(formation.Microseconds())/1000))
 	}
 	for i, r := range batch {
 		resp := Response{BatchSize: len(batch), Err: err}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/logging"
 	"repro/internal/telemetry"
 )
 
@@ -158,5 +159,44 @@ func TestBatcherTelemetry(t *testing.T) {
 	}
 	if m, _ := telemetry.Find(snap, "serve.batches"); int(m.Value) != batches {
 		t.Errorf("serve.batches = %v, want %d", m.Value, batches)
+	}
+}
+
+// TestLoggedBatcherConcurrentSubmit drives an instrumented, logged
+// 2-instance batcher from 64 concurrent submitters, so both instances
+// run the per-batch path at once: under -race, any per-batch state they
+// share without a lock fails it. One round does not always interleave
+// the instances, so it runs several.
+func TestLoggedBatcherConcurrentSubmit(t *testing.T) {
+	const rounds, submitters = 8, 64
+	for round := 0; round < rounds; round++ {
+		bus := telemetry.New()
+		lg := logging.New(1, nil)
+		b := NewBatcher(4, time.Millisecond, 2, echoExec)
+		b.SetTelemetry(bus)
+		b.SetLogging(lg)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := 0; i < submitters; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				resp, err := b.Submit([]float64{float64(i)})
+				if err != nil || len(resp.Output) != 1 || resp.Output[0] != float64(i) {
+					t.Errorf("round %d: submit %d = %+v, %v", round, i, resp, err)
+				}
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		b.Close()
+		if m, _ := telemetry.Find(bus.Snapshot(), "serve.requests"); m.Value != submitters {
+			t.Fatalf("round %d: serve.requests = %v, want %d", round, m.Value, submitters)
+		}
+		// Successful batches log nothing; Close logs one line.
+		if recs := lg.Records(0); len(recs) != 1 || recs[0].Msg != "batcher closed" {
+			t.Fatalf("round %d: log = %q, want only \"batcher closed\"", round, logging.Render(recs))
+		}
 	}
 }

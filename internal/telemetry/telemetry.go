@@ -16,12 +16,10 @@
 //     handles, and methods on nil handles are no-ops, so instrumented
 //     components need no "is telemetry enabled?" branches.
 //   - Counters and gauges are lock-free (atomics); histograms take a
-//     short per-histogram lock. The instrument registry is lock-striped
-//     into shards keyed by a hash of the instrument name, so concurrent
-//     workers registering or looking up instruments do not contend on
-//     one mutex.
-//   - Snapshot and Instruments merge the shards in deterministic name
-//     order, so shard assignment never leaks into rendered output.
+//     short per-histogram lock. One read-write lock guards the
+//     instrument registry; hot paths resolve their handles once.
+//   - Snapshot and Instruments list instruments sorted by name, so map
+//     order never leaks into rendered output.
 package telemetry
 
 import (
@@ -263,51 +261,23 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // LatencyBuckets is a general-purpose seconds scale: 1ms .. ~8s.
 func LatencyBuckets() []float64 { return ExpBuckets(0.001, 2, 14) }
 
-// numShards is the instrument-registry stripe count. Shard assignment
-// hashes the instrument name, so hot call sites registering labeled
-// instruments spread across independent locks instead of serializing on
-// one registry mutex.
-const numShards = 16
-
-// registryShard is one lock stripe of the instrument registry.
-type registryShard struct {
+// Bus is one telemetry domain: a metric registry. All methods are safe
+// for concurrent use; the zero value is not usable, call New.
+type Bus struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-}
-
-// shardIndex hashes an instrument name onto a registry stripe (FNV-1a).
-func shardIndex(name string) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= prime32
-	}
-	return int(h % numShards)
-}
-
-// Bus is one telemetry domain: a metric registry. All methods are safe
-// for concurrent use; the zero value is not usable, call New.
-type Bus struct {
-	shards [numShards]registryShard
-	gen    atomic.Uint64 // bumped on every instrument registration
+	gen      atomic.Uint64 // bumped on every instrument registration
 }
 
 // New returns an empty bus.
 func New() *Bus {
-	b := &Bus{}
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.counters = map[string]*Counter{}
-		sh.gauges = map[string]*Gauge{}
-		sh.hists = map[string]*Histogram{}
+	return &Bus{
+		counters: map[string]*Counter{},
+		gauges:   map[string]*Gauge{},
+		hists:    map[string]*Histogram{},
 	}
-	return b
 }
 
 // Gen returns the registry generation: it increases every time a new
@@ -325,18 +295,17 @@ func (b *Bus) Counter(name string) *Counter {
 	if b == nil {
 		return nil
 	}
-	sh := &b.shards[shardIndex(name)]
-	sh.mu.RLock()
-	c := sh.counters[name]
-	sh.mu.RUnlock()
+	b.mu.RLock()
+	c := b.counters[name]
+	b.mu.RUnlock()
 	if c != nil {
 		return c
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if c = sh.counters[name]; c == nil {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if c = b.counters[name]; c == nil {
 		c = &Counter{name: name}
-		sh.counters[name] = c
+		b.counters[name] = c
 		b.gen.Add(1)
 	}
 	return c
@@ -347,18 +316,17 @@ func (b *Bus) Gauge(name string) *Gauge {
 	if b == nil {
 		return nil
 	}
-	sh := &b.shards[shardIndex(name)]
-	sh.mu.RLock()
-	g := sh.gauges[name]
-	sh.mu.RUnlock()
+	b.mu.RLock()
+	g := b.gauges[name]
+	b.mu.RUnlock()
 	if g != nil {
 		return g
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if g = sh.gauges[name]; g == nil {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if g = b.gauges[name]; g == nil {
 		g = &Gauge{name: name}
-		sh.gauges[name] = g
+		b.gauges[name] = g
 		b.gen.Add(1)
 	}
 	return g
@@ -371,20 +339,19 @@ func (b *Bus) Histogram(name string, bounds []float64) *Histogram {
 	if b == nil {
 		return nil
 	}
-	sh := &b.shards[shardIndex(name)]
-	sh.mu.RLock()
-	h := sh.hists[name]
-	sh.mu.RUnlock()
+	b.mu.RLock()
+	h := b.hists[name]
+	b.mu.RUnlock()
 	if h != nil {
 		return h
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if h = sh.hists[name]; h == nil {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if h = b.hists[name]; h == nil {
 		bs := append([]float64(nil), bounds...)
 		sort.Float64s(bs)
 		h = &Histogram{name: name, bounds: bs, counts: make([]int64, len(bs)+1)}
-		sh.hists[name] = h
+		b.hists[name] = h
 		b.gen.Add(1)
 	}
 	return h
@@ -400,55 +367,43 @@ func (b *Bus) Snapshot() []Metric { return b.SnapshotAppend(nil) }
 // SnapshotAppend fills buf (reusing its backing array and any nested
 // bucket slices) with every registered instrument's current value and
 // returns it, sorted by name with kind as the tie-break. One output
-// slice is sized and filled directly — no per-kind intermediates. The
-// shards are merged in deterministic name order, so shard assignment
-// never shows in the output.
+// slice is sized and filled directly — no per-kind intermediates.
 func (b *Bus) SnapshotAppend(buf []Metric) []Metric {
 	if b == nil {
 		return buf[:0]
 	}
 	out := buf[:0]
-	n := 0
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.RLock()
-		n += len(sh.counters) + len(sh.gauges) + len(sh.hists)
-		sh.mu.RUnlock()
-	}
-	if cap(out) < n {
+	b.mu.RLock()
+	if n := len(b.counters) + len(b.gauges) + len(b.hists); cap(out) < n {
 		out = make([]Metric, 0, n)
 	}
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.RLock()
-		for _, c := range sh.counters {
-			out, _ = extendMetric(out, c.name, "counter")
-			out[len(out)-1].Value = float64(c.Value())
-		}
-		for _, g := range sh.gauges {
-			out, _ = extendMetric(out, g.name, "gauge")
-			out[len(out)-1].Value = g.Value()
-		}
-		for _, h := range sh.hists {
-			var m *Metric
-			out, m = extendMetric(out, h.name, "histogram")
-			h.mu.Lock()
-			m.Count, m.Sum = h.total, h.sum
-			for i, c := range h.counts {
-				bound := math.Inf(1)
-				if i < len(h.bounds) {
-					bound = h.bounds[i]
-				}
-				m.Buckets = append(m.Buckets, Bucket{Bound: bound, Count: c})
-			}
-			h.mu.Unlock()
-		}
-		sh.mu.RUnlock()
+	for _, c := range b.counters {
+		out, _ = extendMetric(out, c.name, "counter")
+		out[len(out)-1].Value = float64(c.Value())
 	}
-	// Instruments were gathered shard by shard; the deterministic merge
-	// order is by name (kind as tie-break, names should not collide
-	// across kinds anyway). slices.SortFunc is allocation-free, unlike
-	// sort.Slice's interface-and-closure machinery.
+	for _, g := range b.gauges {
+		out, _ = extendMetric(out, g.name, "gauge")
+		out[len(out)-1].Value = g.Value()
+	}
+	for _, h := range b.hists {
+		var m *Metric
+		out, m = extendMetric(out, h.name, "histogram")
+		h.mu.Lock()
+		m.Count, m.Sum = h.total, h.sum
+		for i, c := range h.counts {
+			bound := math.Inf(1)
+			if i < len(h.bounds) {
+				bound = h.bounds[i]
+			}
+			m.Buckets = append(m.Buckets, Bucket{Bound: bound, Count: c})
+		}
+		h.mu.Unlock()
+	}
+	b.mu.RUnlock()
+	// Map order is random: sort by name (kind as tie-break, names should
+	// not collide across kinds anyway). slices.SortFunc is
+	// allocation-free, unlike sort.Slice's interface-and-closure
+	// machinery.
 	slices.SortFunc(out, compareMetrics)
 	return out
 }
@@ -494,20 +449,17 @@ func (b *Bus) Instruments(buf []Instrument) []Instrument {
 		return buf[:0]
 	}
 	out := buf[:0]
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.RLock()
-		for _, c := range sh.counters {
-			out = append(out, Instrument{Name: c.name, Kind: "counter", Counter: c})
-		}
-		for _, g := range sh.gauges {
-			out = append(out, Instrument{Name: g.name, Kind: "gauge", Gauge: g})
-		}
-		for _, h := range sh.hists {
-			out = append(out, Instrument{Name: h.name, Kind: "histogram", Hist: h})
-		}
-		sh.mu.RUnlock()
+	b.mu.RLock()
+	for _, c := range b.counters {
+		out = append(out, Instrument{Name: c.name, Kind: "counter", Counter: c})
 	}
+	for _, g := range b.gauges {
+		out = append(out, Instrument{Name: g.name, Kind: "gauge", Gauge: g})
+	}
+	for _, h := range b.hists {
+		out = append(out, Instrument{Name: h.name, Kind: "histogram", Hist: h})
+	}
+	b.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {
 			return out[i].Name < out[j].Name

@@ -113,12 +113,11 @@ func TestBucketHelpers(t *testing.T) {
 // Snapshot must build one sized output slice per call, and
 // SnapshotAppend must reuse the caller's backing array (including the
 // per-metric bucket slices) so a steady-state scraper allocates
-// nothing. Both must keep the deterministic name-then-kind order across
-// the sharded registry.
+// nothing. Both must keep the deterministic name-then-kind order, which
+// map iteration does not give.
 func TestSnapshotAppendReuseAndOrder(t *testing.T) {
 	b := New()
-	// Names chosen to land in different shards and to be unsorted at
-	// registration time.
+	// Names unsorted at registration time.
 	b.Counter("zz.ops").Add(3)
 	b.Counter("aa.ops").Add(1)
 	b.Gauge("mm.depth").Set(7)
@@ -184,9 +183,9 @@ func TestInstrumentsListingAndGen(t *testing.T) {
 	}
 }
 
-// The lock-striped registry must be safe under concurrent first-use
-// registration and updates while a reader snapshots it, and return one
-// canonical handle per name (run under -race via make race).
+// The registry must be safe under concurrent first-use registration and
+// updates while a reader snapshots it, and return one canonical handle
+// per name (run under -race via make race).
 func TestShardedRegistryConcurrentLabeled(t *testing.T) {
 	b := New()
 	const workers, names = 8, 32
