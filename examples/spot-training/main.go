@@ -3,7 +3,7 @@
 //
 //  1. Model the checkpoint: a full 13B fine-tune checkpoints 182 GB of
 //     weights + optimizer state; a QLoRA run checkpoints only the
-//     adapters. resilience.PlanCheckpoints turns write time and the
+//     adapters. orchestrator.PlanCheckpoints turns write time and the
 //     pool's MTBF into a Young-formula checkpoint interval.
 //  2. Build a spot market over two bare-metal pools with seeded
 //     mean-reverting price series, each well below the on-demand rate.
@@ -47,7 +47,6 @@ import (
 	"repro/internal/objectstore"
 	"repro/internal/orchestrator"
 	"repro/internal/report"
-	"repro/internal/resilience"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -78,8 +77,8 @@ func main() {
 		LoRA: &train.LoRAConfig{Rank: 16, AdaptedMatricesPerLayer: 2, QuantizeBase: true}}
 	fullBytes := train.CheckpointBytes(model, fullCfg)
 	loraBytes := train.CheckpointBytes(model, loraCfg)
-	fullPolicy := resilience.PlanCheckpoints(fullBytes, diskBps, 2*poolMTBFHr)
-	loraPolicy := resilience.PlanCheckpoints(loraBytes, diskBps, 2*poolMTBFHr)
+	fullPolicy := orchestrator.PlanCheckpoints(fullBytes, diskBps, 2*poolMTBFHr)
+	loraPolicy := orchestrator.PlanCheckpoints(loraBytes, diskBps, 2*poolMTBFHr)
 	fmt.Printf("  full fine-tune: %6.1f GB state, write %5.1fs, Young interval %.3fh\n",
 		fullBytes/1e9, fullPolicy.WriteHours*3600, fullPolicy.IntervalHours)
 	fmt.Printf("  QLoRA adapters: %6.3f GB state, write %5.1fs, Young interval %.3fh\n",
@@ -230,7 +229,7 @@ func main() {
 	// Invariant 3: lost work is bounded by one checkpoint interval plus
 	// one step per migration.
 	for _, j := range tc.Jobs() {
-		var pol resilience.CheckpointPolicy
+		var pol orchestrator.CheckpointPolicy
 		var step float64
 		if j.Name == "llama13b-full" {
 			pol, step = fullPolicy, fullStep

@@ -14,10 +14,8 @@ func genSpec() GenSpec {
 	return GenSpec{
 		Horizon:         100,
 		Hosts:           []string{"h0", "h1", "h2"},
-		Ranks:           8,
 		SpotPools:       []string{"pool-a", "pool-b"},
 		HostCrashMTBF:   20,
-		RankFailMTBF:    40,
 		PreemptMTBF:     25,
 		MeanRepairHours: 4,
 	}
@@ -52,7 +50,6 @@ func TestGenerateCategoriesIndependent(t *testing.T) {
 	}
 	full := Generate(7, genSpec())
 	spec := genSpec()
-	spec.RankFailMTBF = 0
 	spec.PreemptMTBF = 0
 	hostsOnly := Generate(7, spec)
 	if !reflect.DeepEqual(hostsOf(full), hostsOf(hostsOnly)) {

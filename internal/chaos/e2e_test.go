@@ -169,8 +169,6 @@ func runSeededScenario(t *testing.T, seed uint64) string {
 		Horizon:         24,
 		Hosts:           hosts,
 		HostCrashMTBF:   10,
-		RankFailMTBF:    12,
-		Ranks:           4,
 		MeanRepairHours: 2,
 	})
 	eng := chaos.New(p.clk, p.bus)

@@ -98,17 +98,16 @@ func (p Plan) sorted() []Fault {
 
 // GenSpec parameterises Generate. Each category is driven by a mean time
 // between faults (MTBF, hours, across the whole target list); a zero MTBF
-// or empty target list disables that category.
+// or empty target list disables that category. Rank faults are only
+// ever hand-written.
 type GenSpec struct {
 	// Horizon bounds fault injection times to [0, Horizon).
 	Horizon float64
 
 	Hosts     []string // host-crash victims
-	Ranks     int      // rank-fail victims are 0..Ranks-1
 	SpotPools []string // preempt victims (spot pool names)
 
 	HostCrashMTBF float64
-	RankFailMTBF  float64
 	PreemptMTBF   float64
 
 	// MeanRepairHours is the mean injected-fault duration (exponential).
@@ -122,13 +121,13 @@ type GenSpec struct {
 func Generate(seed uint64, spec GenSpec) Plan {
 	root := stats.NewRNG(seed)
 	p := Plan{Seed: seed}
-	gen := func(label uint64, kind Kind, mtbf float64, pick func(r *stats.RNG) string) {
-		if mtbf <= 0 {
+	gen := func(label uint64, kind Kind, mtbf float64, targets []string) {
+		if mtbf <= 0 || len(targets) == 0 {
 			return
 		}
 		r := root.Split(label)
 		for t := expDraw(r, mtbf); t < spec.Horizon; t += expDraw(r, mtbf) {
-			target := pick(r)
+			target := targets[r.Intn(len(targets))]
 			if target == "" {
 				continue
 			}
@@ -140,19 +139,10 @@ func Generate(seed uint64, spec GenSpec) Plan {
 		}
 	}
 	// A category's split label fixes its fault sequence for a seed:
-	// renumbering one would change every plan generated with it.
-	gen(1, KindHostCrash, spec.HostCrashMTBF, func(r *stats.RNG) string {
-		return pickString(r, spec.Hosts)
-	})
-	gen(5, KindRankFail, spec.RankFailMTBF, func(r *stats.RNG) string {
-		if spec.Ranks <= 0 {
-			return ""
-		}
-		return fmt.Sprintf("%d", r.Intn(spec.Ranks))
-	})
-	gen(6, KindPreempt, spec.PreemptMTBF, func(r *stats.RNG) string {
-		return pickString(r, spec.SpotPools)
-	})
+	// renumbering one would change every plan generated with it. Label 5
+	// drew rank faults and stays retired.
+	gen(1, KindHostCrash, spec.HostCrashMTBF, spec.Hosts)
+	gen(6, KindPreempt, spec.PreemptMTBF, spec.SpotPools)
 	p.Faults = p.sorted()
 	return p
 }
@@ -164,11 +154,4 @@ func expDraw(r *stats.RNG, mean float64) float64 {
 		u = math.Nextafter(1, 0)
 	}
 	return -math.Log(1-u) * mean
-}
-
-func pickString(r *stats.RNG, list []string) string {
-	if len(list) == 0 {
-		return ""
-	}
-	return list[r.Intn(len(list))]
 }

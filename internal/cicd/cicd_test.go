@@ -113,24 +113,6 @@ func TestWorkflowFailureSkipsDownstream(t *testing.T) {
 	}
 }
 
-func TestWorkflowRetries(t *testing.T) {
-	attempts := 0
-	w := Workflow{Steps: []Step{{Name: "flaky", Retries: 2, Run: func(*Context) error {
-		attempts++
-		if attempts < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	}}}}
-	res, err := w.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Steps["flaky"].Attempts != 3 {
-		t.Errorf("attempts = %d, want 3", res.Steps["flaky"].Attempts)
-	}
-}
-
 func TestWorkflowValidation(t *testing.T) {
 	cyc := Workflow{Steps: []Step{
 		{Name: "a", DependsOn: []string{"b"}},

@@ -1,8 +1,7 @@
 // Package cicd implements the Unit-3 continuous-delivery substrate: an
-// Argo-Workflows-style DAG engine with parallel step execution and
-// retries (this file), an Argo-CD-style GitOps sync controller
-// (gitops.go), and staging → canary → production promotion with automated
-// gates and rollback (promotion.go).
+// Argo-Workflows-style DAG engine with parallel step execution (this
+// file) and staging → canary → production promotion with automated gates
+// and rollback (promotion.go).
 package cicd
 
 import (
@@ -47,8 +46,6 @@ type Step struct {
 	DependsOn []string
 	// Run executes the step; a nil Run is a no-op marker step.
 	Run func(ctx *Context) error
-	// Retries is the number of re-attempts after a failure.
-	Retries int
 }
 
 // StepStatus is a step's terminal state.
@@ -62,9 +59,8 @@ const (
 
 // StepResult records one step's outcome.
 type StepResult struct {
-	Status   StepStatus
-	Attempts int
-	Err      error
+	Status StepStatus
+	Err    error
 }
 
 // Result summarizes a workflow run.
@@ -144,7 +140,6 @@ func (w Workflow) Run() (Result, error) {
 	doneCh := make(chan done, len(w.Steps))
 
 	res := Result{Steps: map[string]StepResult{}, Succeeded: true}
-	status := map[string]*StepStatus{}
 	pendingDeps := map[string]int{}
 	dependents := map[string][]string{}
 	byName := map[string]Step{}
@@ -159,21 +154,10 @@ func (w Workflow) Run() (Result, error) {
 	launch := func(s Step) {
 		go func() {
 			r := StepResult{Status: StepSucceeded}
-			for attempt := 0; attempt <= s.Retries; attempt++ {
-				r.Attempts++
-				if s.Run == nil {
-					r.Err = nil
-					break
+			if s.Run != nil {
+				if r.Err = s.Run(ctx); r.Err != nil {
+					r.Status = StepFailed
 				}
-				if err := s.Run(ctx); err != nil {
-					r.Err = err
-					continue
-				}
-				r.Err = nil
-				break
-			}
-			if r.Err != nil {
-				r.Status = StepFailed
 			}
 			doneCh <- done{s.Name, r}
 		}()
@@ -207,8 +191,6 @@ func (w Workflow) Run() (Result, error) {
 		finished++
 		res.Steps[d.name] = d.res
 		res.FinishOrder = append(res.FinishOrder, d.name)
-		st := d.res.Status
-		status[d.name] = &st
 		if d.res.Status == StepFailed {
 			res.Succeeded = false
 			if firstErr == nil {

@@ -49,10 +49,7 @@ type Cloud struct {
 	instances map[string]*Instance
 	launched  []*Instance // every instance ever launched, in launch order
 	networks  map[string]*Network
-	subnets   map[string]*Subnet
-	routers   map[string]*Router
 	fips      map[string]*FloatingIP
-	secgroups map[string]*SecurityGroup
 	meter     *Meter
 
 	fipRecords map[string]*UsageRecord // fip ID -> open meter record
@@ -79,10 +76,7 @@ func New(name string, clock *simclock.Clock) *Cloud {
 		projects:   map[string]*Project{},
 		instances:  map[string]*Instance{},
 		networks:   map[string]*Network{},
-		subnets:    map[string]*Subnet{},
-		routers:    map[string]*Router{},
 		fips:       map[string]*FloatingIP{},
-		secgroups:  map[string]*SecurityGroup{},
 		meter:      &Meter{},
 		fipRecords: map[string]*UsageRecord{},
 		instRecs:   map[string]*UsageRecord{},
@@ -470,7 +464,7 @@ func (c *Cloud) List(filter func(*Instance) bool) []*Instance {
 }
 
 // CreateNetwork provisions a tenant network.
-func (c *Cloud) CreateNetwork(project, name string, external bool) (*Network, error) {
+func (c *Cloud) CreateNetwork(project, name string) (*Network, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p, ok := c.projects[project]
@@ -480,7 +474,7 @@ func (c *Cloud) CreateNetwork(project, name string, external bool) (*Network, er
 	if err := check("networks", p.Usage.Networks, 1, p.Quota.Networks); err != nil {
 		return nil, err
 	}
-	n := &Network{ID: c.id("net"), Name: name, Project: project, External: external}
+	n := &Network{ID: c.id("net"), Name: name, Project: project}
 	c.networks[n.ID] = n
 	p.Usage.Networks++
 	return n, nil
@@ -496,13 +490,11 @@ func (c *Cloud) CreateSubnet(networkID, name, cidr string) (*Subnet, error) {
 	}
 	s := &Subnet{ID: c.id("subnet"), Name: name, CIDR: cidr, network: n}
 	n.Subnets = append(n.Subnets, s)
-	c.subnets[s.ID] = s
 	return s, nil
 }
 
-// CreateRouter provisions a router, optionally gatewayed to an external
-// network.
-func (c *Cloud) CreateRouter(project, name string, externalGW *Network) (*Router, error) {
+// CreateRouter provisions a router.
+func (c *Cloud) CreateRouter(project, name string) (*Router, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p, ok := c.projects[project]
@@ -512,8 +504,7 @@ func (c *Cloud) CreateRouter(project, name string, externalGW *Network) (*Router
 	if err := check("routers", p.Usage.Routers, 1, p.Quota.Routers); err != nil {
 		return nil, err
 	}
-	r := &Router{ID: c.id("router"), Name: name, Project: project, ExternalGW: externalGW}
-	c.routers[r.ID] = r
+	r := &Router{ID: c.id("router"), Name: name, Project: project}
 	p.Usage.Routers++
 	return r, nil
 }
@@ -641,7 +632,7 @@ func (c *Cloud) ReleaseFloatingIP(fipID string) error {
 }
 
 // CreateSecurityGroup provisions a named rule set.
-func (c *Cloud) CreateSecurityGroup(project, name string, rules []SecurityGroupRule) (*SecurityGroup, error) {
+func (c *Cloud) CreateSecurityGroup(project, name string) (*SecurityGroup, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p, ok := c.projects[project]
@@ -651,8 +642,7 @@ func (c *Cloud) CreateSecurityGroup(project, name string, rules []SecurityGroupR
 	if err := check("security_groups", p.Usage.SecurityGroups, 1, p.Quota.SecurityGroups); err != nil {
 		return nil, err
 	}
-	g := &SecurityGroup{ID: c.id("sg"), Name: name, Project: project, Rules: rules}
-	c.secgroups[g.ID] = g
+	g := &SecurityGroup{ID: c.id("sg"), Name: name, Project: project}
 	p.Usage.SecurityGroups++
 	return g, nil
 }

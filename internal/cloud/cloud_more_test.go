@@ -49,16 +49,16 @@ func TestMissingProjectPaths(t *testing.T) {
 	if _, err := c.GetProject("ghost"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("get project err = %v", err)
 	}
-	if _, err := c.CreateNetwork("ghost", "n", false); !errors.Is(err, ErrNotFound) {
+	if _, err := c.CreateNetwork("ghost", "n"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("network err = %v", err)
 	}
-	if _, err := c.CreateRouter("ghost", "r", nil); !errors.Is(err, ErrNotFound) {
+	if _, err := c.CreateRouter("ghost", "r"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("router err = %v", err)
 	}
 	if _, err := c.AllocateFloatingIP("ghost", Tags{}); !errors.Is(err, ErrNotFound) {
 		t.Errorf("fip err = %v", err)
 	}
-	if _, err := c.CreateSecurityGroup("ghost", "g", nil); !errors.Is(err, ErrNotFound) {
+	if _, err := c.CreateSecurityGroup("ghost", "g"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("secgroup err = %v", err)
 	}
 	if _, err := c.Get("ghost"); !errors.Is(err, ErrNotFound) {
@@ -75,7 +75,7 @@ func TestNetworkAttachErrors(t *testing.T) {
 		t.Errorf("subnet on missing network err = %v", err)
 	}
 	// Launching on a network without subnets fails.
-	empty, _ := c.CreateNetwork("class", "empty", false)
+	empty, _ := c.CreateNetwork("class", "empty")
 	if _, err := c.Launch(LaunchSpec{Project: "class", Flavor: M1Small, NetworkID: empty.ID}); !errors.Is(err, ErrNotFound) {
 		t.Errorf("launch on subnetless network err = %v", err)
 	}
@@ -100,7 +100,7 @@ func TestAssociateMissingTargets(t *testing.T) {
 
 func TestSubnetIPAllocationUnique(t *testing.T) {
 	c, _ := newTestCloud()
-	net, _ := c.CreateNetwork("class", "n", false)
+	net, _ := c.CreateNetwork("class", "n")
 	_, _ = c.CreateSubnet(net.ID, "s", "192.168.0.0/16")
 	seen := map[string]bool{}
 	for i := 0; i < 300; i++ {

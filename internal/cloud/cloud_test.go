@@ -256,18 +256,14 @@ func TestOneFloatingIPPerInstance(t *testing.T) {
 
 func TestNetworkingTopology(t *testing.T) {
 	c, _ := newTestCloud()
-	ext, err := c.CreateNetwork("class", "public", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := c.CreateNetwork("class", "private_net", false)
+	net, err := c.CreateNetwork("class", "private_net")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.CreateSubnet(net.ID, "private_subnet", "192.168.1.0/24"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CreateRouter("class", "router1", ext); err != nil {
+	if _, err := c.CreateRouter("class", "router1"); err != nil {
 		t.Fatal(err)
 	}
 	inst, err := c.Launch(LaunchSpec{Project: "class", Flavor: M1Medium, NetworkID: net.ID})
@@ -285,14 +281,11 @@ func TestNetworkingTopology(t *testing.T) {
 
 func TestSecurityGroups(t *testing.T) {
 	c, _ := newTestCloud()
-	g, err := c.CreateSecurityGroup("class", "ssh-http", []SecurityGroupRule{
-		{Protocol: "tcp", PortMin: 22, PortMax: 22, RemoteCIDR: "0.0.0.0/0"},
-		{Protocol: "tcp", PortMin: 8000, PortMax: 9000, RemoteCIDR: "10.0.0.0/8"},
-	})
+	g, err := c.CreateSecurityGroup("class", "ssh-http")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Rules) != 2 || g.Project != "class" {
+	if g.Name != "ssh-http" || g.Project != "class" {
 		t.Errorf("security group = %+v", g)
 	}
 }

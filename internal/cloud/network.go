@@ -12,8 +12,6 @@ type Network struct {
 	Name    string
 	Project string
 	Subnets []*Subnet
-	// External marks provider networks that can supply floating IPs.
-	External bool
 }
 
 // Subnet is an IPv4 address block attached to a network. Address
@@ -30,10 +28,9 @@ type Subnet struct {
 // Router connects tenant networks to the external network, providing SNAT
 // and floating-IP routing.
 type Router struct {
-	ID         string
-	Name       string
-	Project    string
-	ExternalGW *Network
+	ID      string
+	Name    string
+	Project string
 }
 
 // FloatingIP is a publicly routable address billed by the hour on
@@ -48,21 +45,12 @@ type FloatingIP struct {
 	ReleasedAt  float64 // -1 while held
 }
 
-// SecurityGroupRule permits ingress traffic matching protocol, port range
-// and source CIDR prefix.
-type SecurityGroupRule struct {
-	Protocol   string // "tcp", "udp", "icmp"
-	PortMin    int
-	PortMax    int
-	RemoteCIDR string // e.g. "0.0.0.0/0"
-}
-
-// SecurityGroup is a named set of ingress rules.
+// SecurityGroup is a named ingress rule set. The simulator does not
+// filter traffic, so it records only the group itself.
 type SecurityGroup struct {
 	ID      string
 	Name    string
 	Project string
-	Rules   []SecurityGroupRule
 }
 
 // allocIP hands out the next address in the subnet's block. The simulator

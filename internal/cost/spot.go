@@ -98,65 +98,45 @@ func FormatCents(c int64) string {
 	return fmt.Sprintf("%s$%d.%02d", sign, c/100, c%100)
 }
 
-// SpotSpec parameterises GenerateSpotPrices. Fractions are relative to
-// OnDemandPerHour; the generated price never leaves
-// [Floor·OnDemand, Ceil·OnDemand].
+// The spot walk's fixed shape, as fractions of the on-demand rate: the
+// log-price reverts toward spotMean and never leaves [spotFloor,
+// spotCeil], so spot never exceeds on-demand. Prices update every
+// spotStepHours.
+const (
+	spotMean      = 0.35
+	spotFloor     = 0.1
+	spotCeil      = 1.0
+	spotStepHours = 1.0
+)
+
+// SpotSpec parameterises GenerateSpotPrices.
 type SpotSpec struct {
 	OnDemandPerHour float64
-	// Mean is the long-run spot/on-demand fraction (e.g. 0.35). Values
-	// outside (0, Ceil] are clamped into range.
-	Mean float64
 	// Volatility is the per-step standard deviation of the log-price
 	// random walk. Zero produces a single flat segment — and therefore
 	// zero price-change clock events when the series is armed.
 	Volatility float64
-	// Floor and Ceil bound the fraction; defaults 0.1 and 1.0 (spot
-	// never exceeds on-demand).
-	Floor, Ceil float64
-	// StepHours is the spacing of price updates (default 1h).
-	StepHours float64
 	// Horizon bounds generated segments to [0, Horizon).
 	Horizon float64
 }
 
 // GenerateSpotPrices builds a seeded, mean-reverting spot price walk:
-// log-price takes a Normal step each StepHours and relaxes a quarter of
-// the way back toward the mean, clamped to [Floor, Ceil] and rounded to
-// whole cents. Consecutive equal prices coalesce into one segment, so a
-// calm market arms few clock events. Same seed + spec ⇒ identical series.
+// log-price takes a Normal step each spotStepHours and relaxes a quarter
+// of the way back toward the mean, clamped to [spotFloor, spotCeil] and
+// rounded to whole cents. Consecutive equal prices coalesce into one
+// segment, so a calm market arms few clock events. Same seed + spec ⇒
+// identical series.
 func GenerateSpotPrices(seed uint64, spec SpotSpec) SpotPriceSeries {
-	mean := spec.Mean
-	if mean <= 0 {
-		mean = 0.35
-	}
-	floor := spec.Floor
-	if floor <= 0 {
-		floor = 0.1
-	}
-	ceil := spec.Ceil
-	if ceil <= 0 || ceil > 1 {
-		ceil = 1
-	}
-	if mean < floor {
-		mean = floor
-	}
-	if mean > ceil {
-		mean = ceil
-	}
-	step := spec.StepHours
-	if step <= 0 {
-		step = 1
-	}
 	s := SpotPriceSeries{OnDemandPerHour: spec.OnDemandPerHour}
 	rate := func(frac float64) float64 {
 		return math.Round(spec.OnDemandPerHour*frac*100) / 100
 	}
-	if spec.Volatility <= 0 || spec.Horizon <= step {
-		s.Segments = []SpotSegment{{Start: 0, PerHour: rate(mean)}}
+	if spec.Volatility <= 0 || spec.Horizon <= spotStepHours {
+		s.Segments = []SpotSegment{{Start: 0, PerHour: rate(spotMean)}}
 		return s
 	}
 	r := stats.NewRNG(seed)
-	logMean := math.Log(mean)
+	logMean := math.Log(spotMean)
 	x := logMean
 	push := func(start, perHour float64) {
 		if n := len(s.Segments); n > 0 && s.Segments[n-1].PerHour == perHour {
@@ -165,15 +145,15 @@ func GenerateSpotPrices(seed uint64, spec SpotSpec) SpotPriceSeries {
 		s.Segments = append(s.Segments, SpotSegment{Start: start, PerHour: perHour})
 	}
 	push(0, rate(math.Exp(x)))
-	for t := step; t < spec.Horizon; t += step {
+	for t := spotStepHours; t < spec.Horizon; t += spotStepHours {
 		x += 0.25*(logMean-x) + spec.Volatility*r.Normal()
 		frac := math.Exp(x)
-		if frac < floor {
-			frac = floor
+		if frac < spotFloor {
+			frac = spotFloor
 			x = math.Log(frac)
 		}
-		if frac > ceil {
-			frac = ceil
+		if frac > spotCeil {
+			frac = spotCeil
 			x = math.Log(frac)
 		}
 		push(t, rate(frac))

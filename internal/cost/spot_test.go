@@ -55,12 +55,7 @@ func TestFormatCents(t *testing.T) {
 }
 
 func TestGenerateSpotPricesDeterministicAndBounded(t *testing.T) {
-	spec := SpotSpec{
-		OnDemandPerHour: 3.307,
-		Mean:            0.35, Volatility: 0.2,
-		Floor: 0.15, Ceil: 1,
-		StepHours: 1, Horizon: 96,
-	}
+	spec := SpotSpec{OnDemandPerHour: 3.307, Volatility: 0.2, Horizon: 96}
 	a := GenerateSpotPrices(7, spec)
 	b := GenerateSpotPrices(7, spec)
 	if !reflect.DeepEqual(a, b) {
@@ -73,7 +68,7 @@ func TestGenerateSpotPricesDeterministicAndBounded(t *testing.T) {
 	if len(a.Segments) < 2 {
 		t.Fatalf("volatile walk should change price at least once, got %d segments", len(a.Segments))
 	}
-	lo, hi := spec.Floor*spec.OnDemandPerHour, spec.Ceil*spec.OnDemandPerHour
+	lo, hi := spotFloor*spec.OnDemandPerHour, spotCeil*spec.OnDemandPerHour
 	var prev SpotSegment
 	for i, seg := range a.Segments {
 		if seg.PerHour < lo-0.005 || seg.PerHour > hi+0.005 {
@@ -95,12 +90,12 @@ func TestGenerateSpotPricesDeterministicAndBounded(t *testing.T) {
 }
 
 func TestGenerateSpotPricesZeroVolatilityIsFlat(t *testing.T) {
-	s := GenerateSpotPrices(1, SpotSpec{OnDemandPerHour: 1.212, Mean: 0.4, Horizon: 48, StepHours: 1})
+	s := GenerateSpotPrices(1, SpotSpec{OnDemandPerHour: 1.212, Horizon: 48})
 	if len(s.Segments) != 1 {
 		t.Fatalf("zero volatility must produce one segment, got %d", len(s.Segments))
 	}
-	if got := s.Segments[0].PerHour; got != 0.48 {
-		t.Fatalf("flat rate = %v, want 0.48", got)
+	if got := s.Segments[0].PerHour; got != 0.42 {
+		t.Fatalf("flat rate = %v, want 0.42", got)
 	}
 }
 

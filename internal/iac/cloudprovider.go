@@ -23,11 +23,20 @@ type CloudProvider struct {
 	Project string
 }
 
+// refAttr names each resource type's address-valued ("addr") attribute,
+// which Create resolves through state. PlanChanges checks and orders it
+// like a DependsOn entry.
+var refAttr = map[string]string{
+	"subnet":      "network",
+	"instance":    "network",
+	"floating_ip": "instance",
+}
+
 // Create implements Provider.
 func (p *CloudProvider) Create(r Resource, s *State) (string, error) {
 	switch r.Type {
 	case "network":
-		n, err := p.Cloud.CreateNetwork(p.Project, r.Attrs["name"], false)
+		n, err := p.Cloud.CreateNetwork(p.Project, r.Attrs["name"])
 		if err != nil {
 			return "", err
 		}
@@ -43,13 +52,13 @@ func (p *CloudProvider) Create(r Resource, s *State) (string, error) {
 		}
 		return sub.ID, nil
 	case "router":
-		rt, err := p.Cloud.CreateRouter(p.Project, r.Attrs["name"], nil)
+		rt, err := p.Cloud.CreateRouter(p.Project, r.Attrs["name"])
 		if err != nil {
 			return "", err
 		}
 		return rt.ID, nil
 	case "security_group":
-		g, err := p.Cloud.CreateSecurityGroup(p.Project, r.Attrs["name"], nil)
+		g, err := p.Cloud.CreateSecurityGroup(p.Project, r.Attrs["name"])
 		if err != nil {
 			return "", err
 		}

@@ -15,6 +15,7 @@ package iac
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -36,6 +37,19 @@ type Resource struct {
 
 // Address returns the resource's unique module-scoped identifier.
 func (r Resource) Address() string { return r.Type + "." + r.Name }
+
+// deps returns the addresses r must follow: DependsOn, plus the address
+// in its reference attribute (refAttr) when it names one. Like
+// Terraform's implicit dependencies, a reference orders the plan and
+// must name a declared resource, whether or not DependsOn repeats it.
+func (r Resource) deps() []string {
+	attr, ok := refAttr[r.Type]
+	ref := r.Attrs[attr]
+	if !ok || ref == "" || slices.Contains(r.DependsOn, ref) {
+		return r.DependsOn
+	}
+	return append(slices.Clip(r.DependsOn), ref)
+}
 
 // Module is a declarative set of resources.
 type Module struct {
@@ -74,7 +88,7 @@ func (m *Module) topoSort() ([]string, error) {
 	dependents := map[string][]string{}
 	for addr, r := range m.resources {
 		indeg[addr] += 0
-		for _, dep := range r.DependsOn {
+		for _, dep := range r.deps() {
 			if _, ok := m.resources[dep]; !ok {
 				return nil, fmt.Errorf("%w: %s depends on %s", ErrUnknown, addr, dep)
 			}

@@ -189,6 +189,41 @@ func TestUnknownDependency(t *testing.T) {
 	}
 }
 
+// An address-valued attribute naming an undeclared resource fails the
+// plan like an unknown DependsOn entry, so applying creates nothing
+// that the failed reference would strand in state.
+func TestUnknownAttributeReference(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		res  []Resource
+	}{
+		{"floating_ip instance", []Resource{
+			{Type: "instance", Name: "node1", Attrs: map[string]string{"name": "node1", "flavor": "m1.small"}},
+			{Type: "floating_ip", Name: "ip", Attrs: map[string]string{"instance": "instance.nope"}},
+		}},
+		{"subnet network", []Resource{
+			{Type: "network", Name: "n", Attrs: map[string]string{"name": "n"}},
+			{Type: "subnet", Name: "s", Attrs: map[string]string{"network": "network.typo", "name": "s", "cidr": "10.0.0.0/24"}},
+		}},
+	} {
+		p, cl, _ := newProvider()
+		m := NewModule()
+		for _, r := range tc.res {
+			m.MustAdd(r)
+		}
+		s := NewState()
+		plan, err := PlanChanges(m, s)
+		if !errors.Is(err, ErrUnknown) {
+			t.Errorf("%s: plan err = %v, want ErrUnknown", tc.name, err)
+			_ = Apply(plan, p, s) // what a clean plan lets through
+		}
+		proj, _ := cl.GetProject("class")
+		if n := len(s.Addresses()); n != 0 || proj.Usage != (cloud.Usage{}) {
+			t.Errorf("%s: %d state entries and usage %+v, want none", tc.name, n, proj.Usage)
+		}
+	}
+}
+
 func TestDuplicateAddress(t *testing.T) {
 	m := NewModule()
 	m.MustAdd(Resource{Type: "a", Name: "x"})

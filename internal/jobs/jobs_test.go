@@ -56,16 +56,53 @@ func TestFaultToleranceRetries(t *testing.T) {
 	}
 }
 
-func TestRetryBudgetExhausted(t *testing.T) {
-	p := NewPool(1, 2)
+// failAlways runs a task that always fails on a one-worker pool and
+// returns its result, the pool's retried count and how often it ran.
+func failAlways(maxRetries int, errs ...error) (res Result, retried, calls int) {
+	p := NewPool(1, maxRetries)
 	defer p.Close()
-	f, _ := p.Submit(func() (float64, error) { return 0, errors.New("always") })
-	res := f.Get()
-	if res.Err == nil {
-		t.Fatal("expected terminal failure")
+	f, _ := p.Submit(func() (float64, error) {
+		err := errs[min(calls, len(errs)-1)]
+		calls++
+		return 7, err
+	})
+	res = f.Get()
+	_, retried = p.Stats()
+	return res, retried, calls
+}
+
+func TestRetryBudgetExhausted(t *testing.T) {
+	errAlways := errors.New("always")
+	res, retried, calls := failAlways(2, errAlways)
+	// The task's own error, not a wrapper; the value of a failed attempt
+	// is never reported.
+	if res.Err != errAlways || res.Value != 0 {
+		t.Errorf("result = %+v, want Err %v and Value 0", res, errAlways)
 	}
-	if res.Attempts != 3 { // 1 + 2 retries
-		t.Errorf("attempts = %d, want 3", res.Attempts)
+	if res.Attempts != 3 || calls != 3 { // 1 + 2 retries
+		t.Errorf("attempts = %d, calls = %d, want 3", res.Attempts, calls)
+	}
+	// Every failed attempt counts, the last one included.
+	if retried != 3 {
+		t.Errorf("pool retried = %d, want 3", retried)
+	}
+}
+
+func TestRetryZeroBudgetRunsOnce(t *testing.T) {
+	for _, maxRetries := range []int{0, -1} {
+		res, retried, calls := failAlways(maxRetries, errors.New("x"))
+		if calls != 1 || res.Attempts != 1 || retried != 1 {
+			t.Errorf("MaxRetries %d: calls = %d, attempts = %d, retried = %d, want 1 each",
+				maxRetries, calls, res.Attempts, retried)
+		}
+	}
+}
+
+func TestRetryReturnsLastError(t *testing.T) {
+	errs := []error{errors.New("first"), errors.New("second"), errors.New("last")}
+	res, _, _ := failAlways(2, errs...)
+	if res.Err != errs[2] {
+		t.Errorf("err = %v, want the last attempt's %v", res.Err, errs[2])
 	}
 }
 

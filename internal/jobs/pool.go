@@ -10,9 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
-
-	"repro/internal/resilience"
 )
 
 // ErrPoolClosed is returned for submissions after Close.
@@ -44,8 +41,9 @@ func (f *Future) Get() Result {
 
 // Pool executes tasks on a fixed number of worker goroutines. Each task
 // is retried up to MaxRetries times on error, emulating Ray's lineage
-// re-execution when a worker dies mid-task. Retries run back to back:
-// the simulation has no wall time to wait out.
+// re-execution when a worker dies mid-task; a negative MaxRetries runs
+// it once. Retries run back to back: the simulation has no wall time to
+// wait out.
 type Pool struct {
 	MaxRetries int
 
@@ -80,31 +78,24 @@ func NewPool(workers, maxRetries int) *Pool {
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	for sub := range p.queue {
-		res := Result{}
-		r := resilience.Retrier{
-			Budget: p.MaxRetries + 1,
-			OnRetry: func(int, error, time.Duration) {
-				p.mu.Lock()
-				p.retried++
-				p.mu.Unlock()
-			},
-		}
-		out, err := r.Do(func(int) error {
-			v, taskErr := runProtected(sub.task)
-			if taskErr != nil {
-				return taskErr
+		var res Result
+		for {
+			res.Attempts++
+			v, err := runProtected(sub.task)
+			if err == nil {
+				res.Value = v
+				break
 			}
-			res.Value = v
-			return nil
-		})
-		res.Attempts = out.Attempts
-		p.mu.Lock()
-		if err != nil {
-			// Surface the task's own error, not the budget wrapper, to
-			// keep the Ray-style API: callers see what the task returned.
-			res.Err = errors.Unwrap(err)
+			p.mu.Lock()
 			p.retried++
+			p.mu.Unlock()
+			if res.Attempts > p.MaxRetries {
+				// The task's own last error: callers see what it returned.
+				res.Err = err
+				break
+			}
 		}
+		p.mu.Lock()
 		p.executed++
 		p.mu.Unlock()
 		sub.out <- res
@@ -169,7 +160,8 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// Stats reports executed task count and total retry count.
+// Stats reports the executed task count and the failed-attempt count,
+// an exhausted task's last attempt included.
 func (p *Pool) Stats() (executed, retried int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

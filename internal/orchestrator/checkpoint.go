@@ -1,4 +1,4 @@
-package resilience
+package orchestrator
 
 import "math"
 
@@ -7,8 +7,8 @@ import "math"
 // each write stalls the job, and how long a restore takes after a
 // migration. Times are simulated hours, matching the simclock.
 //
-// The policy is pure data: the orchestrator's train controller executes
-// it, internal/train sizes the artifact, and PlanCheckpoints picks the
+// The policy is pure data: the TrainController executes it,
+// internal/train sizes the artifact, and PlanCheckpoints picks the
 // interval from the classic trade-off — checkpoint too often and the
 // write stalls dominate, too rarely and every preemption loses a long
 // stretch of work.

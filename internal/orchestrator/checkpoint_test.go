@@ -1,4 +1,4 @@
-package resilience
+package orchestrator
 
 import (
 	"math"

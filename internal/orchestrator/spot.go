@@ -10,7 +10,6 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/logging"
 	"repro/internal/objectstore"
-	"repro/internal/resilience"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -61,14 +60,14 @@ type TrainTarget struct {
 
 // TrainJobSpec declares a long-running training job that must survive
 // spot preemption: total steps, candidate placements, and the
-// checkpoint policy (typically from resilience.PlanCheckpoints over
+// checkpoint policy (typically from PlanCheckpoints over
 // train.CheckpointBytes).
 type TrainJobSpec struct {
 	Name       string
 	Project    string
 	Targets    []TrainTarget
 	TotalSteps int
-	Checkpoint resilience.CheckpointPolicy
+	Checkpoint CheckpointPolicy
 	// Bucket receives checkpoint objects when an object store is
 	// attached; sized writes meter real storage hours.
 	Bucket string

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/cost"
 	"repro/internal/objectstore"
-	"repro/internal/resilience"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
 )
@@ -44,7 +43,7 @@ func trainSpec(name string, steps int) TrainJobSpec {
 		Project:    "lab",
 		Targets:    []TrainTarget{{Flavor: cloud.ComputeLiqid, StepHours: 0.1}},
 		TotalSteps: steps,
-		Checkpoint: resilience.CheckpointPolicy{
+		Checkpoint: CheckpointPolicy{
 			IntervalHours: 0.5,
 			WriteHours:    0.02,
 			RestoreHours:  0.02,

@@ -26,7 +26,6 @@ type ResilienceStats struct {
 	MTTRCount   int64   // reschedules with a measured repair time
 	MeanMTTRHrs float64 // mean crash→replacement latency (backdated to the fault)
 
-	RequestsShed   int64 // serve.shed
 	LaunchFailures int64 // lease.launch_failures
 }
 
@@ -50,7 +49,6 @@ func GatherResilience(bus *telemetry.Bus) ResilienceStats {
 		Evictions:       counter("orchestrator.evictions"),
 		Reschedules:     counter("orchestrator.reschedules"),
 		Unschedulable:   counter("orchestrator.unschedulable"),
-		RequestsShed:    counter("serve.shed"),
 		LaunchFailures:  counter("lease.launch_failures"),
 	}
 	if m, ok := telemetry.Find(snap, "orchestrator.reschedule_latency_hours"); ok && m.Count > 0 {
@@ -82,7 +80,6 @@ func Resilience(s ResilienceStats) string {
 	} else {
 		b.WriteString("mean MTTR:          n/a (no repairs measured)\n")
 	}
-	fmt.Fprintf(&b, "requests shed:      %d\n", s.RequestsShed)
 	fmt.Fprintf(&b, "lease launch fails: %d\n", s.LaunchFailures)
 	return b.String()
 }

@@ -36,8 +36,6 @@ type AutoscalePolicy struct {
 	Min, Max int
 	// TargetUtilization is the per-instance utilization setpoint.
 	TargetUtilization float64
-	// StepHours is the evaluation interval (15 min default).
-	StepHours float64
 }
 
 // ScalingOutcome summarizes a 24-hour run of one provisioning strategy.
@@ -68,7 +66,7 @@ func SimulateStatic(cfg Config, curve LoadCurve, replicas int) (ScalingOutcome, 
 	return simulateDay(cfg, curve, func(float64, int) int { return replicas })
 }
 
-// SimulateAutoscaled adjusts replicas every policy.StepHours toward the
+// SimulateAutoscaled adjusts replicas every 15-minute tick toward the
 // utilization target (scale-up immediate; scale-down one step at a time,
 // the conservative HPA default).
 //

@@ -65,7 +65,6 @@ type Batcher struct {
 	telTracedReqs *telemetry.Counter
 	telPlainReqs  *telemetry.Counter
 	telRejected   *telemetry.Counter
-	telShed       *telemetry.Counter
 	telQueueDepth *telemetry.Gauge
 	telBatchSize  *telemetry.Histogram
 	telBatchForm  *telemetry.Histogram
@@ -128,7 +127,6 @@ func (b *Batcher) SetTelemetry(bus *telemetry.Bus) {
 	b.telPlainReqs = bus.Counter(telemetry.Labeled("serve.requests",
 		telemetry.String("traced", "no")))
 	b.telRejected = bus.Counter("serve.rejected_closed")
-	b.telShed = bus.Counter("serve.shed")
 	b.telQueueDepth = bus.Gauge("serve.queue_depth")
 	b.telBatchSize = bus.Histogram("serve.batch_size", telemetry.LinearBuckets(1, 1, 32))
 	b.telBatchForm = bus.Histogram("serve.batch_form_seconds", telemetry.LatencyBuckets())

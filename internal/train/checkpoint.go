@@ -9,7 +9,7 @@ package train
 //
 // This is what the spot-survival machinery persists on a preemption
 // notice: the checkpoint write time (size / blockstore bandwidth) and
-// the pool's MTBF feed resilience.PlanCheckpoints, which picks the
+// the pool's MTBF feed orchestrator.PlanCheckpoints, which picks the
 // Young-formula interval between periodic saves.
 func CheckpointBytes(m ModelSpec, c Config) float64 {
 	trainable := m.Params

@@ -12,8 +12,7 @@ import (
 )
 
 // Collector turns telemetry.Bus instruments into labeled series. It
-// scrapes on a sim-clock-aligned interval and also accepts pushed
-// samples for metrics that never touch the bus.
+// scrapes on a sim-clock-aligned interval.
 //
 // Scrape mapping (Prometheus conventions, adapted to the bus):
 //
@@ -30,26 +29,21 @@ import (
 //
 // The hot path follows the zero-alloc scrape contract (DESIGN §14):
 // each instrument is resolved once into a scrapePlan — labeled name
-// parsed, base labels folded in, label sets interned, bucket `le`
-// strings formatted, SeriesRef handles created — and every later scrape
-// replays the plan. In delta mode (the default) histograms are read via
-// SnapshotDelta: when the observation total is unchanged since the last
-// scrape the cached cumulative buckets are replayed at the new
-// timestamp, so the stored bytes are identical to a full scrape by
-// construction (proven by a cmp test) without touching the bucket
-// array. SetDelta(false) selects the full-snapshot fallback, which
-// routes Bus.SnapshotAppend output through the same plans.
-//
-// Base labels must be configured before the first scrape: plans bake
-// them in at creation.
+// parsed, label sets interned, bucket `le` strings formatted, SeriesRef
+// handles created — and every later scrape replays the plan. In delta
+// mode (the default) histograms are read via SnapshotDelta: when the
+// observation total is unchanged since the last scrape the cached
+// cumulative buckets are replayed at the new timestamp, so the stored
+// bytes are identical to a full scrape by construction (proven by a cmp
+// test) without touching the bucket array. SetDelta(false) selects the
+// full-snapshot fallback, which routes Bus.SnapshotAppend output through
+// the same plans.
 type Collector struct {
 	db  *DB
 	bus *telemetry.Bus
 
 	// Interval is the scrape period in simulated hours.
 	Interval float64
-	// Base labels stamped onto every scraped series (e.g. site).
-	Base Labels
 
 	mu         sync.Mutex
 	onScrape   []func(now float64)
@@ -108,15 +102,19 @@ func NewCollector(db *DB, bus *telemetry.Bus, interval float64) *Collector {
 	if interval <= 0 {
 		interval = 0.25
 	}
-	c := &Collector{
+	return &Collector{
 		db:       db,
 		bus:      bus,
 		Interval: interval,
 		delta:    true,
 		interner: NewInterner(),
 		plans:    map[string]*scrapePlan{},
+		// A ref makes no series until its first append, in Scrape.
+		selfScrapes: db.Ref("tsdb.scrapes", nil),
+		selfSamples: db.Ref("tsdb.scrape_samples", nil),
+		selfSeries:  db.Ref("tsdb.series_count", nil),
+		selfDropped: db.Ref("tsdb.dropped_samples", nil),
 	}
-	return c
 }
 
 // DB returns the store this collector appends into.
@@ -186,11 +184,7 @@ func (c *Collector) planFor(name, kind string, bounds []float64) *scrapePlan {
 		return p
 	}
 	base, attrs := telemetry.ParseLabeled(name)
-	labels := LabelsFromAttrs(attrs)
-	for _, bl := range c.Base {
-		labels = labels.With(bl.Key, bl.Value)
-	}
-	set := c.interner.Intern(labels)
+	set := c.interner.Intern(LabelsFromAttrs(attrs))
 	p := &scrapePlan{kind: kind, alt: c.plans[name]}
 	if kind == "histogram" {
 		nb := len(bounds) + 1
@@ -330,22 +324,6 @@ func (c *Collector) appendSnapshot(now float64) int {
 	return n
 }
 
-// selfRefsLocked lazily builds the self-metric series handles; deferred
-// to the first scrape so Base labels are already configured.
-func (c *Collector) selfRefsLocked() {
-	if c.selfScrapes != nil {
-		return
-	}
-	var base Labels
-	for _, bl := range c.Base {
-		base = base.With(bl.Key, bl.Value)
-	}
-	c.selfScrapes = c.db.Ref("tsdb.scrapes", base)
-	c.selfSamples = c.db.Ref("tsdb.scrape_samples", base)
-	c.selfSeries = c.db.Ref("tsdb.series_count", base)
-	c.selfDropped = c.db.Ref("tsdb.dropped_samples", base)
-}
-
 // Scrape ingests one pass over the bus at time now, compacts the DB,
 // records the pipeline self-metrics, and runs the scrape hooks. It is
 // safe to call concurrently with instrument updates; series identity
@@ -364,7 +342,6 @@ func (c *Collector) Scrape(now float64) {
 	} else {
 		c.planSnapshot()
 	}
-	c.selfRefsLocked()
 
 	db := c.db
 	db.mu.Lock()

@@ -75,19 +75,6 @@ func TestScrapeMapping(t *testing.T) {
 	}
 }
 
-func TestScrapeBaseLabelsAndPush(t *testing.T) {
-	bus := telemetry.New()
-	bus.Counter("c").Inc()
-	c := NewCollector(New(Options{}), bus, 0.25)
-	c.Base = NewLabels(L("site", "chi"))
-	c.Scrape(1)
-
-	v, _ := c.DB().Query(`c{site="chi"}`, 1)
-	if len(v.(Vector)) != 1 {
-		t.Errorf("base label missing: %+v", v)
-	}
-}
-
 func TestStartStepAlignment(t *testing.T) {
 	clk := simclock.New()
 	bus := telemetry.New()
@@ -186,7 +173,6 @@ func TestScrapeDeltaMatchesFullSnapshot(t *testing.T) {
 	run := func(delta bool) string {
 		bus := telemetry.New()
 		c := NewCollector(New(Options{Retention: 24}), bus, 0.25)
-		c.Base = NewLabels(L("site", "chi"))
 		c.SetDelta(delta)
 		ctr := bus.Counter(telemetry.Labeled("w.ops", telemetry.String("shard", "s0")))
 		g := bus.Gauge("w.depth")
